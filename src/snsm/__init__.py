@@ -18,7 +18,6 @@ from .subsetnorm import (
     AccumMode,
     SubsetNormState,
     sn_accumulate,
-    sn_apply,
     sn_denominators,
     sn_init,
 )

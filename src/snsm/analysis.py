@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import Partition
+from .partition import Partition, subset_sqnorms
 
 
 # ---------------------------------------------------------------------------
@@ -177,5 +177,4 @@ def subset_sigmas(p: Partition, per_coord_sigma: np.ndarray) -> np.ndarray:
     per_coord_sigma = np.asarray(per_coord_sigma, dtype=np.float64)
     if per_coord_sigma.shape != (p.d,):
         raise ValueError("per_coord_sigma must have one entry per coordinate")
-    sq = np.bincount(p.assignment, weights=per_coord_sigma ** 2, minlength=p.c)
-    return np.sqrt(sq)
+    return np.sqrt(subset_sqnorms(p, per_coord_sigma))

@@ -130,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n-seeds", type=int, default=20)
     b.add_argument("--rank", type=int, default=10)
     b.add_argument("--frame", default="gaussian_ortho")
+    b.set_defaults(usage_error=b.error)
     return p
 
 
@@ -242,8 +243,10 @@ def _cmd_bound(args) -> int:
             if not check.passed:
                 return EXIT_CHECK_FAILED
         return EXIT_OK
-    if args.sigma_subsets is None or args.b0 is None:
-        raise SystemExit(EXIT_USAGE)
+    missing = [flag for flag, value in (("--sigma-subsets", args.sigma_subsets),
+                                        ("--b0", args.b0)) if value is None]
+    if missing:
+        args.usage_error(f"--thm 3 requires {' and '.join(missing)}")
     b0 = args.b0
     if len(b0) == 1:
         b0 = b0 * len(args.sigma_subsets)

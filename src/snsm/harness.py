@@ -168,8 +168,13 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
                ) -> list:
     """Compare step-size families under d^beta-dense coordinate noise."""
     for k in subset_sizes:
+        if k < 1:
+            raise ValueError(f"subset size {k} must be >= 1")
         if d % k != 0:
             raise ValueError(f"subset size {k} does not divide d={d}")
+    seeds = tuple(seeds)
+    if len(seeds) < 2:
+        raise ValueError("a sweep needs at least two seeds to report a stderr")
     obj = Quadratic(np.ones(d))
     rows: list[SweepRow] = []
     for beta in betas:
@@ -186,7 +191,7 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
         for name, k, extra in jobs:
             config = ExperimentConfig(
                 objective=obj, noise=noise, preset=name, T=T,
-                seeds=tuple(seeds), lr=lr, delta1=delta1, record_every=T,
+                seeds=seeds, lr=lr, delta1=delta1, record_every=T,
                 **extra)
             result = run(config)
             metrics = np.array([s.mean_grad_norm_sq for s in result.summaries])

@@ -1,135 +1,50 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""Hot numeric kernels, vectorized in NumPy.
 
-Every kernel has a pure-numpy implementation and, when numba is importable,
-an ``@njit`` twin.  Set the environment variable ``SNSM_DISABLE_NUMBA=1``
-before import to force the numpy path (useful for debugging and for the
-benchmark in ``benchmarks/bench_kernels.py``).
+``BACKEND`` names the implementation; it stays because run headers report
+it next to the numpy version, so timings from different builds do not get
+compared as if they ran the same code.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["BACKEND", "segment_sqnorms", "segment_sums", "sn_apply_flat", "fwht"]
+__all__ = ["BACKEND", "segment_sqnorms", "fwht"]
+
+BACKEND = "numpy"
 
 
-def _segment_sqnorms_np(g: np.ndarray, assignment: np.ndarray, c: int) -> np.ndarray:
-    return np.bincount(assignment, weights=g * g, minlength=c)
+def segment_sqnorms(g: np.ndarray, k: int, columns: bool = False) -> np.ndarray:
+    """Sums of squares of the flat vector ``g`` over its subsets.
+
+    The subsets are consecutive blocks of ``k`` coordinates (the last block
+    may be shorter) or, with ``columns``, the columns of ``g`` viewed
+    row-major as a matrix with ``k`` rows.
+    """
+    sq = g * g
+    if columns:
+        return sq.reshape(k, -1).sum(axis=0)
+    full = sq.size - sq.size % k
+    out = sq[:full].reshape(-1, k).sum(axis=1)
+    if full < sq.size:
+        out = np.append(out, sq[full:].sum())
+    return out
 
 
-def _segment_sums_np(g: np.ndarray, assignment: np.ndarray, c: int) -> np.ndarray:
-    return np.bincount(assignment, weights=g, minlength=c)
+def fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along axis 0 (length must be 2**p).
 
-
-def _sn_apply_flat_np(
-    x: np.ndarray, g: np.ndarray, denoms: np.ndarray, assignment: np.ndarray, lr: float
-) -> np.ndarray:
-    return x - lr * g / denoms[assignment]
-
-
-def _fwht_np(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along axis 0 (length must be 2**p)."""
-    a = a.copy()
+    Each butterfly stage views the array as (blocks, 2, h, ...) and combines
+    the two halves of every block; the input is not modified.
+    """
+    a = np.array(a, dtype=np.float64)
     n = a.shape[0]
     h = 1
     while h < n:
-        for i in range(0, n, 2 * h):
-            x = a[i : i + h].copy()
-            y = a[i + h : i + 2 * h].copy()
-            a[i : i + h] = x + y
-            a[i + h : i + 2 * h] = x - y
+        v = a.reshape(n // (2 * h), 2, h, *a.shape[1:])
+        x, y = v[:, 0], v[:, 1]
+        s = x + y
+        np.subtract(x, y, out=y)
+        x[...] = s
         h *= 2
     return a
-
-
-_DISABLED = os.environ.get("SNSM_DISABLE_NUMBA", "0").lower() in ("1", "true", "yes")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _DISABLED = True
-
-if not _DISABLED:
-    BACKEND = "numba"
-
-    @njit(cache=True)
-    def _segment_sqnorms_nb(g, assignment, c):
-        out = np.zeros(c, dtype=np.float64)
-        for j in range(g.shape[0]):
-            out[assignment[j]] += g[j] * g[j]
-        return out
-
-    @njit(cache=True)
-    def _segment_sums_nb(g, assignment, c):
-        out = np.zeros(c, dtype=np.float64)
-        for j in range(g.shape[0]):
-            out[assignment[j]] += g[j]
-        return out
-
-    @njit(cache=True)
-    def _sn_apply_flat_nb(x, g, denoms, assignment, lr):
-        out = np.empty_like(x)
-        for j in range(x.shape[0]):
-            out[j] = x[j] - lr * g[j] / denoms[assignment[j]]
-        return out
-
-    @njit(cache=True)
-    def _fwht_nb(a):
-        a = a.copy()
-        n = a.shape[0]
-        m = a.shape[1]
-        h = 1
-        while h < n:
-            for i in range(0, n, 2 * h):
-                for j in range(h):
-                    for col in range(m):
-                        x = a[i + j, col]
-                        y = a[i + j + h, col]
-                        a[i + j, col] = x + y
-                        a[i + j + h, col] = x - y
-            h *= 2
-        return a
-
-    def segment_sqnorms(g, assignment, c):
-        return _segment_sqnorms_nb(
-            np.ascontiguousarray(g, dtype=np.float64), assignment, c
-        )
-
-    def segment_sums(g, assignment, c):
-        return _segment_sums_nb(
-            np.ascontiguousarray(g, dtype=np.float64), assignment, c
-        )
-
-    def sn_apply_flat(x, g, denoms, assignment, lr):
-        return _sn_apply_flat_nb(
-            np.ascontiguousarray(x, dtype=np.float64),
-            np.ascontiguousarray(g, dtype=np.float64),
-            np.ascontiguousarray(denoms, dtype=np.float64),
-            assignment,
-            float(lr),
-        )
-
-    def fwht(a):
-        a2 = np.ascontiguousarray(a, dtype=np.float64)
-        if a2.ndim == 1:
-            return _fwht_nb(a2.reshape(-1, 1)).reshape(-1)
-        return _fwht_nb(a2)
-
-else:
-    BACKEND = "numpy"
-    segment_sqnorms = _segment_sqnorms_np
-    segment_sums = _segment_sums_np
-    sn_apply_flat = _sn_apply_flat_np
-    fwht = _fwht_np
-
-
-# numpy twins are always importable for the benchmark / equivalence tests
-numpy_impls = {
-    "segment_sqnorms": _segment_sqnorms_np,
-    "segment_sums": _segment_sums_np,
-    "sn_apply_flat": _sn_apply_flat_np,
-    "fwht": _fwht_np,
-}

@@ -217,7 +217,7 @@ def lift(f: Frame, C: np.ndarray) -> np.ndarray:
     if C.shape[0] != f.rank:
         raise ValueError(f"shape mismatch: C has {C.shape[0]} rows, frame rank {f.rank}")
     if f.kind is FrameKind.ZERO:
-        raise ValueError("cannot infer trailing shape for rank-0 lift; use lift_zero")
+        raise ValueError("cannot infer trailing shape for rank-0 lift")
     if f.rows is not None:
         return f.rows.T @ C
     if f.kind is FrameKind.SRHT:
@@ -228,10 +228,6 @@ def lift(f: Frame, C: np.ndarray) -> np.ndarray:
     out = np.zeros((f.ambient_dim,) + C.shape[1:])
     out[f.indices] = C
     return out
-
-
-def lift_zero(f: Frame, trailing_shape: tuple) -> np.ndarray:
-    return np.zeros((f.ambient_dim,) + tuple(trailing_shape))
 
 
 def reconstruct(f: Frame, G: np.ndarray) -> np.ndarray:

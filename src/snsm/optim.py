@@ -335,7 +335,7 @@ class _ParamSlot:
         sn.sn_accumulate(self.sn_state, sq)
         eps = cfg.eps if isinstance(cfg, EMASubsetNorm) else 0.0
         denoms = sn.sn_denominators(self.sn_state, eps=eps)
-        return denoms[self.sn_state.partition.assignment].reshape(self.shape)
+        return self.sn_state.partition.expand(denoms).reshape(self.shape)
 
     def update(self, x: np.ndarray, g: np.ndarray, t: int, lr: float,
                weight_decay: float) -> np.ndarray:

@@ -1,8 +1,16 @@
-"""Partitions of coordinate indices into the groups that share one step size."""
+"""Partitions of coordinate indices into the groups that share one step size.
+
+A partition is described by its shape alone: ``d`` coordinates in subsets of
+``k``. Rows-style partitions take consecutive blocks of ``k`` (the last one
+may be shorter); a ``columns`` partition views the flat coordinates
+row-major as a ``k x (d/k)`` matrix and takes each column as one subset.
+No per-coordinate label array is kept.
+"""
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,24 +23,36 @@ class Partition:
     """Total assignment of d coordinates to c disjoint, non-empty subsets."""
 
     d: int
-    c: int
-    assignment: np.ndarray  # (d,) int64, values in [0, c)
-    subset_sizes: np.ndarray  # (c,) int64
+    k: int  # subset size (the last block of a ragged partition may be smaller)
+    columns: bool = False
 
     def __post_init__(self):
-        if self.assignment.shape != (self.d,):
-            raise ValueError("assignment length must equal d")
-        if int(self.subset_sizes.sum()) != self.d:
-            raise ValueError("subset sizes must sum to d")
-        if np.any(self.subset_sizes <= 0):
-            raise ValueError("all subsets must be non-empty")
+        object.__setattr__(self, "d", operator.index(self.d))
+        object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "columns", bool(self.columns))
+        if self.d < 1:
+            raise ValueError("a partition needs d >= 1 coordinates")
+        if not 1 <= self.k <= self.d:
+            raise ValueError(f"subset size k={self.k} out of range [1, d={self.d}]")
+        if self.columns and self.d % self.k != 0:
+            raise ValueError(f"column height k={self.k} does not divide d={self.d}")
 
+    @property
+    def c(self) -> int:
+        """Number of subsets."""
+        return -(-self.d // self.k)
 
-def _from_assignment(assignment: np.ndarray) -> Partition:
-    assignment = np.ascontiguousarray(assignment, dtype=np.int64)
-    c = int(assignment.max()) + 1 if assignment.size else 0
-    sizes = np.bincount(assignment, minlength=c)
-    return Partition(d=assignment.size, c=c, assignment=assignment, subset_sizes=sizes)
+    @property
+    def subset_sizes(self) -> np.ndarray:
+        sizes = np.full(self.c, self.k, dtype=np.int64)
+        sizes[-1] = self.d - (self.c - 1) * self.k
+        return sizes
+
+    def expand(self, values: np.ndarray) -> np.ndarray:
+        """Per-coordinate array holding each coordinate's subset value."""
+        if self.columns:
+            return np.tile(values, self.k)
+        return np.repeat(values, self.k)[: self.d]
 
 
 def equipartition(d: int, k: int) -> Partition:
@@ -41,14 +61,14 @@ def equipartition(d: int, k: int) -> Partition:
         raise ValueError("subset size k must be >= 1")
     if d % k != 0:
         raise ValueError(f"subset size k={k} does not divide d={d}")
-    return _from_assignment(np.repeat(np.arange(d // k, dtype=np.int64), k))
+    return Partition(d, k)
 
 
 def ragged_equipartition(d: int, k: int) -> Partition:
     """Consecutive blocks of size k; the last block may be smaller."""
     if k < 1:
         raise ValueError("subset size k must be >= 1")
-    return _from_assignment(np.arange(d, dtype=np.int64) // k)
+    return Partition(d, min(k, d))
 
 
 def sqrt_heuristic(d: int) -> Partition:
@@ -66,32 +86,23 @@ def heuristic_2d(m: int, n: int) -> Partition:
     if m < 1 or n < 1:
         raise ValueError("shape dimensions must be positive")
     if m >= n:
-        assignment = np.repeat(np.arange(m, dtype=np.int64), n)
-    else:
-        assignment = np.tile(np.arange(n, dtype=np.int64), m)
-    return _from_assignment(assignment)
+        return Partition(m * n, n)
+    return Partition(m * n, m, columns=True)
 
 
 def singleton(d: int) -> Partition:
     """One subset for everything — the AdaGrad-Norm grouping (c=1)."""
-    return _from_assignment(np.zeros(d, dtype=np.int64))
+    return Partition(d, d)
 
 
 def coordinatewise(d: int) -> Partition:
     """Every coordinate its own subset — the AdaGrad-Coordinate grouping (c=d)."""
-    return _from_assignment(np.arange(d, dtype=np.int64))
+    return Partition(d, 1)
 
 
-def subset_sqnorms(p: Partition, g: np.ndarray, sum_then_square: bool = False) -> np.ndarray:
-    """Per-subset squared gradient norms: out[i] = sum_{j in subset i} g_j^2.
-
-    ``sum_then_square`` is a compatibility mode that squares the per-subset
-    coordinate sum instead of summing squares; it does not match the
-    subset-norm definition and exists only for pseudocode-literal comparison.
-    """
+def subset_sqnorms(p: Partition, g: np.ndarray) -> np.ndarray:
+    """Per-subset squared gradient norms: out[i] = sum_{j in subset i} g_j^2."""
     g = np.asarray(g, dtype=np.float64).reshape(-1)
     if g.size != p.d:
         raise ValueError(f"gradient length {g.size} != partition d={p.d}")
-    if sum_then_square:
-        return kernels.segment_sums(g, p.assignment, p.c) ** 2
-    return kernels.segment_sqnorms(g, p.assignment, p.c)
+    return kernels.segment_sqnorms(g, p.k, p.columns)

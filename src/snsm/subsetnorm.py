@@ -7,7 +7,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import kernels
 from .partition import Partition
 
 
@@ -74,23 +73,6 @@ def sn_denominators(state: SubsetNormState, eps: float = 0.0) -> np.ndarray:
             "zero subset-norm denominator (b0=0 with eps=0?)"
         )
     return denoms
-
-
-def sn_apply(
-    x: np.ndarray,
-    g: np.ndarray,
-    denoms: np.ndarray,
-    partition: Partition,
-    lr: float,
-) -> np.ndarray:
-    """x' = x - lr * g / b with the denominator shared within each subset."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    g = np.asarray(g, dtype=np.float64).reshape(-1)
-    if x.size != partition.d or g.size != partition.d:
-        raise ValueError("x and g must have length d")
-    if denoms.shape != (partition.c,):
-        raise ValueError("denoms length must equal the subset count")
-    return kernels.sn_apply_flat(x, g, denoms, partition.assignment, lr)
 
 
 def sn_state_elements(state: SubsetNormState) -> int:

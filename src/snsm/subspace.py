@@ -18,7 +18,6 @@ from .linalg import (
     FrameKind,
     GRADIENT_KINDS,
     lift,
-    lift_zero,
     make_frame,
     project,
 )

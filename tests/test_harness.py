@@ -96,6 +96,16 @@ def test_sweep_divisibility_error():
         sweep_beta([0.5], d=10, T=10, seeds=(0,), subset_sizes=[3])
 
 
+def test_sweep_rejects_subset_size_below_one():
+    with pytest.raises(ValueError, match="must be >= 1"):
+        sweep_beta([0.5], d=10, T=10, seeds=(0, 1), subset_sizes=[0])
+
+
+def test_sweep_rejects_fewer_than_two_seeds():
+    with pytest.raises(ValueError, match="two seeds"):
+        sweep_beta([0.5], d=8, T=10, seeds=(0,), subset_sizes=[4])
+
+
 def test_sweep_verdict_logic():
     r = harness.SweepRow
     a = r(0.0, "A", 1, mean_metric=1.0, stderr=0.1)
@@ -208,6 +218,18 @@ def test_cli_bound_thm3(capsys):
                  "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data[0]["H"] == 0.0
+
+
+def test_cli_bound_thm3_names_missing_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--thm", "3", "--sigma-subsets", "0,0"])
+    assert exc.value.code == 1
+    assert "--thm 3 requires --b0" in capsys.readouterr().err
+
+
+def test_cli_sweep_bad_subset_size_exit_1(capsys):
+    assert main(["sweep", "--d", "16", "--T", "5", "--subset-sizes", "0"]) == 1
+    assert "snsm: error: subset size 0" in capsys.readouterr().err
 
 
 def test_cli_train_csv(tmp_path):

@@ -9,7 +9,6 @@ from snsm.linalg import (
     Frame,
     FrameKind,
     lift,
-    lift_zero,
     make_frame,
     project,
     randomized_range_svd,
@@ -171,7 +170,6 @@ def test_zero_frame():
     G = np.ones((5, 2))
     assert project(f, G).shape == (0, 2)
     np.testing.assert_array_equal(reconstruct(f, G), np.zeros((5, 2)))
-    np.testing.assert_array_equal(lift_zero(f, (2,)), np.zeros((5, 2)))
 
 
 def test_gaussian_raw_flagged_non_projector():

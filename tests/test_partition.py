@@ -1,5 +1,8 @@
 """Coordinate-partition construction and subset square-norms."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +10,62 @@ from hypothesis import strategies as st
 
 from snsm import partition as part
 
+RULES = ("equip", "ragged", "sqrt", "rows", "columns", "norm", "coord")
+
+
+def _case(rule, a, b):
+    """A partition of one rule and its explicit per-coordinate subset labels."""
+    if rule == "equip":
+        return part.equipartition(a * b, b), np.arange(a * b) // b
+    if rule == "ragged":
+        return part.ragged_equipartition(a, b), np.arange(a) // b
+    if rule == "sqrt":
+        k = max(1, round(math.sqrt(a) / 2))
+        return part.sqrt_heuristic(a), np.arange(a) // k
+    if rule == "rows":
+        m, n = max(a, b), min(a, b)
+        return part.heuristic_2d(m, n), np.repeat(np.arange(m), n)
+    if rule == "columns":
+        m, n = min(a, b), max(a, b) + 1
+        return part.heuristic_2d(m, n), np.tile(np.arange(n), m)
+    if rule == "norm":
+        return part.singleton(a), np.zeros(a, dtype=np.int64)
+    return part.coordinatewise(a), np.arange(a)
+
+
+def _assert_matches_labels(p, labels, rng):
+    """Subset norms, sizes and per-coordinate values agree with a bincount
+    over the explicit label array."""
+    g = rng.standard_normal(p.d)
+    ref = np.bincount(labels, weights=g * g)
+    assert p.c == ref.size
+    np.testing.assert_array_equal(p.subset_sizes, np.bincount(labels))
+    # both sides sum at most d non-negative terms in float64
+    np.testing.assert_allclose(part.subset_sqnorms(p, g), ref,
+                               rtol=p.d * np.finfo(np.float64).eps, atol=0)
+    denoms = rng.uniform(0.5, 2.0, p.c)
+    np.testing.assert_array_equal(p.expand(denoms), denoms[labels])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RULES), st.integers(1, 40), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1))
+def test_partition_matches_label_reference(rule, a, b, seed):
+    p, labels = _case(rule, a, b)
+    _assert_matches_labels(p, labels, np.random.default_rng(seed))
+    for f in dataclasses.fields(p):
+        assert type(getattr(p, f.name)) in (int, bool)
+
+
+def test_partition_fields_from_numpy_ints_are_python_scalars():
+    p = part.heuristic_2d(np.int64(3), np.int64(7))
+    assert (type(p.d), type(p.k), type(p.columns)) == (int, int, bool)
+
 
 def test_equipartition_blocks():
     p = part.equipartition(6, 2)
-    np.testing.assert_array_equal(p.assignment, [0, 0, 1, 1, 2, 2])
+    _assert_matches_labels(p, np.array([0, 0, 1, 1, 2, 2]),
+                           np.random.default_rng(0))
     assert p.c == 3
     np.testing.assert_array_equal(p.subset_sizes, [2, 2, 2])
 
@@ -43,7 +98,8 @@ def test_heuristic_2d_grouping():
 def test_heuristic_2d_row_groups_are_contiguous():
     # row-major flattening: row i occupies [i*n, (i+1)*n)
     p = part.heuristic_2d(4, 3)
-    np.testing.assert_array_equal(p.assignment, np.repeat(np.arange(4), 3))
+    _assert_matches_labels(p, np.repeat(np.arange(4), 3),
+                           np.random.default_rng(0))
 
 
 def test_heuristic_2d_state_size_is_max_dim():
@@ -74,21 +130,13 @@ def test_subset_sqnorms_length_mismatch():
         part.subset_sqnorms(part.singleton(3), np.ones(4))
 
 
-def test_sum_then_square_compat_mode():
-    # the literal pseudocode variant squares the within-subset sum instead
-    p = part.equipartition(4, 2)
-    g = np.array([1.0, 2.0, 3.0, -3.0])
-    np.testing.assert_array_equal(
-        part.subset_sqnorms(p, g, sum_then_square=True), [9.0, 0.0])
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 300), st.integers(1, 20), st.integers(0, 2 ** 32 - 1))
 def test_partition_properties(d, k, seed):
     p = part.ragged_equipartition(d, k)
     assert p.subset_sizes.sum() == d
-    assert len(np.unique(p.assignment)) == p.c  # all subsets non-empty
-    assert p.assignment.min() == 0 and p.assignment.max() == p.c - 1
+    assert p.subset_sizes.shape == (p.c,)
+    assert np.all(p.subset_sizes > 0)  # all subsets non-empty
     g = np.random.default_rng(seed).standard_normal(d)
     sq = part.subset_sqnorms(p, g)
     assert np.all(sq >= 0)

@@ -88,19 +88,6 @@ def test_norm_reduction_c1():
     np.testing.assert_allclose(sn.sn_denominators(st), [np.sqrt(total)])
 
 
-def test_sn_apply_hand_example():
-    p = part.singleton(2)
-    x = sn.sn_apply(np.zeros(2), np.array([3.0, 4.0]), np.array([5.0]), p, lr=1.0)
-    np.testing.assert_allclose(x, [-0.6, -0.8])
-
-
-def test_sn_apply_zero_lr():
-    p = part.equipartition(4, 2)
-    x0 = np.arange(4.0)
-    np.testing.assert_array_equal(
-        sn.sn_apply(x0, np.ones(4), np.ones(2), p, lr=0.0), x0)
-
-
 def test_state_elements():
     assert sn.sn_state_elements(_cum_state(d=6, k=2)) == 3
     # heuristic_2d on m x n with m >= n keeps exactly m accumulator entries
