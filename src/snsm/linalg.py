@@ -4,8 +4,11 @@ A :class:`Frame` is a linear map ``P: R^m -> R^k`` whose adjoint is ``P.T``.
 For every kind except ``GAUSSIAN_RAW`` the rows of ``P`` are orthonormal, so
 ``P* P`` is the orthogonal projector onto the row span and is idempotent and
 self-adjoint.  Row-selection kinds keep an index list instead of a dense
-matrix and apply exactly (no floating error); SRHT keeps a sign vector plus
-sampled Hadamard row indices and applies through the fast transform.
+matrix and apply exactly (no floating error); SRHT over a power-of-two
+dimension keeps a sign vector plus sampled Hadamard row indices and applies
+through the fast transform, and over any other dimension keeps only its
+re-orthonormalized dense rows.  :func:`frame_storage_elements` gives the
+element count of every array a frame holds from (kind, m, k) alone.
 """
 
 from __future__ import annotations
@@ -52,13 +55,26 @@ class Frame:
 
     def storage_elements(self) -> int:
         """Persistent elements needed to store the frame (Table-style accounting)."""
-        if self.rows is not None:
-            return int(self.rows.size)
-        if self.kind is FrameKind.SRHT:
-            return int(self.indices.size + self.signs.size)
-        if self.indices is not None:
-            return int(self.indices.size)
+        return frame_storage_elements(self.kind, self.ambient_dim, self.rank)
+
+
+def _padded_dim(m: int) -> int:
+    """Next power of two >= m (the SRHT transform length)."""
+    return 1 << (m - 1).bit_length() if m > 1 else 1
+
+
+def frame_storage_elements(kind: FrameKind | str, m: int, k: int) -> int:
+    """Elements of every array a rank-k frame of this kind over R^m holds."""
+    kind = FrameKind(kind)
+    if kind is FrameKind.ZERO or k == 0:
         return 0
+    if kind is FrameKind.IDENTITY:
+        return m  # index list arange(m)
+    if kind in (FrameKind.ROW_SUBSET, FrameKind.TOP_K_ROWS):
+        return k  # index list
+    if kind is FrameKind.SRHT and _padded_dim(m) == m:
+        return k + m  # row sample + sign vector
+    return k * m  # dense rows
 
 
 def _as_matrix(A: np.ndarray) -> np.ndarray:
@@ -112,7 +128,7 @@ def randomized_range_svd(
 
 
 def _srht_frame(m: int, k: int, seed: int) -> Frame:
-    m_pad = 1 << (m - 1).bit_length() if m > 1 else 1
+    m_pad = _padded_dim(m)
     rng = np.random.default_rng(seed)
     signs = rng.choice(np.array([-1.0, 1.0]), size=m)
     idx = np.sort(rng.choice(m_pad, size=k, replace=False)).astype(np.int64)
@@ -127,8 +143,7 @@ def _srht_frame(m: int, k: int, seed: int) -> Frame:
     q, _ = np.linalg.qr(rows.T)
     return Frame(
         kind=FrameKind.SRHT, ambient_dim=m, rank=k,
-        rows=np.ascontiguousarray(q.T), indices=idx, signs=signs,
-        padded_dim=m_pad, seed=seed,
+        rows=np.ascontiguousarray(q.T), padded_dim=m_pad, seed=seed,
     )
 
 

@@ -9,6 +9,13 @@ momentum, or subspace momentum with SGD residual), the adaptive component
 supplies ``denominator`` (ones, per-coordinate EMA/cumulative second moments,
 or shared subset-norm denominators), and an optional global-norm clip runs
 over the whole gradient list first.
+
+Per-parameter state is lazy: constructing an :class:`Optimizer` validates
+the spec against the shapes (frame ranks, partitions) and allocates no
+buffer. Every buffer and frame is built on the first ``step``, and the
+gradient-based frame kinds (svd, approx_svd, top_k_rows) start from that
+step's gradient. :meth:`Optimizer.state_size` is a closed form of (spec,
+shape, tag), so it allocates and factorizes nothing, before or after steps.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 
 from . import partition as part
 from . import subsetnorm as sn
-from .linalg import FrameKind
+from .linalg import FrameKind, frame_storage_elements
 from .subspace import (
     GaloreState,
     SubspaceMomentumState,
@@ -209,13 +216,32 @@ def _build_partition(rule: str, subset_size, shape) -> part.Partition:
     raise ValueError(f"unknown partition rule {rule!r}")
 
 
+def _check_rank(momentum, m: int, n: int) -> None:
+    """Reject a frame rank the oriented (m, n) parameter cannot hold."""
+    kind, k = momentum.frame_kind, momentum.rank
+    if not 0 <= k <= m:
+        raise ValueError(f"rank k={k} out of range for ambient dimension m={m}")
+    if k == 0:
+        return
+    if kind is FrameKind.IDENTITY and k != m:
+        raise ValueError("identity frame requires k == m")
+    if kind in (FrameKind.SVD, FrameKind.APPROX_SVD) and k > n:
+        raise ValueError(f"rank k={k} out of range for {m}x{n} matrix")
+
+
 class _ParamSlot:
-    """All optimizer state attached to one parameter tensor."""
+    """All optimizer state attached to one parameter tensor.
+
+    Construction keeps only Python scalars: the resolved configs, the
+    orientation and the partition. Buffers and frames are built on the first
+    ``update``, gradient-based frames from that step's gradient.
+    """
 
     def __init__(self, spec: OptimizerSpec, shape: tuple, tag: str, seed: int):
         self.shape = tuple(shape)
         self.tag = tag
         self.d = int(np.prod(shape))
+        self.seed = seed
         momentum, adaptive = spec.momentum, spec.adaptive
         # SN/SM only apply to linear-tagged parameters; everything else
         # falls back to the coordinate-wise analog of the same family.
@@ -230,62 +256,32 @@ class _ParamSlot:
                 adaptive = AdaGradCoordinate(adaptive.b0)
             if isinstance(spec.momentum, GaloreMomentum):
                 adaptive = EMACoordinate(spec.momentum.beta2, spec.momentum.eps)
+        elif isinstance(momentum, GaloreMomentum):
+            adaptive = NoAdaptive()  # GaLore's own statistics replace it
         self.momentum_cfg = momentum
         self.adaptive_cfg = adaptive
         # orientation: frames act on the larger dimension of a 2D parameter
         self.transposed = len(self.shape) == 2 and self.shape[0] < self.shape[1]
-        m, n = self._oriented_shape()
+        if isinstance(momentum, (SubspaceMomentum, GaloreMomentum)):
+            _check_rank(momentum, *self._oriented_shape())
+        self.partition: part.Partition | None = None
+        if isinstance(adaptive, (EMASubsetNorm, AdaGradSubsetNorm)):
+            self.partition = _build_partition(adaptive.partition_rule,
+                                              adaptive.subset_size, self.shape)
 
+        self.built = False
         self.m_buf = None
         self.sm_state: SubspaceMomentumState | None = None
         self.galore_state: GaloreState | None = None
-        if isinstance(momentum, EMAMomentum):
-            self.m_buf = np.zeros(self.shape)
-        elif isinstance(momentum, SubspaceMomentum):
-            self.sm_state = sm_init(
-                momentum.frame_kind, m, n, momentum.rank, beta1=momentum.beta1,
-                refresh_gap=momentum.refresh_gap, seed=seed,
-                reference_grad=self._initial_reference(momentum.frame_kind, m, n, seed),
-                dampening=momentum.dampening,
-            )
-        elif isinstance(momentum, GaloreMomentum):
-            self.galore_state = galore_init(
-                momentum.frame_kind, m, n, momentum.rank, beta1=momentum.beta1,
-                beta2=momentum.beta2, eps=momentum.eps,
-                refresh_gap=momentum.refresh_gap, seed=seed,
-                reference_grad=self._initial_reference(momentum.frame_kind, m, n, seed),
-            )
-
         self.sn_state: sn.SubsetNormState | None = None
         self.v_buf = None
         self.step = 0
-        if isinstance(adaptive, (EMASubsetNorm, AdaGradSubsetNorm)):
-            p = _build_partition(adaptive.partition_rule, adaptive.subset_size,
-                                 self.shape)
-            if isinstance(adaptive, EMASubsetNorm):
-                self.sn_state = sn.sn_init(p, sn.AccumMode.EMA, beta2=adaptive.beta2,
-                                           bias_correction=adaptive.bias_correction)
-            else:
-                self.sn_state = sn.sn_init(p, sn.AccumMode.CUMULATIVE, b0=adaptive.b0)
-        elif isinstance(adaptive, EMACoordinate):
-            self.v_buf = np.zeros(self.shape)
-        elif isinstance(adaptive, AdaGradCoordinate):
-            self.v_buf = np.full(self.shape, adaptive.b0 ** 2)
-        elif isinstance(adaptive, AdaGradNorm):
-            self.v_buf = np.full((1,), adaptive.b0 ** 2)
 
     def _oriented_shape(self):
         if len(self.shape) == 2:
             m, n = self.shape
             return (n, m) if self.transposed else (m, n)
         return (self.d, 1)
-
-    def _initial_reference(self, kind, m, n, seed):
-        # gradient-dependent kinds need some matrix before the first step;
-        # a seeded Gaussian stands in until the first refresh
-        if kind in (FrameKind.SVD, FrameKind.APPROX_SVD, FrameKind.TOP_K_ROWS):
-            return np.random.default_rng(seed).standard_normal((m, n))
-        return None
 
     def _orient(self, G: np.ndarray) -> np.ndarray:
         G = G.reshape(self._oriented_shape() if len(self.shape) != 2 else self.shape)
@@ -294,6 +290,41 @@ class _ParamSlot:
     def _deorient(self, G: np.ndarray) -> np.ndarray:
         out = G.T if self.transposed else G
         return out.reshape(self.shape)
+
+    def _build_state(self, g: np.ndarray) -> None:
+        """Allocate every buffer; gradient-based frames come from ``g``."""
+        m, n = self._oriented_shape()
+        momentum, adaptive = self.momentum_cfg, self.adaptive_cfg
+        if isinstance(momentum, EMAMomentum):
+            self.m_buf = np.zeros(self.shape)
+        elif isinstance(momentum, SubspaceMomentum):
+            self.sm_state = sm_init(
+                momentum.frame_kind, m, n, momentum.rank, beta1=momentum.beta1,
+                refresh_gap=momentum.refresh_gap, seed=self.seed,
+                reference_grad=self._orient(g), dampening=momentum.dampening,
+            )
+        elif isinstance(momentum, GaloreMomentum):
+            self.galore_state = galore_init(
+                momentum.frame_kind, m, n, momentum.rank, beta1=momentum.beta1,
+                beta2=momentum.beta2, eps=momentum.eps,
+                refresh_gap=momentum.refresh_gap, seed=self.seed,
+                reference_grad=self._orient(g),
+            )
+
+        if isinstance(adaptive, EMASubsetNorm):
+            self.sn_state = sn.sn_init(self.partition, sn.AccumMode.EMA,
+                                       beta2=adaptive.beta2,
+                                       bias_correction=adaptive.bias_correction)
+        elif isinstance(adaptive, AdaGradSubsetNorm):
+            self.sn_state = sn.sn_init(self.partition, sn.AccumMode.CUMULATIVE,
+                                       b0=adaptive.b0)
+        elif isinstance(adaptive, EMACoordinate):
+            self.v_buf = np.zeros(self.shape)
+        elif isinstance(adaptive, AdaGradCoordinate):
+            self.v_buf = np.full(self.shape, adaptive.b0 ** 2)
+        elif isinstance(adaptive, AdaGradNorm):
+            self.v_buf = np.full((1,), adaptive.b0 ** 2)
+        self.built = True
 
     # -- direction (momentum) ------------------------------------------------
 
@@ -331,14 +362,16 @@ class _ParamSlot:
             self.v_buf = self.v_buf + np.sum(g * g)
             return float(np.sqrt(self.v_buf[0]))
         # subset-norm families
-        sq = part.subset_sqnorms(self.sn_state.partition, g.reshape(-1))
+        sq = part.subset_sqnorms(self.partition, g.reshape(-1))
         sn.sn_accumulate(self.sn_state, sq)
         eps = cfg.eps if isinstance(cfg, EMASubsetNorm) else 0.0
         denoms = sn.sn_denominators(self.sn_state, eps=eps)
-        return self.sn_state.partition.expand(denoms).reshape(self.shape)
+        return self.partition.expand(denoms).reshape(self.shape)
 
     def update(self, x: np.ndarray, g: np.ndarray, t: int, lr: float,
                weight_decay: float) -> np.ndarray:
+        if not self.built:
+            self._build_state(g)
         if isinstance(self.momentum_cfg, GaloreMomentum):
             G = self._orient(g)
             galore_maybe_refresh(self.galore_state, G, t)
@@ -355,20 +388,26 @@ class _ParamSlot:
     # -- accounting ----------------------------------------------------------
 
     def state_elements(self) -> dict[str, int]:
+        """Elements of the buffers ``update`` keeps, from the configs alone.
+
+        Singleton scalars (AdaGradNorm's accumulator) are not counted; the
+        frame is reported under its own key.
+        """
+        m, n = self._oriented_shape()
+        momentum, adaptive = self.momentum_cfg, self.adaptive_cfg
         out: dict[str, int] = {}
-        if self.m_buf is not None:
-            out["momentum"] = self.m_buf.size
-        if self.sm_state is not None:
-            out["momentum"] = self.sm_state.m_buf.size
-            out["frame"] = self.sm_state.frame.storage_elements()
-        if self.galore_state is not None:
-            out["momentum"] = self.galore_state.m_buf.size
-            out["second_moment"] = self.galore_state.v_buf.size
-            out["frame"] = self.galore_state.frame.storage_elements()
-        if self.v_buf is not None and self.v_buf.size > 1:
-            out["second_moment"] = self.v_buf.size
-        if self.sn_state is not None and self.sn_state.acc.size > 1:
-            out["second_moment"] = self.sn_state.acc.size
+        if isinstance(momentum, EMAMomentum):
+            out["momentum"] = self.d
+        elif isinstance(momentum, (SubspaceMomentum, GaloreMomentum)):
+            k = 0 if momentum.frame_kind is FrameKind.ZERO else momentum.rank
+            out["momentum"] = k * n
+            out["frame"] = frame_storage_elements(momentum.frame_kind, m, k)
+            if isinstance(momentum, GaloreMomentum):
+                out["second_moment"] = k * n
+        if isinstance(adaptive, (EMACoordinate, AdaGradCoordinate)):
+            out["second_moment"] = self.d
+        elif self.partition is not None:
+            out["second_moment"] = self.partition.c
         return {k: v for k, v in out.items() if v > 1 or (k == "frame" and v > 0)}
 
 

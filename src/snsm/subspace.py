@@ -1,10 +1,14 @@
 """Subspace-momentum state machine and the GaLore-style comparison baseline.
 
 Momentum lives in U = rowspan(P); the orthogonal residual takes a plain SGD
-step, so the overall direction is full rank.  On a refresh the frame is
-recomputed and the momentum buffer is fully reset to zero.  The GaLore
-baseline instead keeps both compressed Adam statistics across switches and
-never leaves U.
+step, so the overall direction is full rank, and the step costs one project
+and one lift.  On a refresh the frame is recomputed and the momentum buffer
+is fully reset to zero.  The GaLore baseline instead keeps both compressed
+Adam statistics across switches and never leaves U.
+
+``sm_init``/``galore_init`` take the gradient a gradient-based frame kind
+(svd, approx_svd, top_k_rows) is built from; the optimizer passes the first
+step's gradient, so such a frame follows the gradient from step 1 on.
 """
 
 from __future__ import annotations
@@ -67,16 +71,17 @@ def sm_init(
 
 
 def sm_direction(state: SubspaceMomentumState, G: np.ndarray) -> np.ndarray:
-    """One momentum update; returns lift(m') + residual (updates state in place)."""
+    """One momentum update (in place); returns lift(m') + (G - lift(c)).
+
+    By linearity of the lift this is G + lift(m' - c), one lift per step.
+    """
     G = np.asarray(G, dtype=np.float64)
     c = project(state.frame, G)
     scale = (1.0 - state.beta1) if state.dampening else 1.0
     state.m_buf = state.beta1 * state.m_buf + scale * c
     if state.frame.rank == 0:
         return G.copy()
-    in_u = lift(state.frame, c)
-    r = G - in_u
-    return lift(state.frame, state.m_buf) + r
+    return G + lift(state.frame, state.m_buf - c)
 
 
 def sm_maybe_refresh(state: SubspaceMomentumState, G: np.ndarray, t: int) -> bool:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,20 @@ def test_mem_report_matches_optimizer_state_size():
     assert rep["entries"][2]["state_elems"] == 2 * 16
 
 
+def test_mem_report_allocates_nothing():
+    # 1e10 elements: any buffer or factorization would show up at once
+    man = parse_manifest("w\tlinear\t100000x100000\n")
+    tracemalloc.start()
+    try:
+        for preset in ("Adam", "AdamSN", "AdamSNSM", "GaLore"):
+            rep = mem_report(man, preset, rank=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rep["total"] == 2 * 4 * 100000 and rep["frame_elements"] == 4 * 100000
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 
@@ -253,6 +268,20 @@ def test_cli_mem(tmp_path, capsys):
     assert main(["mem", "--manifest", str(mf), "--preset", "RMSPropSN"]) == 0
     out = capsys.readouterr().out
     assert "wq,linear,64x16,64,0" in out
+
+
+def test_cli_mem_rank_out_of_range_exit_1(tmp_path, capsys):
+    mf = tmp_path / "m.manifest"
+    mf.write_text(MANIFEST)
+    assert main(["mem", "--manifest", str(mf), "--preset", "AdamSNSM",
+                 "--rank", "1000"]) == 1
+    assert "snsm: error: rank k=1000 out of range" in capsys.readouterr().err
+
+
+def test_cli_train_rank_out_of_range_exit_1(capsys):
+    assert main(["train", "--d", "64", "--param-shape", "16x4", "--T", "3",
+                 "--preset", "AdamSNSM", "--rank", "5", "--out", "/dev/null"]) == 1
+    assert "snsm: error: rank k=5 out of range for 16x4 matrix" in capsys.readouterr().err
 
 
 def test_cli_noise(tmp_path, capsys):

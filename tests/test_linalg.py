@@ -1,5 +1,6 @@
 """Frames: top-k SVD, randomized range finder, sketching, projector algebra."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from snsm.linalg import (
     Frame,
     FrameKind,
+    frame_storage_elements,
     lift,
     make_frame,
     project,
@@ -192,6 +194,20 @@ def test_seeded_determinism():
             assert (va is None) == (vb is None)
             if va is not None:
                 np.testing.assert_array_equal(va, vb)
+
+
+@pytest.mark.parametrize("kind", list(FrameKind))
+@pytest.mark.parametrize("m", [16, 12])  # SRHT: power of two and padded
+def test_storage_formula_counts_every_frame_array(kind, m):
+    ref = np.random.default_rng(1).standard_normal((m, m))
+    for k in (0, 1, 5, m):
+        if kind is FrameKind.IDENTITY and k not in (0, m):
+            continue
+        f = make_frame(kind, m, k, seed=3, reference_grad=ref)
+        held = sum(v.size for v in (getattr(f, fl.name) for fl in dataclasses.fields(f))
+                   if isinstance(v, np.ndarray))
+        assert frame_storage_elements(kind, m, k) == held, (kind, m, k)
+        assert f.storage_elements() == held
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Optimizer template: presets, schedules, clipping, state accounting."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from snsm.linalg import FrameKind
+from snsm.linalg import Frame, FrameKind
 from snsm.optim import (
+    PRESET_NAMES,
     ConstantSchedule,
     CosineWarmup,
     NonFiniteGradientError,
@@ -110,9 +112,56 @@ def test_non_linear_tag_falls_back():
     spec = make_preset("AdamSNSM", rank=2)
     opt = Optimizer(spec, [(8, 4), (8, 4)], tags=["linear", "embedding"],
                     total_steps=10)
+    rng = np.random.default_rng(0)
+    opt.step([np.zeros((8, 4))] * 2, [rng.standard_normal((8, 4)) for _ in range(2)], 1)
     lin, emb = opt.slots
     assert lin.sm_state is not None and lin.sn_state is not None
     assert emb.sm_state is None and emb.v_buf is not None  # plain Adam path
+
+
+@pytest.mark.parametrize("preset", ["AdamSNSM", "GaLore"])
+@pytest.mark.parametrize("shape", [(32, 16), (16, 32)])
+@pytest.mark.parametrize("refresh_gap", [200, 0])
+def test_first_svd_frame_spans_first_gradient(preset, shape, refresh_gap):
+    k = 4
+    opt = Optimizer(make_preset(preset, rank=k, refresh_gap=refresh_gap),
+                    [shape], total_steps=10)
+    g = np.random.default_rng(2).standard_normal(shape)
+    opt.step([np.zeros(shape)], [g], 1)
+    slot = opt.slots[0]
+    state = slot.sm_state or slot.galore_state
+    G = g.T if shape[0] < shape[1] else g  # frames act on the larger side
+    U = np.linalg.svd(G, full_matrices=False)[0][:, :k]
+    capture = np.linalg.norm(state.frame.rows @ U) ** 2 / k
+    assert capture >= 1 - 1e-10
+
+
+def test_first_top_k_rows_frame_picks_largest_gradient_rows():
+    opt = Optimizer(make_preset("AdamSNSM", rank=3, frame_kind="top_k_rows"),
+                    [(10, 4)], total_steps=10)
+    g = np.random.default_rng(5).standard_normal((10, 4))
+    g[[1, 6, 8]] *= 10.0
+    opt.step([np.zeros((10, 4))], [g], 1)
+    np.testing.assert_array_equal(opt.slots[0].sm_state.frame.indices, [1, 6, 8])
+
+
+@pytest.mark.parametrize("preset,shape,kw", [
+    ("AdamSNSM", (16, 8), dict(rank=17)),  # rank > m for every kind
+    ("GaLore", (8, 16), dict(rank=17)),  # oriented m is the larger side
+    ("AdamSNSM", (16, 8), dict(rank=9)),  # svd needs rank <= min(m, n)
+    ("GaLore", (16, 8), dict(rank=9, frame_kind="approx_svd")),
+    ("SGD-SM", (16, 8), dict(rank=-1, frame_kind="gaussian_ortho")),
+    ("SGD-SM", (16, 8), dict(rank=4, frame_kind="identity")),
+])
+def test_frame_rank_validated_at_construction(preset, shape, kw):
+    with pytest.raises(ValueError, match="k ==|out of range"):
+        Optimizer(make_preset(preset, **kw), [shape], total_steps=1)
+
+
+def test_rank_above_n_allowed_for_non_svd_frames():
+    opt = Optimizer(make_preset("AdamSNSM", rank=9, frame_kind="srht"),
+                    [(16, 8)], total_steps=1)
+    assert opt.state_size().frame_elements == 9 + 16
 
 
 def test_nan_gradient_rejected():
@@ -217,3 +266,46 @@ def test_state_size_constant_over_steps():
     for t in range(1, 6):
         params = opt.step(params, [rng.standard_normal((16, 8))], t)
     assert opt.state_size().total == before
+
+
+def _held_arrays(obj, in_frame=False):
+    """(size, inside a frame) for every ndarray reachable from obj's fields."""
+    out = []
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            out.append((value.size, in_frame))
+        elif dataclasses.is_dataclass(value):
+            out += _held_arrays(value, in_frame or isinstance(value, Frame))
+    return out
+
+
+# (shape, frame kind, rank): square, tall, wide (transposed), 1-D, SRHT over
+# a power-of-two and a padded dimension, rank 0, then every frame kind
+ACCOUNTING_CASES = [
+    ((16, 16), "svd", 4), ((24, 8), "svd", 4), ((8, 24), "svd", 4),
+    ((30,), "svd", 1), ((32, 8), "srht", 4), ((24, 8), "srht", 4),
+    ((16, 8), "svd", 0),
+] + [((12, 6), kind.value, 12 if kind is FrameKind.IDENTITY else 3)
+     for kind in FrameKind]
+
+
+@pytest.mark.parametrize("tag", ["linear", "embedding"])
+@pytest.mark.parametrize("shape,kind,rank", ACCOUNTING_CASES)
+def test_state_elements_match_held_buffers(shape, kind, rank, tag):
+    rng = np.random.default_rng(0)
+    for preset in PRESET_NAMES:
+        spec = make_preset(preset, rank=rank, frame_kind=kind, refresh_gap=2)
+        opt = Optimizer(spec, [shape], tags=[tag], total_steps=3)
+        slot = opt.slots[0]
+        assert _held_arrays(slot) == [], preset  # construction allocates nothing
+        before = slot.state_elements()
+        params = [np.zeros(shape)]
+        for t in (1, 2):  # the second step refreshes the frame
+            params = opt.step(params, [rng.standard_normal(shape)], t)
+        elems = slot.state_elements()
+        assert elems == before, preset
+        held = _held_arrays(slot)
+        # singleton scalars (AdaGradNorm's accumulator) are not counted
+        assert sum(n for n, f in held if not f and n > 1) == \
+            sum(v for k, v in elems.items() if k != "frame"), preset
+        assert sum(n for n, f in held if f) == elems.get("frame", 0), preset

@@ -180,3 +180,17 @@ def test_sm_state_size():
     st = sm_init(FrameKind.GAUSSIAN_ORTHO, 16, 5, rank=3)
     assert st.m_buf.size == 3 * 5
     assert st.frame.storage_elements() == 3 * 16
+
+
+@pytest.mark.parametrize("kind,m", [(FrameKind.SVD, 12), (FrameKind.SRHT, 16),
+                                    (FrameKind.SRHT, 12), (FrameKind.ROW_SUBSET, 12)])
+def test_sm_direction_matches_two_lift_formula(kind, m):
+    n, beta = 5, 0.9
+    stream = _random_stream(m, n, 12, seed=4)
+    st = sm_init(kind, m, n, rank=4, beta1=beta, seed=6, reference_grad=stream[0])
+    m_ref = np.zeros((4, n))
+    for G in stream:
+        c = project(st.frame, G)
+        m_ref = beta * m_ref + (1 - beta) * c
+        want = lift(st.frame, m_ref) + G - lift(st.frame, c)
+        np.testing.assert_allclose(sm_direction(st, G), want, rtol=0, atol=1e-12)
