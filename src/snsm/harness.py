@@ -116,6 +116,7 @@ def run(config: ExperimentConfig) -> RunResult:
     summaries: list[SeedSummary] = []
     for seed in config.seeds:
         opt = _make_optimizer(config, shape)
+        state_elems = opt.state_size().total  # closed form, constant over steps
         x = _init_x1(config, seed)
         grad_sq_sum = 0.0
         steps_done = 0
@@ -134,7 +135,7 @@ def run(config: ExperimentConfig) -> RunResult:
             if t % config.record_every == 0 or t == config.T:
                 records.append(RunRecord(
                     step=t, seed=seed, loss=loss, grad_norm_sq=gsq, lr=lr,
-                    state_elems=opt.state_size().total))
+                    state_elems=state_elems))
             grad_sq_sum += gsq
             steps_done += 1
             final_loss = loss

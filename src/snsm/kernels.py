@@ -22,6 +22,8 @@ def segment_sqnorms(g: np.ndarray, k: int, columns: bool = False) -> np.ndarray:
     row-major as a matrix with ``k`` rows.
     """
     sq = g * g
+    if k == 1:  # singleton subsets; a reduction over length-1 axes is slow
+        return sq
     if columns:
         return sq.reshape(k, -1).sum(axis=0)
     full = sq.size - sq.size % k

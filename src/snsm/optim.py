@@ -6,9 +6,11 @@ The update per parameter is
 
 where the momentum component supplies ``direction`` (plain gradient, EMA
 momentum, or subspace momentum with SGD residual), the adaptive component
-supplies ``denominator`` (ones, per-coordinate EMA/cumulative second moments,
-or shared subset-norm denominators), and an optional global-norm clip runs
-over the whole gradient list first.
+supplies ``denominator`` (ones, or subset-norm denominators from EMA or
+cumulative second moments shared within each subset), and an optional
+global-norm clip runs over the whole gradient list first. Coordinate-wise
+adaptivity (Adam, RMSProp, AdaGrad) is the ``coord`` partition, one subset
+per coordinate, and AdaGrad-Norm the ``norm`` partition, one subset in all.
 
 Per-parameter state is lazy: constructing an :class:`Optimizer` validates
 the spec against the shapes (frame ranks, partitions) and allocates no
@@ -85,13 +87,6 @@ class NoAdaptive:
 
 
 @dataclass(frozen=True)
-class EMACoordinate:
-    beta2: float = 0.999
-    eps: float = 1e-8
-    bias_correction: bool = True
-
-
-@dataclass(frozen=True)
 class EMASubsetNorm:
     partition_rule: str = "heuristic2d"  # heuristic2d | equip | norm | coord
     subset_size: int | None = None  # for the equip rule
@@ -101,19 +96,9 @@ class EMASubsetNorm:
 
 
 @dataclass(frozen=True)
-class AdaGradCoordinate:
-    b0: float = 1e-6
-
-
-@dataclass(frozen=True)
 class AdaGradSubsetNorm:
     partition_rule: str = "heuristic2d"
     subset_size: int | None = None
-    b0: float = 1e-6
-
-
-@dataclass(frozen=True)
-class AdaGradNorm:
     b0: float = 1e-6
 
 
@@ -161,6 +146,12 @@ def make_preset(name: str, lr: float = 1e-3, rank: int = 4, refresh_gap: int = 2
                 frame_kind: FrameKind | str = FrameKind.SVD,
                 subset_rule: str = "heuristic2d", subset_size: int | None = None,
                 **kwargs) -> OptimizerSpec:
+    """Spec of a named preset.
+
+    Adam/RMSProp and AdaGrad/AdaGrad-Norm are the ``coord`` (c = d) and
+    ``norm`` (c = 1) rules of the subset-norm families; ``subset_rule`` and
+    ``subset_size`` only select the partition of the SN presets.
+    """
     frame_kind = FrameKind(frame_kind)
     key = name.replace("-", "").replace("_", "").lower()
     sub = dict(partition_rule=subset_rule, subset_size=subset_size)
@@ -169,18 +160,18 @@ def make_preset(name: str, lr: float = 1e-3, rank: int = 4, refresh_gap: int = 2
         "sgdm": OptimizerSpec(EMAMomentum(), NoAdaptive()),
         "sgdsm": OptimizerSpec(
             SubspaceMomentum(frame_kind, rank, refresh_gap), NoAdaptive()),
-        "rmsprop": OptimizerSpec(NoMomentum(), EMACoordinate()),
+        "rmsprop": OptimizerSpec(NoMomentum(), EMASubsetNorm("coord")),
         "rmspropsn": OptimizerSpec(NoMomentum(), EMASubsetNorm(**sub)),
-        "adam": OptimizerSpec(EMAMomentum(), EMACoordinate()),
+        "adam": OptimizerSpec(EMAMomentum(), EMASubsetNorm("coord")),
         "adamsn": OptimizerSpec(EMAMomentum(), EMASubsetNorm(**sub)),
         "adamsnsm": OptimizerSpec(
             SubspaceMomentum(frame_kind, rank, refresh_gap), EMASubsetNorm(**sub)),
-        "adagrad": OptimizerSpec(NoMomentum(), AdaGradCoordinate()),
-        "adagradnorm": OptimizerSpec(NoMomentum(), AdaGradNorm()),
+        "adagrad": OptimizerSpec(NoMomentum(), AdaGradSubsetNorm("coord")),
+        "adagradnorm": OptimizerSpec(NoMomentum(), AdaGradSubsetNorm("norm")),
         "adagradsn": OptimizerSpec(NoMomentum(), AdaGradSubsetNorm(**sub)),
         "adagradsnsm": OptimizerSpec(
             SubspaceMomentum(frame_kind, rank, refresh_gap), AdaGradSubsetNorm(**sub)),
-        "adagradm": OptimizerSpec(EMAMomentum(), AdaGradCoordinate()),
+        "adagradm": OptimizerSpec(EMAMomentum(), AdaGradSubsetNorm("coord")),
         "galore": OptimizerSpec(GaloreMomentum(frame_kind, rank, refresh_gap),
                                 NoAdaptive()),
     }
@@ -243,19 +234,20 @@ class _ParamSlot:
         self.d = int(np.prod(shape))
         self.seed = seed
         momentum, adaptive = spec.momentum, spec.adaptive
-        # SN/SM only apply to linear-tagged parameters; everything else
-        # falls back to the coordinate-wise analog of the same family.
+        # Subspace momentum and the shape-based partition rules (heuristic2d,
+        # equip) only apply to linear-tagged parameters; elsewhere momentum
+        # falls back to EMA and those rules to coordinate-wise subsets. The
+        # norm and coord rules mean the same on every tag.
         compressible = tag == "linear"
         if not compressible:
             if isinstance(momentum, (SubspaceMomentum, GaloreMomentum)):
                 momentum = EMAMomentum(beta1=momentum.beta1)
-            if isinstance(adaptive, EMASubsetNorm):
-                adaptive = EMACoordinate(adaptive.beta2, adaptive.eps,
-                                         adaptive.bias_correction)
-            elif isinstance(adaptive, AdaGradSubsetNorm):
-                adaptive = AdaGradCoordinate(adaptive.b0)
             if isinstance(spec.momentum, GaloreMomentum):
-                adaptive = EMACoordinate(spec.momentum.beta2, spec.momentum.eps)
+                adaptive = EMASubsetNorm("coord", beta2=spec.momentum.beta2,
+                                         eps=spec.momentum.eps)
+            elif (isinstance(adaptive, (EMASubsetNorm, AdaGradSubsetNorm))
+                  and adaptive.partition_rule in ("heuristic2d", "equip")):
+                adaptive = replace(adaptive, partition_rule="coord")
         elif isinstance(momentum, GaloreMomentum):
             adaptive = NoAdaptive()  # GaLore's own statistics replace it
         self.momentum_cfg = momentum
@@ -274,8 +266,6 @@ class _ParamSlot:
         self.sm_state: SubspaceMomentumState | None = None
         self.galore_state: GaloreState | None = None
         self.sn_state: sn.SubsetNormState | None = None
-        self.v_buf = None
-        self.step = 0
 
     def _oriented_shape(self):
         if len(self.shape) == 2:
@@ -318,17 +308,11 @@ class _ParamSlot:
         elif isinstance(adaptive, AdaGradSubsetNorm):
             self.sn_state = sn.sn_init(self.partition, sn.AccumMode.CUMULATIVE,
                                        b0=adaptive.b0)
-        elif isinstance(adaptive, EMACoordinate):
-            self.v_buf = np.zeros(self.shape)
-        elif isinstance(adaptive, AdaGradCoordinate):
-            self.v_buf = np.full(self.shape, adaptive.b0 ** 2)
-        elif isinstance(adaptive, AdaGradNorm):
-            self.v_buf = np.full((1,), adaptive.b0 ** 2)
         self.built = True
 
     # -- direction (momentum) ------------------------------------------------
 
-    def direction(self, g: np.ndarray, t: int) -> np.ndarray:
+    def direction(self, g: np.ndarray) -> np.ndarray:
         cfg = self.momentum_cfg
         if isinstance(cfg, NoMomentum):
             return g
@@ -337,31 +321,15 @@ class _ParamSlot:
             self.m_buf = cfg.beta1 * self.m_buf + scale * g
             return self.m_buf
         if isinstance(cfg, SubspaceMomentum):
-            G = self._orient(g)
-            sm_maybe_refresh(self.sm_state, G, t)
-            return self._deorient(sm_direction(self.sm_state, G))
+            return self._deorient(sm_direction(self.sm_state, self._orient(g)))
         raise AssertionError("galore handled in update()")
 
     # -- denominator (adaptive step size) ------------------------------------
 
     def denominator(self, g: np.ndarray) -> np.ndarray | float:
         cfg = self.adaptive_cfg
-        self.step += 1
         if isinstance(cfg, NoAdaptive):
             return 1.0
-        if isinstance(cfg, EMACoordinate):
-            self.v_buf = cfg.beta2 * self.v_buf + (1.0 - cfg.beta2) * g * g
-            v = self.v_buf
-            if cfg.bias_correction:
-                v = v / (1.0 - cfg.beta2 ** self.step)
-            return np.sqrt(v) + cfg.eps
-        if isinstance(cfg, AdaGradCoordinate):
-            self.v_buf = self.v_buf + g * g
-            return np.sqrt(self.v_buf)
-        if isinstance(cfg, AdaGradNorm):
-            self.v_buf = self.v_buf + np.sum(g * g)
-            return float(np.sqrt(self.v_buf[0]))
-        # subset-norm families
         sq = part.subset_sqnorms(self.partition, g.reshape(-1))
         sn.sn_accumulate(self.sn_state, sq)
         eps = cfg.eps if isinstance(cfg, EMASubsetNorm) else 0.0
@@ -371,14 +339,17 @@ class _ParamSlot:
     def update(self, x: np.ndarray, g: np.ndarray, t: int, lr: float,
                weight_decay: float) -> np.ndarray:
         if not self.built:
+            # frames are built from this g, so this step does not refresh them
             self._build_state(g)
-        if isinstance(self.momentum_cfg, GaloreMomentum):
-            G = self._orient(g)
-            galore_maybe_refresh(self.galore_state, G, t)
-            step_dir = self._deorient(galore_direction(self.galore_state, G))
-            x_new = x - lr * step_dir
+        elif self.sm_state is not None:
+            sm_maybe_refresh(self.sm_state, self._orient(g), t)
+        elif self.galore_state is not None:
+            galore_maybe_refresh(self.galore_state, self._orient(g), t)
+        if self.galore_state is not None:
+            step_dir = galore_direction(self.galore_state, self._orient(g))
+            x_new = x - lr * self._deorient(step_dir)
         else:
-            direction = self.direction(g, t)
+            direction = self.direction(g)
             denom = self.denominator(g)
             x_new = x - lr * direction / denom
         if weight_decay > 0.0:
@@ -390,11 +361,11 @@ class _ParamSlot:
     def state_elements(self) -> dict[str, int]:
         """Elements of the buffers ``update`` keeps, from the configs alone.
 
-        Singleton scalars (AdaGradNorm's accumulator) are not counted; the
-        frame is reported under its own key.
+        Singleton scalars (the one accumulator of the ``norm`` rule) are not
+        counted; the frame is reported under its own key.
         """
         m, n = self._oriented_shape()
-        momentum, adaptive = self.momentum_cfg, self.adaptive_cfg
+        momentum = self.momentum_cfg
         out: dict[str, int] = {}
         if isinstance(momentum, EMAMomentum):
             out["momentum"] = self.d
@@ -404,9 +375,7 @@ class _ParamSlot:
             out["frame"] = frame_storage_elements(momentum.frame_kind, m, k)
             if isinstance(momentum, GaloreMomentum):
                 out["second_moment"] = k * n
-        if isinstance(adaptive, (EMACoordinate, AdaGradCoordinate)):
-            out["second_moment"] = self.d
-        elif self.partition is not None:
+        if self.partition is not None:
             out["second_moment"] = self.partition.c
         return {k: v for k, v in out.items() if v > 1 or (k == "frame" and v > 0)}
 

@@ -49,7 +49,12 @@ class Partition:
         return sizes
 
     def expand(self, values: np.ndarray) -> np.ndarray:
-        """Per-coordinate array holding each coordinate's subset value."""
+        """Per-coordinate array holding each coordinate's subset value.
+
+        With singleton subsets (k = 1) that is ``values`` itself, not a copy.
+        """
+        if self.k == 1:
+            return values
         if self.columns:
             return np.tile(values, self.k)
         return np.repeat(values, self.k)[: self.d]

@@ -47,15 +47,17 @@ def sn_init(
 
 
 def sn_accumulate(state: SubsetNormState, sqnorms: np.ndarray) -> SubsetNormState:
+    """Fold one step's per-subset squared norms into ``state.acc`` in place."""
     sqnorms = np.asarray(sqnorms, dtype=np.float64)
-    if sqnorms.shape != (state.partition.c,):
+    if sqnorms.shape != state.acc.shape:
         raise ValueError("sqnorms length must equal the subset count")
-    if np.any(sqnorms < 0):
+    if sqnorms.min() < 0:
         raise ValueError("negative squared norm: upstream corruption")
     if state.mode is AccumMode.CUMULATIVE:
-        state.acc = state.acc + sqnorms
+        state.acc += sqnorms
     else:
-        state.acc = state.beta2 * state.acc + (1.0 - state.beta2) * sqnorms
+        state.acc *= state.beta2
+        state.acc += (1.0 - state.beta2) * sqnorms
     state.step += 1
     return state
 
@@ -68,12 +70,8 @@ def sn_denominators(state: SubsetNormState, eps: float = 0.0) -> np.ndarray:
         if state.bias_correction and state.step > 0:
             v = v / (1.0 - state.beta2 ** state.step)
         denoms = np.sqrt(v) + eps
-    if np.any(denoms <= 0):
+    if denoms.min() <= 0:
         raise ZeroDivisionError(
             "zero subset-norm denominator (b0=0 with eps=0?)"
         )
     return denoms
-
-
-def sn_state_elements(state: SubsetNormState) -> int:
-    return int(state.acc.size)

@@ -44,16 +44,35 @@ def _iterate_stream(preset, d, T, lr, seed, **kw):
     return out
 
 
+def _adagrad_reference(d, T, lr, seed, norm, b0=1e-6):
+    """AdaGrad-Norm (one accumulator) or AdaGrad (one per coordinate),
+    written out as plain NumPy loops."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros(d)
+    b2, v = b0 ** 2, np.full(d, b0 ** 2)
+    out = []
+    for _ in range(T):
+        g = rng.standard_normal(d)
+        if norm:
+            b2 += np.sum(g * g)
+            x = x - lr * g / np.sqrt(b2)
+        else:
+            v = v + g * g
+            x = x - lr * g / np.sqrt(v)
+        out.append(x.copy())
+    return out
+
+
 def test_criterion_1_reduction_equivalences():
     d, T, lr = 32, 1000, 0.01
     t0 = time.time()
     pairs = [
         ("SN(c=1) vs AdaGrad-Norm",
          _iterate_stream("AdaGradSN", d, T, lr, 7, subset_rule="norm"),
-         _iterate_stream("AdaGradNorm", d, T, lr, 7)),
+         _adagrad_reference(d, T, lr, 7, norm=True)),
         ("SN(c=d) vs AdaGrad-Coordinate",
          _iterate_stream("AdaGradSN", d, T, lr, 8, subset_rule="coord"),
-         _iterate_stream("AdaGrad", d, T, lr, 8)),
+         _adagrad_reference(d, T, lr, 8, norm=False)),
         ("SM(rank=m, Identity) vs SGDm",
          _iterate_stream("SGD-SM", d, T, lr, 9, rank=d, refresh_gap=0,
                          frame_kind=FrameKind.IDENTITY),

@@ -19,7 +19,7 @@ from snsm.harness import (
     sweep_verdict,
     verify_thm2,
 )
-from snsm.noise_models import NoiseModel, Quadratic
+from snsm.noise_models import NoiseModel, Quadratic, stoch_grad
 from snsm.optim import Optimizer, make_preset
 
 
@@ -46,11 +46,22 @@ def test_delta1_controls_initial_loss():
 
 
 def test_sn_c1_matches_adagradnorm_stream():
-    common = dict(d=4, T=200, lr=0.05, noise=NoiseModel(sigma=0.3))
-    a = run(_quad_config(preset="AdaGradSN", subset_rule="norm", **common))
-    b = run(_quad_config(preset="AdaGradNorm", **common))
-    for ra, rb in zip(a.records, b.records):
-        assert ra == rb  # identical record streams
+    d, T, lr, noise = 4, 200, 0.05, NoiseModel(sigma=0.3)
+    obj = Quadratic(np.ones(d))
+    # AdaGrad-Norm written out: one accumulator of all squared gradients
+    x = np.full(d, np.sqrt(2.0 / d))  # f(x1) = delta1 = 1
+    b2 = (1e-6) ** 2
+    expected = []
+    for t in range(1, T + 1):
+        g_true = obj.grad(x)
+        expected.append((t, obj.value(x), float(g_true @ g_true), lr))
+        g = stoch_grad(obj, noise, x, 0, t)
+        b2 += np.sum(g * g)
+        x = x - lr * g / np.sqrt(b2)
+    for preset, kw in (("AdaGradSN", dict(subset_rule="norm")), ("AdaGradNorm", {})):
+        res = run(_quad_config(preset=preset, d=d, T=T, lr=lr, noise=noise, **kw))
+        got = [(r.step, r.loss, r.grad_norm_sq, r.lr) for r in res.records]
+        assert got == expected, preset  # identical record streams
 
 
 def test_divergence_flagged_with_partial_records():

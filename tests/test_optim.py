@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from snsm import subspace
 from snsm.linalg import Frame, FrameKind
 from snsm.optim import (
     PRESET_NAMES,
     ConstantSchedule,
     CosineWarmup,
+    EMASubsetNorm,
     NonFiniteGradientError,
     Optimizer,
     lr_at,
@@ -52,30 +54,37 @@ def test_sgdm_matches_reference():
 
 def test_adam_matches_reference():
     T = 40
-    hist = _run_stream("Adam", [(5,)], T=T, lr=0.01, seed=7)
-    rng = np.random.default_rng(7)
-    x, m, v = np.zeros(5), np.zeros(5), np.zeros(5)
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    for t in range(1, T + 1):
-        g = rng.standard_normal(5)
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        vh = v / (1 - b2 ** t)
-        x = x - 0.01 * m / (np.sqrt(vh) + eps)
-        np.testing.assert_allclose(hist[t - 1][0], x, atol=1e-12)
+    # RMSProp is Adam without momentum (beta1 = 0: m = g)
+    for preset, b1 in (("Adam", 0.9), ("RMSProp", 0.0)):
+        hist = _run_stream(preset, [(5,)], T=T, lr=0.01, seed=7)
+        rng = np.random.default_rng(7)
+        x, m, v = np.zeros(5), np.zeros(5), np.zeros(5)
+        b2, eps = 0.999, 1e-8
+        for t in range(1, T + 1):
+            g = rng.standard_normal(5)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            vh = v / (1 - b2 ** t)
+            x = x - 0.01 * m / (np.sqrt(vh) + eps)
+            np.testing.assert_allclose(hist[t - 1][0], x, atol=1e-12,
+                                       err_msg=preset)
 
 
 def test_adagradnorm_matches_reference():
     T = 25
-    hist = _run_stream("AdaGradNorm", [(4,)], T=T, lr=0.1, seed=11)
-    rng = np.random.default_rng(11)
-    x = np.zeros(4)
-    b2 = (1e-6) ** 2
-    for t in range(T):
-        g = rng.standard_normal(4)
-        b2 += g @ g
-        x = x - 0.1 * g / math.sqrt(b2)
-        np.testing.assert_allclose(hist[t][0], x, atol=1e-13)
+    # AdaGrad-Norm sums all squares into one accumulator, AdaGrad keeps one
+    # per coordinate
+    for preset, norm in (("AdaGradNorm", True), ("AdaGrad", False)):
+        hist = _run_stream(preset, [(4,)], T=T, lr=0.1, seed=11)
+        rng = np.random.default_rng(11)
+        x = np.zeros(4)
+        b2 = np.full(4, (1e-6) ** 2)
+        for t in range(T):
+            g = rng.standard_normal(4)
+            b2 += g @ g if norm else g * g
+            x = x - 0.1 * g / np.sqrt(b2)
+            np.testing.assert_allclose(hist[t][0], x, atol=1e-13,
+                                       err_msg=preset)
 
 
 def test_snsm_composite_one_step_by_hand():
@@ -109,14 +118,49 @@ def test_transposed_parameter_orientation():
 
 
 def test_non_linear_tag_falls_back():
-    spec = make_preset("AdamSNSM", rank=2)
-    opt = Optimizer(spec, [(8, 4), (8, 4)], tags=["linear", "embedding"],
-                    total_steps=10)
+    # on a non-linear parameter subspace momentum becomes EMA momentum and
+    # the shape rules become coordinate-wise; norm and coord stay as they are
     rng = np.random.default_rng(0)
-    opt.step([np.zeros((8, 4))] * 2, [rng.standard_normal((8, 4)) for _ in range(2)], 1)
-    lin, emb = opt.slots
-    assert lin.sm_state is not None and lin.sn_state is not None
-    assert emb.sm_state is None and emb.v_buf is not None  # plain Adam path
+    for rule, emb_rule, emb_acc in (("heuristic2d", "coord", 32),
+                                    ("equip", "coord", 32),
+                                    ("coord", "coord", 32), ("norm", "norm", 1)):
+        spec = make_preset("AdamSNSM", rank=2, subset_rule=rule, subset_size=4)
+        opt = Optimizer(spec, [(8, 4), (8, 4)], tags=["linear", "embedding"],
+                        total_steps=10)
+        opt.step([np.zeros((8, 4))] * 2,
+                 [rng.standard_normal((8, 4)) for _ in range(2)], 1)
+        lin, emb = opt.slots
+        assert lin.sm_state is not None and lin.sn_state is not None
+        assert emb.sm_state is None and emb.m_buf is not None
+        assert emb.sn_state.acc.size == emb_acc, rule
+        assert emb.adaptive_cfg == dataclasses.replace(
+            spec.adaptive, partition_rule=emb_rule), rule
+    # GaLore's own statistics become the coordinate EMA (Adam)
+    opt = Optimizer(make_preset("GaLore", rank=2), [(8, 4)], tags=["embedding"],
+                    total_steps=10)
+    opt.step([np.zeros((8, 4))], [rng.standard_normal((8, 4))], 1)
+    (slot,) = opt.slots
+    assert slot.galore_state is None and slot.m_buf is not None
+    assert slot.adaptive_cfg == EMASubsetNorm("coord", beta2=0.999, eps=1e-8)
+    assert slot.sn_state.acc.size == 32
+
+
+@pytest.mark.parametrize("preset", ["AdamSNSM", "GaLore"])
+@pytest.mark.parametrize("kind", ["svd", "srht", "approx_svd"])
+@pytest.mark.parametrize("refresh_gap,frames", [(1, 4), (2, 3)])
+def test_no_refresh_on_the_step_that_builds_the_frame(preset, kind, refresh_gap,
+                                                      frames, monkeypatch):
+    built = []
+    make_frame = subspace.make_frame
+
+    def counting_make_frame(*args, **kwargs):
+        built.append(args)
+        return make_frame(*args, **kwargs)
+
+    monkeypatch.setattr(subspace, "make_frame", counting_make_frame)
+    _run_stream(preset, [(32, 16)], T=4, rank=4, frame_kind=kind,
+                refresh_gap=refresh_gap)
+    assert len(built) == frames
 
 
 @pytest.mark.parametrize("preset", ["AdamSNSM", "GaLore"])

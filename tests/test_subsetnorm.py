@@ -86,11 +86,3 @@ def test_norm_reduction_c1():
         total += g @ g
         sn.sn_accumulate(st, part.subset_sqnorms(p, g))
     np.testing.assert_allclose(sn.sn_denominators(st), [np.sqrt(total)])
-
-
-def test_state_elements():
-    assert sn.sn_state_elements(_cum_state(d=6, k=2)) == 3
-    # heuristic_2d on m x n with m >= n keeps exactly m accumulator entries
-    p = part.heuristic_2d(8, 3)
-    st = sn.sn_init(p, sn.AccumMode.CUMULATIVE)
-    assert sn.sn_state_elements(st) == 8

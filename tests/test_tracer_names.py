@@ -12,11 +12,14 @@ import sys
 sys.path[:0] = [{src!r}, {perfbench!r}]
 import spans
 spans.install(spans.Tracer(0))
-from snsm import optim, subspace
+from snsm import kernels, optim, partition, subsetnorm, subspace
 for owner, name in ((optim, "sm_init"), (optim, "galore_init"),
                     (optim, "_build_partition"), (optim, "sm_direction"),
                     (subspace, "make_frame"), (subspace, "project"),
-                    (subspace, "lift")):
+                    (subspace, "lift"), (subsetnorm, "sn_accumulate"),
+                    (subsetnorm, "sn_denominators"),
+                    (partition, "subset_sqnorms"),
+                    (kernels, "segment_sqnorms")):
     assert getattr(owner, name).__wrapped__ is not None, name
 """
 
