@@ -15,7 +15,6 @@ from .partition import (
     subset_sqnorms,
 )
 from .subsetnorm import (
-    AccumMode,
     SubsetNormState,
     sn_accumulate,
     sn_denominators,

@@ -7,7 +7,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -147,9 +146,7 @@ def _cmd_train(args) -> int:
                            density_alpha=args.noise_alpha)
     else:
         noise = NoiseModel(sigma=args.sigma)
-    shape = None
-    if args.param_shape:
-        shape = tuple(int(x) for x in args.param_shape.lower().split("x"))
+    shape = harness.parse_shape(args.param_shape) if args.param_shape else None
     config = harness.ExperimentConfig(
         objective=obj, noise=noise, preset=args.preset, T=args.T,
         seeds=tuple(range(args.seed_base, args.seed_base + args.n_seeds)),
@@ -159,16 +156,7 @@ def _cmd_train(args) -> int:
         subset_rule=args.subset_rule, subset_size=args.subset_size,
         clip_norm=args.clip_norm, weight_decay=args.weight_decay)
     result = harness.run(config)
-    if args.format == "csv":
-        text = harness.records_to_csv(result.records)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        _emit([dataclasses.asdict(r) for r in result.records],
-              harness.RECORD_FIELDS, "json", args.out)
+    _emit(result.records, harness.RECORD_FIELDS, args.format, args.out)
     for s in result.summaries:
         print(f"# seed={s.seed} mean_grad_norm_sq={s.mean_grad_norm_sq:.17g} "
               f"final_loss={s.final_loss:.17g} diverged={s.diverged}",

@@ -295,13 +295,22 @@ def parse_manifest(text: str) -> ShapeManifest:
             raise ValueError(f"manifest line {lineno}: duplicate name {name!r}")
         names.add(name)
         try:
-            shape = tuple(int(s) for s in dims.lower().split("x"))
-        except ValueError:
-            raise ValueError(f"manifest line {lineno}: bad shape {dims!r}") from None
-        if any(s < 1 for s in shape):
-            raise ValueError(f"manifest line {lineno}: non-positive dim in {dims!r}")
+            shape = parse_shape(dims)
+        except ValueError as exc:
+            raise ValueError(f"manifest line {lineno}: {exc}") from None
         entries.append(ManifestEntry(name=name, tag=tag, shape=shape))
     return ShapeManifest(entries=tuple(entries))
+
+
+def parse_shape(dims: str) -> tuple:
+    """``dim1xdim2x...`` (or a single dim) as a tuple of positive ints."""
+    try:
+        shape = tuple(int(s) for s in dims.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"bad shape {dims!r}") from None
+    if any(s < 1 for s in shape):
+        raise ValueError(f"non-positive dim in {dims!r}")
+    return shape
 
 
 def load_manifest(path) -> ShapeManifest:
@@ -338,16 +347,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def records_to_csv(records) -> str:
-    """UTF-8 CSV text with \\n line endings and a fixed header row."""
-    buf = io.StringIO()
-    buf.write(",".join(RECORD_FIELDS) + "\n")
-    for r in records:
-        buf.write(",".join(_fmt(getattr(r, f)) for f in RECORD_FIELDS) + "\n")
-    return buf.getvalue()
-
-
 def rows_to_csv(rows, fields) -> str:
+    """UTF-8 CSV text with \\n line endings and a fixed header row."""
     buf = io.StringIO()
     buf.write(",".join(fields) + "\n")
     for r in rows:

@@ -7,8 +7,10 @@ self-adjoint.  Row-selection kinds keep an index list instead of a dense
 matrix and apply exactly (no floating error); SRHT over a power-of-two
 dimension keeps a sign vector plus sampled Hadamard row indices and applies
 through the fast transform, and over any other dimension keeps only its
-re-orthonormalized dense rows.  :func:`frame_storage_elements` gives the
-element count of every array a frame holds from (kind, m, k) alone.
+re-orthonormalized dense rows.  A rank-0 frame holds an empty ``(0, m)``
+``rows`` matrix, so it projects to nothing and lifts to zeros through the
+dense path.  :func:`frame_storage_elements` gives the element count of every
+array a frame holds from (kind, m, k) alone.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class FrameKind(str, Enum):
     ZERO = "zero"
 
 
-#: kinds whose refresh consumes the current gradient (rest reseed from the clock)
+#: kinds built from a reference gradient (the rest ignore it and draw from the seed)
 GRADIENT_KINDS = frozenset({FrameKind.SVD, FrameKind.APPROX_SVD, FrameKind.TOP_K_ROWS})
 
 
@@ -171,7 +173,8 @@ def make_frame(
     if not 0 <= k <= m:
         raise ValueError(f"rank k={k} out of range for ambient dimension m={m}")
     if kind is FrameKind.ZERO or k == 0:
-        return Frame(kind=FrameKind.ZERO, ambient_dim=m, rank=0, seed=seed)
+        return Frame(kind=FrameKind.ZERO, ambient_dim=m, rank=0,
+                     rows=np.zeros((0, m)), seed=seed)
     if kind is FrameKind.IDENTITY:
         if k != m:
             raise ValueError("identity frame requires k == m")
@@ -179,7 +182,7 @@ def make_frame(
             kind=kind, ambient_dim=m, rank=m,
             indices=np.arange(m, dtype=np.int64), seed=seed,
         )
-    if kind in (FrameKind.SVD, FrameKind.APPROX_SVD, FrameKind.TOP_K_ROWS):
+    if kind in GRADIENT_KINDS:
         if reference_grad is None:
             raise ValueError(f"{kind.value} frame requires reference_grad")
         G = _as_matrix(reference_grad)
@@ -215,8 +218,6 @@ def project(f: Frame, G: np.ndarray) -> np.ndarray:
     G = np.asarray(G, dtype=np.float64)
     if G.shape[0] != f.ambient_dim:
         raise ValueError(f"shape mismatch: G has {G.shape[0]} rows, frame ambient {f.ambient_dim}")
-    if f.kind is FrameKind.ZERO:
-        return np.zeros((0,) + G.shape[1:])
     if f.rows is not None:
         return f.rows @ G
     if f.kind is FrameKind.SRHT:
@@ -231,8 +232,6 @@ def lift(f: Frame, C: np.ndarray) -> np.ndarray:
     C = np.asarray(C, dtype=np.float64)
     if C.shape[0] != f.rank:
         raise ValueError(f"shape mismatch: C has {C.shape[0]} rows, frame rank {f.rank}")
-    if f.kind is FrameKind.ZERO:
-        raise ValueError("cannot infer trailing shape for rank-0 lift")
     if f.rows is not None:
         return f.rows.T @ C
     if f.kind is FrameKind.SRHT:
@@ -247,6 +246,4 @@ def lift(f: Frame, C: np.ndarray) -> np.ndarray:
 
 def reconstruct(f: Frame, G: np.ndarray) -> np.ndarray:
     """P* P G — the component of G in the frame's subspace."""
-    if f.kind is FrameKind.ZERO:
-        return np.zeros_like(np.asarray(G, dtype=np.float64))
     return lift(f, project(f, G))

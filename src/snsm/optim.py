@@ -11,6 +11,10 @@ cumulative second moments shared within each subset), and an optional
 global-norm clip runs over the whole gradient list first. Coordinate-wise
 adaptivity (Adam, RMSProp, AdaGrad) is the ``coord`` partition, one subset
 per coordinate, and AdaGrad-Norm the ``norm`` partition, one subset in all.
+The specs of the subset-norm rules (``EMASubsetNorm``, ``AdaGradSubsetNorm``)
+and of subspace momentum (``SubspaceMomentum``, ``GaloreMomentum``) live
+with the state machines that run them, in :mod:`snsm.subsetnorm` and
+:mod:`snsm.subspace`, and are re-exported here.
 
 Per-parameter state is lazy: constructing an :class:`Optimizer` validates
 the spec against the shapes (frame ranks, partitions) and allocates no
@@ -30,8 +34,11 @@ import numpy as np
 from . import partition as part
 from . import subsetnorm as sn
 from .linalg import FrameKind, frame_storage_elements
+from .subsetnorm import AdaGradSubsetNorm, EMASubsetNorm
 from .subspace import (
+    GaloreMomentum,
     GaloreState,
+    SubspaceMomentum,
     SubspaceMomentumState,
     galore_direction,
     galore_init,
@@ -61,45 +68,8 @@ class EMAMomentum:
 
 
 @dataclass(frozen=True)
-class SubspaceMomentum:
-    frame_kind: FrameKind = FrameKind.SVD
-    rank: int = 4
-    refresh_gap: int = 200
-    beta1: float = 0.9
-    dampening: bool = True
-
-
-@dataclass(frozen=True)
-class GaloreMomentum:
-    """Joint compression baseline; subsumes the adaptive component."""
-
-    frame_kind: FrameKind = FrameKind.SVD
-    rank: int = 4
-    refresh_gap: int = 200
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-@dataclass(frozen=True)
 class NoAdaptive:
     pass
-
-
-@dataclass(frozen=True)
-class EMASubsetNorm:
-    partition_rule: str = "heuristic2d"  # heuristic2d | equip | norm | coord
-    subset_size: int | None = None  # for the equip rule
-    beta2: float = 0.999
-    eps: float = 1e-8
-    bias_correction: bool = True
-
-
-@dataclass(frozen=True)
-class AdaGradSubsetNorm:
-    partition_rule: str = "heuristic2d"
-    subset_size: int | None = None
-    b0: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -284,30 +254,16 @@ class _ParamSlot:
     def _build_state(self, g: np.ndarray) -> None:
         """Allocate every buffer; gradient-based frames come from ``g``."""
         m, n = self._oriented_shape()
-        momentum, adaptive = self.momentum_cfg, self.adaptive_cfg
+        momentum = self.momentum_cfg
         if isinstance(momentum, EMAMomentum):
             self.m_buf = np.zeros(self.shape)
         elif isinstance(momentum, SubspaceMomentum):
-            self.sm_state = sm_init(
-                momentum.frame_kind, m, n, momentum.rank, beta1=momentum.beta1,
-                refresh_gap=momentum.refresh_gap, seed=self.seed,
-                reference_grad=self._orient(g), dampening=momentum.dampening,
-            )
+            self.sm_state = sm_init(momentum, m, n, self.seed, self._orient(g))
         elif isinstance(momentum, GaloreMomentum):
-            self.galore_state = galore_init(
-                momentum.frame_kind, m, n, momentum.rank, beta1=momentum.beta1,
-                beta2=momentum.beta2, eps=momentum.eps,
-                refresh_gap=momentum.refresh_gap, seed=self.seed,
-                reference_grad=self._orient(g),
-            )
-
-        if isinstance(adaptive, EMASubsetNorm):
-            self.sn_state = sn.sn_init(self.partition, sn.AccumMode.EMA,
-                                       beta2=adaptive.beta2,
-                                       bias_correction=adaptive.bias_correction)
-        elif isinstance(adaptive, AdaGradSubsetNorm):
-            self.sn_state = sn.sn_init(self.partition, sn.AccumMode.CUMULATIVE,
-                                       b0=adaptive.b0)
+            self.galore_state = galore_init(momentum, m, n, self.seed,
+                                            self._orient(g))
+        if self.partition is not None:
+            self.sn_state = sn.sn_init(self.adaptive_cfg, self.partition)
         self.built = True
 
     # -- direction (momentum) ------------------------------------------------
@@ -327,14 +283,13 @@ class _ParamSlot:
     # -- denominator (adaptive step size) ------------------------------------
 
     def denominator(self, g: np.ndarray) -> np.ndarray | float:
-        cfg = self.adaptive_cfg
-        if isinstance(cfg, NoAdaptive):
+        if self.partition is None:
             return 1.0
         sq = part.subset_sqnorms(self.partition, g.reshape(-1))
         sn.sn_accumulate(self.sn_state, sq)
-        eps = cfg.eps if isinstance(cfg, EMASubsetNorm) else 0.0
-        denoms = sn.sn_denominators(self.sn_state, eps=eps)
-        return self.partition.expand(denoms).reshape(self.shape)
+        denoms = self.partition.expand(sn.sn_denominators(self.sn_state))
+        # one subset yields a scalar, which broadcasts against the parameter
+        return denoms.reshape(self.shape) if denoms.ndim else denoms
 
     def update(self, x: np.ndarray, g: np.ndarray, t: int, lr: float,
                weight_decay: float) -> np.ndarray:

@@ -48,13 +48,17 @@ class Partition:
         sizes[-1] = self.d - (self.c - 1) * self.k
         return sizes
 
-    def expand(self, values: np.ndarray) -> np.ndarray:
-        """Per-coordinate array holding each coordinate's subset value.
+    def expand(self, values: np.ndarray) -> np.ndarray | np.floating:
+        """Each coordinate's subset value, in a form that broadcasts to d.
 
-        With singleton subsets (k = 1) that is ``values`` itself, not a copy.
+        With singleton subsets (k = 1) that is ``values`` itself, not a copy;
+        with one subset (c = 1) it is the one value, a scalar; otherwise a
+        d-long array.
         """
         if self.k == 1:
             return values
+        if self.k == self.d:
+            return values[0]
         if self.columns:
             return np.tile(values, self.k)
         return np.repeat(values, self.k)[: self.d]

@@ -1,49 +1,55 @@
-"""Subset-norm second-moment state: shared step-size denominators per group."""
+"""Subset-norm step sizes: the two accumulation rules and the state that runs them.
+
+A rule's type says how per-subset squared gradient norms accumulate:
+:class:`AdaGradSubsetNorm` sums them (b^2 += ||g_subset||^2, starting from
+b0^2), :class:`EMASubsetNorm` keeps their exponential moving average
+(v <- beta2 v + (1-beta2) ||g_subset||^2). Every coordinate of a subset
+divides by the same denominator.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
 from .partition import Partition
 
 
-class AccumMode(str, Enum):
-    CUMULATIVE = "cumulative"  # b^2 += ||g_subset||^2 (AdaGrad style)
-    EMA = "ema"  # v^2 <- beta2 v^2 + (1-beta2) ||g_subset||^2
+@dataclass(frozen=True)
+class EMASubsetNorm:
+    partition_rule: str = "heuristic2d"  # heuristic2d | equip | norm | coord
+    subset_size: int | None = None  # for the equip rule
+    beta2: float = 0.999
+    eps: float = 1e-8
+    bias_correction: bool = True
+
+
+@dataclass(frozen=True)
+class AdaGradSubsetNorm:
+    partition_rule: str = "heuristic2d"
+    subset_size: int | None = None
+    b0: float = 1e-6
 
 
 @dataclass
 class SubsetNormState:
-    partition: Partition
-    mode: AccumMode
+    rule: EMASubsetNorm | AdaGradSubsetNorm
     acc: np.ndarray  # (c,) accumulated squared norms
-    beta2: float = 0.999
-    bias_correction: bool = True
     step: int = 0
 
 
-def sn_init(
-    partition: Partition,
-    mode: AccumMode | str = AccumMode.CUMULATIVE,
-    b0: float | np.ndarray = 1e-6,
-    beta2: float = 0.999,
-    bias_correction: bool = True,
-) -> SubsetNormState:
-    mode = AccumMode(mode)
-    if mode is AccumMode.CUMULATIVE:
-        b0 = np.broadcast_to(np.asarray(b0, dtype=np.float64), (partition.c,)).copy()
-        if np.any(b0 <= 0):
-            raise ValueError("cumulative mode requires b0 > 0 per subset")
-        acc = b0 ** 2
+def sn_init(rule: EMASubsetNorm | AdaGradSubsetNorm,
+            partition: Partition) -> SubsetNormState:
+    if isinstance(rule, AdaGradSubsetNorm):
+        if not rule.b0 > 0:
+            raise ValueError("AdaGrad subset norm requires b0 > 0")
+        acc = np.full(partition.c, rule.b0 ** 2)
     else:
-        if not 0.0 < beta2 < 1.0:
+        if not 0.0 < rule.beta2 < 1.0:
             raise ValueError("beta2 must lie in (0, 1)")
         acc = np.zeros(partition.c)
-    return SubsetNormState(partition=partition, mode=mode, acc=acc,
-                           beta2=beta2, bias_correction=bias_correction)
+    return SubsetNormState(rule=rule, acc=acc)
 
 
 def sn_accumulate(state: SubsetNormState, sqnorms: np.ndarray) -> SubsetNormState:
@@ -53,23 +59,25 @@ def sn_accumulate(state: SubsetNormState, sqnorms: np.ndarray) -> SubsetNormStat
         raise ValueError("sqnorms length must equal the subset count")
     if sqnorms.min() < 0:
         raise ValueError("negative squared norm: upstream corruption")
-    if state.mode is AccumMode.CUMULATIVE:
+    rule = state.rule
+    if isinstance(rule, AdaGradSubsetNorm):
         state.acc += sqnorms
     else:
-        state.acc *= state.beta2
-        state.acc += (1.0 - state.beta2) * sqnorms
+        state.acc *= rule.beta2
+        state.acc += (1.0 - rule.beta2) * sqnorms
     state.step += 1
     return state
 
 
-def sn_denominators(state: SubsetNormState, eps: float = 0.0) -> np.ndarray:
-    if state.mode is AccumMode.CUMULATIVE:
+def sn_denominators(state: SubsetNormState) -> np.ndarray:
+    rule = state.rule
+    if isinstance(rule, AdaGradSubsetNorm):
         denoms = np.sqrt(state.acc)
     else:
         v = state.acc
-        if state.bias_correction and state.step > 0:
-            v = v / (1.0 - state.beta2 ** state.step)
-        denoms = np.sqrt(v) + eps
+        if rule.bias_correction and state.step > 0:
+            v = v / (1.0 - rule.beta2 ** state.step)
+        denoms = np.sqrt(v) + rule.eps
     if denoms.min() <= 0:
         raise ZeroDivisionError(
             "zero subset-norm denominator (b0=0 with eps=0?)"

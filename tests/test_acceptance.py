@@ -15,6 +15,8 @@ from snsm.linalg import FrameKind, lift, make_frame, project, reconstruct
 from snsm.noise_models import NoiseModel, Quadratic, stoch_grad
 from snsm.optim import Optimizer, make_preset
 from snsm.subspace import (
+    GaloreMomentum,
+    SubspaceMomentum,
     galore_direction,
     galore_init,
     galore_maybe_refresh,
@@ -129,7 +131,8 @@ def test_criterion_2_projector_invariants():
 
 def test_criterion_3_momentum_expansion():
     beta, m, n, T = 0.9, 16, 6, 20
-    st = sm_init(FrameKind.GAUSSIAN_ORTHO, m, n, rank=5, beta1=beta, seed=1)
+    st = sm_init(SubspaceMomentum(FrameKind.GAUSSIAN_ORTHO, rank=5, beta1=beta),
+                 m, n, seed=1)
     rng = np.random.default_rng(13)
     stream = [rng.standard_normal((m, n)) for _ in range(T)]
     worst = 0.0
@@ -269,10 +272,10 @@ def test_criterion_8_noise_estimator():
 def test_criterion_9_refresh_semantics():
     t0 = time.time()
     m, n, rank, gap, T = 32, 8, 4, 200, 1000
-    st = sm_init(FrameKind.GAUSSIAN_ORTHO, m, n, rank=rank, refresh_gap=gap,
-                 seed=0)
-    gl = galore_init(FrameKind.GAUSSIAN_ORTHO, m, n, rank=rank,
-                     refresh_gap=gap, seed=0)
+    st = sm_init(SubspaceMomentum(FrameKind.GAUSSIAN_ORTHO, rank=rank,
+                                  refresh_gap=gap), m, n, seed=0)
+    gl = galore_init(GaloreMomentum(FrameKind.GAUSSIAN_ORTHO, rank=rank,
+                                    refresh_gap=gap), m, n, seed=0)
     rng = np.random.default_rng(99)
     sm_changes, gl_changes = [], []
     zeroed = True

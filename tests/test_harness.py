@@ -10,10 +10,11 @@ import pytest
 
 from snsm import harness
 from snsm.harness import (
+    RECORD_FIELDS,
     ExperimentConfig,
     mem_report,
     parse_manifest,
-    records_to_csv,
+    rows_to_csv,
     run,
     sweep_beta,
     sweep_verdict,
@@ -202,7 +203,7 @@ def test_mem_report_allocates_nothing():
 
 def test_csv_schema_and_precision():
     cfg = _quad_config(T=3)
-    text = records_to_csv(run(cfg).records)
+    text = rows_to_csv(run(cfg).records, RECORD_FIELDS)
     lines = text.split("\n")
     assert lines[0] == "step,seed,loss,grad_norm_sq,lr,state_elems"
     assert text.endswith("\n")
@@ -213,8 +214,8 @@ def test_csv_schema_and_precision():
 
 def test_csv_byte_identical_reruns():
     cfg = _quad_config(T=20, noise=NoiseModel(sigma=0.5), seeds=(1, 2))
-    a = records_to_csv(run(cfg).records).encode()
-    b = records_to_csv(run(cfg).records).encode()
+    a = rows_to_csv(run(cfg).records, RECORD_FIELDS).encode()
+    b = rows_to_csv(run(cfg).records, RECORD_FIELDS).encode()
     assert a == b
 
 
@@ -293,6 +294,18 @@ def test_cli_train_rank_out_of_range_exit_1(capsys):
     assert main(["train", "--d", "64", "--param-shape", "16x4", "--T", "3",
                  "--preset", "AdamSNSM", "--rank", "5", "--out", "/dev/null"]) == 1
     assert "snsm: error: rank k=5 out of range for 16x4 matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["SGD", "AdamSN"])
+@pytest.mark.parametrize("shape,message", [
+    ("-10x-10", "non-positive dim in '-10x-10'"),
+    ("10xabc", "bad shape '10xabc'"),
+])
+def test_cli_train_bad_param_shape_exit_1(capsys, preset, shape, message):
+    # one parser for --param-shape and manifests; the message names the value
+    assert main(["train", "--d", "100", "--preset", preset, "--T", "2",
+                 f"--param-shape={shape}", "--out", "/dev/null"]) == 1
+    assert f"snsm: error: {message}" in capsys.readouterr().err
 
 
 def test_cli_noise(tmp_path, capsys):

@@ -171,6 +171,7 @@ def test_zero_frame():
     f = make_frame(FrameKind.ZERO, 5, 0)
     G = np.ones((5, 2))
     assert project(f, G).shape == (0, 2)
+    np.testing.assert_array_equal(lift(f, np.zeros((0, 2))), np.zeros((5, 2)))
     np.testing.assert_array_equal(reconstruct(f, G), np.zeros((5, 2)))
 
 

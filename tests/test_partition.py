@@ -44,7 +44,11 @@ def _assert_matches_labels(p, labels, rng):
     np.testing.assert_allclose(part.subset_sqnorms(p, g), ref,
                                rtol=p.d * np.finfo(np.float64).eps, atol=0)
     denoms = rng.uniform(0.5, 2.0, p.c)
-    np.testing.assert_array_equal(p.expand(denoms), denoms[labels])
+    expanded = p.expand(denoms)
+    # one subset expands to a scalar that broadcasts, never to d copies
+    assert np.size(expanded) == (1 if p.c == 1 else p.d)
+    np.testing.assert_array_equal(np.broadcast_to(expanded, labels.shape),
+                                  denoms[labels])
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,4 @@
-"""Subset-norm accumulator state: cumulative and EMA modes."""
+"""Subset-norm accumulator state: the AdaGrad (cumulative) and EMA rules."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from snsm import subsetnorm as sn
 
 
 def _cum_state(d=4, k=2, b0=1.0):
-    return sn.sn_init(part.equipartition(d, k), sn.AccumMode.CUMULATIVE, b0=b0)
+    return sn.sn_init(sn.AdaGradSubsetNorm(b0=b0), part.equipartition(d, k))
 
 
 def test_cumulative_hand_example():
@@ -19,8 +19,8 @@ def test_cumulative_hand_example():
 
 
 def test_ema_one_step():
-    st = sn.sn_init(part.equipartition(2, 1), sn.AccumMode.EMA, beta2=0.999,
-                    bias_correction=False)
+    st = sn.sn_init(sn.EMASubsetNorm(beta2=0.999, bias_correction=False),
+                    part.equipartition(2, 1))
     sn.sn_accumulate(st, np.array([1.0, 1.0]))
     np.testing.assert_allclose(st.acc, [0.001, 0.001])
 
@@ -30,7 +30,7 @@ def test_zero_sqnorms():
     before = st.acc.copy()
     sn.sn_accumulate(st, np.zeros(2))
     np.testing.assert_array_equal(st.acc, before)
-    ema = sn.sn_init(part.equipartition(2, 1), sn.AccumMode.EMA, beta2=0.9)
+    ema = sn.sn_init(sn.EMASubsetNorm(beta2=0.9), part.equipartition(2, 1))
     sn.sn_accumulate(ema, np.ones(2))
     acc1 = ema.acc.copy()
     sn.sn_accumulate(ema, np.zeros(2))
@@ -43,11 +43,12 @@ def test_negative_sqnorm_rejected():
 
 
 def test_cumulative_monotone_denominators():
-    st = _cum_state(d=6, k=2, b0=1e-6)
+    p = part.equipartition(6, 2)
+    st = sn.sn_init(sn.AdaGradSubsetNorm(b0=1e-6), p)
     rng = np.random.default_rng(0)
     prev = sn.sn_denominators(st)
     for _ in range(50):
-        sq = part.subset_sqnorms(st.partition, rng.standard_normal(6))
+        sq = part.subset_sqnorms(p, rng.standard_normal(6))
         sn.sn_accumulate(st, sq)
         cur = sn.sn_denominators(st)
         assert np.all(cur >= prev)
@@ -55,30 +56,30 @@ def test_cumulative_monotone_denominators():
 
 
 def test_ema_empty_accumulator_eps():
-    st = sn.sn_init(part.equipartition(4, 2), sn.AccumMode.EMA)
-    np.testing.assert_allclose(sn.sn_denominators(st, eps=1e-8), [1e-8, 1e-8])
+    st = sn.sn_init(sn.EMASubsetNorm(eps=1e-8), part.equipartition(4, 2))
+    np.testing.assert_allclose(sn.sn_denominators(st), [1e-8, 1e-8])
 
 
 def test_ema_bias_correction():
-    st = sn.sn_init(part.equipartition(2, 2), sn.AccumMode.EMA, beta2=0.9,
-                    bias_correction=True)
+    st = sn.sn_init(sn.EMASubsetNorm(beta2=0.9, eps=0.0, bias_correction=True),
+                    part.equipartition(2, 2))
     sn.sn_accumulate(st, np.array([4.0]))
     # corrected v-hat = 0.1 * 4 / (1 - 0.9) = 4
-    np.testing.assert_allclose(sn.sn_denominators(st, eps=0.0), [2.0])
+    np.testing.assert_allclose(sn.sn_denominators(st), [2.0])
 
 
 def test_zero_denominator_raises():
-    st = sn.sn_init(part.equipartition(2, 1), sn.AccumMode.EMA)
+    st = sn.sn_init(sn.EMASubsetNorm(eps=0.0), part.equipartition(2, 1))
     with pytest.raises(ZeroDivisionError):
-        sn.sn_denominators(st, eps=0.0)
+        sn.sn_denominators(st)
     with pytest.raises(ValueError):
-        sn.sn_init(part.equipartition(2, 1), sn.AccumMode.CUMULATIVE, b0=0.0)
+        sn.sn_init(sn.AdaGradSubsetNorm(b0=0.0), part.equipartition(2, 1))
 
 
 def test_norm_reduction_c1():
     # c=1 cumulative accumulates b0^2 + sum ||g||^2 in one scalar
     p = part.singleton(8)
-    st = sn.sn_init(p, sn.AccumMode.CUMULATIVE, b0=0.5)
+    st = sn.sn_init(sn.AdaGradSubsetNorm(b0=0.5), p)
     rng = np.random.default_rng(1)
     total = 0.25
     for _ in range(10):

@@ -6,6 +6,8 @@ import pytest
 
 from snsm.linalg import FrameKind, lift, project, reconstruct
 from snsm.subspace import (
+    GaloreMomentum,
+    SubspaceMomentum,
     galore_direction,
     galore_init,
     galore_maybe_refresh,
@@ -22,7 +24,7 @@ def _random_stream(m, n, T, seed=0):
 
 def test_identity_frame_is_plain_momentum():
     m, n = 6, 4
-    st = sm_init(FrameKind.IDENTITY, m, n, rank=m, beta1=0.9)
+    st = sm_init(SubspaceMomentum(FrameKind.IDENTITY, rank=m, beta1=0.9), m, n)
     m_ref = np.zeros((m, n))
     for G in _random_stream(m, n, 15):
         d = sm_direction(st, G)
@@ -31,14 +33,15 @@ def test_identity_frame_is_plain_momentum():
 
 
 def test_zero_frame_is_sgd():
-    st = sm_init(FrameKind.ZERO, 5, 3, rank=0)
+    st = sm_init(SubspaceMomentum(FrameKind.ZERO, rank=0), 5, 3)
     for G in _random_stream(5, 3, 5):
         np.testing.assert_array_equal(sm_direction(st, G), G)
 
 
 def test_two_step_constant_gradient_in_u():
     beta = 0.9
-    st = sm_init(FrameKind.GAUSSIAN_ORTHO, 8, 3, rank=2, beta1=beta, seed=4)
+    st = sm_init(SubspaceMomentum(FrameKind.GAUSSIAN_ORTHO, rank=2, beta1=beta), 8, 3,
+                 seed=4)
     G = lift(st.frame, np.random.default_rng(1).standard_normal((2, 3)))  # G in U
     sm_direction(st, G)
     d2 = sm_direction(st, G)
@@ -49,7 +52,8 @@ def test_two_step_constant_gradient_in_u():
 def test_momentum_expansion_fixed_frame():
     beta = 0.9
     m, n, T = 10, 4, 20
-    st = sm_init(FrameKind.GAUSSIAN_ORTHO, m, n, rank=3, beta1=beta, seed=2)
+    st = sm_init(SubspaceMomentum(FrameKind.GAUSSIAN_ORTHO, rank=3, beta1=beta), m, n,
+                 seed=2)
     stream = _random_stream(m, n, T, seed=3)
     for G in stream:
         sm_direction(st, G)
@@ -60,7 +64,7 @@ def test_momentum_expansion_fixed_frame():
 
 
 def test_orthogonal_split_every_step():
-    st = sm_init(FrameKind.SRHT, 12, 5, rank=4, seed=7)
+    st = sm_init(SubspaceMomentum(FrameKind.SRHT, rank=4), 12, 5, seed=7)
     for G in _random_stream(12, 5, 10, seed=8):
         PG = reconstruct(st.frame, G)
         r = G - PG
@@ -73,7 +77,7 @@ def test_orthogonal_split_every_step():
 def test_residual_dynamics_match_plain_sgd():
     # with a fixed frame, the U-perp component of the direction is exactly
     # the U-perp component of the gradient (bit-for-bit SGD on the residual)
-    st = sm_init(FrameKind.GAUSSIAN_ORTHO, 9, 2, rank=3, seed=5)
+    st = sm_init(SubspaceMomentum(FrameKind.GAUSSIAN_ORTHO, rank=3), 9, 2, seed=5)
     for G in _random_stream(9, 2, 8, seed=6):
         d = sm_direction(st, G)
         r_dir = d - reconstruct(st.frame, d)
@@ -82,7 +86,8 @@ def test_residual_dynamics_match_plain_sgd():
 
 
 def test_heavy_ball_flag():
-    st = sm_init(FrameKind.IDENTITY, 3, 2, rank=3, beta1=0.5, dampening=False)
+    st = sm_init(SubspaceMomentum(FrameKind.IDENTITY, rank=3, beta1=0.5,
+                                  dampening=False), 3, 2)
     G = np.ones((3, 2))
     np.testing.assert_allclose(sm_direction(st, G), G)
     np.testing.assert_allclose(sm_direction(st, G), 1.5 * G)
@@ -92,7 +97,8 @@ def test_heavy_ball_flag():
 # refresh
 
 def test_refresh_schedule_and_zeroing():
-    st = sm_init(FrameKind.GAUSSIAN_ORTHO, 8, 4, rank=2, refresh_gap=200, seed=0)
+    st = sm_init(SubspaceMomentum(FrameKind.GAUSSIAN_ORTHO, rank=2, refresh_gap=200),
+                 8, 4, seed=0)
     rng = np.random.default_rng(10)
     changed_at = []
     for t in range(1, 1001):
@@ -101,12 +107,12 @@ def test_refresh_schedule_and_zeroing():
         if sm_maybe_refresh(st, G, t):
             changed_at.append(t)
             assert np.all(st.m_buf == 0.0)  # exact, not approximate
-            assert st.steps_since_refresh == 0
     assert changed_at == [200, 400, 600, 800, 1000]
 
 
 def test_refresh_gap_zero_never_changes_frame():
-    st = sm_init(FrameKind.GAUSSIAN_ORTHO, 6, 2, rank=2, refresh_gap=0, seed=1)
+    st = sm_init(SubspaceMomentum(FrameKind.GAUSSIAN_ORTHO, rank=2, refresh_gap=0),
+                 6, 2, seed=1)
     frame = st.frame
     for t in range(1, 50):
         assert not sm_maybe_refresh(st, np.ones((6, 2)), t)
@@ -114,13 +120,14 @@ def test_refresh_gap_zero_never_changes_frame():
 
 
 def test_refresh_off_gap_boundary():
-    st = sm_init(FrameKind.GAUSSIAN_ORTHO, 6, 2, rank=2, refresh_gap=200, seed=1)
+    st = sm_init(SubspaceMomentum(FrameKind.GAUSSIAN_ORTHO, rank=2, refresh_gap=200),
+                 6, 2, seed=1)
     assert not sm_maybe_refresh(st, np.ones((6, 2)), 199)
     assert sm_maybe_refresh(st, np.ones((6, 2)), 200)
 
 
 def test_refresh_svd_consumes_gradient():
-    st = sm_init(FrameKind.SVD, 6, 3, rank=1, refresh_gap=10,
+    st = sm_init(SubspaceMomentum(FrameKind.SVD, rank=1, refresh_gap=10), 6, 3,
                  reference_grad=np.eye(6)[:, :3])
     G = np.outer(np.arange(1.0, 7.0), np.ones(3))  # rank-1: rows span known
     sm_maybe_refresh(st, G, 10)
@@ -129,8 +136,9 @@ def test_refresh_svd_consumes_gradient():
 
 
 def test_refresh_random_kind_deterministic():
-    a = sm_init(FrameKind.GAUSSIAN_ORTHO, 8, 2, rank=2, refresh_gap=5, seed=3)
-    b = sm_init(FrameKind.GAUSSIAN_ORTHO, 8, 2, rank=2, refresh_gap=5, seed=3)
+    rule = SubspaceMomentum(FrameKind.GAUSSIAN_ORTHO, rank=2, refresh_gap=5)
+    a = sm_init(rule, 8, 2, seed=3)
+    b = sm_init(rule, 8, 2, seed=3)
     G = np.ones((8, 2))
     sm_maybe_refresh(a, G, 5)
     sm_maybe_refresh(b, G, 5)
@@ -141,7 +149,7 @@ def test_refresh_random_kind_deterministic():
 # joint-compression baseline
 
 def test_galore_direction_stays_in_subspace():
-    st = galore_init(FrameKind.GAUSSIAN_ORTHO, 10, 4, rank=3, seed=2)
+    st = galore_init(GaloreMomentum(FrameKind.GAUSSIAN_ORTHO, rank=3), 10, 4, seed=2)
     for G in _random_stream(10, 4, 6, seed=2):
         d = galore_direction(st, G)
         # no residual: the direction has no component outside U
@@ -150,8 +158,8 @@ def test_galore_direction_stays_in_subspace():
 
 def test_galore_identity_frame_is_adam_direction():
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    st = galore_init(FrameKind.IDENTITY, 4, 3, rank=4, beta1=beta1, beta2=beta2,
-                     eps=eps)
+    st = galore_init(GaloreMomentum(FrameKind.IDENTITY, rank=4, beta1=beta1,
+                                    beta2=beta2, eps=eps), 4, 3)
     m = np.zeros((4, 3))
     v = np.zeros((4, 3))
     for t, G in enumerate(_random_stream(4, 3, 10, seed=9), start=1):
@@ -164,7 +172,8 @@ def test_galore_identity_frame_is_adam_direction():
 
 
 def test_galore_keeps_stats_across_refresh():
-    st = galore_init(FrameKind.GAUSSIAN_ORTHO, 8, 4, rank=2, refresh_gap=5, seed=0)
+    st = galore_init(GaloreMomentum(FrameKind.GAUSSIAN_ORTHO, rank=2, refresh_gap=5),
+                     8, 4, seed=0)
     rng = np.random.default_rng(3)
     for t in range(1, 5):
         galore_direction(st, rng.standard_normal((8, 4)))
@@ -177,7 +186,7 @@ def test_galore_keeps_stats_across_refresh():
 
 
 def test_sm_state_size():
-    st = sm_init(FrameKind.GAUSSIAN_ORTHO, 16, 5, rank=3)
+    st = sm_init(SubspaceMomentum(FrameKind.GAUSSIAN_ORTHO, rank=3), 16, 5)
     assert st.m_buf.size == 3 * 5
     assert st.frame.storage_elements() == 3 * 16
 
@@ -187,7 +196,8 @@ def test_sm_state_size():
 def test_sm_direction_matches_two_lift_formula(kind, m):
     n, beta = 5, 0.9
     stream = _random_stream(m, n, 12, seed=4)
-    st = sm_init(kind, m, n, rank=4, beta1=beta, seed=6, reference_grad=stream[0])
+    st = sm_init(SubspaceMomentum(kind, rank=4, beta1=beta), m, n, seed=6,
+                 reference_grad=stream[0])
     m_ref = np.zeros((4, n))
     for G in stream:
         c = project(st.frame, G)
