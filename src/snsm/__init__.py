@@ -47,7 +47,6 @@ from .analysis import (
 )
 from .noise_models import (
     MLP2,
-    Logistic,
     NoiseModel,
     Quadratic,
     stoch_grad,

@@ -1,7 +1,8 @@
 """Command-line front end: train / sweep / rates / noise / mem / bound.
 
-Exit status: 0 success, 1 usage error, 2 numeric failure, 3 verification
-failure.
+Exit status: 0 success, 1 usage error, 2 numeric failure (a diverged seed,
+also in any row of a sweep, or a factorization that did not converge),
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 import numpy as np
 
 from . import analysis, harness
+from .linalg import NumericError
 from .noise_models import MLP2, NoiseModel, Quadratic
 
 EXIT_OK = 0
@@ -169,9 +171,9 @@ def _cmd_sweep(args) -> int:
         args.betas, d=args.d, T=args.T,
         seeds=range(args.seed_base, args.seed_base + args.n_seeds),
         subset_sizes=args.subset_sizes, alpha=args.alpha, lr=args.lr)
-    _emit(rows, ("beta", "optimizer", "subset_size", "mean_metric", "stderr"),
-          args.format, args.out)
-    return EXIT_OK
+    _emit(rows, ("beta", "optimizer", "subset_size", "mean_metric", "stderr",
+                 "n_diverged"), args.format, args.out)
+    return EXIT_NUMERIC if any(r.n_diverged for r in rows) else EXIT_OK
 
 
 def _cmd_rates(args) -> int:
@@ -259,7 +261,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"snsm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FloatingPointError as exc:
+    except NumericError as exc:
         print(f"snsm: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -1,4 +1,11 @@
-"""Experiment runner: optimizer x objective x noise, with CSV/JSON output."""
+"""Experiment runner: optimizer x objective x noise, with CSV/JSON output.
+
+:func:`run` steps all seeds of a config in lockstep: the iterates are one
+``(S, d)`` array, one optimizer holds the state of every seed along a
+leading replica axis, and each seed draws its noise from its own
+per-(seed, t) stream, so every seed follows the trajectory it would follow
+alone. A seed that diverges leaves the batch.
+"""
 
 from __future__ import annotations
 
@@ -24,7 +31,7 @@ from .optim import (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    objective: object  # Quadratic / Logistic / MLP2 instance
+    objective: object  # Quadratic / MLP2 instance
     noise: NoiseModel
     preset: str
     T: int
@@ -109,46 +116,79 @@ def _init_x1(config: ExperimentConfig, seed: int) -> np.ndarray:
 
 
 def run(config: ExperimentConfig) -> RunResult:
-    """Run every seed of the config; one strictly sequential loop per seed."""
+    """Run every seed of the config, all seeds stepping together.
+
+    A seed diverges when its loss or ||grad f||^2 is not finite (it stops
+    before that step's record) or when the optimizer rejects its stochastic
+    gradient as non-finite (it stops after that step's record). Either way
+    its rows leave the iterates and the optimizer state, and the others go on.
+    """
     obj = config.objective
     shape = config.param_shape or (obj.d,)
-    records: list[RunRecord] = []
-    summaries: list[SeedSummary] = []
-    for seed in config.seeds:
-        opt = _make_optimizer(config, shape)
-        state_elems = opt.state_size().total  # closed form, constant over steps
-        x = _init_x1(config, seed)
-        grad_sq_sum = 0.0
-        steps_done = 0
-        final_loss = math.nan
-        diverged = False
-        for t in range(1, config.T + 1):
-            # overflow here is how divergence manifests; detected just below
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss = obj.value(x)
-                g_true = obj.grad(x)
-                gsq = float(g_true @ g_true)
-            if not (math.isfinite(loss) and math.isfinite(gsq)):
-                diverged = True
+    seeds = np.array(config.seeds, dtype=np.int64)
+    n_seeds = seeds.size
+    opt = _make_optimizer(config, shape)
+    state_elems = opt.state_size().total  # closed form, constant over steps
+    x = np.stack([_init_x1(config, int(seed)) for seed in seeds])
+    live = np.arange(n_seeds)  # positions in config.seeds of the running seeds
+    grad_sq_sum = np.zeros(n_seeds)
+    steps_done = np.zeros(n_seeds, dtype=np.int64)
+    final_loss = np.full(n_seeds, math.nan)
+    diverged = np.zeros(n_seeds, dtype=bool)
+    records: list[list[RunRecord]] = [[] for _ in range(n_seeds)]
+
+    def drop(bad: np.ndarray) -> np.ndarray:
+        """Mark the running seeds at positions ``bad`` diverged; the kept positions."""
+        nonlocal live
+        diverged[live[bad]] = True
+        keep = np.flatnonzero(~bad)
+        opt.keep_replicas(keep)
+        live = live[keep]
+        return keep
+
+    for t in range(1, config.T + 1):
+        # overflow here is how divergence manifests; detected just below
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = obj.value(x)
+            g_true = obj.grad(x)
+            gsq = np.vecdot(g_true, g_true)
+        finite = np.isfinite(loss) & np.isfinite(gsq)
+        if not finite.all():
+            keep = drop(~finite)
+            x, g_true, loss, gsq = x[keep], g_true[keep], loss[keep], gsq[keep]
+            if not live.size:
                 break
-            lr = lr_at(opt.spec.schedule, opt.spec.base_lr, t, config.T)
-            if t % config.record_every == 0 or t == config.T:
-                records.append(RunRecord(
-                    step=t, seed=seed, loss=loss, grad_norm_sq=gsq, lr=lr,
-                    state_elems=state_elems))
-            grad_sq_sum += gsq
-            steps_done += 1
-            final_loss = loss
-            g = stoch_grad(obj, config.noise, x, seed, t)
-            try:
-                x = opt.step([x.reshape(shape)], [g.reshape(shape)], t)[0].reshape(-1)
-            except NonFiniteGradientError:
-                diverged = True
+        lr = lr_at(opt.spec.schedule, opt.spec.base_lr, t, config.T)
+        if t % config.record_every == 0 or t == config.T:
+            for i, loss_i, gsq_i in zip(live, loss.tolist(), gsq.tolist()):
+                records[i].append(RunRecord(
+                    step=t, seed=int(seeds[i]), loss=loss_i, grad_norm_sq=gsq_i,
+                    lr=lr, state_elems=state_elems))
+        grad_sq_sum[live] += gsq
+        steps_done[live] += 1
+        final_loss[live] = loss
+        g = stoch_grad(obj, config.noise, x, seeds[live], t, true_grad=g_true)
+        del g_true
+        try:
+            x = opt.step([x.reshape((live.size,) + shape)],
+                         [g.reshape((live.size,) + shape)], t)[0]
+        except NonFiniteGradientError as exc:
+            bad = np.zeros(live.size, dtype=bool)
+            bad[list(exc.replicas)] = True
+            keep = drop(bad)
+            if not live.size:
                 break
-        mean_gsq = grad_sq_sum / steps_done if steps_done else math.nan
-        summaries.append(SeedSummary(seed=seed, mean_grad_norm_sq=mean_gsq,
-                                     final_loss=final_loss, diverged=diverged))
-    return RunResult(records=records, summaries=summaries)
+            x = opt.step([x[keep].reshape((live.size,) + shape)],
+                         [g[keep].reshape((live.size,) + shape)], t)[0]
+        x = x.reshape(live.size, -1)
+    summaries = [
+        SeedSummary(seed=int(seed),
+                    mean_grad_norm_sq=(float(grad_sq_sum[i]) / int(steps_done[i])
+                                       if steps_done[i] else math.nan),
+                    final_loss=float(final_loss[i]), diverged=bool(diverged[i]))
+        for i, seed in enumerate(seeds)]
+    return RunResult(records=[r for per_seed in records for r in per_seed],
+                     summaries=summaries)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +201,7 @@ class SweepRow:
     subset_size: int  # 1 = coordinate-wise, d = single global subset
     mean_metric: float  # mean over seeds of (1/T) sum ||grad||^2
     stderr: float
+    n_diverged: int = 0  # seeds that diverged; any makes the row's verdicts invalid
 
 
 def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
@@ -199,12 +240,17 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
             rows.append(SweepRow(
                 beta=float(beta), optimizer=name, subset_size=k,
                 mean_metric=float(metrics.mean()),
-                stderr=float(metrics.std(ddof=1) / math.sqrt(metrics.size))))
+                stderr=float(metrics.std(ddof=1) / math.sqrt(metrics.size)),
+                n_diverged=sum(s.diverged for s in result.summaries)))
     return rows
 
 
 def sweep_verdict(row_a: SweepRow, row_b: SweepRow) -> str:
-    """'a_better' / 'b_better' when the +-1 stderr intervals do not overlap."""
+    """'a_better' / 'b_better' when the +-1 stderr intervals do not overlap;
+    'invalid' when either row has a diverged seed, whose truncated metric
+    would bias the comparison."""
+    if row_a.n_diverged or row_b.n_diverged:
+        return "invalid"
     if row_a.mean_metric + row_a.stderr < row_b.mean_metric - row_b.stderr:
         return "a_better"
     if row_b.mean_metric + row_b.stderr < row_a.mean_metric - row_a.stderr:

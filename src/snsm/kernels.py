@@ -15,21 +15,24 @@ BACKEND = "numpy"
 
 
 def segment_sqnorms(g: np.ndarray, k: int, columns: bool = False) -> np.ndarray:
-    """Sums of squares of the flat vector ``g`` over its subsets.
+    """Sums of squares of ``g`` over the subsets of its last axis.
 
     The subsets are consecutive blocks of ``k`` coordinates (the last block
-    may be shorter) or, with ``columns``, the columns of ``g`` viewed
-    row-major as a matrix with ``k`` rows.
+    may be shorter) or, with ``columns``, the columns of the last axis viewed
+    row-major as a matrix with ``k`` rows. Leading axes (one per replica)
+    are kept, so a ``(..., d)`` input gives ``(..., c)``.
     """
     sq = g * g
     if k == 1:  # singleton subsets; a reduction over length-1 axes is slow
         return sq
+    lead, d = sq.shape[:-1], sq.shape[-1]
     if columns:
-        return sq.reshape(k, -1).sum(axis=0)
-    full = sq.size - sq.size % k
-    out = sq[:full].reshape(-1, k).sum(axis=1)
-    if full < sq.size:
-        out = np.append(out, sq[full:].sum())
+        return sq.reshape(lead + (k, -1)).sum(axis=-2)
+    full = d - d % k
+    out = sq[..., :full].reshape(lead + (-1, k)).sum(axis=-1)
+    if full < d:
+        out = np.concatenate([out, sq[..., full:].sum(axis=-1, keepdims=True)],
+                             axis=-1)
     return out
 
 

@@ -1,21 +1,28 @@
 """Projection frames and the dense/randomized factorizations that build them.
 
 A :class:`Frame` is a linear map ``P: R^m -> R^k`` whose adjoint is ``P.T``.
-For every kind except ``GAUSSIAN_RAW`` the rows of ``P`` are orthonormal, so
-``P* P`` is the orthogonal projector onto the row span and is idempotent and
-self-adjoint.  Row-selection kinds keep an index list instead of a dense
-matrix and apply exactly (no floating error); SRHT over a power-of-two
-dimension keeps a sign vector plus sampled Hadamard row indices and applies
-through the fast transform, and over any other dimension keeps only its
-re-orthonormalized dense rows.  A rank-0 frame holds an empty ``(0, m)``
-``rows`` matrix, so it projects to nothing and lifts to zeros through the
-dense path.  :func:`frame_storage_elements` gives the element count of every
-array a frame holds from (kind, m, k) alone.
+The rows of ``P`` are orthonormal, so ``P* P`` is the orthogonal projector
+onto the row span and is idempotent and self-adjoint.  Row-selection kinds
+keep an index list instead of a dense matrix and apply exactly (no floating
+error); SRHT over a power-of-two dimension keeps a sign vector plus sampled
+Hadamard row indices and applies through the fast transform, and over any
+other dimension keeps only its re-orthonormalized dense rows.  A rank-0
+frame holds an empty ``(0, m)`` ``rows`` matrix, so it projects to nothing
+and lifts to zeros through the dense path.  :func:`frame_storage_elements`
+gives the element count of every array a frame holds from (kind, m, k) alone.
+
+Frames may be stacked: every array a frame holds then has a leading replica
+axis (``rows`` is ``(S, k, m)``, ``indices`` ``(S, k)``, ``signs``
+``(S, m)``), ``project``/``lift`` act on ``(S, m, n)``/``(S, k, n)`` with
+stacked ``matmul`` and ``take_along_axis``, and ``rank``/``ambient_dim`` stay
+per replica.  :func:`make_frame` stacks a frame when its reference gradient
+has a leading axis: gradient-based kinds factor each replica's gradient, and
+the kinds drawn from the seed give every replica the same draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -27,7 +34,6 @@ class FrameKind(str, Enum):
     SVD = "svd"
     APPROX_SVD = "approx_svd"
     GAUSSIAN_ORTHO = "gaussian_ortho"
-    GAUSSIAN_RAW = "gaussian_raw"
     SRHT = "srht"
     ROW_SUBSET = "row_subset"
     TOP_K_ROWS = "top_k_rows"
@@ -48,16 +54,28 @@ class Frame:
     kind: FrameKind
     ambient_dim: int
     rank: int
-    rows: np.ndarray | None = None  # (rank, ambient) explicit representation
-    indices: np.ndarray | None = None  # selector kinds and SRHT row sample
-    signs: np.ndarray | None = None  # SRHT: +-1 per ambient coordinate
+    rows: np.ndarray | None = None  # ([S,] rank, ambient) explicit representation
+    indices: np.ndarray | None = None  # ([S,] rank) selector kinds and SRHT row sample
+    signs: np.ndarray | None = None  # ([S,] ambient) SRHT: +-1 per ambient coordinate
     padded_dim: int = 0  # SRHT: next power of two >= ambient_dim
-    seed: int = 0
-    non_projector: bool = False
 
-    def storage_elements(self) -> int:
-        """Persistent elements needed to store the frame (Table-style accounting)."""
-        return frame_storage_elements(self.kind, self.ambient_dim, self.rank)
+
+_ARRAYS = ("rows", "indices", "signs")
+
+
+def take_replicas(f: Frame, keep) -> Frame:
+    """The stacked frame of the replicas ``keep`` (indices into the leading axis)."""
+    return replace(f, **{name: getattr(f, name)[keep] for name in _ARRAYS
+                         if getattr(f, name) is not None})
+
+
+def _stack(f: Frame, replicas: tuple) -> Frame:
+    """``f`` repeated over the leading ``replicas`` axes (a copy per replica)."""
+    if not replicas:
+        return f
+    return replace(f, **{name: np.array(np.broadcast_to(a, replicas + a.shape))
+                         for name in _ARRAYS
+                         if (a := getattr(f, name)) is not None})
 
 
 def _padded_dim(m: int) -> int:
@@ -81,32 +99,36 @@ def frame_storage_elements(kind: FrameKind | str, m: int, k: int) -> int:
 
 def _as_matrix(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError(f"expected a 2D array, got shape {A.shape}")
+    if A.ndim not in (2, 3):
+        raise ValueError(f"expected a 2D array or a stack of them, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
     return A
 
 
 def topk_svd(A: np.ndarray, k: int) -> Frame:
-    """Frame spanned by the top-k left singular vectors of A."""
+    """Frame spanned by the top-k left singular vectors of A (of each matrix of a stack)."""
     A = _as_matrix(A)
-    m, n = A.shape
+    m, n = A.shape[-2:]
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k={k} out of range for {m}x{n} matrix")
     try:
         U, _, _ = np.linalg.svd(A, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge: {exc}") from exc
-    return Frame(kind=FrameKind.SVD, ambient_dim=m, rank=k, rows=np.ascontiguousarray(U[:, :k].T))
+    return Frame(kind=FrameKind.SVD, ambient_dim=m, rank=k,
+                 rows=np.ascontiguousarray(U[..., :k].mT))
 
 
 def randomized_range_svd(
     A: np.ndarray, k: int, oversample: int = 8, power_iters: int = 1, seed: int = 0
 ) -> Frame:
-    """Halko-style randomized range finder for the top-k left singular space."""
+    """Halko-style randomized range finder for the top-k left singular space.
+
+    Every matrix of a stack is sketched with the same Gaussian test matrix.
+    """
     A = _as_matrix(A)
-    m, n = A.shape
+    m, n = A.shape[-2:]
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k={k} out of range for {m}x{n}")
     oversample = min(oversample, min(m, n) - k)
@@ -115,18 +137,16 @@ def randomized_range_svd(
     Y = A @ omega
     Q, _ = np.linalg.qr(Y)
     for _ in range(power_iters):
-        Z, _ = np.linalg.qr(A.T @ Q)
+        Z, _ = np.linalg.qr(A.mT @ Q)
         Q, _ = np.linalg.qr(A @ Z)
-    B = Q.T @ A
+    B = Q.mT @ A
     try:
         Ub, _, _ = np.linalg.svd(B, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD of sketch did not converge: {exc}") from exc
-    rows = (Q @ Ub[:, :k]).T
-    return Frame(
-        kind=FrameKind.APPROX_SVD, ambient_dim=m, rank=k,
-        rows=np.ascontiguousarray(rows), seed=seed,
-    )
+    rows = (Q @ Ub[..., :k]).mT
+    return Frame(kind=FrameKind.APPROX_SVD, ambient_dim=m, rank=k,
+                 rows=np.ascontiguousarray(rows))
 
 
 def _srht_frame(m: int, k: int, seed: int) -> Frame:
@@ -137,7 +157,7 @@ def _srht_frame(m: int, k: int, seed: int) -> Frame:
     if m == m_pad:
         return Frame(
             kind=FrameKind.SRHT, ambient_dim=m, rank=k,
-            indices=idx, signs=signs, padded_dim=m_pad, seed=seed,
+            indices=idx, signs=signs, padded_dim=m_pad,
         )
     # Truncating the padded coordinates breaks exact row orthonormality, so
     # materialize the truncated rows and re-orthonormalize.
@@ -145,7 +165,7 @@ def _srht_frame(m: int, k: int, seed: int) -> Frame:
     q, _ = np.linalg.qr(rows.T)
     return Frame(
         kind=FrameKind.SRHT, ambient_dim=m, rank=k,
-        rows=np.ascontiguousarray(q.T), padded_dim=m_pad, seed=seed,
+        rows=np.ascontiguousarray(q.T), padded_dim=m_pad,
     )
 
 
@@ -168,79 +188,86 @@ def make_frame(
     oversample: int = 8,
     power_iters: int = 1,
 ) -> Frame:
-    """Build a rank-k frame over ambient dimension m."""
+    """Build a rank-k frame over ambient dimension m.
+
+    A reference gradient of shape ``(S, m, n)`` gives a frame stacked over
+    its S replicas; ``(m, n)`` or none gives a single frame.
+    """
     kind = FrameKind(kind)
     if not 0 <= k <= m:
         raise ValueError(f"rank k={k} out of range for ambient dimension m={m}")
+    replicas = () if reference_grad is None else np.shape(reference_grad)[:-2]
     if kind is FrameKind.ZERO or k == 0:
         return Frame(kind=FrameKind.ZERO, ambient_dim=m, rank=0,
-                     rows=np.zeros((0, m)), seed=seed)
+                     rows=np.zeros(replicas + (0, m)))
     if kind is FrameKind.IDENTITY:
         if k != m:
             raise ValueError("identity frame requires k == m")
-        return Frame(
-            kind=kind, ambient_dim=m, rank=m,
-            indices=np.arange(m, dtype=np.int64), seed=seed,
-        )
+        return _stack(Frame(kind=kind, ambient_dim=m, rank=m,
+                            indices=np.arange(m, dtype=np.int64)), replicas)
     if kind in GRADIENT_KINDS:
         if reference_grad is None:
             raise ValueError(f"{kind.value} frame requires reference_grad")
         G = _as_matrix(reference_grad)
-        if G.shape[0] != m:
-            raise ValueError(f"reference_grad has {G.shape[0]} rows, expected {m}")
+        if G.shape[-2] != m:
+            raise ValueError(f"reference_grad has {G.shape[-2]} rows, expected {m}")
         if kind is FrameKind.SVD:
             return topk_svd(G, k)
         if kind is FrameKind.APPROX_SVD:
             return randomized_range_svd(G, k, oversample=oversample,
                                         power_iters=power_iters, seed=seed)
-        order = np.argsort(-np.linalg.norm(G, axis=1), kind="stable")
-        idx = np.sort(order[:k]).astype(np.int64)
-        return Frame(kind=kind, ambient_dim=m, rank=k, indices=idx, seed=seed)
+        order = np.argsort(-np.linalg.norm(G, axis=-1), axis=-1, kind="stable")
+        idx = np.sort(order[..., :k], axis=-1).astype(np.int64)
+        return Frame(kind=kind, ambient_dim=m, rank=k, indices=idx)
     rng = np.random.default_rng(seed)
     if kind is FrameKind.ROW_SUBSET:
         idx = np.sort(rng.choice(m, size=k, replace=False)).astype(np.int64)
-        return Frame(kind=kind, ambient_dim=m, rank=k, indices=idx, seed=seed)
-    if kind is FrameKind.GAUSSIAN_ORTHO:
+        f = Frame(kind=kind, ambient_dim=m, rank=k, indices=idx)
+    elif kind is FrameKind.GAUSSIAN_ORTHO:
         q, _ = np.linalg.qr(rng.standard_normal((m, k)))
-        return Frame(kind=kind, ambient_dim=m, rank=k,
-                     rows=np.ascontiguousarray(q.T), seed=seed)
-    if kind is FrameKind.GAUSSIAN_RAW:
-        rows = rng.standard_normal((k, m)) / np.sqrt(k)
-        return Frame(kind=kind, ambient_dim=m, rank=k, rows=rows,
-                     seed=seed, non_projector=True)
-    if kind is FrameKind.SRHT:
-        return _srht_frame(m, k, seed)
-    raise ValueError(f"unknown frame kind {kind!r}")  # pragma: no cover
+        f = Frame(kind=kind, ambient_dim=m, rank=k, rows=np.ascontiguousarray(q.T))
+    elif kind is FrameKind.SRHT:
+        f = _srht_frame(m, k, seed)
+    else:  # pragma: no cover
+        raise ValueError(f"unknown frame kind {kind!r}")
+    return _stack(f, replicas)
+
+
+def _along_rows(indices: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``indices`` (``([S,] k)``) as take/put-along-axis indices for axis -2 of ``like``."""
+    return np.broadcast_to(indices[..., None], indices.shape + like.shape[-1:])
 
 
 def project(f: Frame, G: np.ndarray) -> np.ndarray:
-    """Apply P: (m x n) -> (k x n)."""
+    """Apply P: ([S,] m, n) -> ([S,] k, n)."""
     G = np.asarray(G, dtype=np.float64)
-    if G.shape[0] != f.ambient_dim:
-        raise ValueError(f"shape mismatch: G has {G.shape[0]} rows, frame ambient {f.ambient_dim}")
+    if G.shape[-2] != f.ambient_dim:
+        raise ValueError(f"shape mismatch: G has {G.shape[-2]} rows, frame ambient {f.ambient_dim}")
     if f.rows is not None:
         return f.rows @ G
     if f.kind is FrameKind.SRHT:
-        pad = np.zeros((f.padded_dim,) + G.shape[1:])
-        pad[: f.ambient_dim] = G * f.signs.reshape((-1,) + (1,) * (G.ndim - 1))
-        return kernels.fwht(pad)[f.indices] / np.sqrt(f.padded_dim)
-    return G[f.indices]
+        # fwht transforms axis 0, so the replica axis goes behind the rows
+        pad = np.zeros((f.padded_dim,) + G.shape[:-2] + G.shape[-1:])
+        pad[: f.ambient_dim] = np.moveaxis(G * f.signs[..., None], -2, 0)
+        H = np.moveaxis(kernels.fwht(pad), 0, -2)
+        return np.take_along_axis(H, _along_rows(f.indices, H), axis=-2) / np.sqrt(f.padded_dim)
+    return np.take_along_axis(G, _along_rows(f.indices, G), axis=-2)
 
 
 def lift(f: Frame, C: np.ndarray) -> np.ndarray:
-    """Apply the adjoint P*: (k x n) -> (m x n)."""
+    """Apply the adjoint P*: ([S,] k, n) -> ([S,] m, n)."""
     C = np.asarray(C, dtype=np.float64)
-    if C.shape[0] != f.rank:
-        raise ValueError(f"shape mismatch: C has {C.shape[0]} rows, frame rank {f.rank}")
+    if C.shape[-2] != f.rank:
+        raise ValueError(f"shape mismatch: C has {C.shape[-2]} rows, frame rank {f.rank}")
     if f.rows is not None:
-        return f.rows.T @ C
+        return f.rows.mT @ C
     if f.kind is FrameKind.SRHT:
-        pad = np.zeros((f.padded_dim,) + C.shape[1:])
-        pad[f.indices] = C
-        out = kernels.fwht(pad)[: f.ambient_dim] / np.sqrt(f.padded_dim)
-        return out * f.signs.reshape((-1,) + (1,) * (C.ndim - 1))
-    out = np.zeros((f.ambient_dim,) + C.shape[1:])
-    out[f.indices] = C
+        pad = np.zeros((f.padded_dim,) + C.shape[:-2] + C.shape[-1:])
+        np.put_along_axis(np.moveaxis(pad, 0, -2), _along_rows(f.indices, C), C, axis=-2)
+        out = np.moveaxis(kernels.fwht(pad), 0, -2)[..., : f.ambient_dim, :] / np.sqrt(f.padded_dim)
+        return out * f.signs[..., None]
+    out = np.zeros(C.shape[:-2] + (f.ambient_dim,) + C.shape[-1:])
+    np.put_along_axis(out, _along_rows(f.indices, C), C, axis=-2)
     return out
 
 

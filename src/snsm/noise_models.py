@@ -1,9 +1,15 @@
-"""Test objectives and synthetic gradient-noise models."""
+"""Test objectives and synthetic gradient-noise models.
+
+Objectives evaluate one point ``x`` of shape ``(d,)`` or S points at once,
+``(S, d)``, one per row; the oracle draws each row's noise from its own
+seed, so S points stepping in lockstep see the noise each would alone.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,38 +28,12 @@ class Quadratic:
         self.smoothness = float(self.lam.max(initial=0.0))
         self.f_star = 0.0
 
-    def value(self, x: np.ndarray) -> float:
-        return 0.5 * float(np.sum(self.lam * x * x))
+    def value(self, x: np.ndarray):
+        """f(x): a float for one point, ``(S,)`` values for ``(S, d)``."""
+        return 0.5 * (self.lam * x * x).sum(axis=-1)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.lam * x
-
-
-class Logistic:
-    """Mean logistic loss over a fixed design matrix with labels in {0, 1}."""
-
-    def __init__(self, A: np.ndarray, y: np.ndarray, reg: float = 0.0):
-        self.A = np.asarray(A, dtype=np.float64)
-        self.y = np.asarray(y, dtype=np.float64)
-        if self.A.ndim != 2 or self.y.shape != (self.A.shape[0],):
-            raise ValueError("A must be (n, d) with y of length n")
-        self.reg = float(reg)
-        self.d = self.A.shape[1]
-        # L <= ||A||_2^2 / (4 n) + reg for the mean logistic loss
-        self.smoothness = float(
-            np.linalg.norm(self.A, 2) ** 2 / (4.0 * self.A.shape[0]) + self.reg)
-        self.f_star = None
-
-    def value(self, x: np.ndarray) -> float:
-        z = self.A @ x
-        # log(1 + e^z) - y z, stably
-        loss = np.logaddexp(0.0, z) - self.y * z
-        return float(loss.mean()) + 0.5 * self.reg * float(x @ x)
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        z = self.A @ x
-        p = 1.0 / (1.0 + np.exp(-z))
-        return self.A.T @ (p - self.y) / self.A.shape[0] + self.reg * x
 
 
 class MLP2:
@@ -76,25 +56,28 @@ class MLP2:
 
     def _unpack(self, x: np.ndarray):
         h, din = self.hidden, self.d_in
-        W1 = x[: h * din].reshape(h, din)
-        W2 = x[h * din:].reshape(1, h)
+        lead = x.shape[:-1]
+        W1 = x[..., : h * din].reshape(lead + (h, din))
+        W2 = x[..., h * din:].reshape(lead + (1, h))
         return W1, W2
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray):
         W1, W2 = self._unpack(x)
-        pred = (W2 @ np.tanh(W1 @ self.X.T)).ravel()
-        return 0.5 * float(np.mean((pred - self.y) ** 2))
+        pred = (W2 @ np.tanh(W1 @ self.X.T))[..., 0, :]
+        return 0.5 * np.mean((pred - self.y) ** 2, axis=-1)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         W1, W2 = self._unpack(x)
         n = self.X.shape[0]
-        Z = W1 @ self.X.T  # (h, n)
+        Z = W1 @ self.X.T  # ([S,] h, n)
         A = np.tanh(Z)
-        err = (W2 @ A).ravel() - self.y  # (n,)
-        gW2 = (err[None, :] @ A.T) / n  # (1, h)
-        dA = (W2.T @ err[None, :]) * (1.0 - A * A)  # (h, n)
-        gW1 = dA @ self.X / n  # (h, d_in)
-        return np.concatenate([gW1.ravel(), gW2.ravel()])
+        err = (W2 @ A)[..., 0, :] - self.y  # ([S,] n)
+        gW2 = (err[..., None, :] @ A.mT) / n  # ([S,] 1, h)
+        dA = (W2.mT @ err[..., None, :]) * (1.0 - A * A)  # ([S,] h, n)
+        gW1 = dA @ self.X / n  # ([S,] h, d_in)
+        lead = x.shape[:-1]
+        return np.concatenate([gW1.reshape(lead + (-1,)), gW2.reshape(lead + (-1,))],
+                              axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +120,53 @@ class NoiseModel:
         return out
 
     def sample(self, d: int, rng: np.random.Generator) -> np.ndarray:
-        sig = self.per_coord_sigma(d)
+        """One noise vector of length d.
+
+        Only the coordinates up to the last noisy one are drawn; that draw
+        is a prefix of the full-length one, so the vector is the same.
+        """
+        sig, nz = _noisy_prefix(self, d)
         if self.distribution == "gaussian":
-            return rng.standard_normal(d) * sig
-        if self.distribution == "bounded":
-            return rng.choice((-1.0, 1.0), size=d) * sig
-        raise ValueError(f"unknown distribution {self.distribution!r}")
+            head = rng.standard_normal(nz) * sig
+        elif self.distribution == "bounded":
+            head = rng.choice((-1.0, 1.0), size=nz) * sig
+        else:
+            raise ValueError(f"unknown distribution {self.distribution!r}")
+        if nz == d:
+            return head
+        out = np.zeros(d)
+        out[:nz] = head
+        return out
 
 
-def stoch_grad(obj, noise: NoiseModel, x: np.ndarray, seed: int, t: int
-               ) -> np.ndarray:
-    """Stochastic gradient grad f(x) + xi, deterministic in (seed, t)."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-    return obj.grad(x) + noise.sample(obj.d, rng)
+@functools.lru_cache(maxsize=16)
+def _noisy_prefix(noise: NoiseModel, d: int):
+    """(levels of the first nz coordinates, nz), nz = 1 + last noisy index.
+
+    Dense noise has one level, a scalar. Cached, so a run computes the
+    pattern once rather than on every draw.
+    """
+    if noise.density_beta is None:
+        return noise.sigma, d
+    sig = noise.per_coord_sigma(d)
+    nz = int(np.flatnonzero(sig)[-1]) + 1 if sig.any() else 0
+    head = sig[:nz]
+    head.flags.writeable = False
+    return head, nz
+
+
+def stoch_grad(obj, noise: NoiseModel, x: np.ndarray, seed, t: int,
+               true_grad: np.ndarray | None = None) -> np.ndarray:
+    """Stochastic gradient grad f(x) + xi, deterministic in (seed, t).
+
+    ``x`` is one point with one ``seed``, or ``(S, d)`` with a sequence of S
+    seeds; row s adds noise from ``default_rng(SeedSequence([seed[s], t]))``.
+    ``true_grad`` is grad f(x) when the caller already has it.
+    """
+    g = np.array(obj.grad(x) if true_grad is None else true_grad, dtype=np.float64)
+    for row, s in zip(g.reshape(-1, obj.d), np.atleast_1d(seed).tolist()):
+        row += noise.sample(obj.d, np.random.default_rng(np.random.SeedSequence([s, t])))
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,14 @@ buffer. Every buffer and frame is built on the first ``step``, and the
 gradient-based frame kinds (svd, approx_svd, top_k_rows) start from that
 step's gradient. :meth:`Optimizer.state_size` is a closed form of (spec,
 shape, tag), so it allocates and factorizes nothing, before or after steps.
+
+One optimizer steps S replicas of its parameters in lockstep: ``step``
+takes each parameter as ``shape`` (S = 1) or ``(S,) + shape``, and every
+state array carries the leading replica axis. S is fixed by the first step;
+:meth:`Optimizer.keep_replicas` drops replicas (a diverged seed) from every
+state array. Replicas share the spec and the seed, so the frame kinds drawn
+from the seed give each replica the same frame. ``state_size`` stays per
+replica.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import numpy as np
 
 from . import partition as part
 from . import subsetnorm as sn
-from .linalg import FrameKind, frame_storage_elements
+from .linalg import Frame, FrameKind, frame_storage_elements, take_replicas
 from .subsetnorm import AdaGradSubsetNorm, EMASubsetNorm
 from .subspace import (
     GaloreMomentum,
@@ -50,7 +58,15 @@ from .subspace import (
 
 
 class NonFiniteGradientError(ValueError):
-    """Raised when a step receives NaN/Inf gradients; the step is rejected."""
+    """Raised when a step receives NaN/Inf gradients; the step is rejected.
+
+    ``replicas`` holds the positions in the batch of the replicas whose
+    gradient is not finite; no state has changed.
+    """
+
+    def __init__(self, message: str, replicas: tuple = ()):
+        super().__init__(message)
+        self.replicas = replicas
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +211,8 @@ class _ParamSlot:
 
     Construction keeps only Python scalars: the resolved configs, the
     orientation and the partition. Buffers and frames are built on the first
-    ``update``, gradient-based frames from that step's gradient.
+    ``update``, gradient-based frames from that step's gradient. ``update``
+    takes the parameter and gradient of S replicas as ``(S,) + shape``.
     """
 
     def __init__(self, spec: OptimizerSpec, shape: tuple, tag: str, seed: int):
@@ -244,27 +261,43 @@ class _ParamSlot:
         return (self.d, 1)
 
     def _orient(self, G: np.ndarray) -> np.ndarray:
-        G = G.reshape(self._oriented_shape() if len(self.shape) != 2 else self.shape)
-        return G.T if self.transposed else G
+        """``(S,) + shape`` -> ``(S, m, n)``, the frames' orientation."""
+        G = G.reshape(G.shape[:1] + (self.shape if len(self.shape) == 2
+                                     else self._oriented_shape()))
+        return G.mT if self.transposed else G
 
     def _deorient(self, G: np.ndarray) -> np.ndarray:
-        out = G.T if self.transposed else G
-        return out.reshape(self.shape)
+        out = G.mT if self.transposed else G
+        return out.reshape(G.shape[:1] + self.shape)
 
     def _build_state(self, g: np.ndarray) -> None:
         """Allocate every buffer; gradient-based frames come from ``g``."""
         m, n = self._oriented_shape()
         momentum = self.momentum_cfg
         if isinstance(momentum, EMAMomentum):
-            self.m_buf = np.zeros(self.shape)
+            self.m_buf = np.zeros(g.shape)
         elif isinstance(momentum, SubspaceMomentum):
             self.sm_state = sm_init(momentum, m, n, self.seed, self._orient(g))
         elif isinstance(momentum, GaloreMomentum):
             self.galore_state = galore_init(momentum, m, n, self.seed,
                                             self._orient(g))
         if self.partition is not None:
-            self.sn_state = sn.sn_init(self.adaptive_cfg, self.partition)
+            self.sn_state = sn.sn_init(self.adaptive_cfg, self.partition,
+                                       g.shape[:1])
         self.built = True
+
+    def keep_replicas(self, keep: np.ndarray) -> None:
+        """Keep the replicas ``keep`` (positions in the batch) in every array."""
+        if self.m_buf is not None:
+            self.m_buf = self.m_buf[keep]
+        for state in (self.sm_state, self.galore_state, self.sn_state):
+            if state is None:
+                continue
+            for name, value in vars(state).items():
+                if isinstance(value, np.ndarray):
+                    setattr(state, name, value[keep])
+                elif isinstance(value, Frame):
+                    setattr(state, name, take_replicas(value, keep))
 
     # -- direction (momentum) ------------------------------------------------
 
@@ -280,16 +313,20 @@ class _ParamSlot:
             return self._deorient(sm_direction(self.sm_state, self._orient(g)))
         raise AssertionError("galore handled in update()")
 
-    # -- denominator (adaptive step size) ------------------------------------
+    # -- adaptive step size --------------------------------------------------
 
-    def denominator(self, g: np.ndarray) -> np.ndarray | float:
+    def adapt(self, step: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """``step`` divided coordinate by coordinate by its subset's
+        denominator, after folding ``g`` into the accumulators; unchanged
+        without an adaptive rule."""
         if self.partition is None:
-            return 1.0
-        sq = part.subset_sqnorms(self.partition, g.reshape(-1))
+            return step
+        replicas = g.shape[0]
+        sq = part.subset_sqnorms(self.partition, g.reshape(replicas, -1))
         sn.sn_accumulate(self.sn_state, sq)
-        denoms = self.partition.expand(sn.sn_denominators(self.sn_state))
-        # one subset yields a scalar, which broadcasts against the parameter
-        return denoms.reshape(self.shape) if denoms.ndim else denoms
+        denoms = sn.sn_denominators(self.sn_state)
+        return part.subset_divide(self.partition, step.reshape(replicas, -1),
+                                  denoms).reshape(step.shape)
 
     def update(self, x: np.ndarray, g: np.ndarray, t: int, lr: float,
                weight_decay: float) -> np.ndarray:
@@ -304,9 +341,8 @@ class _ParamSlot:
             step_dir = galore_direction(self.galore_state, self._orient(g))
             x_new = x - lr * self._deorient(step_dir)
         else:
-            direction = self.direction(g)
-            denom = self.denominator(g)
-            x_new = x - lr * direction / denom
+            # x - lr * direction / denominator, in that association
+            x_new = x - self.adapt(lr * self.direction(g), g)
         if weight_decay > 0.0:
             x_new = x_new - lr * weight_decay * x
         return x_new
@@ -314,7 +350,8 @@ class _ParamSlot:
     # -- accounting ----------------------------------------------------------
 
     def state_elements(self) -> dict[str, int]:
-        """Elements of the buffers ``update`` keeps, from the configs alone.
+        """Elements of the buffers ``update`` keeps per replica, from the
+        configs alone.
 
         Singleton scalars (the one accumulator of the ``norm`` rule) are not
         counted; the frame is reported under its own key.
@@ -337,7 +374,7 @@ class _ParamSlot:
 
 @dataclass(frozen=True)
 class StateSize:
-    total: int  # persistent state elements, singletons excluded
+    total: int  # persistent state elements per replica, singletons excluded
     breakdown: dict
     frame_elements: int  # reported separately, not part of total
 
@@ -354,37 +391,72 @@ class Optimizer:
             raise ValueError("tags and shapes must align")
         self.spec = spec
         self.total_steps = total_steps
+        self.replicas: int | None = None  # S, fixed by the first step
         self.slots = [
             _ParamSlot(spec, shape, tag, seed + 7919 * i)
             for i, (shape, tag) in enumerate(zip(shapes, tags))
         ]
 
+    def _batch_size(self, params: list, grads: list) -> int | None:
+        """S of a ``(S,) + shape`` batch, or None when every array is ``shape``."""
+        sizes = set()
+        for p, g, slot in zip(params, grads, self.slots):
+            if p.shape != g.shape:
+                raise ValueError("parameter/gradient shape mismatch")
+            if p.shape == slot.shape:
+                sizes.add(None)
+            elif p.shape[1:] == slot.shape and p.ndim == len(slot.shape) + 1:
+                sizes.add(p.shape[0])
+            else:
+                raise ValueError("parameter/gradient shape mismatch")
+        if len(sizes) > 1:
+            raise ValueError("parameters disagree on the replica count")
+        batch = sizes.pop() if sizes else None
+        replicas = 1 if batch is None else batch
+        if self.replicas is None:
+            self.replicas = replicas
+        elif replicas != self.replicas:
+            raise ValueError(f"{replicas} replicas, the optimizer steps "
+                             f"{self.replicas}")
+        return batch
+
     def step(self, params: list[np.ndarray], grads: list[np.ndarray],
              t: int) -> list[np.ndarray]:
+        """One step of every replica; arrays are ``shape`` or ``(S,) + shape``."""
         if len(params) != len(self.slots) or len(grads) != len(self.slots):
             raise ValueError("params/grads count does not match the optimizer")
-        for p, g, slot in zip(params, grads, self.slots):
-            if np.asarray(p).shape != slot.shape or np.asarray(g).shape != slot.shape:
-                raise ValueError("parameter/gradient shape mismatch")
+        params = [np.asarray(p, dtype=np.float64) for p in params]
         grads = [np.asarray(g, dtype=np.float64) for g in grads]
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError(
-                    f"non-finite gradient at step t={t}; step rejected"
-                )
+        batch = self._batch_size(params, grads)
+        if batch is None:
+            params = [p[None] for p in params]
+            grads = [g[None] for g in grads]
+        flat = [g.reshape(self.replicas, -1) for g in grads]
+        finite = np.all([np.isfinite(g).all(axis=1) for g in flat], axis=0)
+        if not finite.all():
+            raise NonFiniteGradientError(
+                f"non-finite gradient at step t={t}; step rejected",
+                replicas=tuple(int(i) for i in np.flatnonzero(~finite)))
         if self.spec.clip_norm is not None:
-            total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
-            if total > self.spec.clip_norm:
-                scale = self.spec.clip_norm / total
-                grads = [g * scale for g in grads]
+            total = np.sqrt(sum(np.sum(g * g, axis=1) for g in flat))
+            # clip_norm / clip_norm is exactly 1: unclipped replicas keep g
+            scale = self.spec.clip_norm / np.maximum(total, self.spec.clip_norm)
+            grads = [g * scale.reshape((-1,) + (1,) * (g.ndim - 1)) for g in grads]
         lr = lr_at(self.spec.schedule, self.spec.base_lr, t, self.total_steps)
-        return [
-            slot.update(np.asarray(p, dtype=np.float64), g, t, lr,
-                        self.spec.weight_decay)
-            for p, g, slot in zip(params, grads, self.slots)
-        ]
+        out = [slot.update(p, g, t, lr, self.spec.weight_decay)
+               for p, g, slot in zip(params, grads, self.slots)]
+        return out if batch is not None else [x[0] for x in out]
+
+    def keep_replicas(self, keep) -> None:
+        """Keep only the replicas ``keep`` (positions in the current batch)."""
+        keep = np.asarray(keep, dtype=np.int64)
+        for slot in self.slots:
+            slot.keep_replicas(keep)
+        if self.replicas is not None:
+            self.replicas = keep.size
 
     def state_size(self) -> StateSize:
+        """Closed-form state elements of one replica."""
         breakdown: dict[str, int] = {}
         for slot in self.slots:
             for key, val in slot.state_elements().items():

@@ -48,22 +48,6 @@ class Partition:
         sizes[-1] = self.d - (self.c - 1) * self.k
         return sizes
 
-    def expand(self, values: np.ndarray) -> np.ndarray | np.floating:
-        """Each coordinate's subset value, in a form that broadcasts to d.
-
-        With singleton subsets (k = 1) that is ``values`` itself, not a copy;
-        with one subset (c = 1) it is the one value, a scalar; otherwise a
-        d-long array.
-        """
-        if self.k == 1:
-            return values
-        if self.k == self.d:
-            return values[0]
-        if self.columns:
-            return np.tile(values, self.k)
-        return np.repeat(values, self.k)[: self.d]
-
-
 def equipartition(d: int, k: int) -> Partition:
     """Consecutive blocks of size k; requires k | d."""
     if k < 1:
@@ -110,8 +94,34 @@ def coordinatewise(d: int) -> Partition:
 
 
 def subset_sqnorms(p: Partition, g: np.ndarray) -> np.ndarray:
-    """Per-subset squared gradient norms: out[i] = sum_{j in subset i} g_j^2."""
-    g = np.asarray(g, dtype=np.float64).reshape(-1)
-    if g.size != p.d:
-        raise ValueError(f"gradient length {g.size} != partition d={p.d}")
+    """Per-subset squared gradient norms: out[..., i] = sum_{j in subset i} g[..., j]^2.
+
+    ``g`` is ``(d,)`` or ``(S, d)``, one row per replica.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape[-1] != p.d:
+        raise ValueError(f"gradient length {g.shape[-1]} != partition d={p.d}")
     return kernels.segment_sqnorms(g, p.k, p.columns)
+
+
+def subset_divide(p: Partition, a: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each coordinate of ``a`` (``(..., d)``) divided by its subset's entry of
+    ``values`` (``(..., c)``).
+
+    The division runs on a ``(c, k)`` view of the coordinates (rows) or a
+    ``(k, c)`` view (columns), so no d-long array of per-coordinate values is
+    built; the shorter last block of a ragged partition is divided on its own.
+    """
+    if p.k == 1:
+        return a / values
+    lead = a.shape[:-1]
+    if p.columns:
+        return (a.reshape(lead + (p.k, p.c)) / values[..., None, :]).reshape(a.shape)
+    full = p.d - p.d % p.k
+    if full == p.d:
+        return (a.reshape(lead + (p.c, p.k)) / values[..., None]).reshape(a.shape)
+    out = np.empty(a.shape)
+    out[..., :full] = (a[..., :full].reshape(lead + (-1, p.k))
+                       / values[..., :-1, None]).reshape(lead + (full,))
+    out[..., full:] = a[..., full:] / values[..., -1:]
+    return out

@@ -4,7 +4,8 @@ A rule's type says how per-subset squared gradient norms accumulate:
 :class:`AdaGradSubsetNorm` sums them (b^2 += ||g_subset||^2, starting from
 b0^2), :class:`EMASubsetNorm` keeps their exponential moving average
 (v <- beta2 v + (1-beta2) ||g_subset||^2). Every coordinate of a subset
-divides by the same denominator.
+divides by the same denominator. The accumulators of S replicas that step in
+lockstep are one ``(S, c)`` array.
 """
 
 from __future__ import annotations
@@ -35,20 +36,22 @@ class AdaGradSubsetNorm:
 @dataclass
 class SubsetNormState:
     rule: EMASubsetNorm | AdaGradSubsetNorm
-    acc: np.ndarray  # (c,) accumulated squared norms
+    acc: np.ndarray  # (c,) or (S, c) accumulated squared norms
     step: int = 0
 
 
-def sn_init(rule: EMASubsetNorm | AdaGradSubsetNorm,
-            partition: Partition) -> SubsetNormState:
+def sn_init(rule: EMASubsetNorm | AdaGradSubsetNorm, partition: Partition,
+            replicas: tuple = ()) -> SubsetNormState:
+    """Accumulators of shape ``replicas + (c,)``."""
+    shape = tuple(replicas) + (partition.c,)
     if isinstance(rule, AdaGradSubsetNorm):
         if not rule.b0 > 0:
             raise ValueError("AdaGrad subset norm requires b0 > 0")
-        acc = np.full(partition.c, rule.b0 ** 2)
+        acc = np.full(shape, rule.b0 ** 2)
     else:
         if not 0.0 < rule.beta2 < 1.0:
             raise ValueError("beta2 must lie in (0, 1)")
-        acc = np.zeros(partition.c)
+        acc = np.zeros(shape)
     return SubsetNormState(rule=rule, acc=acc)
 
 

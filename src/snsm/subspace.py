@@ -11,6 +11,8 @@ Each state holds its rule (:class:`SubspaceMomentum` or
 ``sm_init``/``galore_init`` take the gradient a gradient-based frame kind
 (svd, approx_svd, top_k_rows) is built from; the optimizer passes the first
 step's gradient, so such a frame follows the gradient from step 1 on.
+A reference gradient of shape ``(S, m, n)`` makes the state hold S replicas
+that step in lockstep: the frame is stacked and the buffers are ``(S, k, n)``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class GaloreMomentum:
 class SubspaceMomentumState:
     rule: SubspaceMomentum
     frame: Frame
-    m_buf: np.ndarray  # (rank, n) momentum in projected coordinates
+    m_buf: np.ndarray  # ([S,] rank, n) momentum in projected coordinates
     seed: int  # base of the per-refresh frame seeds
 
 
@@ -57,26 +59,33 @@ class GaloreState:
 
     rule: GaloreMomentum
     frame: Frame
-    m_buf: np.ndarray  # (rank, n)
-    v_buf: np.ndarray  # (rank, n)
+    m_buf: np.ndarray  # ([S,] rank, n)
+    v_buf: np.ndarray  # ([S,] rank, n)
     seed: int
     step: int = 0
+
+
+def _buffer_shape(frame: Frame, n: int, reference_grad) -> tuple:
+    replicas = () if reference_grad is None else np.shape(reference_grad)[:-2]
+    return replicas + (frame.rank, n)
 
 
 def sm_init(rule: SubspaceMomentum, m: int, n: int, seed: int = 0,
             reference_grad: np.ndarray | None = None) -> SubspaceMomentumState:
     frame = make_frame(rule.frame_kind, m, rule.rank, seed=seed,
                        reference_grad=reference_grad)
-    return SubspaceMomentumState(rule=rule, frame=frame,
-                                 m_buf=np.zeros((frame.rank, n)), seed=seed)
+    shape = _buffer_shape(frame, n, reference_grad)
+    return SubspaceMomentumState(rule=rule, frame=frame, m_buf=np.zeros(shape),
+                                 seed=seed)
 
 
 def galore_init(rule: GaloreMomentum, m: int, n: int, seed: int = 0,
                 reference_grad: np.ndarray | None = None) -> GaloreState:
     frame = make_frame(rule.frame_kind, m, rule.rank, seed=seed,
                        reference_grad=reference_grad)
-    return GaloreState(rule=rule, frame=frame, m_buf=np.zeros((frame.rank, n)),
-                       v_buf=np.zeros((frame.rank, n)), seed=seed)
+    shape = _buffer_shape(frame, n, reference_grad)
+    return GaloreState(rule=rule, frame=frame, m_buf=np.zeros(shape),
+                       v_buf=np.zeros(shape), seed=seed)
 
 
 def _refresh(state: SubspaceMomentumState | GaloreState, G: np.ndarray,

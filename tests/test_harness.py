@@ -20,7 +20,7 @@ from snsm.harness import (
     sweep_verdict,
     verify_thm2,
 )
-from snsm.noise_models import NoiseModel, Quadratic, stoch_grad
+from snsm.noise_models import MLP2, NoiseModel, Quadratic, stoch_grad
 from snsm.optim import Optimizer, make_preset
 
 
@@ -80,6 +80,102 @@ def test_summary_matches_recorded_mean():
     assert abs(res.summaries[0].mean_grad_norm_sq - recorded) <= 1e-12
 
 
+# ---------------------------------------------------------------------------
+# lockstep seeds: S seeds in one batch step exactly as S one-seed runs
+
+TALL_WIDE = ((12, 8), (8, 12))
+LOCKSTEP_CASES = [
+    ("SGD", {}, TALL_WIDE), ("SGDm", {}, TALL_WIDE), ("Adam", {}, TALL_WIDE),
+    ("AdaGradNorm", {}, TALL_WIDE),
+    ("AdamSN", {}, TALL_WIDE),  # heuristic2d: rows when tall, columns when wide
+    ("AdamSN", dict(subset_rule="equip", subset_size=8), TALL_WIDE),
+    ("AdamSN", {}, ((96,),)),  # sqrt heuristic: 20 blocks of 5, the last of 1
+    ("AdaGradSN", {}, TALL_WIDE),
+    ("SGD-SM", dict(frame_kind="gaussian_ortho", refresh_gap=0), TALL_WIDE),
+    ("AdamSNSM", dict(frame_kind="svd"), TALL_WIDE),
+    ("AdamSNSM", dict(frame_kind="srht"), ((16, 6), (6, 16))),  # power of two
+    ("AdamSNSM", dict(frame_kind="srht"), TALL_WIDE),  # padded 12 -> 16
+    ("AdamSNSM", dict(frame_kind="row_subset"), TALL_WIDE),
+    ("AdamSNSM", dict(frame_kind="top_k_rows"), TALL_WIDE),
+    ("AdamSNSM", dict(frame_kind="approx_svd"), TALL_WIDE),
+    ("GaLore", {}, TALL_WIDE),
+]
+
+
+def _lockstep_config(preset, shape, seeds, **kw):
+    d = int(np.prod(shape))
+    base = dict(objective=Quadratic(np.linspace(0.5, 2.0, d)),
+                noise=NoiseModel(sigma=0.3), preset=preset, T=20, seeds=seeds,
+                lr=0.05, param_shape=shape, rank=3)
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+def _assert_lockstep_equals_alone(make_config, seeds):
+    batch = run(make_config(seeds))
+    alone = [run(make_config((seed,))) for seed in seeds]
+    assert batch.records == [r for res in alone for r in res.records]
+    assert batch.summaries == [res.summaries[0] for res in alone]
+    return batch
+
+
+@pytest.mark.parametrize("refresh_gap", [1, 7])
+@pytest.mark.parametrize("preset,kw,shapes", LOCKSTEP_CASES)
+def test_lockstep_run_matches_one_seed_runs(preset, kw, shapes, refresh_gap):
+    kw = dict(dict(refresh_gap=refresh_gap), **kw)
+    for shape in shapes:
+        _assert_lockstep_equals_alone(
+            lambda seeds: _lockstep_config(preset, shape, seeds, **kw), (4, 0, 9))
+
+
+def test_lockstep_mlp2_matches_one_seed_runs():
+    rng = np.random.default_rng(0)
+    obj = MLP2(rng.standard_normal((16, 3)), rng.standard_normal(16), hidden=4)
+    _assert_lockstep_equals_alone(
+        lambda seeds: ExperimentConfig(objective=obj, noise=NoiseModel(sigma=0.1),
+                                       preset="Adam", T=15, seeds=seeds, lr=0.05),
+        (2, 5, 1))
+
+
+def _inject(monkeypatch, bad_seed, bad_t, value):
+    """Make the oracle return ``value`` for one (seed, t)."""
+    real = harness.stoch_grad
+
+    def oracle(obj, noise, x, seed, t, true_grad=None):
+        g = real(obj, noise, x, seed, t, true_grad=true_grad)
+        if t == bad_t:
+            g[np.asarray(seed) == bad_seed] = value
+        return g
+
+    monkeypatch.setattr(harness, "stoch_grad", oracle)
+
+
+@pytest.mark.parametrize("route,preset,kw", [
+    # a huge finite gradient makes the next loss overflow: the seed stops
+    # before the record of step bad_t + 1
+    ("loss", "SGD", {}), ("loss", "SGDm", {}),
+    ("loss", "SGD-SM", dict(frame_kind="svd", refresh_gap=4)),
+    # a NaN gradient is rejected by the optimizer after the record of bad_t
+    ("gradient", "SGD", {}), ("gradient", "Adam", {}),
+    ("gradient", "AdaGradSN", {}),
+    ("gradient", "AdamSNSM", dict(frame_kind="svd", refresh_gap=4)),
+    ("gradient", "GaLore", dict(refresh_gap=4)),
+])
+def test_diverging_seed_leaves_the_batch(monkeypatch, route, preset, kw):
+    # the seed leaves at t = 6 or 7, between refreshes, so that a frame
+    # dropped wrongly is still in use afterwards
+    bad_seed, bad_t = 7, 6
+    _inject(monkeypatch, bad_seed, bad_t, 1e200 if route == "loss" else np.nan)
+    seeds = (3, 7, 1, 5)
+    batch = _assert_lockstep_equals_alone(
+        lambda s: _lockstep_config(preset, (12, 8), s, **kw), seeds)
+    assert [s.diverged for s in batch.summaries] == [False, True, False, False]
+    last = max(r.step for r in batch.records if r.seed == bad_seed)
+    assert last == bad_t
+    assert all(max(r.step for r in batch.records if r.seed == s) == 20
+               for s in (3, 1, 5))
+
+
 def test_run_is_deterministic():
     cfg = _quad_config(T=30, noise=NoiseModel(sigma=1.0), seeds=(3, 4))
     assert run(cfg).records == run(cfg).records
@@ -127,6 +223,17 @@ def test_sweep_verdict_logic():
     assert sweep_verdict(b, a) == "b_better"
     c = r(0.0, "C", 1, mean_metric=1.05, stderr=0.2)
     assert sweep_verdict(a, c) == "inconclusive"
+    # a diverged seed in either row voids the comparison
+    a_diverged = r(0.0, "A", 1, mean_metric=1.0, stderr=0.1, n_diverged=1)
+    assert sweep_verdict(a_diverged, b) == "invalid"
+    assert sweep_verdict(b, a_diverged) == "invalid"
+
+
+def test_sweep_counts_diverged_seeds(monkeypatch):
+    _inject(monkeypatch, bad_seed=1, bad_t=5, value=np.nan)
+    rows = sweep_beta([0.0], d=16, T=20, seeds=range(3), subset_sizes=[4])
+    assert [r.n_diverged for r in rows] == [1, 1, 1]
+    assert sweep_verdict(rows[0], rows[1]) == "invalid"
 
 
 def test_verify_thm2_noiseless_never_violates():
@@ -324,6 +431,33 @@ def test_cli_sweep(capsys):
                  "--n-seeds", "2", "--subset-sizes", "4"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("beta,optimizer,subset_size,mean_metric,stderr")
+
+
+def test_cli_sweep_diverged_seed_exit_2(monkeypatch, capsys):
+    _inject(monkeypatch, bad_seed=0, bad_t=3, value=np.inf)
+    assert main(["sweep", "--betas", "0.5", "--d", "16", "--T", "20",
+                 "--n-seeds", "2", "--subset-sizes", "4"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "beta,optimizer,subset_size,mean_metric,stderr,n_diverged"
+    assert all(line.endswith(",1") for line in lines[1:])
+
+
+def test_cli_numeric_failure_exit_2(monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    assert main(["train", "--preset", "AdamSNSM", "--d", "64",
+                 "--param-shape", "8x8", "--T", "3", "--out", "/dev/null"]) == 2
+    assert "snsm: numeric failure: SVD did not converge" in capsys.readouterr().err
+
+
+def test_cli_train_gaussian_raw_frame_exit_1(capsys):
+    # subspace momentum needs a projector; the raw Gaussian kind is gone
+    assert main(["train", "--preset", "SGD-SM", "--frame", "gaussian_raw",
+                 "--T", "3", "--out", "/dev/null"]) == 1
+    assert "snsm: error: 'gaussian_raw' is not a valid FrameKind" in \
+        capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_1():

@@ -7,7 +7,6 @@ import pytest
 
 from snsm.noise_models import (
     MLP2,
-    Logistic,
     NoiseModel,
     Quadratic,
     stoch_grad,
@@ -45,11 +44,19 @@ def test_quadratic_smoothness_exact():
         assert lhs <= obj.smoothness * np.linalg.norm(x - y) + 1e-12
 
 
-def test_logistic_gradient_finite_diff():
-    rng = np.random.default_rng(1)
-    obj = Logistic(rng.standard_normal((20, 5)), rng.integers(0, 2, 20), reg=0.1)
-    x = rng.standard_normal(5)
-    np.testing.assert_allclose(obj.grad(x), _finite_diff(obj, x), atol=1e-6)
+def test_objectives_act_row_by_row():
+    # a stack of points gives each row exactly what that point gives alone
+    rng = np.random.default_rng(3)
+    quad = Quadratic(rng.uniform(0.1, 3.0, 10))
+    mlp = MLP2(rng.standard_normal((16, 3)), rng.standard_normal(16), hidden=4)
+    for obj in (quad, mlp):
+        X = rng.uniform(-0.5, 0.5, (4, obj.d))
+        values, grads = obj.value(X), obj.grad(X)
+        assert values.shape == (4,) and grads.shape == (4, obj.d)
+        for x, v, g in zip(X, values, grads):
+            assert isinstance(obj.value(x), float)
+            assert v == obj.value(x)
+            np.testing.assert_array_equal(g, obj.grad(x))
 
 
 def test_mlp2_gradient_finite_diff():
@@ -113,6 +120,42 @@ def test_unbiasedness():
     mean = np.mean([stoch_grad(obj, noise, x, seed=1, t=t) for t in range(n)],
                    axis=0)
     assert np.all(np.abs(mean - obj.grad(x)) <= 5.0 / math.sqrt(n))
+
+
+@pytest.mark.parametrize("placement", ["contiguous", "random"])
+@pytest.mark.parametrize("distribution", ["gaussian", "bounded"])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, None])
+def test_sample_prefix_draw_equals_full_draw(placement, distribution, beta):
+    # sample draws only up to the last noisy coordinate; the full-length
+    # draw of the same stream, times the per-coordinate levels, is the same
+    nm = NoiseModel(sigma=0.7, density_beta=beta, density_alpha=1.5,
+                    placement=placement, distribution=distribution,
+                    placement_seed=3)
+    d = 1000
+    sig = nm.per_coord_sigma(d)
+    for t in range(1, 20):
+        rng = np.random.default_rng(np.random.SeedSequence([5, t]))
+        if distribution == "gaussian":
+            full = rng.standard_normal(d)
+        else:
+            full = rng.choice((-1.0, 1.0), size=d)
+        got = nm.sample(d, np.random.default_rng(np.random.SeedSequence([5, t])))
+        np.testing.assert_array_equal(got, full * sig)
+
+
+def test_stoch_grad_rows_match_single_seed_calls():
+    obj = Quadratic(np.linspace(0.5, 2.0, 50))
+    noise = NoiseModel(density_beta=0.5, placement="random")
+    X = np.random.default_rng(0).standard_normal((3, 50))
+    seeds = [4, 0, 4]
+    batch = stoch_grad(obj, noise, X, seeds, t=9)
+    # the caller's true gradient is used as given
+    assert np.array_equal(stoch_grad(obj, noise, X, seeds, t=9,
+                                     true_grad=obj.grad(X)), batch)
+    for row, x, seed in zip(batch, X, seeds):
+        np.testing.assert_array_equal(row, stoch_grad(obj, noise, x, seed, t=9))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 9]))
+        np.testing.assert_array_equal(row, obj.grad(x) + noise.sample(50, rng))
 
 
 def test_bounded_distribution_is_sign_flip():

@@ -33,6 +33,20 @@ def _run_stream(preset_name, shapes, T=50, lr=0.01, seed=0, tags=None, **kw):
     return history
 
 
+def _run_batch(preset_name, shape, seeds, T, lr):
+    """History of a batch stepped in lockstep; replica s draws its gradients
+    from default_rng(seeds[s])."""
+    opt = Optimizer(make_preset(preset_name, lr=lr), [shape], total_steps=T)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    x = np.zeros((len(seeds),) + shape)
+    history = []
+    for t in range(1, T + 1):
+        g = np.stack([rng.standard_normal(shape) for rng in rngs])
+        (x,) = opt.step([x], [g], t)
+        history.append(x.copy())
+    return history
+
+
 def test_sgd_hand_example():
     opt = Optimizer(make_preset("SGD", lr=1.0), [(2,)], total_steps=1)
     (x,) = opt.step([np.zeros(2)], [np.array([1.0, 2.0])], 1)
@@ -57,17 +71,22 @@ def test_adam_matches_reference():
     # RMSProp is Adam without momentum (beta1 = 0: m = g)
     for preset, b1 in (("Adam", 0.9), ("RMSProp", 0.0)):
         hist = _run_stream(preset, [(5,)], T=T, lr=0.01, seed=7)
-        rng = np.random.default_rng(7)
-        x, m, v = np.zeros(5), np.zeros(5), np.zeros(5)
-        b2, eps = 0.999, 1e-8
-        for t in range(1, T + 1):
-            g = rng.standard_normal(5)
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            vh = v / (1 - b2 ** t)
-            x = x - 0.01 * m / (np.sqrt(vh) + eps)
-            np.testing.assert_allclose(hist[t - 1][0], x, atol=1e-12,
-                                       err_msg=preset)
+        batch = _run_batch(preset, (5,), (7, 2, 13), T=T, lr=0.01)
+        for s, seed in enumerate((7, 2, 13)):
+            rng = np.random.default_rng(seed)
+            x, m, v = np.zeros(5), np.zeros(5), np.zeros(5)
+            b2, eps = 0.999, 1e-8
+            for t in range(1, T + 1):
+                g = rng.standard_normal(5)
+                m = b1 * m + (1 - b1) * g
+                v = b2 * v + (1 - b2) * g * g
+                vh = v / (1 - b2 ** t)
+                x = x - 0.01 * m / (np.sqrt(vh) + eps)
+                if s == 0:
+                    np.testing.assert_allclose(hist[t - 1][0], x, atol=1e-12,
+                                               err_msg=preset)
+                np.testing.assert_allclose(batch[t - 1][s], x, atol=1e-12,
+                                           err_msg=f"{preset} replica {s}")
 
 
 def test_adagradnorm_matches_reference():
@@ -76,15 +95,20 @@ def test_adagradnorm_matches_reference():
     # per coordinate
     for preset, norm in (("AdaGradNorm", True), ("AdaGrad", False)):
         hist = _run_stream(preset, [(4,)], T=T, lr=0.1, seed=11)
-        rng = np.random.default_rng(11)
-        x = np.zeros(4)
-        b2 = np.full(4, (1e-6) ** 2)
-        for t in range(T):
-            g = rng.standard_normal(4)
-            b2 += g @ g if norm else g * g
-            x = x - 0.1 * g / np.sqrt(b2)
-            np.testing.assert_allclose(hist[t][0], x, atol=1e-13,
-                                       err_msg=preset)
+        batch = _run_batch(preset, (4,), (11, 0, 5), T=T, lr=0.1)
+        for s, seed in enumerate((11, 0, 5)):
+            rng = np.random.default_rng(seed)
+            x = np.zeros(4)
+            b2 = np.full(4, (1e-6) ** 2)
+            for t in range(T):
+                g = rng.standard_normal(4)
+                b2 += g @ g if norm else g * g
+                x = x - 0.1 * g / np.sqrt(b2)
+                if s == 0:
+                    np.testing.assert_allclose(hist[t][0], x, atol=1e-13,
+                                               err_msg=preset)
+                np.testing.assert_allclose(batch[t][s], x, atol=1e-13,
+                                           err_msg=f"{preset} replica {s}")
 
 
 def test_snsm_composite_one_step_by_hand():
@@ -176,7 +200,7 @@ def test_first_svd_frame_spans_first_gradient(preset, shape, refresh_gap):
     state = slot.sm_state or slot.galore_state
     G = g.T if shape[0] < shape[1] else g  # frames act on the larger side
     U = np.linalg.svd(G, full_matrices=False)[0][:, :k]
-    capture = np.linalg.norm(state.frame.rows @ U) ** 2 / k
+    capture = np.linalg.norm(state.frame.rows[0] @ U) ** 2 / k  # replica 0 of 1
     assert capture >= 1 - 1e-10
 
 
@@ -186,7 +210,7 @@ def test_first_top_k_rows_frame_picks_largest_gradient_rows():
     g = np.random.default_rng(5).standard_normal((10, 4))
     g[[1, 6, 8]] *= 10.0
     opt.step([np.zeros((10, 4))], [g], 1)
-    np.testing.assert_array_equal(opt.slots[0].sm_state.frame.indices, [1, 6, 8])
+    np.testing.assert_array_equal(opt.slots[0].sm_state.frame.indices, [[1, 6, 8]])
 
 
 @pytest.mark.parametrize("preset,shape,kw", [
@@ -217,10 +241,37 @@ def test_nan_gradient_rejected():
         opt.step(x, [np.array([np.inf, 0.0])], 1)
 
 
+def test_nan_gradient_names_the_replicas():
+    opt = Optimizer(make_preset("AdamSN"), [(2, 3), (4,)], total_steps=5)
+    params = [np.zeros((4, 2, 3)), np.zeros((4, 4))]
+    grads = [np.ones((4, 2, 3)), np.ones((4, 4))]
+    grads[0][1, 0, 2] = np.nan
+    grads[1][3, 1] = np.inf
+    with pytest.raises(NonFiniteGradientError) as exc:
+        opt.step(params, grads, 1)
+    assert exc.value.replicas == (1, 3)
+    assert not opt.slots[0].built  # the step was rejected before any state
+
+
 def test_shape_mismatch_rejected():
     opt = Optimizer(make_preset("SGD"), [(2,)], total_steps=5)
     with pytest.raises(ValueError):
         opt.step([np.zeros(3)], [np.zeros(3)], 1)
+
+
+def test_replica_count_fixed_by_first_step():
+    opt = Optimizer(make_preset("SGDm"), [(2,), (3,)], total_steps=5)
+    with pytest.raises(ValueError, match="disagree"):
+        opt.step([np.zeros((2, 2)), np.zeros(3)], [np.zeros((2, 2)), np.zeros(3)], 1)
+    params = [np.zeros((2, 2)), np.zeros((2, 3))]
+    params = opt.step(params, [np.ones((2, 2)), np.ones((2, 3))], 1)
+    assert [p.shape for p in params] == [(2, 2), (2, 3)]
+    with pytest.raises(ValueError, match="replicas"):
+        opt.step([np.zeros(2), np.zeros(3)], [np.ones(2), np.ones(3)], 2)
+    opt.keep_replicas([1])
+    assert opt.slots[0].m_buf.shape == (1, 2)
+    (x, y) = opt.step([np.zeros(2), np.zeros(3)], [np.ones(2), np.ones(3)], 2)
+    assert x.shape == (2,) and y.shape == (3,)  # one replica may drop its axis
 
 
 def test_global_norm_clipping():
@@ -325,12 +376,15 @@ def _held_arrays(obj, in_frame=False):
 
 # (shape, frame kind, rank): square, tall, wide (transposed), 1-D, SRHT over
 # a power-of-two and a padded dimension, rank 0, then every frame kind
+KIND_CASES = [((12, 6), kind.value, 12 if kind is FrameKind.IDENTITY else 3)
+              for kind in FrameKind]
+# a wide seed-drawn frame sits between the kinds, so that the cases of the
+# kinds after it keep their ids
 ACCOUNTING_CASES = [
     ((16, 16), "svd", 4), ((24, 8), "svd", 4), ((8, 24), "svd", 4),
     ((30,), "svd", 1), ((32, 8), "srht", 4), ((24, 8), "srht", 4),
     ((16, 8), "svd", 0),
-] + [((12, 6), kind.value, 12 if kind is FrameKind.IDENTITY else 3)
-     for kind in FrameKind]
+] + KIND_CASES[:3] + [((6, 12), "gaussian_ortho", 3)] + KIND_CASES[3:]
 
 
 @pytest.mark.parametrize("tag", ["linear", "embedding"])
@@ -338,18 +392,23 @@ ACCOUNTING_CASES = [
 def test_state_elements_match_held_buffers(shape, kind, rank, tag):
     rng = np.random.default_rng(0)
     for preset in PRESET_NAMES:
-        spec = make_preset(preset, rank=rank, frame_kind=kind, refresh_gap=2)
-        opt = Optimizer(spec, [shape], tags=[tag], total_steps=3)
-        slot = opt.slots[0]
-        assert _held_arrays(slot) == [], preset  # construction allocates nothing
-        before = slot.state_elements()
-        params = [np.zeros(shape)]
-        for t in (1, 2):  # the second step refreshes the frame
-            params = opt.step(params, [rng.standard_normal(shape)], t)
-        elems = slot.state_elements()
-        assert elems == before, preset
-        held = _held_arrays(slot)
-        # singleton scalars (AdaGradNorm's accumulator) are not counted
-        assert sum(n for n, f in held if not f and n > 1) == \
-            sum(v for k, v in elems.items() if k != "frame"), preset
-        assert sum(n for n, f in held if f) == elems.get("frame", 0), preset
+        for replicas in (1, 3):
+            spec = make_preset(preset, rank=rank, frame_kind=kind, refresh_gap=2)
+            opt = Optimizer(spec, [shape], tags=[tag], total_steps=3)
+            slot = opt.slots[0]
+            assert _held_arrays(slot) == [], preset  # construction allocates nothing
+            before = slot.state_elements()
+            batch = () if replicas == 1 else (replicas,)
+            params = [np.zeros(batch + shape)]
+            for t in (1, 2):  # the second step refreshes the frame
+                params = opt.step(params, [rng.standard_normal(batch + shape)], t)
+            elems = slot.state_elements()
+            assert elems == before, preset
+            # every array holds one copy per replica; state_elements counts one
+            held = [(n // replicas, f) for n, f in _held_arrays(slot)]
+            assert all(n * replicas == size for (n, _), (size, _)
+                       in zip(held, _held_arrays(slot))), preset
+            # singleton scalars (AdaGradNorm's accumulator) are not counted
+            assert sum(n for n, f in held if not f and n > 1) == \
+                sum(v for k, v in elems.items() if k != "frame"), preset
+            assert sum(n for n, f in held if f) == elems.get("frame", 0), preset

@@ -34,8 +34,9 @@ def _case(rule, a, b):
 
 
 def _assert_matches_labels(p, labels, rng):
-    """Subset norms, sizes and per-coordinate values agree with a bincount
-    over the explicit label array."""
+    """Subset norms, sizes and per-coordinate division agree with a bincount
+    and a gather over the explicit label array, for one gradient and for a
+    stack of three replicas."""
     g = rng.standard_normal(p.d)
     ref = np.bincount(labels, weights=g * g)
     assert p.c == ref.size
@@ -43,12 +44,15 @@ def _assert_matches_labels(p, labels, rng):
     # both sides sum at most d non-negative terms in float64
     np.testing.assert_allclose(part.subset_sqnorms(p, g), ref,
                                rtol=p.d * np.finfo(np.float64).eps, atol=0)
-    denoms = rng.uniform(0.5, 2.0, p.c)
-    expanded = p.expand(denoms)
-    # one subset expands to a scalar that broadcasts, never to d copies
-    assert np.size(expanded) == (1 if p.c == 1 else p.d)
-    np.testing.assert_array_equal(np.broadcast_to(expanded, labels.shape),
-                                  denoms[labels])
+    G = rng.standard_normal((3, p.d))
+    refs = np.stack([np.bincount(labels, weights=r * r) for r in G])
+    np.testing.assert_allclose(part.subset_sqnorms(p, G), refs,
+                               rtol=p.d * np.finfo(np.float64).eps, atol=0)
+    denoms = rng.uniform(0.5, 2.0, (3, p.c))
+    np.testing.assert_array_equal(part.subset_divide(p, G, denoms),
+                                  G / denoms[:, labels])
+    np.testing.assert_array_equal(part.subset_divide(p, g, denoms[0]),
+                                  g / denoms[0, labels])
 
 
 @settings(max_examples=200, deadline=None)
