@@ -5,6 +5,13 @@
 leading replica axis, and each seed draws its noise from its own
 per-(seed, t) stream, so every seed follows the trajectory it would follow
 alone. A seed that diverges leaves the batch.
+
+:func:`run_rows` steps several configs (rows) that share objective, noise
+model, seeds and T in one such loop, and :func:`run` is that loop with one
+row. The rows of a beta sweep step together: each step makes one oracle
+call for all rows, which draws each (seed, t) noise vector once and adds it
+to every row that carries the seed, the same vector each row would draw
+alone.
 """
 
 from __future__ import annotations
@@ -55,6 +62,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be non-empty")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         shape = self.param_shape
         if shape is not None and int(np.prod(shape)) != self.objective.d:
             raise ValueError("param_shape must have objective.d elements")
@@ -115,80 +124,145 @@ def _init_x1(config: ExperimentConfig, seed: int) -> np.ndarray:
     return rng.uniform(-scale, scale, obj.d)
 
 
-def run(config: ExperimentConfig) -> RunResult:
-    """Run every seed of the config, all seeds stepping together.
+class _Row:
+    """One config of a lockstep loop: its iterates ``(S, d)``, its optimizer
+    over S replicas, its running seeds and its records."""
+
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.shape = config.param_shape or (config.objective.d,)
+        self.seeds = np.array(config.seeds, dtype=np.int64)
+        n_seeds = self.seeds.size
+        self.opt = _make_optimizer(config, self.shape)
+        # closed form, constant over steps
+        self.state_elems = self.opt.state_size().total
+        self.x = np.stack([_init_x1(config, int(seed)) for seed in self.seeds])
+        self.live = np.arange(n_seeds)  # positions in config.seeds of the running seeds
+        self.grad_sq_sum = np.zeros(n_seeds)
+        self.steps_done = np.zeros(n_seeds, dtype=np.int64)
+        self.final_loss = np.full(n_seeds, math.nan)
+        self.diverged = np.zeros(n_seeds, dtype=bool)
+        self.records: list[list[RunRecord]] = [[] for _ in range(n_seeds)]
+
+    def drop(self, bad: np.ndarray) -> np.ndarray:
+        """Mark the running seeds at positions ``bad`` diverged; the kept positions."""
+        self.diverged[self.live[bad]] = True
+        keep = np.flatnonzero(~bad)
+        self.opt.keep_replicas(keep)
+        self.live = self.live[keep]
+        return keep
+
+    def observe(self, t: int) -> np.ndarray | None:
+        """Evaluate and record the running seeds at x_t; their true
+        gradients, or None when no seed is left."""
+        if not self.live.size:
+            return None
+        config = self.config
+        obj = config.objective
+        # overflow here is how divergence manifests; detected just below
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = obj.value(self.x)
+            g_true = obj.grad(self.x)
+            gsq = np.vecdot(g_true, g_true)
+        finite = np.isfinite(loss) & np.isfinite(gsq)
+        if not finite.all():
+            keep = self.drop(~finite)
+            self.x, g_true = self.x[keep], g_true[keep]
+            loss, gsq = loss[keep], gsq[keep]
+            if not self.live.size:
+                return None
+        lr = lr_at(self.opt.spec.schedule, self.opt.spec.base_lr, t, config.T)
+        if t % config.record_every == 0 or t == config.T:
+            for i, loss_i, gsq_i in zip(self.live, loss.tolist(), gsq.tolist()):
+                self.records[i].append(RunRecord(
+                    step=t, seed=int(self.seeds[i]), loss=loss_i,
+                    grad_norm_sq=gsq_i, lr=lr, state_elems=self.state_elems))
+        self.grad_sq_sum[self.live] += gsq
+        self.steps_done[self.live] += 1
+        self.final_loss[self.live] = loss
+        return g_true
+
+    def step(self, g: np.ndarray, t: int) -> None:
+        """Step the running seeds with their stochastic gradients ``g``."""
+        batch = (self.live.size,) + self.shape
+        try:
+            x = self.opt.step([self.x.reshape(batch)], [g.reshape(batch)], t)[0]
+        except NonFiniteGradientError as exc:
+            bad = np.zeros(self.live.size, dtype=bool)
+            bad[list(exc.replicas)] = True
+            keep = self.drop(bad)
+            if not self.live.size:
+                return
+            batch = (self.live.size,) + self.shape
+            x = self.opt.step([self.x[keep].reshape(batch)],
+                              [g[keep].reshape(batch)], t)[0]
+        self.x = x.reshape(self.live.size, -1)
+
+    def result(self) -> RunResult:
+        sums, steps = self.grad_sq_sum, self.steps_done
+        summaries = [
+            SeedSummary(seed=int(seed),
+                        mean_grad_norm_sq=(float(sums[i]) / int(steps[i])
+                                           if steps[i] else math.nan),
+                        final_loss=float(self.final_loss[i]),
+                        diverged=bool(self.diverged[i]))
+            for i, seed in enumerate(self.seeds)]
+        return RunResult(records=[r for per_seed in self.records for r in per_seed],
+                         summaries=summaries)
+
+
+def _cat(arrays: list) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def run_rows(configs) -> list:
+    """Run several configs that share objective, noise model, seeds and T,
+    all rows and all their seeds stepping together; one RunResult per config.
+
+    Each row keeps its own iterates, optimizer, running seeds and records,
+    exactly as if run alone. Per step one oracle call serves every row, and
+    it draws each seed's noise once for all the rows that carry the seed.
 
     A seed diverges when its loss or ||grad f||^2 is not finite (it stops
     before that step's record) or when the optimizer rejects its stochastic
     gradient as non-finite (it stops after that step's record). Either way
     its rows leave the iterates and the optimizer state, and the others go on.
     """
-    obj = config.objective
-    shape = config.param_shape or (obj.d,)
-    seeds = np.array(config.seeds, dtype=np.int64)
-    n_seeds = seeds.size
-    opt = _make_optimizer(config, shape)
-    state_elems = opt.state_size().total  # closed form, constant over steps
-    x = np.stack([_init_x1(config, int(seed)) for seed in seeds])
-    live = np.arange(n_seeds)  # positions in config.seeds of the running seeds
-    grad_sq_sum = np.zeros(n_seeds)
-    steps_done = np.zeros(n_seeds, dtype=np.int64)
-    final_loss = np.full(n_seeds, math.nan)
-    diverged = np.zeros(n_seeds, dtype=bool)
-    records: list[list[RunRecord]] = [[] for _ in range(n_seeds)]
+    configs = list(configs)
+    if not configs:
+        raise ValueError("run_rows needs at least one config")
+    first = configs[0]
+    for config in configs[1:]:
+        if (config.objective is not first.objective or config.noise != first.noise
+                or tuple(config.seeds) != tuple(first.seeds) or config.T != first.T):
+            raise ValueError("rows stepping together must share the objective, "
+                             "noise model, seeds and T")
+    rows = [_Row(config) for config in configs]
+    for t in range(1, first.T + 1):
+        stepping, g_trues = [], []
+        for row in rows:
+            g_true = row.observe(t)
+            if g_true is not None:
+                stepping.append(row)
+                g_trues.append(g_true)
+        if not stepping:
+            break
+        g = stoch_grad(first.objective, first.noise,
+                       _cat([row.x for row in stepping]),
+                       _cat([row.seeds[row.live] for row in stepping]), t,
+                       true_grad=_cat(g_trues))
+        del g_true, g_trues  # not held while the rows step
+        start = 0
+        for row in stepping:
+            stop = start + row.live.size
+            row.step(g[start:stop], t)
+            start = stop
+    return [row.result() for row in rows]
 
-    def drop(bad: np.ndarray) -> np.ndarray:
-        """Mark the running seeds at positions ``bad`` diverged; the kept positions."""
-        nonlocal live
-        diverged[live[bad]] = True
-        keep = np.flatnonzero(~bad)
-        opt.keep_replicas(keep)
-        live = live[keep]
-        return keep
 
-    for t in range(1, config.T + 1):
-        # overflow here is how divergence manifests; detected just below
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss = obj.value(x)
-            g_true = obj.grad(x)
-            gsq = np.vecdot(g_true, g_true)
-        finite = np.isfinite(loss) & np.isfinite(gsq)
-        if not finite.all():
-            keep = drop(~finite)
-            x, g_true, loss, gsq = x[keep], g_true[keep], loss[keep], gsq[keep]
-            if not live.size:
-                break
-        lr = lr_at(opt.spec.schedule, opt.spec.base_lr, t, config.T)
-        if t % config.record_every == 0 or t == config.T:
-            for i, loss_i, gsq_i in zip(live, loss.tolist(), gsq.tolist()):
-                records[i].append(RunRecord(
-                    step=t, seed=int(seeds[i]), loss=loss_i, grad_norm_sq=gsq_i,
-                    lr=lr, state_elems=state_elems))
-        grad_sq_sum[live] += gsq
-        steps_done[live] += 1
-        final_loss[live] = loss
-        g = stoch_grad(obj, config.noise, x, seeds[live], t, true_grad=g_true)
-        del g_true
-        try:
-            x = opt.step([x.reshape((live.size,) + shape)],
-                         [g.reshape((live.size,) + shape)], t)[0]
-        except NonFiniteGradientError as exc:
-            bad = np.zeros(live.size, dtype=bool)
-            bad[list(exc.replicas)] = True
-            keep = drop(bad)
-            if not live.size:
-                break
-            x = opt.step([x[keep].reshape((live.size,) + shape)],
-                         [g[keep].reshape((live.size,) + shape)], t)[0]
-        x = x.reshape(live.size, -1)
-    summaries = [
-        SeedSummary(seed=int(seed),
-                    mean_grad_norm_sq=(float(grad_sq_sum[i]) / int(steps_done[i])
-                                       if steps_done[i] else math.nan),
-                    final_loss=float(final_loss[i]), diverged=bool(diverged[i]))
-        for i, seed in enumerate(seeds)]
-    return RunResult(records=[r for per_seed in records for r in per_seed],
-                     summaries=summaries)
+def run(config: ExperimentConfig) -> RunResult:
+    """Run every seed of the config, all seeds stepping together."""
+    return run_rows([config])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +282,11 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
                include=("AdaGradNorm", "AdaGrad", "AdaGradSN"),
                alpha: float = 1.0, lr: float = 0.1, delta1: float = 1.0
                ) -> list:
-    """Compare step-size families under d^beta-dense coordinate noise."""
+    """Compare step-size families under d^beta-dense coordinate noise.
+
+    The rows of one beta share the objective, the noise and the seeds, so
+    they run as one lockstep loop and read each (seed, t) draw once.
+    """
     for k in subset_sizes:
         if k < 1:
             raise ValueError(f"subset size {k} must be >= 1")
@@ -230,12 +308,12 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
             for k in subset_sizes:
                 jobs.append(("AdaGradSN", k,
                              dict(subset_rule="equip", subset_size=k)))
-        for name, k, extra in jobs:
-            config = ExperimentConfig(
-                objective=obj, noise=noise, preset=name, T=T,
-                seeds=seeds, lr=lr, delta1=delta1, record_every=T,
-                **extra)
-            result = run(config)
+        configs = [
+            ExperimentConfig(objective=obj, noise=noise, preset=name, T=T,
+                             seeds=seeds, lr=lr, delta1=delta1, record_every=T,
+                             **extra)
+            for name, _, extra in jobs]
+        for (name, k, _), result in zip(jobs, run_rows(configs)):
             metrics = np.array([s.mean_grad_norm_sq for s in result.summaries])
             rows.append(SweepRow(
                 beta=float(beta), optimizer=name, subset_size=k,

@@ -2,7 +2,8 @@
 
 Objectives evaluate one point ``x`` of shape ``(d,)`` or S points at once,
 ``(S, d)``, one per row; the oracle draws each row's noise from its own
-seed, so S points stepping in lockstep see the noise each would alone.
+seed, so S points stepping in lockstep see the noise each would alone. Rows
+that share a seed share one draw of it.
 """
 
 from __future__ import annotations
@@ -102,6 +103,12 @@ class NoiseModel:
     distribution: str = "gaussian"  # gaussian | bounded
     placement_seed: int = 0
 
+    def __post_init__(self):
+        for name in ("sigma", "density_alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
     def per_coord_sigma(self, d: int) -> np.ndarray:
         if self.density_beta is None:
             return np.full(d, self.sigma)
@@ -161,11 +168,19 @@ def stoch_grad(obj, noise: NoiseModel, x: np.ndarray, seed, t: int,
 
     ``x`` is one point with one ``seed``, or ``(S, d)`` with a sequence of S
     seeds; row s adds noise from ``default_rng(SeedSequence([seed[s], t]))``.
-    ``true_grad`` is grad f(x) when the caller already has it.
+    Seeds may repeat: each distinct seed is drawn once and its vector added
+    to every row that carries it. ``true_grad`` is grad f(x) when the caller
+    already has it.
     """
     g = np.array(obj.grad(x) if true_grad is None else true_grad, dtype=np.float64)
-    for row, s in zip(g.reshape(-1, obj.d), np.atleast_1d(seed).tolist()):
-        row += noise.sample(obj.d, np.random.default_rng(np.random.SeedSequence([s, t])))
+    rows = g.reshape(-1, obj.d)
+    rows_of: dict[int, list[int]] = {}
+    for i, s in enumerate(np.atleast_1d(seed).tolist()):
+        rows_of.setdefault(s, []).append(i)
+    for s, idx in rows_of.items():
+        xi = noise.sample(obj.d, np.random.default_rng(np.random.SeedSequence([s, t])))
+        for i in idx:
+            rows[i] += xi
     return g
 
 

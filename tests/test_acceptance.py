@@ -234,11 +234,13 @@ def test_criterion_7_beta_sweep_ordering():
     verdict0 = sweep_verdict(by[(0.0, "AdaGradNorm")], by[(0.0, "AdaGrad")])
     verdict1 = sweep_verdict(by[(1.0, "AdaGradSN")], by[(1.0, "AdaGrad")])
     elapsed = time.time() - t0
-    ok0 = verdict0 != "b_better"  # norm must not lose at beta=0
-    ok1 = verdict1 != "b_better"  # SN(k~d^0.8) must not lose at beta=1
+    # norm must not lose at beta=0, SN(k~d^0.8) must not lose at beta=1;
+    # a diverged seed ('invalid') leaves no comparison, so it fails too
+    ok0 = verdict0 in ("a_better", "inconclusive")
+    ok1 = verdict1 in ("a_better", "inconclusive")
     _report(7, ok0 and ok1 and elapsed < 600,
             f"beta=0 norm-vs-coord: {verdict0}; beta=1 SN({k})-vs-coord: "
-            f"{verdict1} (inconclusive allowed, losing is failure), "
+            f"{verdict1} (inconclusive allowed, losing or invalid is failure), "
             f"{elapsed:.0f}s (<600s)")
 
 

@@ -16,6 +16,7 @@ from snsm.harness import (
     parse_manifest,
     rows_to_csv,
     run,
+    run_rows,
     sweep_beta,
     sweep_verdict,
     verify_thm2,
@@ -176,6 +177,61 @@ def test_diverging_seed_leaves_the_batch(monkeypatch, route, preset, kw):
                for s in (3, 1, 5))
 
 
+MIXED_ROWS = [
+    ("SGD", {}), ("Adam", {}), ("AdaGradNorm", dict(param_shape=(96,))),
+    ("AdaGradSN", dict(subset_rule="equip", subset_size=8)),
+    # lr 1.5 > 2/L: finite here, until one seed's huge gradient overflows its loss
+    ("SGD", dict(lr=1.5)),
+]
+
+
+def test_rows_in_lockstep_match_one_config_runs(monkeypatch):
+    real = harness.stoch_grad
+    calls = []
+
+    def oracle(obj, noise, x, seed, t, true_grad=None):
+        calls.append(t)
+        g = real(obj, noise, x, seed, t, true_grad=true_grad)
+        seed = np.asarray(seed)
+        if t == 6:
+            # a coordinate whose square still fits a float64: only the SGD row
+            # at lr 1.5 overflows its loss and drops seed 7 (loss route)
+            g[seed == 7, -1] = 1e154
+        if t == 9:
+            g[seed == 1] = np.nan  # every row rejects seed 1 (gradient route)
+        return g
+
+    monkeypatch.setattr(harness, "stoch_grad", oracle)
+    obj = Quadratic(np.linspace(0.5, 2.0, 96))
+    configs = [_lockstep_config(preset, (12, 8), (3, 7, 1, 5), objective=obj, **kw)
+               for preset, kw in MIXED_ROWS]
+    together = run_rows(configs)
+    assert calls == list(range(1, 21))  # one oracle call per step for all rows
+    alone = [run(config) for config in configs]
+    assert [res.records for res in together] == [res.records for res in alone]
+    assert [res.summaries for res in together] == [res.summaries for res in alone]
+    diverged = [[s.seed for s in res.summaries if s.diverged] for res in together]
+    assert diverged == [[1], [1], [1], [1], [7, 1]]
+    last = {s: max(r.step for r in together[-1].records if r.seed == s)
+            for s in (3, 7, 1, 5)}
+    assert last == {3: 20, 7: 6, 1: 9, 5: 20}
+
+
+def test_run_rows_needs_shared_objective_noise_seeds_and_T():
+    obj = Quadratic(np.ones(96))
+
+    def config(**kw):
+        return ExperimentConfig(**dict(dict(objective=obj, noise=NoiseModel(sigma=0.3),
+                                            preset="SGD", T=20, seeds=(0, 1)), **kw))
+
+    base = config()
+    run_rows([base, config(preset="Adam", param_shape=(12, 8), lr=0.1)])
+    for other in (config(seeds=(0, 2)), config(T=19), config(noise=NoiseModel()),
+                  config(objective=Quadratic(np.ones(96)))):
+        with pytest.raises(ValueError, match="must share"):
+            run_rows([base, other])
+
+
 def test_run_is_deterministic():
     cfg = _quad_config(T=30, noise=NoiseModel(sigma=1.0), seeds=(3, 4))
     assert run(cfg).records == run(cfg).records
@@ -188,6 +244,9 @@ def test_config_validation():
         _quad_config(seeds=())
     with pytest.raises(ValueError):
         _quad_config(d=4, param_shape=(3, 2))
+    for lr in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr must be finite and > 0"):
+            _quad_config(lr=lr)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +257,20 @@ def test_sweep_shapes_and_determinism():
     assert len(rows) == 6  # (norm, coord, sn(8)) x 2 betas
     again = sweep_beta([0.0, 1.0], d=32, T=50, seeds=range(3), subset_sizes=[8])
     assert rows == again
+
+
+def test_sweep_draws_noise_once_per_step_and_beta(monkeypatch):
+    real = harness.stoch_grad
+    calls = []
+
+    def oracle(obj, noise, x, seed, t, true_grad=None):
+        calls.append((noise.density_beta, t, len(seed)))
+        return real(obj, noise, x, seed, t, true_grad=true_grad)
+
+    monkeypatch.setattr(harness, "stoch_grad", oracle)
+    sweep_beta([0.0, 1.0], d=32, T=50, seeds=range(3), subset_sizes=[8, 16])
+    # every row of one beta (norm, coord, SN(8), SN(16)) in one call per step
+    assert calls == [(beta, t, 4 * 3) for beta in (0.0, 1.0) for t in range(1, 51)]
 
 
 def test_sweep_divisibility_error():
@@ -364,6 +437,17 @@ def test_cli_bound_thm3_names_missing_flag(capsys):
 def test_cli_sweep_bad_subset_size_exit_1(capsys):
     assert main(["sweep", "--d", "16", "--T", "5", "--subset-sizes", "0"]) == 1
     assert "snsm: error: subset size 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--lr", "-0.1"], "lr must be finite and > 0, got -0.1"),
+    (["sweep", "--lr", "nan"], "lr must be finite and > 0, got nan"),
+    (["train", "--sigma", "-1"], "sigma must be finite and >= 0, got -1.0"),
+    (["sweep", "--alpha", "-1"], "density_alpha must be finite and >= 0, got -1.0"),
+])
+def test_cli_bad_step_size_or_noise_level_exit_1(capsys, argv, message):
+    assert main(argv + ["--d", "16", "--T", "5", "--out", "/dev/null"]) == 1
+    assert f"snsm: error: {message}" in capsys.readouterr().err
 
 
 def test_cli_train_csv(tmp_path):

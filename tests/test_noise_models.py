@@ -143,19 +143,35 @@ def test_sample_prefix_draw_equals_full_draw(placement, distribution, beta):
         np.testing.assert_array_equal(got, full * sig)
 
 
-def test_stoch_grad_rows_match_single_seed_calls():
+def test_stoch_grad_rows_match_single_seed_calls(monkeypatch):
     obj = Quadratic(np.linspace(0.5, 2.0, 50))
     noise = NoiseModel(density_beta=0.5, placement="random")
-    X = np.random.default_rng(0).standard_normal((3, 50))
-    seeds = [4, 0, 4]
+    X = np.random.default_rng(0).standard_normal((7, 50))
+    seeds = [4, 0, 4, 9, 0, 4, 2]  # repeated seeds, as in the rows of a sweep
+    draws = []
+    real_sample = NoiseModel.sample
+
+    def counting_sample(self, d, rng):
+        draws.append(d)
+        return real_sample(self, d, rng)
+
+    monkeypatch.setattr(NoiseModel, "sample", counting_sample)
     batch = stoch_grad(obj, noise, X, seeds, t=9)
+    assert len(draws) == len(set(seeds))  # one draw per distinct seed
     # the caller's true gradient is used as given
     assert np.array_equal(stoch_grad(obj, noise, X, seeds, t=9,
                                      true_grad=obj.grad(X)), batch)
     for row, x, seed in zip(batch, X, seeds):
         np.testing.assert_array_equal(row, stoch_grad(obj, noise, x, seed, t=9))
         rng = np.random.default_rng(np.random.SeedSequence([seed, 9]))
-        np.testing.assert_array_equal(row, obj.grad(x) + noise.sample(50, rng))
+        np.testing.assert_array_equal(row, obj.grad(x) + real_sample(noise, 50, rng))
+
+
+@pytest.mark.parametrize("field", ["sigma", "density_alpha"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_noise_level_must_be_finite_and_nonnegative(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+        NoiseModel(**{field: value})
 
 
 def test_bounded_distribution_is_sign_flip():
