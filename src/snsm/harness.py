@@ -64,6 +64,13 @@ class ExperimentConfig:
             raise ValueError("record_every must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.clip_norm is not None and not (math.isfinite(self.clip_norm)
+                                               and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
+        if self.refresh_gap < 0:
+            raise ValueError(f"refresh_gap must be >= 0, got {self.refresh_gap}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         shape = self.param_shape
         if shape is not None and int(np.prod(shape)) != self.objective.d:
             raise ValueError("param_shape must have objective.d elements")

@@ -5,11 +5,12 @@ The rows of ``P`` are orthonormal, so ``P* P`` is the orthogonal projector
 onto the row span and is idempotent and self-adjoint.  Row-selection kinds
 keep an index list instead of a dense matrix and apply exactly (no floating
 error); SRHT over a power-of-two dimension keeps a sign vector plus sampled
-Hadamard row indices and applies through the fast transform, and over any
-other dimension keeps only its re-orthonormalized dense rows.  A rank-0
-frame holds an empty ``(0, m)`` ``rows`` matrix, so it projects to nothing
-and lifts to zeros through the dense path.  :func:`frame_storage_elements`
-gives the element count of every array a frame holds from (kind, m, k) alone.
+Hadamard row indices and applies through its k sampled Hadamard rows, rebuilt
+per call, and over any other dimension keeps only its re-orthonormalized dense
+rows.  A rank-0 frame holds an empty ``(0, m)`` ``rows`` matrix, so it
+projects to nothing and lifts to zeros through the dense path.
+:func:`frame_storage_elements` gives the element count of every array a
+frame holds from (kind, m, k) alone.
 
 Frames may be stacked: every array a frame holds then has a leading replica
 axis (``rows`` is ``(S, k, m)``, ``indices`` ``(S, k)``, ``signs``
@@ -26,8 +27,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-
-from . import kernels
 
 
 class FrameKind(str, Enum):
@@ -57,7 +56,6 @@ class Frame:
     rows: np.ndarray | None = None  # ([S,] rank, ambient) explicit representation
     indices: np.ndarray | None = None  # ([S,] rank) selector kinds and SRHT row sample
     signs: np.ndarray | None = None  # ([S,] ambient) SRHT: +-1 per ambient coordinate
-    padded_dim: int = 0  # SRHT: next power of two >= ambient_dim
 
 
 _ARRAYS = ("rows", "indices", "signs")
@@ -155,28 +153,23 @@ def _srht_frame(m: int, k: int, seed: int) -> Frame:
     signs = rng.choice(np.array([-1.0, 1.0]), size=m)
     idx = np.sort(rng.choice(m_pad, size=k, replace=False)).astype(np.int64)
     if m == m_pad:
-        return Frame(
-            kind=FrameKind.SRHT, ambient_dim=m, rank=k,
-            indices=idx, signs=signs, padded_dim=m_pad,
-        )
+        return Frame(kind=FrameKind.SRHT, ambient_dim=m, rank=k, indices=idx, signs=signs)
     # Truncating the padded coordinates breaks exact row orthonormality, so
     # materialize the truncated rows and re-orthonormalize.
-    rows = _hadamard_rows(idx, m_pad)[:, :m] * signs[None, :] / np.sqrt(m_pad)
-    q, _ = np.linalg.qr(rows.T)
-    return Frame(
-        kind=FrameKind.SRHT, ambient_dim=m, rank=k,
-        rows=np.ascontiguousarray(q.T), padded_dim=m_pad,
-    )
+    q, _ = np.linalg.qr(_srht_rows(idx, signs, m_pad).T)
+    return Frame(kind=FrameKind.SRHT, ambient_dim=m, rank=k, rows=np.ascontiguousarray(q.T))
 
 
-def _hadamard_rows(row_ids: np.ndarray, n: int) -> np.ndarray:
-    cols = np.arange(n, dtype=np.uint64)
-    bits = row_ids[:, None].astype(np.uint64) & cols[None, :]
-    pop = np.zeros_like(bits)
-    while bits.any():
-        pop += bits & 1
-        bits >>= np.uint64(1)
-    return np.where(pop % 2 == 0, 1.0, -1.0)
+def _srht_rows(indices: np.ndarray, signs: np.ndarray, m_pad: int) -> np.ndarray:
+    """Rows ``indices`` of H D / sqrt(m_pad) over the first m = ``len(signs)`` columns.
+
+    H is the m_pad x m_pad Sylvester Hadamard matrix, whose (i, j) entry is
+    (-1)**popcount(i & j), and D = diag(``signs``). Stacked ``([S,] k)``
+    indices and ``([S,] m)`` signs give ``([S,] k, m)`` rows.
+    """
+    odd = np.bitwise_count(indices[..., None] & np.arange(signs.shape[-1])) & 1
+    scaled = signs[..., None, :] / np.sqrt(m_pad)
+    return np.where(odd, -scaled, scaled)
 
 
 def make_frame(
@@ -238,19 +231,24 @@ def _along_rows(indices: np.ndarray, like: np.ndarray) -> np.ndarray:
     return np.broadcast_to(indices[..., None], indices.shape + like.shape[-1:])
 
 
+def _matrix(f: Frame) -> np.ndarray | None:
+    """P as a ``([S,] k, m)`` matrix, or None for the row-selection kinds.
+
+    A power-of-two SRHT frame holds no rows; its k sampled rows of H D are
+    rebuilt on each call, so the frame keeps only k + m numbers.
+    """
+    if f.rows is None and f.kind is FrameKind.SRHT:
+        return _srht_rows(f.indices, f.signs, f.ambient_dim)
+    return f.rows
+
+
 def project(f: Frame, G: np.ndarray) -> np.ndarray:
     """Apply P: ([S,] m, n) -> ([S,] k, n)."""
     G = np.asarray(G, dtype=np.float64)
     if G.shape[-2] != f.ambient_dim:
         raise ValueError(f"shape mismatch: G has {G.shape[-2]} rows, frame ambient {f.ambient_dim}")
-    if f.rows is not None:
-        return f.rows @ G
-    if f.kind is FrameKind.SRHT:
-        # fwht transforms axis 0, so the replica axis goes behind the rows
-        pad = np.zeros((f.padded_dim,) + G.shape[:-2] + G.shape[-1:])
-        pad[: f.ambient_dim] = np.moveaxis(G * f.signs[..., None], -2, 0)
-        H = np.moveaxis(kernels.fwht(pad), 0, -2)
-        return np.take_along_axis(H, _along_rows(f.indices, H), axis=-2) / np.sqrt(f.padded_dim)
+    if (P := _matrix(f)) is not None:
+        return P @ G
     return np.take_along_axis(G, _along_rows(f.indices, G), axis=-2)
 
 
@@ -259,13 +257,8 @@ def lift(f: Frame, C: np.ndarray) -> np.ndarray:
     C = np.asarray(C, dtype=np.float64)
     if C.shape[-2] != f.rank:
         raise ValueError(f"shape mismatch: C has {C.shape[-2]} rows, frame rank {f.rank}")
-    if f.rows is not None:
-        return f.rows.mT @ C
-    if f.kind is FrameKind.SRHT:
-        pad = np.zeros((f.padded_dim,) + C.shape[:-2] + C.shape[-1:])
-        np.put_along_axis(np.moveaxis(pad, 0, -2), _along_rows(f.indices, C), C, axis=-2)
-        out = np.moveaxis(kernels.fwht(pad), 0, -2)[..., : f.ambient_dim, :] / np.sqrt(f.padded_dim)
-        return out * f.signs[..., None]
+    if (P := _matrix(f)) is not None:
+        return P.mT @ C
     out = np.zeros(C.shape[:-2] + (f.ambient_dim,) + C.shape[-1:])
     np.put_along_axis(out, _along_rows(f.indices, C), C, axis=-2)
     return out

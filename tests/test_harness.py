@@ -450,6 +450,20 @@ def test_cli_bad_step_size_or_noise_level_exit_1(capsys, argv, message):
     assert f"snsm: error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--clip-norm", "-1", "clip_norm must be finite and > 0, got -1.0"),  # would ascend
+    ("--clip-norm", "0", "clip_norm must be finite and > 0, got 0.0"),  # would never move
+    ("--clip-norm", "nan", "clip_norm must be finite and > 0, got nan"),
+    ("--refresh-gap", "-3", "refresh_gap must be >= 0, got -3"),
+    ("--weight-decay", "-1", "weight_decay must be finite and >= 0, got -1.0"),
+    ("--weight-decay", "inf", "weight_decay must be finite and >= 0, got inf"),
+])
+def test_cli_train_bad_clip_refresh_gap_or_weight_decay_exit_1(capsys, flag, value, message):
+    assert main(["train", "--preset", "SGD", "--d", "16", "--T", "5",
+                 f"{flag}={value}", "--out", "/dev/null"]) == 1
+    assert f"snsm: error: {message}" in capsys.readouterr().err
+
+
 def test_cli_train_csv(tmp_path):
     out = tmp_path / "run.csv"
     code = main(["train", "--d", "4", "--T", "10", "--preset", "SGD",

@@ -176,6 +176,42 @@ def test_zero_frame():
     np.testing.assert_array_equal(reconstruct(f, G), np.zeros((5, 2)))
 
 
+def _sylvester_hadamard(m):
+    H = np.ones((1, 1))
+    while H.shape[0] < m:
+        H = np.block([[H, H], [H, -H]])
+    return H
+
+
+@pytest.mark.parametrize("m", [16, 512])
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("S", [None, 3])
+def test_srht_applies_its_sampled_hadamard_rows(m, n, S):
+    # a power-of-two SRHT frame is P = H[indices] diag(signs) / sqrt(m) and
+    # holds only its k + m indices and signs; a stacked frame applies each
+    # replica's own draw
+    k = m // 8
+    H = _sylvester_hadamard(m)
+    draws = [make_frame(FrameKind.SRHT, m, k, seed=s) for s in range(S or 1)]
+    assert all(d.rows is None for d in draws)
+    assert frame_storage_elements("srht", m, k) == k + m
+    P = np.stack([H[d.indices] * d.signs / np.sqrt(m) for d in draws])
+    if S is None:
+        f, P = draws[0], P[0]
+    else:
+        f = Frame(kind=FrameKind.SRHT, ambient_dim=m, rank=k,
+                  indices=np.stack([d.indices for d in draws]),
+                  signs=np.stack([d.signs for d in draws]))
+    rng = np.random.default_rng(m + n)
+    lead = () if S is None else (S,)
+    G, C = rng.standard_normal(lead + (m, n)), rng.standard_normal(lead + (k, n))
+    PG, LC = project(f, G), lift(f, C)
+    np.testing.assert_allclose(PG, P @ G, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(LC, P.mT @ C, rtol=0, atol=1e-12)
+    lhs, rhs = np.sum(PG * C), np.sum(G * LC)
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
 def test_seeded_determinism():
     rng = np.random.default_rng(9)
     ref = rng.standard_normal((32, 16))
