@@ -24,10 +24,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analysis import momentum_bound
-from .noise_models import MLP2, NoiseModel, Quadratic, stoch_grad
+from .noise_models import MLP2, NoiseModel, Quadratic, stoch_grad, streams
 from .optim import (
     NonFiniteGradientError,
     Optimizer,
+    OptimizerSpec,
     lr_at,
     make_preset,
 )
@@ -60,20 +61,24 @@ class ExperimentConfig:
             raise ValueError("T must be >= 1")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        bad = [s for s in self.seeds if not isinstance(s, (int, np.integer)) or s < 0]
+        if bad:
+            # each seed keys its own noise stream, SeedSequence([seed, t])
+            raise ValueError(f"seeds must be non-negative integers, got {bad[0]}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if self.clip_norm is not None and not (math.isfinite(self.clip_norm)
-                                               and self.clip_norm > 0):
-            raise ValueError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
-        if self.refresh_gap < 0:
-            raise ValueError(f"refresh_gap must be >= 0, got {self.refresh_gap}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        self.spec()  # the spec checks lr, clip_norm, refresh_gap, weight_decay
         shape = self.param_shape
         if shape is not None and int(np.prod(shape)) != self.objective.d:
             raise ValueError("param_shape must have objective.d elements")
+
+    def spec(self) -> OptimizerSpec:
+        return make_preset(
+            self.preset, lr=self.lr, rank=self.rank,
+            refresh_gap=self.refresh_gap, frame_kind=self.frame_kind,
+            subset_rule=self.subset_rule, subset_size=self.subset_size,
+            clip_norm=self.clip_norm, weight_decay=self.weight_decay,
+        )
 
 
 RECORD_FIELDS = ("step", "seed", "loss", "grad_norm_sq", "lr", "state_elems")
@@ -108,16 +113,12 @@ class RunResult:
 
 
 def _make_optimizer(config: ExperimentConfig, shape: tuple) -> Optimizer:
-    spec = make_preset(
-        config.preset, lr=config.lr, rank=config.rank,
-        refresh_gap=config.refresh_gap, frame_kind=config.frame_kind,
-        subset_rule=config.subset_rule, subset_size=config.subset_size,
-        clip_norm=config.clip_norm, weight_decay=config.weight_decay,
-    )
-    return Optimizer(spec, [shape], tags=["linear"], total_steps=config.T)
+    return Optimizer(config.spec(), [shape], tags=["linear"], total_steps=config.T)
 
 
-def _init_x1(config: ExperimentConfig, seed: int) -> np.ndarray:
+def _init_x1(config: ExperimentConfig, seeds: list) -> np.ndarray:
+    """x_1 of every seed, ``(S, d)``; a random start draws from the
+    seed's step-0 stream."""
     obj = config.objective
     if isinstance(obj, Quadratic):
         delta1 = 1.0 if config.delta1 is None else config.delta1
@@ -125,10 +126,9 @@ def _init_x1(config: ExperimentConfig, seed: int) -> np.ndarray:
         if lam_sum <= 0:
             raise ValueError("quadratic needs a positive curvature sum")
         # f(s * ones) = 0.5 s^2 sum(lam) = delta1
-        return np.full(obj.d, math.sqrt(2.0 * delta1 / lam_sum))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+        return np.full((len(seeds), obj.d), math.sqrt(2.0 * delta1 / lam_sum))
     scale = 1.0 / math.sqrt(obj.d_in if isinstance(obj, MLP2) else obj.d)
-    return rng.uniform(-scale, scale, obj.d)
+    return np.stack([rng.uniform(-scale, scale, obj.d) for rng in streams(seeds, 0)])
 
 
 class _Row:
@@ -143,7 +143,7 @@ class _Row:
         self.opt = _make_optimizer(config, self.shape)
         # closed form, constant over steps
         self.state_elems = self.opt.state_size().total
-        self.x = np.stack([_init_x1(config, int(seed)) for seed in self.seeds])
+        self.x = _init_x1(config, self.seeds.tolist())
         self.live = np.arange(n_seeds)  # positions in config.seeds of the running seeds
         self.grad_sq_sum = np.zeros(n_seeds)
         self.steps_done = np.zeros(n_seeds, dtype=np.int64)

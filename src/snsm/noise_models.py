@@ -4,6 +4,16 @@ Objectives evaluate one point ``x`` of shape ``(d,)`` or S points at once,
 ``(S, d)``, one per row; the oracle draws each row's noise from its own
 seed, so S points stepping in lockstep see the noise each would alone. Rows
 that share a seed share one draw of it.
+
+Seed s at step t draws from ``default_rng(SeedSequence([s, t]))``, and
+:func:`streams` is the one place that builds those generators. Building a
+``SeedSequence`` costs about 17 us, most of it Python-level. Its hash
+applies only constants that no input changes, so for seeds and steps in
+[0, 2**32) :func:`seed_words` computes the same ``generate_state(4,
+np.uint64)`` words for a block of steps times a set of seeds in one uint32
+array pass, and each generator is a ``PCG64`` keyed with its precomputed
+words, about 3 us per build. Any other seed or step keeps the
+``SeedSequence`` path.
 """
 
 from __future__ import annotations
@@ -162,23 +172,149 @@ def _noisy_prefix(noise: NoiseModel, d: int):
     return head, nz
 
 
+# SeedSequence's hash (O'Neill's seed_seq mixing, in numpy.random.bit_generator),
+# frozen by NumPy's stream-compatibility policy (NEP 19). Its multipliers
+# advance from fixed starts whatever the entropy, so every constant it
+# applies is known here; only the four pool words carry data.
+_MASK32 = 0xFFFFFFFF
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+
+def _powers(init: int, mult: int, n: int) -> tuple:
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return tuple(out)
+
+
+_HASH_A = _powers(0x43B0D7E5, 0x931E8875, 16)  # 4 pool fills + 12 mixes
+_HASH_B = _powers(0x8B51F9DD, 0x58F38DED, 8)  # 8 output words
+
+
+def _hashmix(value: np.ndarray, k: int) -> np.ndarray:
+    value = (value ^ _HASH_A[k]) * _HASH_A[k + 1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return out ^ (out >> _XSHIFT)
+
+
+def seed_words(seeds, steps) -> np.ndarray:
+    """``SeedSequence([s, t]).generate_state(4, np.uint64)`` for every seed
+    s and step t, shape ``(len(seeds), len(steps), 4)``, in one pass of
+    uint32 array arithmetic.
+
+    Seeds and steps must lie in [0, 2**32), where each is one entropy word;
+    anything else raises ``ValueError``.
+    """
+    s, t = np.asarray(seeds), np.asarray(steps)
+    for name, a in (("seeds", s), ("steps", t)):
+        if a.ndim != 1 or a.dtype.kind not in "iu" or (
+                a.size and (a.min() < 0 or a.max() > _MASK32)):
+            raise ValueError(f"{name} must be a 1D sequence of integers "
+                             f"in [0, 2**32)")
+    zero = np.zeros((s.size, t.size), dtype=np.uint32)
+    # the entropy [s, t] fills two pool words, the hash of 0 the other two
+    pool = [_hashmix(zero + s.astype(np.uint32)[:, None], 0),
+            _hashmix(zero + t.astype(np.uint32), 1),
+            _hashmix(zero, 2), _hashmix(zero, 3)]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], k))
+                k += 1
+    out = np.empty((s.size, t.size, 8), dtype=np.uint32)
+    for i in range(8):
+        word = (pool[i % 4] ^ _HASH_B[i]) * _HASH_B[i + 1]
+        out[..., i] = word ^ (word >> _XSHIFT)
+    # uint32 pairs (low, high) to uint64, as generate_state reads them
+    return out[..., 0::2].astype(np.uint64) | out[..., 1::2].astype(np.uint64) << 32
+
+
+_KEY_BLOCK = 256  # steps per block of keys; divides 2**32
+
+
+def _is_word(v) -> bool:
+    return isinstance(v, (int, np.integer)) and 0 <= v <= _MASK32
+
+
+@functools.lru_cache(maxsize=8)
+def _key_block(seeds: tuple, block: int):
+    """Words of every seed at the steps of one block, or None when a seed
+    is not one entropy word. A run reads a block for 256 steps, and the
+    rows and betas of a sweep share it; the bound keeps memory flat in T."""
+    if not all(_is_word(s) for s in seeds):
+        return None
+    start = block * _KEY_BLOCK
+    words = seed_words(np.array(seeds, dtype=np.int64),
+                       np.arange(start, start + _KEY_BLOCK, dtype=np.int64))
+    words.flags.writeable = False
+    return words
+
+
+class _Key:
+    """Precomputed ``SeedSequence.generate_state(4, np.uint64)``: the key
+    source of one ``PCG64``, registered as an ``ISeedSequence``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("a precomputed key holds 4 uint64 words")
+        return self.words
+
+
+@functools.cache
+def _key_class():
+    # registered on first use: importing snsm does not import numpy.random
+    np.random.bit_generator.ISeedSequence.register(_Key)
+    return _Key
+
+
+def streams(seeds, t: int) -> list:
+    """The generator of each seed at step t,
+    ``default_rng(SeedSequence([seed, t]))``: the per-(seed, t) stream
+    contract of the oracle and of ``harness``'s random starting points.
+
+    When t and every seed lie in [0, 2**32), the generators are keyed with
+    words from :func:`seed_words`, computed a block of steps at a time;
+    otherwise (multi-word entropy, or a value ``SeedSequence`` rejects)
+    each goes through ``SeedSequence``.
+    """
+    seeds = tuple(seeds)
+    keys = _key_block(seeds, t // _KEY_BLOCK) if _is_word(t) else None
+    if keys is None:
+        return [np.random.default_rng(np.random.SeedSequence([s, t])) for s in seeds]
+    key = _key_class()
+    return [np.random.Generator(np.random.PCG64(key(words)))
+            for words in keys[:, t % _KEY_BLOCK]]
+
+
 def stoch_grad(obj, noise: NoiseModel, x: np.ndarray, seed, t: int,
                true_grad: np.ndarray | None = None) -> np.ndarray:
     """Stochastic gradient grad f(x) + xi, deterministic in (seed, t).
 
     ``x`` is one point with one ``seed``, or ``(S, d)`` with a sequence of S
-    seeds; row s adds noise from ``default_rng(SeedSequence([seed[s], t]))``.
-    Seeds may repeat: each distinct seed is drawn once and its vector added
-    to every row that carries it. ``true_grad`` is grad f(x) when the caller
-    already has it.
+    seeds; row s adds noise from ``default_rng(SeedSequence([seed[s], t]))``
+    (built by :func:`streams`). Seeds may repeat: each distinct seed is
+    drawn once and its vector added to every row that carries it.
+    ``true_grad`` is grad f(x) when the caller already has it.
     """
     g = np.array(obj.grad(x) if true_grad is None else true_grad, dtype=np.float64)
     rows = g.reshape(-1, obj.d)
     rows_of: dict[int, list[int]] = {}
     for i, s in enumerate(np.atleast_1d(seed).tolist()):
         rows_of.setdefault(s, []).append(i)
-    for s, idx in rows_of.items():
-        xi = noise.sample(obj.d, np.random.default_rng(np.random.SeedSequence([s, t])))
+    for idx, rng in zip(rows_of.values(), streams(rows_of, t)):
+        xi = noise.sample(obj.d, rng)
         for i in idx:
             rows[i] += xi
     return g

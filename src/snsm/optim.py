@@ -108,6 +108,18 @@ class OptimizerSpec:
     weight_decay: float = 0.0
     clip_norm: float | None = None
 
+    def __post_init__(self):
+        # a negative lr or clip_norm steps up the gradient, a zero one never
+        # moves, and a negative weight decay would grow the parameters
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.base_lr}")
+        if self.clip_norm is not None and not (math.isfinite(self.clip_norm)
+                                               and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, "
+                             f"got {self.weight_decay}")
+
 
 def lr_at(schedule, base_lr: float, t: int, T_total: int) -> float:
     """Learning rate at step t in [1, T_total]."""

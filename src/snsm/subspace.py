@@ -24,6 +24,12 @@ import numpy as np
 from .linalg import Frame, FrameKind, lift, make_frame, project
 
 
+def _check_refresh_gap(gap: int) -> None:
+    # 0 already means a fixed subspace; a negative gap is not a second spelling
+    if gap < 0:
+        raise ValueError(f"refresh_gap must be >= 0, got {gap}")
+
+
 @dataclass(frozen=True)
 class SubspaceMomentum:
     frame_kind: FrameKind = FrameKind.SVD
@@ -31,6 +37,9 @@ class SubspaceMomentum:
     refresh_gap: int = 200  # 0 = fixed subspace, never refresh
     beta1: float = 0.9
     dampening: bool = True
+
+    def __post_init__(self):
+        _check_refresh_gap(self.refresh_gap)
 
 
 @dataclass(frozen=True)
@@ -43,6 +52,9 @@ class GaloreMomentum:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        _check_refresh_gap(self.refresh_gap)
 
 
 @dataclass

@@ -249,6 +249,12 @@ def test_config_validation():
             _quad_config(lr=lr)
 
 
+@pytest.mark.parametrize("seeds,bad", [((0, -1), "-1"), ((1.5,), "1.5"), (("0",), "0")])
+def test_config_rejects_negative_or_non_integer_seeds(seeds, bad):
+    with pytest.raises(ValueError, match=f"seeds must be non-negative integers, got {bad}$"):
+        _quad_config(seeds=seeds)
+
+
 # ---------------------------------------------------------------------------
 # sweep and bound verification
 
@@ -462,6 +468,17 @@ def test_cli_train_bad_clip_refresh_gap_or_weight_decay_exit_1(capsys, flag, val
     assert main(["train", "--preset", "SGD", "--d", "16", "--T", "5",
                  f"{flag}={value}", "--out", "/dev/null"]) == 1
     assert f"snsm: error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--d", "16", "--T", "5"],
+    ["sweep", "--d", "16", "--T", "5"],
+    ["bound", "--thm", "2", "--verify", "--d", "16", "--T", "5", "--rank", "2"],
+])
+def test_cli_negative_seed_base_exit_1(capsys, argv):
+    assert main(argv + ["--seed-base", "-1", "--out", "/dev/null"]) == 1
+    assert "snsm: error: seeds must be non-negative integers, got -1" in \
+        capsys.readouterr().err
 
 
 def test_cli_train_csv(tmp_path):

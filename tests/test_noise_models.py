@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from snsm import harness, noise_models
 from snsm.noise_models import (
     MLP2,
     NoiseModel,
     Quadratic,
+    seed_words,
     stoch_grad,
+    streams,
     verify_subgaussian,
 )
 
@@ -165,6 +168,87 @@ def test_stoch_grad_rows_match_single_seed_calls(monkeypatch):
         np.testing.assert_array_equal(row, stoch_grad(obj, noise, x, seed, t=9))
         rng = np.random.default_rng(np.random.SeedSequence([seed, 9]))
         np.testing.assert_array_equal(row, obj.grad(x) + real_sample(noise, 50, rng))
+
+
+# ---------------------------------------------------------------------------
+# per-(seed, t) streams from bulk-derived keys
+
+BLOCK = noise_models._KEY_BLOCK
+GRID_SEEDS = [0, 1, 4, 9, *np.random.default_rng(2024).integers(0, 2 ** 32, 30).tolist(),
+              2 ** 32 - 1]
+GRID_STEPS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 999, 2 ** 32 - 1]
+
+
+def _reference_rng(seed, t):
+    return np.random.default_rng(np.random.SeedSequence([seed, t]))
+
+
+def test_seed_words_equal_seed_sequence_state():
+    words = seed_words(GRID_SEEDS, GRID_STEPS)
+    assert words.shape == (len(GRID_SEEDS), len(GRID_STEPS), 4)
+    assert words.dtype == np.uint64
+    for i, seed in enumerate(GRID_SEEDS):
+        for j, t in enumerate(GRID_STEPS):
+            np.testing.assert_array_equal(
+                words[i, j], np.random.SeedSequence([seed, t]).generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("t", GRID_STEPS)
+def test_streams_equal_seed_sequence_streams(t):
+    for seed, rng in zip(GRID_SEEDS, streams(GRID_SEEDS, t)):
+        ref = _reference_rng(seed, t)
+        np.testing.assert_array_equal(rng.bit_generator.random_raw(3),
+                                      ref.bit_generator.random_raw(3))
+        np.testing.assert_array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
+
+@pytest.mark.parametrize("seeds,t", [
+    ([2 ** 32], 5), ([2 ** 40], 5), ([3, 2 ** 32], BLOCK + 1), ([3], 2 ** 32), ([7], 2 ** 40),
+])
+def test_multi_word_entropy_keeps_the_seed_sequence_path(seeds, t):
+    for seed, rng in zip(seeds, streams(seeds, t)):
+        ref = _reference_rng(seed, t)
+        assert isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
+        np.testing.assert_array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
+
+@pytest.mark.parametrize("seeds,steps", [
+    ([-1], [0]), ([2 ** 32], [0]), ([0], [2 ** 32]), ([0.5], [0]), ([[0]], [0]),
+])
+def test_seed_words_rejects_values_beyond_one_word(seeds, steps):
+    with pytest.raises(ValueError, match="integers in \\[0, 2\\*\\*32\\)"):
+        seed_words(seeds, steps)
+
+
+def test_negative_seed_still_rejected_by_the_oracle():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        stoch_grad(Quadratic(np.ones(3)), NoiseModel(sigma=1.0), np.ones(3), seed=-1, t=1)
+
+
+def test_each_key_block_is_derived_once(monkeypatch):
+    blocks = []
+    real = noise_models.seed_words
+
+    def counting(seeds, steps):
+        blocks.append((tuple(seeds.tolist()), int(steps[0])))
+        return real(seeds, steps)
+
+    monkeypatch.setattr(noise_models, "seed_words", counting)
+    noise_models._key_block.cache_clear()
+    # the rows and both betas of a sweep share the blocks of its seeds
+    harness.sweep_beta([0.0, 1.0], d=16, T=BLOCK + 10, seeds=range(3), subset_sizes=[4])
+    assert blocks == [((0, 1, 2), 0), ((0, 1, 2), BLOCK)]
+    # a random start reads the step-0 stream from the block its run reads next
+    blocks.clear()
+    obj = MLP2(np.ones((4, 2)), np.zeros(4), hidden=3)
+    config = harness.ExperimentConfig(objective=obj, noise=NoiseModel(sigma=0.1),
+                                      preset="Adam", T=20, seeds=(5, 6))
+    harness.run(config)
+    assert blocks == [((5, 6), 0)]
+    scale = 1 / math.sqrt(obj.d_in)
+    np.testing.assert_array_equal(
+        harness._init_x1(config, [5, 6]),
+        [_reference_rng(s, 0).uniform(-scale, scale, obj.d) for s in (5, 6)])
 
 
 @pytest.mark.parametrize("field", ["sigma", "density_alpha"])

@@ -13,8 +13,11 @@ from snsm.optim import (
     ConstantSchedule,
     CosineWarmup,
     EMASubsetNorm,
+    GaloreMomentum,
     NonFiniteGradientError,
     Optimizer,
+    OptimizerSpec,
+    SubspaceMomentum,
     lr_at,
     make_preset,
 )
@@ -289,6 +292,34 @@ def test_decoupled_weight_decay():
     opt = Optimizer(spec, [(1,)], total_steps=1)
     (x,) = opt.step([np.array([2.0])], [np.array([0.0])], 1)
     np.testing.assert_allclose(x, [2.0 - 0.1 * 0.5 * 2.0])
+
+
+@pytest.mark.parametrize("kw,message", [
+    (dict(clip_norm=-1.0), "clip_norm must be finite and > 0, got -1.0"),  # would ascend
+    (dict(clip_norm=0.0), "clip_norm must be finite and > 0, got 0.0"),  # would never move
+    (dict(lr=-0.1), "lr must be finite and > 0, got -0.1"),  # would ascend
+    (dict(lr=math.nan), "lr must be finite and > 0, got nan"),
+    (dict(weight_decay=-5.0), "weight_decay must be finite and >= 0, got -5.0"),
+    (dict(refresh_gap=-1), "refresh_gap must be >= 0, got -1"),  # not a fixed subspace
+])
+@pytest.mark.parametrize("preset", ["SGD", "AdamSNSM", "GaLore"])
+def test_preset_rejects_bad_step_values(preset, kw, message):
+    with pytest.raises(ValueError, match=message):
+        make_preset(preset, **kw)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: OptimizerSpec(base_lr=-0.1), "lr must be finite and > 0"),
+    (lambda: OptimizerSpec(clip_norm=-1.0), "clip_norm must be finite and > 0"),
+    (lambda: OptimizerSpec(weight_decay=-5.0), "weight_decay must be finite and >= 0"),
+    (lambda: dataclasses.replace(make_preset("SGD"), clip_norm=-1.0),
+     "clip_norm must be finite and > 0"),
+    (lambda: SubspaceMomentum(refresh_gap=-1), "refresh_gap must be >= 0"),
+    (lambda: GaloreMomentum(refresh_gap=-1), "refresh_gap must be >= 0"),
+])
+def test_spec_components_reject_bad_values(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_unknown_preset():
