@@ -15,6 +15,7 @@ import numpy as np
 from . import analysis, harness
 from .linalg import NumericError
 from .noise_models import MLP2, NoiseModel, Quadratic
+from .optim import make_preset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,9 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
+    seeds = tuple(range(args.seed_base, args.seed_base + args.n_seeds))
     if args.objective == "quadratic":
         obj = Quadratic(np.ones(args.d))
     else:
+        harness.check_seeds(seeds)  # before the data is drawn from the first seed
         rng = np.random.default_rng(args.seed_base)
         X = rng.standard_normal((64, args.d))
         y = rng.standard_normal(64)
@@ -150,14 +153,14 @@ def _cmd_train(args) -> int:
         noise = NoiseModel(sigma=args.sigma)
     shape = harness.parse_shape(args.param_shape) if args.param_shape else None
     config = harness.ExperimentConfig(
-        objective=obj, noise=noise, preset=args.preset, T=args.T,
-        seeds=tuple(range(args.seed_base, args.seed_base + args.n_seeds)),
-        lr=args.lr, delta1=args.delta1, param_shape=shape,
-        record_every=args.record_every, rank=args.rank,
-        refresh_gap=args.refresh_gap, frame_kind=args.frame,
-        subset_rule=args.subset_rule, subset_size=args.subset_size,
-        clip_norm=args.clip_norm, weight_decay=args.weight_decay)
-    result = harness.run(config)
+        objective=obj, noise=noise, T=args.T, seeds=seeds, delta1=args.delta1,
+        param_shape=shape, record_every=args.record_every)
+    spec = make_preset(
+        args.preset, lr=args.lr, rank=args.rank, refresh_gap=args.refresh_gap,
+        frame_kind=args.frame, subset_rule=args.subset_rule,
+        subset_size=args.subset_size, clip_norm=args.clip_norm,
+        weight_decay=args.weight_decay)
+    result = harness.run(config, spec)
     _emit(result.records, harness.RECORD_FIELDS, args.format, args.out)
     for s in result.summaries:
         print(f"# seed={s.seed} mean_grad_norm_sq={s.mean_grad_norm_sq:.17g} "
@@ -203,12 +206,12 @@ def _cmd_noise(args) -> int:
 
 def _cmd_mem(args) -> int:
     manifest = harness.load_manifest(args.manifest)
-    report = harness.mem_report(manifest, args.preset, rank=args.rank,
-                                subset_rule=args.subset_rule,
-                                subset_size=args.subset_size)
+    spec = make_preset(args.preset, rank=args.rank, subset_rule=args.subset_rule,
+                       subset_size=args.subset_size)
+    report = harness.mem_report(manifest, spec)
     fields = ("name", "tag", "shape", "state_elems", "frame_elems")
     _emit(report["entries"], fields, args.format, args.out)
-    print(f"# preset={report['preset']} total={report['total']} "
+    print(f"# preset={args.preset} total={report['total']} "
           f"frame_elements={report['frame_elements']}", file=sys.stderr)
     return EXIT_OK
 

@@ -1,17 +1,15 @@
 """Experiment runner: optimizer x objective x noise, with CSV/JSON output.
 
-:func:`run` steps all seeds of a config in lockstep: the iterates are one
-``(S, d)`` array, one optimizer holds the state of every seed along a
-leading replica axis, and each seed draws its noise from its own
-per-(seed, t) stream, so every seed follows the trajectory it would follow
-alone. A seed that diverges leaves the batch.
-
-:func:`run_rows` steps several configs (rows) that share objective, noise
-model, seeds and T in one such loop, and :func:`run` is that loop with one
-row. The rows of a beta sweep step together: each step makes one oracle
-call for all rows, which draws each (seed, t) noise vector once and adds it
-to every row that carries the seed, the same vector each row would draw
-alone.
+A run is an :class:`ExperimentConfig`, what its rows share (objective,
+noise model, T, seeds, the start and the parameter's view), and one
+:class:`~snsm.optim.OptimizerSpec` per row. :func:`run_rows` steps every row
+and every seed in lockstep: each row's iterates are one ``(S, d)`` array,
+one optimizer per row holds the state of every seed along a leading replica
+axis, and each seed draws its noise from its own per-(seed, t) stream, so
+every seed of every row follows the trajectory it would follow alone. Each
+step makes one oracle call for all rows, which draws each (seed, t) noise
+vector once and adds it to every row that carries the seed. A seed that
+diverges leaves its row's batch. :func:`run` is that loop with one row.
 """
 
 from __future__ import annotations
@@ -37,48 +35,37 @@ from .optim import (
 # ---------------------------------------------------------------------------
 # configuration and records
 
+def check_seeds(seeds) -> None:
+    """Reject an empty seed list and any seed that is not an integer >= 0."""
+    if not seeds:
+        raise ValueError("seeds must be non-empty")
+    bad = [s for s in seeds if not isinstance(s, (int, np.integer)) or s < 0]
+    if bad:
+        # each seed keys its own noise stream, SeedSequence([seed, t])
+        raise ValueError(f"seeds must be non-negative integers, got {bad[0]}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """What the rows of a run share; each row brings its own OptimizerSpec."""
+
     objective: object  # Quadratic / MLP2 instance
     noise: NoiseModel
-    preset: str
     T: int
     seeds: tuple
-    lr: float = 1e-3
-    delta1: float | None = None  # Quadratic only: scale x1 so f(x1) = delta1
+    delta1: float = 1.0  # Quadratic only: scale x1 so f(x1) = delta1
     param_shape: tuple | None = None  # view of the flat parameter; default (d,)
     record_every: int = 1
-    rank: int = 4
-    refresh_gap: int = 200
-    frame_kind: str = "svd"
-    subset_rule: str = "heuristic2d"
-    subset_size: int | None = None
-    clip_norm: float | None = None
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("T must be >= 1")
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
-        bad = [s for s in self.seeds if not isinstance(s, (int, np.integer)) or s < 0]
-        if bad:
-            # each seed keys its own noise stream, SeedSequence([seed, t])
-            raise ValueError(f"seeds must be non-negative integers, got {bad[0]}")
+        check_seeds(self.seeds)
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        self.spec()  # the spec checks lr, clip_norm, refresh_gap, weight_decay
         shape = self.param_shape
         if shape is not None and int(np.prod(shape)) != self.objective.d:
             raise ValueError("param_shape must have objective.d elements")
-
-    def spec(self) -> OptimizerSpec:
-        return make_preset(
-            self.preset, lr=self.lr, rank=self.rank,
-            refresh_gap=self.refresh_gap, frame_kind=self.frame_kind,
-            subset_rule=self.subset_rule, subset_size=self.subset_size,
-            clip_norm=self.clip_norm, weight_decay=self.weight_decay,
-        )
 
 
 RECORD_FIELDS = ("step", "seed", "loss", "grad_norm_sq", "lr", "state_elems")
@@ -112,38 +99,40 @@ class RunResult:
         return any(s.diverged for s in self.summaries)
 
 
-def _make_optimizer(config: ExperimentConfig, shape: tuple) -> Optimizer:
-    return Optimizer(config.spec(), [shape], tags=["linear"], total_steps=config.T)
-
-
-def _init_x1(config: ExperimentConfig, seeds: list) -> np.ndarray:
-    """x_1 of every seed, ``(S, d)``; a random start draws from the
-    seed's step-0 stream."""
+def _init_x1(config: ExperimentConfig) -> np.ndarray:
+    """x_1 of every seed, ``(S, d)``, read-only; a random start draws from
+    the seed's step-0 stream."""
     obj = config.objective
     if isinstance(obj, Quadratic):
-        delta1 = 1.0 if config.delta1 is None else config.delta1
         lam_sum = float(obj.lam.sum())
         if lam_sum <= 0:
             raise ValueError("quadratic needs a positive curvature sum")
         # f(s * ones) = 0.5 s^2 sum(lam) = delta1
-        return np.full((len(seeds), obj.d), math.sqrt(2.0 * delta1 / lam_sum))
-    scale = 1.0 / math.sqrt(obj.d_in if isinstance(obj, MLP2) else obj.d)
-    return np.stack([rng.uniform(-scale, scale, obj.d) for rng in streams(seeds, 0)])
+        x1 = np.full((len(config.seeds), obj.d),
+                     math.sqrt(2.0 * config.delta1 / lam_sum))
+    else:
+        scale = 1.0 / math.sqrt(obj.d_in if isinstance(obj, MLP2) else obj.d)
+        x1 = np.stack([rng.uniform(-scale, scale, obj.d)
+                       for rng in streams(config.seeds, 0)])
+    x1.flags.writeable = False  # shared by the rows of a run
+    return x1
 
 
 class _Row:
-    """One config of a lockstep loop: its iterates ``(S, d)``, its optimizer
+    """One spec of a lockstep loop: its iterates ``(S, d)``, its optimizer
     over S replicas, its running seeds and its records."""
 
-    def __init__(self, config: ExperimentConfig):
+    def __init__(self, config: ExperimentConfig, spec: OptimizerSpec,
+                 x1: np.ndarray):
         self.config = config
         self.shape = config.param_shape or (config.objective.d,)
         self.seeds = np.array(config.seeds, dtype=np.int64)
         n_seeds = self.seeds.size
-        self.opt = _make_optimizer(config, self.shape)
+        self.opt = Optimizer(spec, [self.shape], tags=["linear"],
+                             total_steps=config.T)
         # closed form, constant over steps
         self.state_elems = self.opt.state_size().total
-        self.x = _init_x1(config, self.seeds.tolist())
+        self.x = x1  # every step replaces it; x1 itself is never written
         self.live = np.arange(n_seeds)  # positions in config.seeds of the running seeds
         self.grad_sq_sum = np.zeros(n_seeds)
         self.steps_done = np.zeros(n_seeds, dtype=np.int64)
@@ -222,30 +211,26 @@ def _cat(arrays: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def run_rows(configs) -> list:
-    """Run several configs that share objective, noise model, seeds and T,
-    all rows and all their seeds stepping together; one RunResult per config.
+def run_rows(config: ExperimentConfig, specs) -> list:
+    """Run every spec (a row) on the config, all rows and all their seeds
+    stepping together; one RunResult per spec.
 
     Each row keeps its own iterates, optimizer, running seeds and records,
-    exactly as if run alone. Per step one oracle call serves every row, and
-    it draws each seed's noise once for all the rows that carry the seed.
+    exactly as if run alone; all start from the same x_1. Per step one oracle
+    call serves every row, and it draws each seed's noise once for all the
+    rows that carry the seed.
 
     A seed diverges when its loss or ||grad f||^2 is not finite (it stops
     before that step's record) or when the optimizer rejects its stochastic
     gradient as non-finite (it stops after that step's record). Either way
     its rows leave the iterates and the optimizer state, and the others go on.
     """
-    configs = list(configs)
-    if not configs:
-        raise ValueError("run_rows needs at least one config")
-    first = configs[0]
-    for config in configs[1:]:
-        if (config.objective is not first.objective or config.noise != first.noise
-                or tuple(config.seeds) != tuple(first.seeds) or config.T != first.T):
-            raise ValueError("rows stepping together must share the objective, "
-                             "noise model, seeds and T")
-    rows = [_Row(config) for config in configs]
-    for t in range(1, first.T + 1):
+    specs = list(specs)
+    if not specs:
+        raise ValueError("run_rows needs at least one spec")
+    x1 = _init_x1(config)
+    rows = [_Row(config, spec, x1) for spec in specs]
+    for t in range(1, config.T + 1):
         stepping, g_trues = [], []
         for row in rows:
             g_true = row.observe(t)
@@ -254,7 +239,7 @@ def run_rows(configs) -> list:
                 g_trues.append(g_true)
         if not stepping:
             break
-        g = stoch_grad(first.objective, first.noise,
+        g = stoch_grad(config.objective, config.noise,
                        _cat([row.x for row in stepping]),
                        _cat([row.seeds[row.live] for row in stepping]), t,
                        true_grad=_cat(g_trues))
@@ -267,9 +252,9 @@ def run_rows(configs) -> list:
     return [row.result() for row in rows]
 
 
-def run(config: ExperimentConfig) -> RunResult:
-    """Run every seed of the config, all seeds stepping together."""
-    return run_rows([config])[0]
+def run(config: ExperimentConfig, spec: OptimizerSpec) -> RunResult:
+    """Run every seed of the config under one spec, all seeds stepping together."""
+    return run_rows(config, [spec])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +271,9 @@ class SweepRow:
 
 
 def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
-               include=("AdaGradNorm", "AdaGrad", "AdaGradSN"),
-               alpha: float = 1.0, lr: float = 0.1, delta1: float = 1.0
-               ) -> list:
-    """Compare step-size families under d^beta-dense coordinate noise.
+               alpha: float = 1.0, lr: float = 0.1) -> list:
+    """Compare AdaGrad-Norm, AdaGrad and AdaGrad-SN at each subset size
+    under d^beta-dense coordinate noise.
 
     The rows of one beta share the objective, the noise and the seeds, so
     they run as one lockstep loop and read each (seed, t) draw once.
@@ -303,24 +287,16 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
     if len(seeds) < 2:
         raise ValueError("a sweep needs at least two seeds to report a stderr")
     obj = Quadratic(np.ones(d))
+    jobs = [("AdaGradNorm", d, {}), ("AdaGrad", 1, {})]
+    jobs += [("AdaGradSN", k, dict(subset_rule="equip", subset_size=k))
+             for k in subset_sizes]
+    specs = [make_preset(name, lr=lr, **extra) for name, _, extra in jobs]
     rows: list[SweepRow] = []
     for beta in betas:
         noise = NoiseModel(density_beta=float(beta), density_alpha=alpha)
-        jobs: list[tuple[str, int, dict]] = []
-        if "AdaGradNorm" in include:
-            jobs.append(("AdaGradNorm", d, {}))
-        if "AdaGrad" in include:
-            jobs.append(("AdaGrad", 1, {}))
-        if "AdaGradSN" in include:
-            for k in subset_sizes:
-                jobs.append(("AdaGradSN", k,
-                             dict(subset_rule="equip", subset_size=k)))
-        configs = [
-            ExperimentConfig(objective=obj, noise=noise, preset=name, T=T,
-                             seeds=seeds, lr=lr, delta1=delta1, record_every=T,
-                             **extra)
-            for name, _, extra in jobs]
-        for (name, k, _), result in zip(jobs, run_rows(configs)):
+        config = ExperimentConfig(objective=obj, noise=noise, T=T, seeds=seeds,
+                                  record_every=T)
+        for (name, k, _), result in zip(jobs, run_rows(config, specs)):
             metrics = np.array([s.mean_grad_norm_sq for s in result.summaries])
             rows.append(SweepRow(
                 beta=float(beta), optimizer=name, subset_size=k,
@@ -371,11 +347,12 @@ def verify_thm2(d: int, sigma: float, delta1: float, T: int, fail_prob: float,
     obj = Quadratic(np.ones(d))
     noise = NoiseModel(sigma=sigma / math.sqrt(d))
     config = ExperimentConfig(
-        objective=obj, noise=noise, preset="SGD-SM", T=T,
-        seeds=tuple(range(seed_base, seed_base + n_seeds)), lr=mb.eta_star,
-        delta1=delta1, param_shape=param_shape, record_every=T,
-        rank=rank, refresh_gap=0, frame_kind=frame_kind)
-    result = run(config)
+        objective=obj, noise=noise, T=T,
+        seeds=tuple(range(seed_base, seed_base + n_seeds)), delta1=delta1,
+        param_shape=param_shape, record_every=T)
+    spec = make_preset("SGD-SM", lr=mb.eta_star, rank=rank, refresh_gap=0,
+                       frame_kind=frame_kind)
+    result = run(config, spec)
     metrics = tuple(s.mean_grad_norm_sq for s in result.summaries)
     violations = sum(m > mb.total for m in metrics)
     fraction = violations / n_seeds
@@ -449,12 +426,8 @@ def load_manifest(path) -> ShapeManifest:
         return parse_manifest(fh.read())
 
 
-def mem_report(manifest: ShapeManifest, preset: str, rank: int = 4,
-               subset_rule: str = "heuristic2d", subset_size: int | None = None
-               ) -> dict:
-    """Persistent optimizer-state elements for a preset over a manifest."""
-    spec = make_preset(preset, rank=rank, subset_rule=subset_rule,
-                       subset_size=subset_size)
+def mem_report(manifest: ShapeManifest, spec: OptimizerSpec) -> dict:
+    """Persistent optimizer-state elements for a spec over a manifest."""
     opt = Optimizer(spec, manifest.shapes, tags=manifest.tags, total_steps=1)
     size = opt.state_size()
     per_entry = []
@@ -465,7 +438,7 @@ def mem_report(manifest: ShapeManifest, preset: str, rank: int = 4,
                               shape="x".join(map(str, entry.shape)),
                               state_elems=sum(elems.values()),
                               frame_elems=frame))
-    return dict(preset=preset, total=size.total, breakdown=size.breakdown,
+    return dict(total=size.total, breakdown=size.breakdown,
                 frame_elements=size.frame_elements, entries=per_entry)
 
 

@@ -118,9 +118,11 @@ def topk_svd(A: np.ndarray, k: int) -> Frame:
                  rows=np.ascontiguousarray(U[..., :k].mT))
 
 
-def randomized_range_svd(
-    A: np.ndarray, k: int, oversample: int = 8, power_iters: int = 1, seed: int = 0
-) -> Frame:
+_OVERSAMPLE = 8  # extra sketch columns beyond k
+_POWER_ITERS = 1  # subspace iterations that sharpen the sketch
+
+
+def randomized_range_svd(A: np.ndarray, k: int, seed: int = 0) -> Frame:
     """Halko-style randomized range finder for the top-k left singular space.
 
     Every matrix of a stack is sketched with the same Gaussian test matrix.
@@ -129,12 +131,12 @@ def randomized_range_svd(
     m, n = A.shape[-2:]
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k={k} out of range for {m}x{n}")
-    oversample = min(oversample, min(m, n) - k)
+    oversample = min(_OVERSAMPLE, min(m, n) - k)
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((n, k + oversample))
     Y = A @ omega
     Q, _ = np.linalg.qr(Y)
-    for _ in range(power_iters):
+    for _ in range(_POWER_ITERS):
         Z, _ = np.linalg.qr(A.mT @ Q)
         Q, _ = np.linalg.qr(A @ Z)
     B = Q.mT @ A
@@ -178,8 +180,6 @@ def make_frame(
     k: int,
     seed: int = 0,
     reference_grad: np.ndarray | None = None,
-    oversample: int = 8,
-    power_iters: int = 1,
 ) -> Frame:
     """Build a rank-k frame over ambient dimension m.
 
@@ -207,8 +207,7 @@ def make_frame(
         if kind is FrameKind.SVD:
             return topk_svd(G, k)
         if kind is FrameKind.APPROX_SVD:
-            return randomized_range_svd(G, k, oversample=oversample,
-                                        power_iters=power_iters, seed=seed)
+            return randomized_range_svd(G, k, seed=seed)
         order = np.argsort(-np.linalg.norm(G, axis=-1), axis=-1, kind="stable")
         idx = np.sort(order[..., :k], axis=-1).astype(np.int64)
         return Frame(kind=kind, ambient_dim=m, rank=k, indices=idx)

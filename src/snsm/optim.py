@@ -48,6 +48,7 @@ from .subspace import (
     GaloreState,
     SubspaceMomentum,
     SubspaceMomentumState,
+    check_beta,
     galore_direction,
     galore_init,
     galore_maybe_refresh,
@@ -81,6 +82,9 @@ class NoMomentum:
 class EMAMomentum:
     beta1: float = 0.9
     dampening: bool = True
+
+    def __post_init__(self):
+        check_beta("beta1", self.beta1)
 
 
 @dataclass(frozen=True)
@@ -395,8 +399,7 @@ class Optimizer:
     """Optimizer built from a spec against a fixed list of parameter shapes."""
 
     def __init__(self, spec: OptimizerSpec, shapes: list[tuple],
-                 tags: list[str] | None = None, total_steps: int = 1,
-                 seed: int = 0):
+                 tags: list[str] | None = None, total_steps: int = 1):
         if tags is None:
             tags = ["linear"] * len(shapes)
         if len(tags) != len(shapes):
@@ -405,7 +408,7 @@ class Optimizer:
         self.total_steps = total_steps
         self.replicas: int | None = None  # S, fixed by the first step
         self.slots = [
-            _ParamSlot(spec, shape, tag, seed + 7919 * i)
+            _ParamSlot(spec, shape, tag, 7919 * i)
             for i, (shape, tag) in enumerate(zip(shapes, tags))
         ]
 

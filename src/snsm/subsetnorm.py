@@ -25,12 +25,20 @@ class EMASubsetNorm:
     eps: float = 1e-8
     bias_correction: bool = True
 
+    def __post_init__(self):
+        if not 0.0 < self.beta2 < 1.0:
+            raise ValueError("beta2 must lie in (0, 1)")
+
 
 @dataclass(frozen=True)
 class AdaGradSubsetNorm:
     partition_rule: str = "heuristic2d"
     subset_size: int | None = None
     b0: float = 1e-6
+
+    def __post_init__(self):
+        if not self.b0 > 0:
+            raise ValueError("AdaGrad subset norm requires b0 > 0")
 
 
 @dataclass
@@ -45,12 +53,8 @@ def sn_init(rule: EMASubsetNorm | AdaGradSubsetNorm, partition: Partition,
     """Accumulators of shape ``replicas + (c,)``."""
     shape = tuple(replicas) + (partition.c,)
     if isinstance(rule, AdaGradSubsetNorm):
-        if not rule.b0 > 0:
-            raise ValueError("AdaGrad subset norm requires b0 > 0")
         acc = np.full(shape, rule.b0 ** 2)
     else:
-        if not 0.0 < rule.beta2 < 1.0:
-            raise ValueError("beta2 must lie in (0, 1)")
         acc = np.zeros(shape)
     return SubsetNormState(rule=rule, acc=acc)
 
@@ -83,6 +87,6 @@ def sn_denominators(state: SubsetNormState) -> np.ndarray:
         denoms = np.sqrt(v) + rule.eps
     if denoms.min() <= 0:
         raise ZeroDivisionError(
-            "zero subset-norm denominator (b0=0 with eps=0?)"
+            "zero subset-norm denominator (eps=0, or b0**2 underflowed?)"
         )
     return denoms

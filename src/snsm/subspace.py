@@ -30,6 +30,13 @@ def _check_refresh_gap(gap: int) -> None:
         raise ValueError(f"refresh_gap must be >= 0, got {gap}")
 
 
+def check_beta(name: str, beta: float) -> None:
+    """Reject an EMA factor outside [0, 1): at 1 the average never moves
+    (and a bias correction divides by zero), above it grows without bound."""
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"{name} must lie in [0, 1), got {beta}")
+
+
 @dataclass(frozen=True)
 class SubspaceMomentum:
     frame_kind: FrameKind = FrameKind.SVD
@@ -40,6 +47,7 @@ class SubspaceMomentum:
 
     def __post_init__(self):
         _check_refresh_gap(self.refresh_gap)
+        check_beta("beta1", self.beta1)
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,8 @@ class GaloreMomentum:
 
     def __post_init__(self):
         _check_refresh_gap(self.refresh_gap)
+        check_beta("beta1", self.beta1)
+        check_beta("beta2", self.beta2)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Runner, sweep, bound verification, manifests, CSV output, and the CLI."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -25,16 +26,24 @@ from snsm.noise_models import MLP2, NoiseModel, Quadratic, stoch_grad
 from snsm.optim import Optimizer, make_preset
 
 
-def _quad_config(**kw):
-    base = dict(objective=Quadratic(np.ones(kw.pop("d", 2))),
-                noise=NoiseModel(), preset="SGD", T=100, seeds=(0,), lr=0.1,
-                delta1=1.0)
-    base.update(kw)
-    return ExperimentConfig(**base)
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _config_and_spec(preset, **kw):
+    """(config, spec): the ExperimentConfig fields of ``kw`` build the
+    config, the rest go to make_preset."""
+    spec_kw = {k: kw.pop(k) for k in list(kw) if k not in CONFIG_FIELDS}
+    return ExperimentConfig(**kw), make_preset(preset, **spec_kw)
+
+
+def _quad_config(d=2, preset="SGD", **kw):
+    base = dict(objective=Quadratic(np.ones(d)), noise=NoiseModel(), T=100,
+                seeds=(0,), lr=0.1)
+    return _config_and_spec(preset, **dict(base, **kw))
 
 
 def test_sgd_geometric_contraction():
-    res = run(_quad_config())
+    res = run(*_quad_config())
     s = res.summaries[0]
     # (1 - lr*lam)^(2T) contraction of the loss from delta1 = 1
     assert s.final_loss <= 1e-4 * 1.0
@@ -42,8 +51,7 @@ def test_sgd_geometric_contraction():
 
 
 def test_delta1_controls_initial_loss():
-    cfg = _quad_config(d=10, delta1=2.5, T=1)
-    res = run(cfg)
+    res = run(*_quad_config(d=10, delta1=2.5, T=1))
     assert np.isclose(res.records[0].loss, 2.5)
 
 
@@ -61,22 +69,20 @@ def test_sn_c1_matches_adagradnorm_stream():
         b2 += np.sum(g * g)
         x = x - lr * g / np.sqrt(b2)
     for preset, kw in (("AdaGradSN", dict(subset_rule="norm")), ("AdaGradNorm", {})):
-        res = run(_quad_config(preset=preset, d=d, T=T, lr=lr, noise=noise, **kw))
+        res = run(*_quad_config(preset=preset, d=d, T=T, lr=lr, noise=noise, **kw))
         got = [(r.step, r.loss, r.grad_norm_sq, r.lr) for r in res.records]
         assert got == expected, preset  # identical record streams
 
 
 def test_divergence_flagged_with_partial_records():
-    cfg = _quad_config(T=400, lr=10.0)  # lr > 2/L diverges
-    res = run(cfg)
+    res = run(*_quad_config(T=400, lr=10.0))  # lr > 2/L diverges
     assert res.any_diverged
     assert 0 < len(res.records) < 400
     assert all(np.isfinite(r.loss) for r in res.records)
 
 
 def test_summary_matches_recorded_mean():
-    cfg = _quad_config(T=50, noise=NoiseModel(sigma=0.1))
-    res = run(cfg)
+    res = run(*_quad_config(T=50, noise=NoiseModel(sigma=0.1)))
     recorded = np.mean([r.grad_norm_sq for r in res.records])
     assert abs(res.summaries[0].mean_grad_norm_sq - recorded) <= 1e-12
 
@@ -106,15 +112,14 @@ LOCKSTEP_CASES = [
 def _lockstep_config(preset, shape, seeds, **kw):
     d = int(np.prod(shape))
     base = dict(objective=Quadratic(np.linspace(0.5, 2.0, d)),
-                noise=NoiseModel(sigma=0.3), preset=preset, T=20, seeds=seeds,
-                lr=0.05, param_shape=shape, rank=3)
-    base.update(kw)
-    return ExperimentConfig(**base)
+                noise=NoiseModel(sigma=0.3), T=20, seeds=seeds, lr=0.05,
+                param_shape=shape, rank=3)
+    return _config_and_spec(preset, **dict(base, **kw))
 
 
 def _assert_lockstep_equals_alone(make_config, seeds):
-    batch = run(make_config(seeds))
-    alone = [run(make_config((seed,))) for seed in seeds]
+    batch = run(*make_config(seeds))
+    alone = [run(*make_config((seed,))) for seed in seeds]
     assert batch.records == [r for res in alone for r in res.records]
     assert batch.summaries == [res.summaries[0] for res in alone]
     return batch
@@ -133,8 +138,9 @@ def test_lockstep_mlp2_matches_one_seed_runs():
     rng = np.random.default_rng(0)
     obj = MLP2(rng.standard_normal((16, 3)), rng.standard_normal(16), hidden=4)
     _assert_lockstep_equals_alone(
-        lambda seeds: ExperimentConfig(objective=obj, noise=NoiseModel(sigma=0.1),
-                                       preset="Adam", T=15, seeds=seeds, lr=0.05),
+        lambda seeds: (ExperimentConfig(objective=obj, noise=NoiseModel(sigma=0.1),
+                                        T=15, seeds=seeds),
+                       make_preset("Adam", lr=0.05)),
         (2, 5, 1))
 
 
@@ -178,7 +184,7 @@ def test_diverging_seed_leaves_the_batch(monkeypatch, route, preset, kw):
 
 
 MIXED_ROWS = [
-    ("SGD", {}), ("Adam", {}), ("AdaGradNorm", dict(param_shape=(96,))),
+    ("SGD", {}), ("Adam", {}), ("AdaGradNorm", {}),
     ("AdaGradSN", dict(subset_rule="equip", subset_size=8)),
     # lr 1.5 > 2/L: finite here, until one seed's huge gradient overflows its loss
     ("SGD", dict(lr=1.5)),
@@ -202,12 +208,12 @@ def test_rows_in_lockstep_match_one_config_runs(monkeypatch):
         return g
 
     monkeypatch.setattr(harness, "stoch_grad", oracle)
-    obj = Quadratic(np.linspace(0.5, 2.0, 96))
-    configs = [_lockstep_config(preset, (12, 8), (3, 7, 1, 5), objective=obj, **kw)
-               for preset, kw in MIXED_ROWS]
-    together = run_rows(configs)
+    config, _ = _lockstep_config("SGD", (12, 8), (3, 7, 1, 5))
+    specs = [make_preset(preset, **dict(dict(lr=0.05), **kw))
+             for preset, kw in MIXED_ROWS]
+    together = run_rows(config, specs)
     assert calls == list(range(1, 21))  # one oracle call per step for all rows
-    alone = [run(config) for config in configs]
+    alone = [run(config, spec) for spec in specs]
     assert [res.records for res in together] == [res.records for res in alone]
     assert [res.summaries for res in together] == [res.summaries for res in alone]
     diverged = [[s.seed for s in res.summaries if s.diverged] for res in together]
@@ -217,24 +223,25 @@ def test_rows_in_lockstep_match_one_config_runs(monkeypatch):
     assert last == {3: 20, 7: 6, 1: 9, 5: 20}
 
 
-def test_run_rows_needs_shared_objective_noise_seeds_and_T():
-    obj = Quadratic(np.ones(96))
+def test_rows_share_one_read_only_start(monkeypatch):
+    starts = []
+    real = harness._init_x1
 
-    def config(**kw):
-        return ExperimentConfig(**dict(dict(objective=obj, noise=NoiseModel(sigma=0.3),
-                                            preset="SGD", T=20, seeds=(0, 1)), **kw))
+    def counting(config):
+        starts.append(real(config))
+        return starts[-1]
 
-    base = config()
-    run_rows([base, config(preset="Adam", param_shape=(12, 8), lr=0.1)])
-    for other in (config(seeds=(0, 2)), config(T=19), config(noise=NoiseModel()),
-                  config(objective=Quadratic(np.ones(96)))):
-        with pytest.raises(ValueError, match="must share"):
-            run_rows([base, other])
+    monkeypatch.setattr(harness, "_init_x1", counting)
+    config, sgd = _lockstep_config("SGD", (12, 8), (0, 1))
+    run_rows(config, [sgd, make_preset("Adam", lr=0.05), make_preset("AdaGradNorm")])
+    assert len(starts) == 1 and not starts[0].flags.writeable
+    with pytest.raises(ValueError, match="at least one spec"):
+        run_rows(config, [])
 
 
 def test_run_is_deterministic():
     cfg = _quad_config(T=30, noise=NoiseModel(sigma=1.0), seeds=(3, 4))
-    assert run(cfg).records == run(cfg).records
+    assert run(*cfg).records == run(*cfg).records
 
 
 def test_config_validation():
@@ -358,7 +365,7 @@ def test_parse_manifest_errors():
 
 def test_mem_report_matches_optimizer_state_size():
     man = parse_manifest(MANIFEST)
-    rep = mem_report(man, "AdamSN")
+    rep = mem_report(man, make_preset("AdamSN"))
     opt = Optimizer(make_preset("AdamSN"), man.shapes, tags=man.tags,
                     total_steps=1)
     assert rep["total"] == opt.state_size().total
@@ -376,7 +383,7 @@ def test_mem_report_allocates_nothing():
     tracemalloc.start()
     try:
         for preset in ("Adam", "AdamSN", "AdamSNSM", "GaLore"):
-            rep = mem_report(man, preset, rank=4)
+            rep = mem_report(man, make_preset(preset, rank=4))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -389,19 +396,19 @@ def test_mem_report_allocates_nothing():
 
 def test_csv_schema_and_precision():
     cfg = _quad_config(T=3)
-    text = rows_to_csv(run(cfg).records, RECORD_FIELDS)
+    text = rows_to_csv(run(*cfg).records, RECORD_FIELDS)
     lines = text.split("\n")
     assert lines[0] == "step,seed,loss,grad_norm_sq,lr,state_elems"
     assert text.endswith("\n")
     row = lines[1].split(",")
     assert len(row) == 6
-    assert float(row[2]) == run(cfg).records[0].loss  # 17 sig digits round-trip
+    assert float(row[2]) == run(*cfg).records[0].loss  # 17 sig digits round-trip
 
 
 def test_csv_byte_identical_reruns():
     cfg = _quad_config(T=20, noise=NoiseModel(sigma=0.5), seeds=(1, 2))
-    a = rows_to_csv(run(cfg).records, RECORD_FIELDS).encode()
-    b = rows_to_csv(run(cfg).records, RECORD_FIELDS).encode()
+    a = rows_to_csv(run(*cfg).records, RECORD_FIELDS).encode()
+    b = rows_to_csv(run(*cfg).records, RECORD_FIELDS).encode()
     assert a == b
 
 
@@ -474,6 +481,8 @@ def test_cli_train_bad_clip_refresh_gap_or_weight_decay_exit_1(capsys, flag, val
     ["train", "--d", "16", "--T", "5"],
     ["sweep", "--d", "16", "--T", "5"],
     ["bound", "--thm", "2", "--verify", "--d", "16", "--T", "5", "--rank", "2"],
+    # the MLP2 data is drawn from the first seed: checked before that draw
+    ["train", "--objective", "mlp2", "--d", "4", "--T", "3"],
 ])
 def test_cli_negative_seed_base_exit_1(capsys, argv):
     assert main(argv + ["--seed-base", "-1", "--out", "/dev/null"]) == 1

@@ -15,6 +15,7 @@ from snsm.noise_models import (
     streams,
     verify_subgaussian,
 )
+from snsm.optim import make_preset
 
 
 def _finite_diff(obj, x, h=1e-6):
@@ -238,16 +239,17 @@ def test_each_key_block_is_derived_once(monkeypatch):
     # the rows and both betas of a sweep share the blocks of its seeds
     harness.sweep_beta([0.0, 1.0], d=16, T=BLOCK + 10, seeds=range(3), subset_sizes=[4])
     assert blocks == [((0, 1, 2), 0), ((0, 1, 2), BLOCK)]
-    # a random start reads the step-0 stream from the block its run reads next
+    # a random start reads the step-0 stream from the block its run reads
+    # next, once for all the rows of the run
     blocks.clear()
     obj = MLP2(np.ones((4, 2)), np.zeros(4), hidden=3)
     config = harness.ExperimentConfig(objective=obj, noise=NoiseModel(sigma=0.1),
-                                      preset="Adam", T=20, seeds=(5, 6))
-    harness.run(config)
+                                      T=20, seeds=(5, 6))
+    harness.run_rows(config, [make_preset(p) for p in ("Adam", "AdamSN", "SGDm")])
     assert blocks == [((5, 6), 0)]
     scale = 1 / math.sqrt(obj.d_in)
     np.testing.assert_array_equal(
-        harness._init_x1(config, [5, 6]),
+        harness._init_x1(config),
         [_reference_rng(s, 0).uniform(-scale, scale, obj.d) for s in (5, 6)])
 
 

@@ -10,8 +10,10 @@ from snsm import subspace
 from snsm.linalg import Frame, FrameKind
 from snsm.optim import (
     PRESET_NAMES,
+    AdaGradSubsetNorm,
     ConstantSchedule,
     CosineWarmup,
+    EMAMomentum,
     EMASubsetNorm,
     GaloreMomentum,
     NonFiniteGradientError,
@@ -316,10 +318,42 @@ def test_preset_rejects_bad_step_values(preset, kw, message):
      "clip_norm must be finite and > 0"),
     (lambda: SubspaceMomentum(refresh_gap=-1), "refresh_gap must be >= 0"),
     (lambda: GaloreMomentum(refresh_gap=-1), "refresh_gap must be >= 0"),
+    # rule values are checked when the rule is built, not at the first step:
+    # an SN rule that could divide by zero, an EMA factor of 1 that never
+    # moves (GaLore's bias correction divides by zero) or above 1 that grows
+    (lambda: EMASubsetNorm("coord", beta2=1.5), r"beta2 must lie in \(0, 1\)$"),
+    (lambda: EMASubsetNorm(beta2=0.0), r"beta2 must lie in \(0, 1\)$"),
+    (lambda: AdaGradSubsetNorm(b0=0.0), "AdaGrad subset norm requires b0 > 0$"),
+    (lambda: EMAMomentum(beta1=1.5), r"beta1 must lie in \[0, 1\), got 1.5$"),
+    (lambda: EMAMomentum(beta1=-0.1), r"beta1 must lie in \[0, 1\), got -0.1$"),
+    (lambda: SubspaceMomentum(beta1=1.0), r"beta1 must lie in \[0, 1\), got 1.0$"),
+    (lambda: GaloreMomentum(beta1=1.0), r"beta1 must lie in \[0, 1\), got 1.0$"),
+    (lambda: GaloreMomentum(beta2=1.0), r"beta2 must lie in \[0, 1\), got 1.0$"),
+    (lambda: GaloreMomentum(beta2=math.nan), r"beta2 must lie in \[0, 1\), got nan$"),
+    # the rules of a preset cannot be given such a value either
+    (lambda: dataclasses.replace(make_preset("Adam").adaptive, beta2=1.5),
+     r"beta2 must lie in \(0, 1\)"),
+    (lambda: dataclasses.replace(make_preset("AdaGradSN").adaptive, b0=0.0),
+     "requires b0 > 0"),
+    (lambda: dataclasses.replace(make_preset("SGDm").momentum, beta1=1.5),
+     r"beta1 must lie in \[0, 1\)"),
+    (lambda: dataclasses.replace(make_preset("AdamSNSM").momentum, beta1=1.0),
+     r"beta1 must lie in \[0, 1\)"),
+    (lambda: dataclasses.replace(make_preset("GaLore").momentum, beta2=1.0),
+     r"beta2 must lie in \[0, 1\)"),
 ])
 def test_spec_components_reject_bad_values(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_rule_spec_edges_are_accepted():
+    # beta = 0 is no averaging; the optimizer builds and steps
+    spec = OptimizerSpec(EMAMomentum(beta1=0.0), AdaGradSubsetNorm("coord", b0=1e-12))
+    x = Optimizer(spec, [(3,)], total_steps=1).step([np.ones(3)], [np.ones(3)], 1)[0]
+    assert np.isfinite(x).all()
+    GaloreMomentum(beta1=0.0, beta2=0.0)
+    SubspaceMomentum(beta1=0.0)
 
 
 def test_unknown_preset():
