@@ -224,12 +224,14 @@ def _cmd_bound(args) -> int:
                    deterministic_term=mb.deterministic_term,
                    noise_term=mb.noise_term,
                    concentration_term=mb.concentration_term, total=mb.total)
-        _emit([row], tuple(row), args.format, args.out)
-        if args.verify:
+        check = None
+        if args.verify:  # before the row: a verification that cannot run leaves none
             check = harness.verify_thm2(
                 d=args.d, sigma=args.sigma, delta1=args.delta1, T=args.T,
                 fail_prob=args.delta, n_seeds=args.n_seeds, rank=args.rank,
                 frame_kind=args.frame, seed_base=args.seed_base)
+        _emit([row], tuple(row), args.format, args.out)
+        if check is not None:
             print(f"# verify: fraction={check.fraction:.4f} "
                   f"threshold={check.threshold:.4f} passed={check.passed}",
                   file=sys.stderr)

@@ -7,9 +7,12 @@ and every seed in lockstep: each row's iterates are one ``(S, d)`` array,
 one optimizer per row holds the state of every seed along a leading replica
 axis, and each seed draws its noise from its own per-(seed, t) stream, so
 every seed of every row follows the trajectory it would follow alone. Each
-step makes one oracle call for all rows, which draws each (seed, t) noise
-vector once and adds it to every row that carries the seed. A seed that
-diverges leaves its row's batch. :func:`run` is that loop with one row.
+step evaluates the objective once for all rows, on their iterates stacked
+``(sum S_r, d)``, and makes one oracle call, which draws each (seed, t)
+noise vector once and adds it to every row that carries the seed in one
+operation. The last step, t = T, is observed and recorded but makes no
+update, since nothing reads x_{T+1}. A seed that diverges leaves its row's
+batch. :func:`run` is that loop with one row.
 """
 
 from __future__ import annotations
@@ -148,27 +151,17 @@ class _Row:
         self.live = self.live[keep]
         return keep
 
-    def observe(self, t: int) -> np.ndarray | None:
-        """Evaluate and record the running seeds at x_t; their true
-        gradients, or None when no seed is left."""
-        if not self.live.size:
-            return None
-        config = self.config
-        obj = config.objective
-        # overflow here is how divergence manifests; detected just below
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss = obj.value(self.x)
-            g_true = obj.grad(self.x)
-            gsq = np.vecdot(g_true, g_true)
-        finite = np.isfinite(loss) & np.isfinite(gsq)
+    def observe(self, t: int, loss: np.ndarray, gsq: np.ndarray,
+                finite: np.ndarray) -> None:
+        """Record the running seeds at x_t from their losses and
+        ||grad f(x_t)||^2; the seeds where ``finite`` is False diverged and
+        leave the batch before the record."""
         if not finite.all():
             keep = self.drop(~finite)
-            self.x, g_true = self.x[keep], g_true[keep]
-            loss, gsq = loss[keep], gsq[keep]
-            if not self.live.size:
-                return None
-        lr = lr_at(self.opt.spec.schedule, self.opt.spec.base_lr, t, config.T)
+            self.x, loss, gsq = self.x[keep], loss[keep], gsq[keep]
+        config = self.config
         if t % config.record_every == 0 or t == config.T:
+            lr = lr_at(self.opt.spec.schedule, self.opt.spec.base_lr, t, config.T)
             for i, loss_i, gsq_i in zip(self.live, loss.tolist(), gsq.tolist()):
                 self.records[i].append(RunRecord(
                     step=t, seed=int(self.seeds[i]), loss=loss_i,
@@ -176,7 +169,6 @@ class _Row:
         self.grad_sq_sum[self.live] += gsq
         self.steps_done[self.live] += 1
         self.final_loss[self.live] = loss
-        return g_true
 
     def step(self, g: np.ndarray, t: int) -> None:
         """Step the running seeds with their stochastic gradients ``g``."""
@@ -216,9 +208,12 @@ def run_rows(config: ExperimentConfig, specs) -> list:
     stepping together; one RunResult per spec.
 
     Each row keeps its own iterates, optimizer, running seeds and records,
-    exactly as if run alone; all start from the same x_1. Per step one oracle
-    call serves every row, and it draws each seed's noise once for all the
-    rows that carry the seed.
+    exactly as if run alone; all start from the same x_1. Per step the loop
+    evaluates the objective once, on the running iterates of every row
+    stacked, and makes one oracle call, which draws each seed's noise once
+    and adds it to every row that carries the seed in one operation. At
+    t = T the rows are observed and recorded but not stepped: nothing reads
+    x_{T+1}.
 
     A seed diverges when its loss or ||grad f||^2 is not finite (it stops
     before that step's record) or when the optimizer rejects its stochastic
@@ -230,22 +225,36 @@ def run_rows(config: ExperimentConfig, specs) -> list:
         raise ValueError("run_rows needs at least one spec")
     x1 = _init_x1(config)
     rows = [_Row(config, spec, x1) for spec in specs]
+    obj = config.objective
     for t in range(1, config.T + 1):
-        stepping, g_trues = [], []
-        for row in rows:
-            g_true = row.observe(t)
-            if g_true is not None:
-                stepping.append(row)
-                g_trues.append(g_true)
-        if not stepping:
+        running = [row for row in rows if row.live.size]
+        if not running:
             break
-        g = stoch_grad(config.objective, config.noise,
-                       _cat([row.x for row in stepping]),
-                       _cat([row.seeds[row.live] for row in stepping]), t,
-                       true_grad=_cat(g_trues))
-        del g_true, g_trues  # not held while the rows step
+        x = _cat([row.x for row in running])
+        # overflow here is how divergence manifests; detected just below
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = obj.value(x)
+            g_true = obj.grad(x)
+            gsq = np.vecdot(g_true, g_true)
+        finite = np.isfinite(loss) & np.isfinite(gsq)
         start = 0
-        for row in stepping:
+        for row in running:
+            stop = start + row.live.size
+            row.observe(t, loss[start:stop], gsq[start:stop], finite[start:stop])
+            start = stop
+        if t == config.T:
+            break
+        if not finite.all():
+            x, g_true = x[finite], g_true[finite]
+            running = [row for row in running if row.live.size]
+            if not running:
+                break
+        g = stoch_grad(obj, config.noise, x,
+                       _cat([row.seeds[row.live] for row in running]), t,
+                       true_grad=g_true)
+        del x, g_true  # not held while the rows step
+        start = 0
+        for row in running:
             stop = start + row.live.size
             row.step(g[start:stop], t)
             start = stop

@@ -36,6 +36,8 @@ class Quadratic:
         if self.lam.ndim != 1 or np.any(self.lam < 0):
             raise ValueError("lam must be a 1D nonnegative array")
         self.d = self.lam.size
+        if self.d < 1:
+            raise ValueError("quadratic needs d >= 1, got d=0")
         self.smoothness = float(self.lam.max(initial=0.0))
         self.f_star = 0.0
 
@@ -61,6 +63,9 @@ class MLP2:
             raise ValueError("X must be (n, d_in) with y of length n")
         self.hidden = int(hidden)
         self.d_in = self.X.shape[1]
+        for name, size in (("hidden", self.hidden), ("d", self.d_in)):
+            if size < 1:
+                raise ValueError(f"mlp2 needs {name} >= 1, got {name}={size}")
         self.d = self.hidden * self.d_in + self.hidden
         self.f_star = None
         self.smoothness = None  # not globally smooth in closed form
@@ -305,18 +310,25 @@ def stoch_grad(obj, noise: NoiseModel, x: np.ndarray, seed, t: int,
     ``x`` is one point with one ``seed``, or ``(S, d)`` with a sequence of S
     seeds; row s adds noise from ``default_rng(SeedSequence([seed[s], t]))``
     (built by :func:`streams`). Seeds may repeat: each distinct seed is
-    drawn once and its vector added to every row that carries it.
-    ``true_grad`` is grad f(x) when the caller already has it.
+    drawn once and its vector added to every row that carries it, all rows
+    in one add. ``true_grad`` is grad f(x) when the caller already has it.
     """
+    # added to in place: a new array for the sum raises peak memory at large d
     g = np.array(obj.grad(x) if true_grad is None else true_grad, dtype=np.float64)
-    rows = g.reshape(-1, obj.d)
-    rows_of: dict[int, list[int]] = {}
-    for i, s in enumerate(np.atleast_1d(seed).tolist()):
-        rows_of.setdefault(s, []).append(i)
-    for idx, rng in zip(rows_of.values(), streams(rows_of, t)):
-        xi = noise.sample(obj.d, rng)
-        for i in idx:
-            rows[i] += xi
+    seeds = np.atleast_1d(seed).tolist()
+    distinct = list(dict.fromkeys(seeds))  # first appearance: the key-block order
+    xi = np.empty((len(distinct), obj.d))
+    for j, rng in enumerate(streams(distinct, t)):
+        xi[j] = noise.sample(obj.d, rng)
+    reps, rest = divmod(len(seeds), len(distinct))
+    if not rest and seeds == distinct * reps:
+        # the rows of a lockstep run: the distinct seeds, once per row
+        tiled = g.reshape(reps, len(distinct), obj.d)
+        tiled += xi
+    else:
+        slot = {s: j for j, s in enumerate(distinct)}
+        rows = g.reshape(-1, obj.d)
+        rows += xi[[slot[s] for s in seeds]]
     return g
 
 

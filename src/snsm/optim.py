@@ -447,7 +447,9 @@ class Optimizer:
             params = [p[None] for p in params]
             grads = [g[None] for g in grads]
         flat = [g.reshape(self.replicas, -1) for g in grads]
-        finite = np.all([np.isfinite(g).all(axis=1) for g in flat], axis=0)
+        finite = np.ones(self.replicas, dtype=bool)
+        for g in flat:
+            finite &= np.isfinite(g).all(axis=1)
         if not finite.all():
             raise NonFiniteGradientError(
                 f"non-finite gradient at step t={t}; step rejected",

@@ -212,7 +212,8 @@ def test_rows_in_lockstep_match_one_config_runs(monkeypatch):
     specs = [make_preset(preset, **dict(dict(lr=0.05), **kw))
              for preset, kw in MIXED_ROWS]
     together = run_rows(config, specs)
-    assert calls == list(range(1, 21))  # one oracle call per step for all rows
+    # one oracle call per step for all rows; none at t = T, which makes no update
+    assert calls == list(range(1, 20))
     alone = [run(config, spec) for spec in specs]
     assert [res.records for res in together] == [res.records for res in alone]
     assert [res.summaries for res in together] == [res.summaries for res in alone]
@@ -221,6 +222,19 @@ def test_rows_in_lockstep_match_one_config_runs(monkeypatch):
     last = {s: max(r.step for r in together[-1].records if r.seed == s)
             for s in (3, 7, 1, 5)}
     assert last == {3: 20, 7: 6, 1: 9, 5: 20}
+
+
+def test_rows_share_one_objective_evaluation_per_step(monkeypatch):
+    calls = {"value": 0, "grad": 0}
+    for name in calls:
+        def counting(self, x, real=getattr(Quadratic, name), name=name):
+            calls[name] += 1
+            return real(self, x)
+        monkeypatch.setattr(Quadratic, name, counting)
+    config, sgd = _lockstep_config("SGD", (12, 8), (0, 1, 2))
+    run_rows(config, [sgd, make_preset("Adam", lr=0.05), make_preset("AdaGradNorm")])
+    # the oracle reuses the true gradient of the stacked rows
+    assert calls == {"value": config.T, "grad": config.T}
 
 
 def test_rows_share_one_read_only_start(monkeypatch):
@@ -282,8 +296,9 @@ def test_sweep_draws_noise_once_per_step_and_beta(monkeypatch):
 
     monkeypatch.setattr(harness, "stoch_grad", oracle)
     sweep_beta([0.0, 1.0], d=32, T=50, seeds=range(3), subset_sizes=[8, 16])
-    # every row of one beta (norm, coord, SN(8), SN(16)) in one call per step
-    assert calls == [(beta, t, 4 * 3) for beta in (0.0, 1.0) for t in range(1, 51)]
+    # every row of one beta (norm, coord, SN(8), SN(16)) in one call per step,
+    # through t = T - 1
+    assert calls == [(beta, t, 4 * 3) for beta in (0.0, 1.0) for t in range(1, 50)]
 
 
 def test_sweep_divisibility_error():
@@ -447,6 +462,13 @@ def test_cli_bound_thm3_names_missing_flag(capsys):
     assert "--thm 3 requires --b0" in capsys.readouterr().err
 
 
+def test_cli_bound_verify_failure_writes_no_row(capsys):
+    assert main(["bound", "--thm", "2", "--verify", "--n-seeds", "0", "--T", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "snsm: error: seeds must be non-empty" in captured.err
+
+
 def test_cli_sweep_bad_subset_size_exit_1(capsys):
     assert main(["sweep", "--d", "16", "--T", "5", "--subset-sizes", "0"]) == 1
     assert "snsm: error: subset size 0" in capsys.readouterr().err
@@ -488,6 +510,16 @@ def test_cli_negative_seed_base_exit_1(capsys, argv):
     assert main(argv + ["--seed-base", "-1", "--out", "/dev/null"]) == 1
     assert "snsm: error: seeds must be non-negative integers, got -1" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--objective", "mlp2", "--hidden", "0"], "mlp2 needs hidden >= 1, got hidden=0"),
+    (["--objective", "mlp2", "--d", "0"], "mlp2 needs d >= 1, got d=0"),
+    (["--d", "0"], "quadratic needs d >= 1, got d=0"),
+])
+def test_cli_train_zero_size_objective_exit_1(capsys, argv, message):
+    assert main(["train", *argv, "--T", "3", "--out", "/dev/null"]) == 1
+    assert f"snsm: error: {message}" in capsys.readouterr().err
 
 
 def test_cli_train_csv(tmp_path):

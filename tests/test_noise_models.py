@@ -171,6 +171,22 @@ def test_stoch_grad_rows_match_single_seed_calls(monkeypatch):
         np.testing.assert_array_equal(row, obj.grad(x) + real_sample(noise, 50, rng))
 
 
+@pytest.mark.parametrize("seeds", [
+    [3, 1, 5, 3, 1, 5, 3, 1, 5],  # the distinct seeds once per row of a lockstep run
+    [3, 1, 3, 5, 1],  # rows that dropped different seeds
+    [3, 1, 5, 1, 3, 5],  # a multiple of the distinct seeds, not tiled
+])
+def test_stoch_grad_matches_a_per_row_reference(seeds):
+    d, t = 40, 300
+    obj = Quadratic(np.linspace(0.5, 2.0, d))
+    noise = NoiseModel(density_beta=0.7)
+    X = np.random.default_rng(1).standard_normal((len(seeds), d))
+    want = [obj.grad(x) + noise.sample(
+                d, np.random.default_rng(np.random.SeedSequence([seed, t])))
+            for x, seed in zip(X, seeds)]
+    np.testing.assert_array_equal(stoch_grad(obj, noise, X, seeds, t), np.array(want))
+
+
 # ---------------------------------------------------------------------------
 # per-(seed, t) streams from bulk-derived keys
 
