@@ -35,7 +35,6 @@ from .optim import (
     OptimizerSpec,
     PRESET_NAMES,
     NonFiniteGradientError,
-    lr_at,
     make_preset,
 )
 from .analysis import (

@@ -10,6 +10,15 @@ import numpy as np
 from .partition import Partition, subset_sqnorms
 
 
+def _check_finite(**params) -> None:
+    """Reject a NaN or infinite float parameter (scalar or array), which no
+    comparison below would catch and which would print a NaN or inf bound.
+    The step count T is an int, always finite."""
+    for name, value in params.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # high-probability bound for subspace momentum with norm-adaptive step sizes
 
@@ -34,6 +43,8 @@ def momentum_bound(delta1: float, L: float, sigma: float, T: int,
     constant, sigma the sub-gaussian noise level, beta1 the momentum
     parameter, fail_prob the allowed failure probability.
     """
+    _check_finite(delta1=delta1, L=L, sigma=sigma, beta1=beta1,
+                  fail_prob=fail_prob)
     if not 0 <= beta1 < 1:
         raise ValueError("beta1 must lie in [0, 1)")
     if min(delta1, L, T) <= 0 or sigma < 0 or not 0 < fail_prob < 1:
@@ -74,6 +85,8 @@ def subsetnorm_bound(delta1: float, L: float, eta: float, T: int,
     """
     sigma_subsets = np.asarray(sigma_subsets, dtype=np.float64)
     b0 = np.asarray(b0, dtype=np.float64)
+    _check_finite(delta1=delta1, L=L, eta=eta, sigma_subsets=sigma_subsets,
+                  b0=b0, fail_prob=fail_prob)
     if sigma_subsets.shape != b0.shape or sigma_subsets.ndim != 1:
         raise ValueError("sigma_subsets and b0 must be matching 1D arrays")
     if np.any(b0 <= 0):

@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--b0", type=_float_list, default=None,
                    help="thm 3: per-subset initial accumulators")
     b.add_argument("--verify", action="store_true",
-                   help="thm 2: Monte-Carlo check over seeds")
+                   help="thm 2: Monte-Carlo check over seeds (needs --L 1)")
     b.add_argument("--d", type=int, default=100)
     b.add_argument("--n-seeds", type=int, default=20)
     b.add_argument("--rank", type=int, default=10)
@@ -218,6 +218,9 @@ def _cmd_mem(args) -> int:
 
 def _cmd_bound(args) -> int:
     if args.thm == "2":
+        if args.verify and args.L != 1.0:
+            args.usage_error(f"--verify needs --L 1, the smoothness of its "
+                             f"objective; got --L {args.L}")
         mb = analysis.momentum_bound(args.delta1, args.L, args.sigma, args.T,
                                      args.beta1, args.delta)
         row = dict(alpha=mb.alpha, eta_star=mb.eta_star,
@@ -229,7 +232,8 @@ def _cmd_bound(args) -> int:
             check = harness.verify_thm2(
                 d=args.d, sigma=args.sigma, delta1=args.delta1, T=args.T,
                 fail_prob=args.delta, n_seeds=args.n_seeds, rank=args.rank,
-                frame_kind=args.frame, seed_base=args.seed_base)
+                frame_kind=args.frame, beta1=args.beta1,
+                seed_base=args.seed_base)
         _emit([row], tuple(row), args.format, args.out)
         if check is not None:
             print(f"# verify: fraction={check.fraction:.4f} "

@@ -20,19 +20,13 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .analysis import momentum_bound
-from .noise_models import MLP2, NoiseModel, Quadratic, stoch_grad, streams
-from .optim import (
-    NonFiniteGradientError,
-    Optimizer,
-    OptimizerSpec,
-    lr_at,
-    make_preset,
-)
+from .noise_models import NoiseModel, Quadratic, stoch_grad, streams
+from .optim import NonFiniteGradientError, Optimizer, OptimizerSpec, make_preset
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +97,9 @@ class RunResult:
 
 
 def _init_x1(config: ExperimentConfig) -> np.ndarray:
-    """x_1 of every seed, ``(S, d)``, read-only; a random start draws from
-    the seed's step-0 stream."""
+    """x_1 of every seed, ``(S, d)``, read-only: on a quadratic the
+    multiple of ones with f(x_1) = delta1, on an MLP2 a draw from the
+    seed's step-0 stream."""
     obj = config.objective
     if isinstance(obj, Quadratic):
         lam_sum = float(obj.lam.sum())
@@ -114,7 +109,7 @@ def _init_x1(config: ExperimentConfig) -> np.ndarray:
         x1 = np.full((len(config.seeds), obj.d),
                      math.sqrt(2.0 * config.delta1 / lam_sum))
     else:
-        scale = 1.0 / math.sqrt(obj.d_in if isinstance(obj, MLP2) else obj.d)
+        scale = 1.0 / math.sqrt(obj.d_in)
         x1 = np.stack([rng.uniform(-scale, scale, obj.d)
                        for rng in streams(config.seeds, 0)])
     x1.flags.writeable = False  # shared by the rows of a run
@@ -131,8 +126,7 @@ class _Row:
         self.shape = config.param_shape or (config.objective.d,)
         self.seeds = np.array(config.seeds, dtype=np.int64)
         n_seeds = self.seeds.size
-        self.opt = Optimizer(spec, [self.shape], tags=["linear"],
-                             total_steps=config.T)
+        self.opt = Optimizer(spec, [self.shape], tags=["linear"])
         # closed form, constant over steps
         self.state_elems = self.opt.state_size().total
         self.x = x1  # every step replaces it; x1 itself is never written
@@ -161,7 +155,7 @@ class _Row:
             self.x, loss, gsq = self.x[keep], loss[keep], gsq[keep]
         config = self.config
         if t % config.record_every == 0 or t == config.T:
-            lr = lr_at(self.opt.spec.schedule, self.opt.spec.base_lr, t, config.T)
+            lr = self.opt.spec.base_lr
             for i, loss_i, gsq_i in zip(self.live, loss.tolist(), gsq.tolist()):
                 self.records[i].append(RunRecord(
                     step=t, seed=int(self.seeds[i]), loss=loss_i,
@@ -300,9 +294,11 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
     jobs += [("AdaGradSN", k, dict(subset_rule="equip", subset_size=k))
              for k in subset_sizes]
     specs = [make_preset(name, lr=lr, **extra) for name, _, extra in jobs]
+    # every noise model is checked before the first beta runs
+    noises = [NoiseModel(density_beta=float(beta), density_alpha=alpha)
+              for beta in betas]
     rows: list[SweepRow] = []
-    for beta in betas:
-        noise = NoiseModel(density_beta=float(beta), density_alpha=alpha)
+    for beta, noise in zip(betas, noises):
         config = ExperimentConfig(objective=obj, noise=noise, T=T, seeds=seeds,
                                   record_every=T)
         for (name, k, _), result in zip(jobs, run_rows(config, specs)):
@@ -350,6 +346,7 @@ def verify_thm2(d: int, sigma: float, delta1: float, T: int, fail_prob: float,
 
     The quadratic has identity curvature (L = 1). Per-coordinate noise is
     sigma/sqrt(d) Gaussian so the noise vector norm is sigma-sub-gaussian.
+    SGD-SM runs at the bound's step size eta* and momentum beta1.
     """
     L = 1.0
     mb = momentum_bound(delta1, L, sigma, T, beta1, fail_prob)
@@ -361,6 +358,7 @@ def verify_thm2(d: int, sigma: float, delta1: float, T: int, fail_prob: float,
         param_shape=param_shape, record_every=T)
     spec = make_preset("SGD-SM", lr=mb.eta_star, rank=rank, refresh_gap=0,
                        frame_kind=frame_kind)
+    spec = replace(spec, momentum=replace(spec.momentum, beta1=beta1))
     result = run(config, spec)
     metrics = tuple(s.mean_grad_norm_sq for s in result.summaries)
     violations = sum(m > mb.total for m in metrics)
@@ -437,7 +435,7 @@ def load_manifest(path) -> ShapeManifest:
 
 def mem_report(manifest: ShapeManifest, spec: OptimizerSpec) -> dict:
     """Persistent optimizer-state elements for a spec over a manifest."""
-    opt = Optimizer(spec, manifest.shapes, tags=manifest.tags, total_steps=1)
+    opt = Optimizer(spec, manifest.shapes, tags=manifest.tags)
     size = opt.state_size()
     per_entry = []
     for entry, slot in zip(manifest.entries, opt.slots):

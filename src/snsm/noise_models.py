@@ -5,6 +5,11 @@ Objectives evaluate one point ``x`` of shape ``(d,)`` or S points at once,
 seed, so S points stepping in lockstep see the noise each would alone. Rows
 that share a seed share one draw of it.
 
+The noise is Gaussian, and a :class:`NoiseModel` has three fields: the
+level ``sigma`` of dense noise on every coordinate or, when
+``density_beta`` is set, the level ``density_alpha`` of noise on the first
+ceil(d**density_beta) coordinates alone (d^beta-dense noise).
+
 Seed s at step t draws from ``default_rng(SeedSequence([s, t]))``, and
 :func:`streams` is the one place that builds those generators. Building a
 ``SeedSequence`` costs about 17 us, most of it Python-level. Its hash
@@ -101,80 +106,52 @@ class MLP2:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Additive per-coordinate noise xi with E[xi] = 0.
+    """Additive Gaussian noise xi with E[xi] = 0, on a prefix of the coordinates.
 
-    density_beta/density_alpha: exactly ceil(d**density_beta) coordinates
-    get noise level density_alpha, the rest are noiseless. With
-    density_beta=None every coordinate gets level `sigma`.
-
-    distribution "gaussian" draws N(0, sigma_i^2); "bounded" draws
-    uniform sign * sigma_i (still sigma_i-sub-gaussian).
+    With density_beta=None every coordinate draws N(0, sigma^2). Otherwise
+    the first ceil(d**density_beta) coordinates draw N(0, density_alpha^2)
+    and the rest are noiseless.
     """
 
     sigma: float = 0.0
     density_beta: float | None = None
     density_alpha: float = 1.0
-    placement: str = "contiguous"  # contiguous | random
-    distribution: str = "gaussian"  # gaussian | bounded
-    placement_seed: int = 0
 
     def __post_init__(self):
         for name in ("sigma", "density_alpha"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        beta = self.density_beta
+        if beta is not None and not 0.0 <= beta <= 1.0:  # False for nan
+            raise ValueError(f"density_beta must lie in [0, 1], got {beta}")
+
+    def _prefix(self, d: int) -> tuple:
+        """(k, level): the first k of d coordinates draw noise at ``level``."""
+        if self.density_beta is None:
+            return d, self.sigma
+        return min(d, math.ceil(d ** self.density_beta)), self.density_alpha
 
     def per_coord_sigma(self, d: int) -> np.ndarray:
-        if self.density_beta is None:
-            return np.full(d, self.sigma)
-        if not 0.0 <= self.density_beta <= 1.0:
-            raise ValueError("density_beta must lie in [0, 1]")
-        k = min(d, math.ceil(d ** self.density_beta))
+        """The noise level of each of d coordinates."""
+        k, level = self._prefix(d)
         out = np.zeros(d)
-        if self.placement == "contiguous":
-            idx = np.arange(k)
-        elif self.placement == "random":
-            rng = np.random.default_rng(self.placement_seed)
-            idx = rng.choice(d, size=k, replace=False)
-        else:
-            raise ValueError(f"unknown placement {self.placement!r}")
-        out[idx] = self.density_alpha
+        out[:k] = level
         return out
 
     def sample(self, d: int, rng: np.random.Generator) -> np.ndarray:
         """One noise vector of length d.
 
-        Only the coordinates up to the last noisy one are drawn; that draw
-        is a prefix of the full-length one, so the vector is the same.
+        Only the k noisy coordinates are drawn; that draw is a prefix of
+        the full-length one, so the vector is the same.
         """
-        sig, nz = _noisy_prefix(self, d)
-        if self.distribution == "gaussian":
-            head = rng.standard_normal(nz) * sig
-        elif self.distribution == "bounded":
-            head = rng.choice((-1.0, 1.0), size=nz) * sig
-        else:
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-        if nz == d:
+        k, level = self._prefix(d)
+        head = rng.standard_normal(k) * level
+        if k == d:
             return head
         out = np.zeros(d)
-        out[:nz] = head
+        out[:k] = head
         return out
-
-
-@functools.lru_cache(maxsize=16)
-def _noisy_prefix(noise: NoiseModel, d: int):
-    """(levels of the first nz coordinates, nz), nz = 1 + last noisy index.
-
-    Dense noise has one level, a scalar. Cached, so a run computes the
-    pattern once rather than on every draw.
-    """
-    if noise.density_beta is None:
-        return noise.sigma, d
-    sig = noise.per_coord_sigma(d)
-    nz = int(np.flatnonzero(sig)[-1]) + 1 if sig.any() else 0
-    head = sig[:nz]
-    head.flags.writeable = False
-    return head, nz
 
 
 # SeedSequence's hash (O'Neill's seed_seq mixing, in numpy.random.bit_generator),

@@ -2,15 +2,17 @@
 
 The update per parameter is
 
-    x' = x - lr_t * direction / denominator - lr_t * wd * x
+    x' = x - lr * direction / denominator - lr * wd * x
 
-where the momentum component supplies ``direction`` (plain gradient, EMA
-momentum, or subspace momentum with SGD residual), the adaptive component
-supplies ``denominator`` (ones, or subset-norm denominators from EMA or
-cumulative second moments shared within each subset), and an optional
-global-norm clip runs over the whole gradient list first. Coordinate-wise
-adaptivity (Adam, RMSProp, AdaGrad) is the ``coord`` partition, one subset
-per coordinate, and AdaGrad-Norm the ``norm`` partition, one subset in all.
+with one step size ``lr``, the spec's ``base_lr``, at every step. The
+momentum component supplies ``direction``: the plain gradient, or an EMA
+of it, m <- beta1 m + (1 - beta1) g, kept in full or in a subspace with an
+SGD residual. The adaptive component supplies ``denominator``: ones, or
+subset-norm denominators from EMA (bias-corrected) or cumulative second
+moments shared within each subset. An optional global-norm clip runs over
+the whole gradient list first. Coordinate-wise adaptivity (Adam, RMSProp,
+AdaGrad) is the ``coord`` partition, one subset per coordinate, and
+AdaGrad-Norm the ``norm`` partition, one subset in all.
 The specs of the subset-norm rules (``EMASubsetNorm``, ``AdaGradSubsetNorm``)
 and of subspace momentum (``SubspaceMomentum``, ``GaloreMomentum``) live
 with the state machines that run them, in :mod:`snsm.subsetnorm` and
@@ -81,7 +83,6 @@ class NoMomentum:
 @dataclass(frozen=True)
 class EMAMomentum:
     beta1: float = 0.9
-    dampening: bool = True
 
     def __post_init__(self):
         check_beta("beta1", self.beta1)
@@ -93,22 +94,10 @@ class NoAdaptive:
 
 
 @dataclass(frozen=True)
-class ConstantSchedule:
-    pass
-
-
-@dataclass(frozen=True)
-class CosineWarmup:
-    warmup_frac: float = 0.1
-    floor_frac: float = 0.1
-
-
-@dataclass(frozen=True)
 class OptimizerSpec:
     momentum: object = field(default_factory=NoMomentum)
     adaptive: object = field(default_factory=NoAdaptive)
     base_lr: float = 1e-3
-    schedule: object = field(default_factory=ConstantSchedule)
     weight_decay: float = 0.0
     clip_norm: float | None = None
 
@@ -123,22 +112,6 @@ class OptimizerSpec:
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and >= 0, "
                              f"got {self.weight_decay}")
-
-
-def lr_at(schedule, base_lr: float, t: int, T_total: int) -> float:
-    """Learning rate at step t in [1, T_total]."""
-    if not 1 <= t <= T_total:
-        raise ValueError(f"t={t} out of range [1, {T_total}]")
-    if isinstance(schedule, ConstantSchedule):
-        return base_lr
-    warmup_steps = int(round(schedule.warmup_frac * T_total))
-    if t <= warmup_steps and warmup_steps > 0:
-        return base_lr * t / warmup_steps
-    floor = schedule.floor_frac * base_lr
-    if T_total == warmup_steps:
-        return base_lr
-    progress = (t - warmup_steps) / (T_total - warmup_steps)
-    return floor + 0.5 * (base_lr - floor) * (1.0 + math.cos(math.pi * progress))
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +295,7 @@ class _ParamSlot:
         if isinstance(cfg, NoMomentum):
             return g
         if isinstance(cfg, EMAMomentum):
-            scale = (1.0 - cfg.beta1) if cfg.dampening else 1.0
-            self.m_buf = cfg.beta1 * self.m_buf + scale * g
+            self.m_buf = cfg.beta1 * self.m_buf + (1.0 - cfg.beta1) * g
             return self.m_buf
         if isinstance(cfg, SubspaceMomentum):
             return self._deorient(sm_direction(self.sm_state, self._orient(g)))
@@ -399,13 +371,12 @@ class Optimizer:
     """Optimizer built from a spec against a fixed list of parameter shapes."""
 
     def __init__(self, spec: OptimizerSpec, shapes: list[tuple],
-                 tags: list[str] | None = None, total_steps: int = 1):
+                 tags: list[str] | None = None):
         if tags is None:
             tags = ["linear"] * len(shapes)
         if len(tags) != len(shapes):
             raise ValueError("tags and shapes must align")
         self.spec = spec
-        self.total_steps = total_steps
         self.replicas: int | None = None  # S, fixed by the first step
         self.slots = [
             _ParamSlot(spec, shape, tag, 7919 * i)
@@ -437,7 +408,13 @@ class Optimizer:
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray],
              t: int) -> list[np.ndarray]:
-        """One step of every replica; arrays are ``shape`` or ``(S,) + shape``."""
+        """Step t >= 1 of every replica; arrays are ``shape`` or ``(S,) + shape``.
+
+        t is the clock of the frame refreshes; the step size is the spec's
+        ``base_lr`` at every t.
+        """
+        if t < 1:
+            raise ValueError(f"step index t must be >= 1, got {t}")
         if len(params) != len(self.slots) or len(grads) != len(self.slots):
             raise ValueError("params/grads count does not match the optimizer")
         params = [np.asarray(p, dtype=np.float64) for p in params]
@@ -459,8 +436,7 @@ class Optimizer:
             # clip_norm / clip_norm is exactly 1: unclipped replicas keep g
             scale = self.spec.clip_norm / np.maximum(total, self.spec.clip_norm)
             grads = [g * scale.reshape((-1,) + (1,) * (g.ndim - 1)) for g in grads]
-        lr = lr_at(self.spec.schedule, self.spec.base_lr, t, self.total_steps)
-        out = [slot.update(p, g, t, lr, self.spec.weight_decay)
+        out = [slot.update(p, g, t, self.spec.base_lr, self.spec.weight_decay)
                for p, g, slot in zip(params, grads, self.slots)]
         return out if batch is not None else [x[0] for x in out]
 

@@ -3,7 +3,8 @@
 A rule's type says how per-subset squared gradient norms accumulate:
 :class:`AdaGradSubsetNorm` sums them (b^2 += ||g_subset||^2, starting from
 b0^2), :class:`EMASubsetNorm` keeps their exponential moving average
-(v <- beta2 v + (1-beta2) ||g_subset||^2). Every coordinate of a subset
+(v <- beta2 v + (1-beta2) ||g_subset||^2), divided by 1 - beta2^t when
+read, as Adam's bias correction does. Every coordinate of a subset
 divides by the same denominator. The accumulators of S replicas that step in
 lockstep are one ``(S, c)`` array.
 """
@@ -23,7 +24,6 @@ class EMASubsetNorm:
     subset_size: int | None = None  # for the equip rule
     beta2: float = 0.999
     eps: float = 1e-8
-    bias_correction: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.beta2 < 1.0:
@@ -82,7 +82,7 @@ def sn_denominators(state: SubsetNormState) -> np.ndarray:
         denoms = np.sqrt(state.acc)
     else:
         v = state.acc
-        if rule.bias_correction and state.step > 0:
+        if state.step > 0:
             v = v / (1.0 - rule.beta2 ** state.step)
         denoms = np.sqrt(v) + rule.eps
     if denoms.min() <= 0:

@@ -43,7 +43,6 @@ class SubspaceMomentum:
     rank: int = 4
     refresh_gap: int = 200  # 0 = fixed subspace, never refresh
     beta1: float = 0.9
-    dampening: bool = True
 
     def __post_init__(self):
         _check_refresh_gap(self.refresh_gap)
@@ -132,8 +131,7 @@ def sm_direction(state: SubspaceMomentumState, G: np.ndarray) -> np.ndarray:
     G = np.asarray(G, dtype=np.float64)
     rule = state.rule
     c = project(state.frame, G)
-    scale = (1.0 - rule.beta1) if rule.dampening else 1.0
-    state.m_buf = rule.beta1 * state.m_buf + scale * c
+    state.m_buf = rule.beta1 * state.m_buf + (1.0 - rule.beta1) * c
     return G + lift(state.frame, state.m_buf - c)
 
 

@@ -36,7 +36,7 @@ def _report(criterion, passed, detail):
 # 1. reduction equivalences on 1000-step random gradient streams
 
 def _iterate_stream(preset, d, T, lr, seed, **kw):
-    opt = Optimizer(make_preset(preset, lr=lr, **kw), [(d,)], total_steps=T)
+    opt = Optimizer(make_preset(preset, lr=lr, **kw), [(d,)])
     rng = np.random.default_rng(seed)
     x = np.zeros(d)
     out = []
@@ -206,7 +206,7 @@ def test_criterion_6_memory_accounting():
     for name, want in cases.items():
         opt = Optimizer(
             make_preset(name, rank=r, frame_kind=FrameKind.GAUSSIAN_ORTHO),
-            shapes, total_steps=1)
+            shapes)
         ss = opt.state_size()
         results[name] = (ss.total, want)
         assert ss.total == want, f"{name}: {ss.total} != {want}"

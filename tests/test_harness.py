@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from snsm import harness
+from snsm.analysis import momentum_bound
 from snsm.harness import (
     RECORD_FIELDS,
     ExperimentConfig,
@@ -337,11 +338,43 @@ def test_sweep_counts_diverged_seeds(monkeypatch):
     assert sweep_verdict(rows[0], rows[1]) == "invalid"
 
 
+def test_sweep_checks_every_beta_before_the_first_run(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_rows",
+                        lambda config, specs: calls.append(config) or [])
+    with pytest.raises(ValueError, match=r"density_beta must lie in \[0, 1\], got 1.5"):
+        sweep_beta([0.0, 1.5], d=16, T=5, seeds=range(2))
+    assert calls == []  # beta = 0 did not run first
+
+
 def test_verify_thm2_noiseless_never_violates():
     chk = verify_thm2(d=16, sigma=0.0, delta1=1.0, T=500, fail_prob=0.1,
                       n_seeds=3, rank=4, frame_kind="gaussian_ortho")
     assert chk.violations == 0
     assert chk.passed
+
+
+def _capture_run(monkeypatch):
+    """The specs that ``harness.run`` is called with, in call order."""
+    specs = []
+    real_run = harness.run
+
+    def capturing_run(config, spec):
+        specs.append(spec)
+        return real_run(config, spec)
+
+    monkeypatch.setattr(harness, "run", capturing_run)
+    return specs
+
+
+def test_verify_thm2_runs_at_the_bound_beta1(monkeypatch):
+    specs = _capture_run(monkeypatch)
+    chk = verify_thm2(d=8, sigma=0.5, delta1=1.0, T=50, fail_prob=0.1,
+                      n_seeds=2, rank=2, beta1=0.5)
+    (spec,) = specs
+    assert spec.momentum.beta1 == 0.5
+    assert spec.base_lr == chk.eta_star == momentum_bound(
+        1.0, 1.0, 0.5, 50, beta1=0.5, fail_prob=0.1).eta_star
 
 
 def test_verify_thm2_identity_frame():
@@ -381,8 +414,7 @@ def test_parse_manifest_errors():
 def test_mem_report_matches_optimizer_state_size():
     man = parse_manifest(MANIFEST)
     rep = mem_report(man, make_preset("AdamSN"))
-    opt = Optimizer(make_preset("AdamSN"), man.shapes, tags=man.tags,
-                    total_steps=1)
+    opt = Optimizer(make_preset("AdamSN"), man.shapes, tags=man.tags)
     assert rep["total"] == opt.state_size().total
     # additive over entries
     assert rep["total"] == sum(e["state_elems"] for e in rep["entries"])
@@ -467,6 +499,45 @@ def test_cli_bound_verify_failure_writes_no_row(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "snsm: error: seeds must be non-empty" in captured.err
+
+
+def test_cli_bound_verify_forwards_beta1(monkeypatch, capsys):
+    specs = _capture_run(monkeypatch)
+    assert main(["bound", "--thm", "2", "--verify", "--beta1", "0.5", "--T", "50",
+                 "--d", "8", "--rank", "2", "--n-seeds", "2",
+                 "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    (spec,) = specs
+    assert spec.momentum.beta1 == 0.5
+    assert spec.base_lr == row["eta_star"]
+
+
+def test_cli_bound_verify_needs_unit_smoothness(monkeypatch, capsys):
+    specs = _capture_run(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--thm", "2", "--verify", "--L", "2", "--T", "50"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and specs == []
+    assert "--verify needs --L 1" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--thm", "2", "--sigma", "nan"], "sigma must be finite, got nan"),
+    (["--thm", "2", "--delta1", "inf"], "delta1 must be finite, got inf"),
+    (["--thm", "2", "--L", "inf"], "L must be finite, got inf"),
+    (["--thm", "3", "--eta", "nan", "--sigma-subsets", "1,1", "--b0", "1"],
+     "eta must be finite, got nan"),
+    (["--thm", "3", "--sigma-subsets", "1,nan", "--b0", "1"],
+     "sigma_subsets must be finite"),
+    (["--thm", "3", "--sigma-subsets", "1,1", "--b0", "1,inf"],
+     "b0 must be finite"),
+])
+def test_cli_bound_non_finite_parameter_exit_1(capsys, argv, message):
+    assert main(["bound"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"snsm: error: {message}" in captured.err
 
 
 def test_cli_sweep_bad_subset_size_exit_1(capsys):

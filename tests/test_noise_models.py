@@ -108,14 +108,6 @@ def test_density_beta0_single_noisy_coordinate():
     np.testing.assert_array_equal(var[1:], np.zeros(99))
 
 
-def test_random_placement_seeded():
-    nm = NoiseModel(density_beta=0.5, placement="random", placement_seed=5)
-    a = nm.per_coord_sigma(100)
-    b = nm.per_coord_sigma(100)
-    np.testing.assert_array_equal(a, b)
-    assert np.count_nonzero(a) == 10
-
-
 def test_unbiasedness():
     obj = Quadratic(np.ones(4))
     noise = NoiseModel(sigma=1.0)
@@ -126,30 +118,25 @@ def test_unbiasedness():
     assert np.all(np.abs(mean - obj.grad(x)) <= 5.0 / math.sqrt(n))
 
 
-@pytest.mark.parametrize("placement", ["contiguous", "random"])
-@pytest.mark.parametrize("distribution", ["gaussian", "bounded"])
-@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, None])
-def test_sample_prefix_draw_equals_full_draw(placement, distribution, beta):
-    # sample draws only up to the last noisy coordinate; the full-length
-    # draw of the same stream, times the per-coordinate levels, is the same
-    nm = NoiseModel(sigma=0.7, density_beta=beta, density_alpha=1.5,
-                    placement=placement, distribution=distribution,
-                    placement_seed=3)
+# the ids name the one distribution and placement: Gaussian on a prefix
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, None],
+                         ids=lambda beta: f"{beta}-gaussian-contiguous")
+def test_sample_prefix_draw_equals_full_draw(beta):
+    # sample draws only the noisy prefix; the full-length draw of the same
+    # stream, times the per-coordinate levels, is the same
+    nm = NoiseModel(sigma=0.7, density_beta=beta, density_alpha=1.5)
     d = 1000
     sig = nm.per_coord_sigma(d)
     for t in range(1, 20):
         rng = np.random.default_rng(np.random.SeedSequence([5, t]))
-        if distribution == "gaussian":
-            full = rng.standard_normal(d)
-        else:
-            full = rng.choice((-1.0, 1.0), size=d)
+        full = rng.standard_normal(d)
         got = nm.sample(d, np.random.default_rng(np.random.SeedSequence([5, t])))
         np.testing.assert_array_equal(got, full * sig)
 
 
 def test_stoch_grad_rows_match_single_seed_calls(monkeypatch):
     obj = Quadratic(np.linspace(0.5, 2.0, 50))
-    noise = NoiseModel(density_beta=0.5, placement="random")
+    noise = NoiseModel(density_beta=0.5)
     X = np.random.default_rng(0).standard_normal((7, 50))
     seeds = [4, 0, 4, 9, 0, 4, 2]  # repeated seeds, as in the rows of a sweep
     draws = []
@@ -276,10 +263,10 @@ def test_noise_level_must_be_finite_and_nonnegative(field, value):
         NoiseModel(**{field: value})
 
 
-def test_bounded_distribution_is_sign_flip():
-    nm = NoiseModel(sigma=0.5, distribution="bounded")
-    xi = nm.sample(1000, np.random.default_rng(0))
-    assert set(np.unique(np.abs(xi))) == {0.5}
+@pytest.mark.parametrize("beta", [-0.5, 1.5, math.nan, math.inf])
+def test_density_beta_checked_at_construction(beta):
+    with pytest.raises(ValueError, match=r"density_beta must lie in \[0, 1\]"):
+        NoiseModel(density_beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Optimizer template: presets, schedules, clipping, state accounting."""
+"""Optimizer template: presets, the step clock, clipping, state accounting."""
 
 import dataclasses
 import math
@@ -11,8 +11,6 @@ from snsm.linalg import Frame, FrameKind
 from snsm.optim import (
     PRESET_NAMES,
     AdaGradSubsetNorm,
-    ConstantSchedule,
-    CosineWarmup,
     EMAMomentum,
     EMASubsetNorm,
     GaloreMomentum,
@@ -20,14 +18,13 @@ from snsm.optim import (
     Optimizer,
     OptimizerSpec,
     SubspaceMomentum,
-    lr_at,
     make_preset,
 )
 
 
 def _run_stream(preset_name, shapes, T=50, lr=0.01, seed=0, tags=None, **kw):
     spec = make_preset(preset_name, lr=lr, **kw)
-    opt = Optimizer(spec, shapes, tags=tags, total_steps=T)
+    opt = Optimizer(spec, shapes, tags=tags)
     rng = np.random.default_rng(seed)
     params = [np.zeros(s) for s in shapes]
     history = []
@@ -41,7 +38,7 @@ def _run_stream(preset_name, shapes, T=50, lr=0.01, seed=0, tags=None, **kw):
 def _run_batch(preset_name, shape, seeds, T, lr):
     """History of a batch stepped in lockstep; replica s draws its gradients
     from default_rng(seeds[s])."""
-    opt = Optimizer(make_preset(preset_name, lr=lr), [shape], total_steps=T)
+    opt = Optimizer(make_preset(preset_name, lr=lr), [shape])
     rngs = [np.random.default_rng(seed) for seed in seeds]
     x = np.zeros((len(seeds),) + shape)
     history = []
@@ -53,7 +50,7 @@ def _run_batch(preset_name, shape, seeds, T, lr):
 
 
 def test_sgd_hand_example():
-    opt = Optimizer(make_preset("SGD", lr=1.0), [(2,)], total_steps=1)
+    opt = Optimizer(make_preset("SGD", lr=1.0), [(2,)])
     (x,) = opt.step([np.zeros(2)], [np.array([1.0, 2.0])], 1)
     np.testing.assert_array_equal(x, [-1.0, -2.0])
 
@@ -121,7 +118,7 @@ def test_snsm_composite_one_step_by_hand():
     # momentum, denominator the shared root accumulated squared norm
     spec = make_preset("AdaGradSNSM", lr=1.0, rank=2, refresh_gap=0,
                        frame_kind=FrameKind.IDENTITY, subset_rule="norm")
-    opt = Optimizer(spec, [(2, 2)], total_steps=1)
+    opt = Optimizer(spec, [(2, 2)])
     g = np.array([[3.0, 0.0], [0.0, 4.0]])
     (x,) = opt.step([np.zeros((2, 2))], [g], 1)
     denom = math.sqrt((1e-6) ** 2 + 25.0)
@@ -154,8 +151,7 @@ def test_non_linear_tag_falls_back():
                                     ("equip", "coord", 32),
                                     ("coord", "coord", 32), ("norm", "norm", 1)):
         spec = make_preset("AdamSNSM", rank=2, subset_rule=rule, subset_size=4)
-        opt = Optimizer(spec, [(8, 4), (8, 4)], tags=["linear", "embedding"],
-                        total_steps=10)
+        opt = Optimizer(spec, [(8, 4), (8, 4)], tags=["linear", "embedding"])
         opt.step([np.zeros((8, 4))] * 2,
                  [rng.standard_normal((8, 4)) for _ in range(2)], 1)
         lin, emb = opt.slots
@@ -165,8 +161,7 @@ def test_non_linear_tag_falls_back():
         assert emb.adaptive_cfg == dataclasses.replace(
             spec.adaptive, partition_rule=emb_rule), rule
     # GaLore's own statistics become the coordinate EMA (Adam)
-    opt = Optimizer(make_preset("GaLore", rank=2), [(8, 4)], tags=["embedding"],
-                    total_steps=10)
+    opt = Optimizer(make_preset("GaLore", rank=2), [(8, 4)], tags=["embedding"])
     opt.step([np.zeros((8, 4))], [rng.standard_normal((8, 4))], 1)
     (slot,) = opt.slots
     assert slot.galore_state is None and slot.m_buf is not None
@@ -198,7 +193,7 @@ def test_no_refresh_on_the_step_that_builds_the_frame(preset, kind, refresh_gap,
 def test_first_svd_frame_spans_first_gradient(preset, shape, refresh_gap):
     k = 4
     opt = Optimizer(make_preset(preset, rank=k, refresh_gap=refresh_gap),
-                    [shape], total_steps=10)
+                    [shape])
     g = np.random.default_rng(2).standard_normal(shape)
     opt.step([np.zeros(shape)], [g], 1)
     slot = opt.slots[0]
@@ -211,7 +206,7 @@ def test_first_svd_frame_spans_first_gradient(preset, shape, refresh_gap):
 
 def test_first_top_k_rows_frame_picks_largest_gradient_rows():
     opt = Optimizer(make_preset("AdamSNSM", rank=3, frame_kind="top_k_rows"),
-                    [(10, 4)], total_steps=10)
+                    [(10, 4)])
     g = np.random.default_rng(5).standard_normal((10, 4))
     g[[1, 6, 8]] *= 10.0
     opt.step([np.zeros((10, 4))], [g], 1)
@@ -228,17 +223,17 @@ def test_first_top_k_rows_frame_picks_largest_gradient_rows():
 ])
 def test_frame_rank_validated_at_construction(preset, shape, kw):
     with pytest.raises(ValueError, match="k ==|out of range"):
-        Optimizer(make_preset(preset, **kw), [shape], total_steps=1)
+        Optimizer(make_preset(preset, **kw), [shape])
 
 
 def test_rank_above_n_allowed_for_non_svd_frames():
     opt = Optimizer(make_preset("AdamSNSM", rank=9, frame_kind="srht"),
-                    [(16, 8)], total_steps=1)
+                    [(16, 8)])
     assert opt.state_size().frame_elements == 9 + 16
 
 
 def test_nan_gradient_rejected():
-    opt = Optimizer(make_preset("SGD"), [(2,)], total_steps=5)
+    opt = Optimizer(make_preset("SGD"), [(2,)])
     x = [np.zeros(2)]
     with pytest.raises(NonFiniteGradientError):
         opt.step(x, [np.array([1.0, np.nan])], 1)
@@ -247,7 +242,7 @@ def test_nan_gradient_rejected():
 
 
 def test_nan_gradient_names_the_replicas():
-    opt = Optimizer(make_preset("AdamSN"), [(2, 3), (4,)], total_steps=5)
+    opt = Optimizer(make_preset("AdamSN"), [(2, 3), (4,)])
     params = [np.zeros((4, 2, 3)), np.zeros((4, 4))]
     grads = [np.ones((4, 2, 3)), np.ones((4, 4))]
     grads[0][1, 0, 2] = np.nan
@@ -259,13 +254,13 @@ def test_nan_gradient_names_the_replicas():
 
 
 def test_shape_mismatch_rejected():
-    opt = Optimizer(make_preset("SGD"), [(2,)], total_steps=5)
+    opt = Optimizer(make_preset("SGD"), [(2,)])
     with pytest.raises(ValueError):
         opt.step([np.zeros(3)], [np.zeros(3)], 1)
 
 
 def test_replica_count_fixed_by_first_step():
-    opt = Optimizer(make_preset("SGDm"), [(2,), (3,)], total_steps=5)
+    opt = Optimizer(make_preset("SGDm"), [(2,), (3,)])
     with pytest.raises(ValueError, match="disagree"):
         opt.step([np.zeros((2, 2)), np.zeros(3)], [np.zeros((2, 2)), np.zeros(3)], 1)
     params = [np.zeros((2, 2)), np.zeros((2, 3))]
@@ -281,7 +276,7 @@ def test_replica_count_fixed_by_first_step():
 
 def test_global_norm_clipping():
     spec = make_preset("SGD", lr=1.0, clip_norm=1.0)
-    opt = Optimizer(spec, [(2,), (2,)], total_steps=1)
+    opt = Optimizer(spec, [(2,), (2,)])
     grads = [np.array([3.0, 0.0]), np.array([0.0, 4.0])]  # joint norm 5
     xs = opt.step([np.zeros(2), np.zeros(2)], grads, 1)
     moved = np.concatenate([-x for x in xs])
@@ -291,7 +286,7 @@ def test_global_norm_clipping():
 
 def test_decoupled_weight_decay():
     spec = make_preset("SGD", lr=0.1, weight_decay=0.5)
-    opt = Optimizer(spec, [(1,)], total_steps=1)
+    opt = Optimizer(spec, [(1,)])
     (x,) = opt.step([np.array([2.0])], [np.array([0.0])], 1)
     np.testing.assert_allclose(x, [2.0 - 0.1 * 0.5 * 2.0])
 
@@ -350,7 +345,7 @@ def test_spec_components_reject_bad_values(build, message):
 def test_rule_spec_edges_are_accepted():
     # beta = 0 is no averaging; the optimizer builds and steps
     spec = OptimizerSpec(EMAMomentum(beta1=0.0), AdaGradSubsetNorm("coord", b0=1e-12))
-    x = Optimizer(spec, [(3,)], total_steps=1).step([np.ones(3)], [np.ones(3)], 1)[0]
+    x = Optimizer(spec, [(3,)]).step([np.ones(3)], [np.ones(3)], 1)[0]
     assert np.isfinite(x).all()
     GaloreMomentum(beta1=0.0, beta2=0.0)
     SubspaceMomentum(beta1=0.0)
@@ -362,28 +357,21 @@ def test_unknown_preset():
 
 
 # ---------------------------------------------------------------------------
-# schedules
+# the step clock
 
-def test_constant_schedule():
-    for t in (1, 50, 100):
-        assert lr_at(ConstantSchedule(), 0.3, t, 100) == 0.3
-
-
-def test_cosine_warmup_boundaries():
-    sched = CosineWarmup(warmup_frac=0.1, floor_frac=0.1)
-    T = 1000
-    assert np.isclose(lr_at(sched, 1.0, 100, T), 1.0)  # warmup end: exactly max
-    assert np.isclose(lr_at(sched, 1.0, 50, T), 0.5)  # linear ramp
-    assert np.isclose(lr_at(sched, 1.0, T, T), 0.1)  # decayed to 10%
-    mid = lr_at(sched, 1.0, 550, T)
-    assert np.isclose(mid, 0.1 + 0.45 * (1 + math.cos(math.pi * 0.5)))
-
-
-def test_lr_at_out_of_range():
-    with pytest.raises(ValueError):
-        lr_at(ConstantSchedule(), 1.0, 0, 10)
-    with pytest.raises(ValueError):
-        lr_at(ConstantSchedule(), 1.0, 11, 10)
+def test_steps_need_no_step_budget():
+    # every step runs at base_lr, however many steps come; t only clocks the
+    # frame refreshes, and it starts at 1
+    opt = Optimizer(make_preset("Adam", lr=0.1), [(4,)])
+    x = np.zeros(4)
+    for t in range(1, 6):
+        (x,) = opt.step([x], [np.ones(4)], t)
+    # g = 1: m_t = 1 - 0.9^t and the bias-corrected v is 1
+    steps = sum(0.1 * (1 - 0.9 ** t) / (1 + 1e-8) for t in range(1, 6))
+    np.testing.assert_allclose(x, np.full(4, -steps), rtol=1e-12)
+    with pytest.raises(ValueError, match="step index t must be >= 1, got 0"):
+        Optimizer(make_preset("Adam", lr=0.1), [(4,)]).step(
+            [np.zeros(4)], [np.ones(4)], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +389,12 @@ def test_state_size_formulas(shapes):
         "SGD": 0,
     }
     for name, total in expect.items():
-        opt = Optimizer(make_preset(name, rank=r), shapes, total_steps=1)
+        opt = Optimizer(make_preset(name, rank=r), shapes)
         assert opt.state_size().total == total, name
 
 
 def test_state_size_frame_reported_separately():
-    opt = Optimizer(make_preset("AdamSNSM", rank=4), [(512, 128)], total_steps=1)
+    opt = Optimizer(make_preset("AdamSNSM", rank=4), [(512, 128)])
     ss = opt.state_size()
     assert ss.frame_elements == 4 * 512
     assert "frame" not in ss.breakdown
@@ -414,12 +402,12 @@ def test_state_size_frame_reported_separately():
 
 def test_state_size_skips_singletons():
     # AdaGradNorm keeps one scalar accumulator: excluded from the count
-    opt = Optimizer(make_preset("AdaGradNorm"), [(64,)], total_steps=1)
+    opt = Optimizer(make_preset("AdaGradNorm"), [(64,)])
     assert opt.state_size().total == 0
 
 
 def test_state_size_constant_over_steps():
-    opt = Optimizer(make_preset("AdamSN"), [(16, 8)], total_steps=10)
+    opt = Optimizer(make_preset("AdamSN"), [(16, 8)])
     before = opt.state_size().total
     params = [np.zeros((16, 8))]
     rng = np.random.default_rng(0)
@@ -459,7 +447,7 @@ def test_state_elements_match_held_buffers(shape, kind, rank, tag):
     for preset in PRESET_NAMES:
         for replicas in (1, 3):
             spec = make_preset(preset, rank=rank, frame_kind=kind, refresh_gap=2)
-            opt = Optimizer(spec, [shape], tags=[tag], total_steps=3)
+            opt = Optimizer(spec, [shape], tags=[tag])
             slot = opt.slots[0]
             assert _held_arrays(slot) == [], preset  # construction allocates nothing
             before = slot.state_elements()

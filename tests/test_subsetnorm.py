@@ -19,8 +19,7 @@ def test_cumulative_hand_example():
 
 
 def test_ema_one_step():
-    st = sn.sn_init(sn.EMASubsetNorm(beta2=0.999, bias_correction=False),
-                    part.equipartition(2, 1))
+    st = sn.sn_init(sn.EMASubsetNorm(beta2=0.999), part.equipartition(2, 1))
     sn.sn_accumulate(st, np.array([1.0, 1.0]))
     np.testing.assert_allclose(st.acc, [0.001, 0.001])
 
@@ -61,8 +60,7 @@ def test_ema_empty_accumulator_eps():
 
 
 def test_ema_bias_correction():
-    st = sn.sn_init(sn.EMASubsetNorm(beta2=0.9, eps=0.0, bias_correction=True),
-                    part.equipartition(2, 2))
+    st = sn.sn_init(sn.EMASubsetNorm(beta2=0.9, eps=0.0), part.equipartition(2, 2))
     sn.sn_accumulate(st, np.array([4.0]))
     # corrected v-hat = 0.1 * 4 / (1 - 0.9) = 4
     np.testing.assert_allclose(sn.sn_denominators(st), [2.0])

@@ -85,14 +85,6 @@ def test_residual_dynamics_match_plain_sgd():
         np.testing.assert_allclose(r_dir, r_grad, atol=1e-10)
 
 
-def test_heavy_ball_flag():
-    st = sm_init(SubspaceMomentum(FrameKind.IDENTITY, rank=3, beta1=0.5,
-                                  dampening=False), 3, 2)
-    G = np.ones((3, 2))
-    np.testing.assert_allclose(sm_direction(st, G), G)
-    np.testing.assert_allclose(sm_direction(st, G), 1.5 * G)
-
-
 # ---------------------------------------------------------------------------
 # refresh
 

@@ -31,7 +31,7 @@ rng = np.random.default_rng(0)
 for preset, shape in (("AdamSNSM", (8, 6)), ("GaLore", (6, 8)),
                       ("AdaGradNorm", (12,))):
     spec = optim.make_preset(preset, rank=2, refresh_gap=2)
-    opt = optim.Optimizer(spec, [shape], total_steps=4)
+    opt = optim.Optimizer(spec, [shape])
     x = np.zeros(shape)
     for t in range(1, 5):
         x = opt.step([x], [rng.standard_normal(shape)], t)[0]
