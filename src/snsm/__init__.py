@@ -48,13 +48,13 @@ from .noise_models import (
     MLP2,
     NoiseModel,
     Quadratic,
+    ShapeManifest,
     stoch_grad,
     verify_subgaussian,
 )
 from .harness import (
     ExperimentConfig,
     RunRecord,
-    ShapeManifest,
     load_manifest,
     mem_report,
     parse_manifest,

@@ -68,10 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--preset", default="Adam")
     t.add_argument("--lr", type=float, default=1e-3)
     t.add_argument("--n-seeds", type=int, default=1)
-    t.add_argument("--sigma", type=float, default=0.0, help="dense noise level")
+    t.add_argument("--sigma", type=float, default=None,
+                   help="dense noise level (default 0)")
     t.add_argument("--noise-beta", type=float, default=None,
                    help="density exponent: ceil(d^beta) noisy coordinates")
-    t.add_argument("--noise-alpha", type=float, default=1.0)
+    t.add_argument("--noise-alpha", type=float, default=None,
+                   help="noise level of --noise-beta noise (default 1)")
     t.add_argument("--delta1", type=float, default=1.0)
     t.add_argument("--record-every", type=int, default=1)
     t.add_argument("--rank", type=int, default=4)
@@ -80,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--subset-rule", default="heuristic2d")
     t.add_argument("--subset-size", type=int, default=None)
     t.add_argument("--param-shape", default=None,
-                   help="view the parameter as MxN, e.g. 10x10")
+                   help="quadratic only: its parameter's shape, e.g. 10x10")
     t.add_argument("--clip-norm", type=float, default=None)
     t.add_argument("--weight-decay", type=float, default=0.0)
 
@@ -136,25 +138,38 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _train_noise(args) -> NoiseModel:
+    """Dense noise from --sigma, or d^beta-dense noise from --noise-beta at
+    --noise-alpha; a flag of the other form is an error, not ignored."""
+    if args.noise_beta is None and args.noise_alpha is not None:
+        raise ValueError("--noise-alpha sets the level of --noise-beta noise; "
+                         "pass --noise-beta too")
+    if args.noise_beta is not None and args.sigma is not None:
+        raise ValueError("--sigma sets dense noise and --noise-beta sparse "
+                         "noise; pass one of them")
+    return NoiseModel(sigma=0.0 if args.sigma is None else args.sigma,
+                      density_beta=args.noise_beta,
+                      density_alpha=1.0 if args.noise_alpha is None
+                      else args.noise_alpha)
+
+
 def _cmd_train(args) -> int:
     seeds = tuple(range(args.seed_base, args.seed_base + args.n_seeds))
     if args.objective == "quadratic":
-        obj = Quadratic(np.ones(args.d))
+        shape = harness.parse_shape(args.param_shape) if args.param_shape else None
+        obj = Quadratic(np.ones(args.d), shape=shape)
     else:
+        if args.param_shape is not None:
+            raise ValueError("--param-shape sets the quadratic's parameter; "
+                             "mlp2 has its own layout, W1 and W2")
         harness.check_seeds(seeds)  # before the data is drawn from the first seed
         rng = np.random.default_rng(args.seed_base)
         X = rng.standard_normal((64, args.d))
         y = rng.standard_normal(64)
         obj = MLP2(X, y, hidden=args.hidden)
-    if args.noise_beta is not None:
-        noise = NoiseModel(density_beta=args.noise_beta,
-                           density_alpha=args.noise_alpha)
-    else:
-        noise = NoiseModel(sigma=args.sigma)
-    shape = harness.parse_shape(args.param_shape) if args.param_shape else None
     config = harness.ExperimentConfig(
-        objective=obj, noise=noise, T=args.T, seeds=seeds, delta1=args.delta1,
-        param_shape=shape, record_every=args.record_every)
+        objective=obj, noise=_train_noise(args), T=args.T, seeds=seeds,
+        delta1=args.delta1, record_every=args.record_every)
     spec = make_preset(
         args.preset, lr=args.lr, rank=args.rank, refresh_gap=args.refresh_gap,
         frame_kind=args.frame, subset_rule=args.subset_rule,
@@ -217,7 +232,12 @@ def _cmd_mem(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    thm3_inputs = (("--sigma-subsets", args.sigma_subsets), ("--b0", args.b0))
     if args.thm == "2":
+        given = [flag for flag, value in thm3_inputs if value is not None]
+        if given:
+            args.usage_error(f"--thm 2 does not read {' or '.join(given)} "
+                             f"(--thm 3 only)")
         if args.verify and args.L != 1.0:
             args.usage_error(f"--verify needs --L 1, the smoothness of its "
                              f"objective; got --L {args.L}")
@@ -242,8 +262,10 @@ def _cmd_bound(args) -> int:
             if not check.passed:
                 return EXIT_CHECK_FAILED
         return EXIT_OK
-    missing = [flag for flag, value in (("--sigma-subsets", args.sigma_subsets),
-                                        ("--b0", args.b0)) if value is None]
+    if args.verify:
+        args.usage_error("--verify checks --thm 2 only; --thm 3 has no "
+                         "Monte-Carlo check")
+    missing = [flag for flag, value in thm3_inputs if value is None]
     if missing:
         args.usage_error(f"--thm 3 requires {' and '.join(missing)}")
     b0 = args.b0

@@ -1,12 +1,16 @@
 """Experiment runner: optimizer x objective x noise, with CSV/JSON output.
 
 A run is an :class:`ExperimentConfig`, what its rows share (objective,
-noise model, T, seeds, the start and the parameter's view), and one
-:class:`~snsm.optim.OptimizerSpec` per row. :func:`run_rows` steps every row
-and every seed in lockstep: each row's iterates are one ``(S, d)`` array,
-one optimizer per row holds the state of every seed along a leading replica
-axis, and each seed draws its noise from its own per-(seed, t) stream, so
-every seed of every row follows the trajectory it would follow alone. Each
+noise model, T, seeds and the start), and one
+:class:`~snsm.optim.OptimizerSpec` per row. The objective's
+:class:`~snsm.noise_models.ShapeManifest` lists the parameter tensors, the
+layout ``snsm mem`` sizes: each row's optimizer is built over it and steps
+the views the manifest splits from the flat iterate. :func:`run_rows` steps
+every row and every seed in lockstep: each row's iterates are one ``(S, d)``
+array, one optimizer per row holds the state of every seed along a leading
+replica axis, and each seed draws its noise from its own per-(seed, t)
+stream, so every seed of every row follows the trajectory it would follow
+alone. Each
 step evaluates the objective once for all rows, on their iterates stacked
 ``(sum S_r, d)``, and makes one oracle call, which draws each (seed, t)
 noise vector once and adds it to every row that carries the seed in one
@@ -25,7 +29,14 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .analysis import momentum_bound
-from .noise_models import NoiseModel, Quadratic, stoch_grad, streams
+from .noise_models import (
+    ManifestEntry,
+    NoiseModel,
+    Quadratic,
+    ShapeManifest,
+    stoch_grad,
+    streams,
+)
 from .optim import NonFiniteGradientError, Optimizer, OptimizerSpec, make_preset
 
 
@@ -46,12 +57,11 @@ def check_seeds(seeds) -> None:
 class ExperimentConfig:
     """What the rows of a run share; each row brings its own OptimizerSpec."""
 
-    objective: object  # Quadratic / MLP2 instance
+    objective: object  # Quadratic / MLP2 instance, with its manifest
     noise: NoiseModel
     T: int
     seeds: tuple
     delta1: float = 1.0  # Quadratic only: scale x1 so f(x1) = delta1
-    param_shape: tuple | None = None  # view of the flat parameter; default (d,)
     record_every: int = 1
 
     def __post_init__(self):
@@ -60,9 +70,6 @@ class ExperimentConfig:
         check_seeds(self.seeds)
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        shape = self.param_shape
-        if shape is not None and int(np.prod(shape)) != self.objective.d:
-            raise ValueError("param_shape must have objective.d elements")
 
 
 RECORD_FIELDS = ("step", "seed", "loss", "grad_norm_sq", "lr", "state_elems")
@@ -118,15 +125,16 @@ def _init_x1(config: ExperimentConfig) -> np.ndarray:
 
 class _Row:
     """One spec of a lockstep loop: its iterates ``(S, d)``, its optimizer
-    over S replicas, its running seeds and its records."""
+    over S replicas of the objective's parameters, its running seeds and
+    its records."""
 
     def __init__(self, config: ExperimentConfig, spec: OptimizerSpec,
                  x1: np.ndarray):
         self.config = config
-        self.shape = config.param_shape or (config.objective.d,)
+        self.manifest = manifest = config.objective.manifest
         self.seeds = np.array(config.seeds, dtype=np.int64)
         n_seeds = self.seeds.size
-        self.opt = Optimizer(spec, [self.shape], tags=["linear"])
+        self.opt = Optimizer(spec, manifest.shapes, tags=manifest.tags)
         # closed form, constant over steps
         self.state_elems = self.opt.state_size().total
         self.x = x1  # every step replaces it; x1 itself is never written
@@ -166,19 +174,17 @@ class _Row:
 
     def step(self, g: np.ndarray, t: int) -> None:
         """Step the running seeds with their stochastic gradients ``g``."""
-        batch = (self.live.size,) + self.shape
+        split = self.manifest.split
         try:
-            x = self.opt.step([self.x.reshape(batch)], [g.reshape(batch)], t)[0]
+            params = self.opt.step(split(self.x), split(g), t)
         except NonFiniteGradientError as exc:
             bad = np.zeros(self.live.size, dtype=bool)
             bad[list(exc.replicas)] = True
             keep = self.drop(bad)
             if not self.live.size:
                 return
-            batch = (self.live.size,) + self.shape
-            x = self.opt.step([self.x[keep].reshape(batch)],
-                              [g[keep].reshape(batch)], t)[0]
-        self.x = x.reshape(self.live.size, -1)
+            params = self.opt.step(split(self.x[keep]), split(g[keep]), t)
+        self.x = self.manifest.join(params)
 
     def result(self) -> RunResult:
         sums, steps = self.grad_sq_sum, self.steps_done
@@ -350,12 +356,12 @@ def verify_thm2(d: int, sigma: float, delta1: float, T: int, fail_prob: float,
     """
     L = 1.0
     mb = momentum_bound(delta1, L, sigma, T, beta1, fail_prob)
-    obj = Quadratic(np.ones(d))
+    obj = Quadratic(np.ones(d), shape=param_shape)
     noise = NoiseModel(sigma=sigma / math.sqrt(d))
     config = ExperimentConfig(
         objective=obj, noise=noise, T=T,
         seeds=tuple(range(seed_base, seed_base + n_seeds)), delta1=delta1,
-        param_shape=param_shape, record_every=T)
+        record_every=T)
     spec = make_preset("SGD-SM", lr=mb.eta_star, rank=rank, refresh_gap=0,
                        frame_kind=frame_kind)
     spec = replace(spec, momentum=replace(spec.momentum, beta1=beta1))
@@ -371,26 +377,6 @@ def verify_thm2(d: int, sigma: float, delta1: float, T: int, fail_prob: float,
 
 # ---------------------------------------------------------------------------
 # shape manifests
-
-@dataclass(frozen=True)
-class ManifestEntry:
-    name: str
-    tag: str  # linear | embedding | norm | ...
-    shape: tuple
-
-
-@dataclass(frozen=True)
-class ShapeManifest:
-    entries: tuple
-
-    @property
-    def shapes(self):
-        return [e.shape for e in self.entries]
-
-    @property
-    def tags(self):
-        return [e.tag for e in self.entries]
-
 
 def parse_manifest(text: str) -> ShapeManifest:
     """One parameter per line: ``name<TAB>class<TAB>dim1xdim2`` (or a single

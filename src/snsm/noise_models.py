@@ -1,9 +1,17 @@
-"""Test objectives and synthetic gradient-noise models.
+"""Test objectives, their parameter layouts and synthetic gradient-noise models.
 
 Objectives evaluate one point ``x`` of shape ``(d,)`` or S points at once,
 ``(S, d)``, one per row; the oracle draws each row's noise from its own
 seed, so S points stepping in lockstep see the noise each would alone. Rows
 that share a seed share one draw of it.
+
+Each objective exposes ``manifest``, a :class:`ShapeManifest` of its
+parameter tensors: ``x`` holds them in manifest order, each row-major, and
+:meth:`ShapeManifest.split` and :meth:`ShapeManifest.join` convert between
+the two. The optimizer steps that list of tensors, as ``snsm mem`` sizes
+it. A :class:`Quadratic` has one ``linear`` entry, ``(d,)`` or a given
+shape; an :class:`MLP2` has W1 ``(hidden, d_in)`` tagged ``linear`` and W2
+``(1, hidden)`` tagged ``head``.
 
 The noise is Gaussian, and a :class:`NoiseModel` has three fields: the
 level ``sigma`` of dense noise on every coordinate or, when
@@ -24,6 +32,7 @@ words, about 3 us per build. Any other seed or step keeps the
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,18 +40,69 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
+# parameter layouts
+
+@dataclass(frozen=True)
+class ManifestEntry:
+    name: str
+    tag: str  # linear | embedding | norm | ...
+    shape: tuple
+
+
+@dataclass(frozen=True)
+class ShapeManifest:
+    """Named, tagged parameter tensors, in the order a flat vector holds them."""
+
+    entries: tuple
+
+    @property
+    def shapes(self):
+        return [e.shape for e in self.entries]
+
+    @property
+    def tags(self):
+        return [e.tag for e in self.entries]
+
+    @functools.cached_property
+    def _spans(self) -> tuple:
+        """(start, stop, shape) of each entry in the flat vector."""
+        stops = list(itertools.accumulate(math.prod(s) for s in self.shapes))
+        return tuple(zip([0] + stops[:-1], stops, self.shapes))
+
+    def split(self, x: np.ndarray) -> list:
+        """Views of ``x``, ``lead + (d,)``: one ``lead + shape`` per entry."""
+        lead, out = x.shape[:-1], []
+        for lo, hi, shape in self._spans:  # cheaper than a listcomp; twice per row-step
+            out.append(x[..., lo:hi].reshape(lead + shape))
+        return out
+
+    def join(self, parts: list) -> np.ndarray:
+        """The inverse of :meth:`split`; a single contiguous part is not copied."""
+        first = parts[0]
+        lead = first.shape[:first.ndim - len(self.entries[0].shape)] + (-1,)
+        if len(parts) == 1:
+            return first.reshape(lead)
+        return np.concatenate([p.reshape(lead) for p in parts], axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # deterministic objectives with exact gradients
 
 class Quadratic:
-    """f(x) = 0.5 * sum_i lam_i x_i^2, minimum 0 at the origin."""
+    """f(x) = 0.5 * sum_i lam_i x_i^2, minimum 0 at the origin; its manifest
+    is one ``linear`` parameter of shape ``shape``, by default ``(d,)``."""
 
-    def __init__(self, lam: np.ndarray):
+    def __init__(self, lam: np.ndarray, shape: tuple | None = None):
         self.lam = np.asarray(lam, dtype=np.float64)
         if self.lam.ndim != 1 or np.any(self.lam < 0):
             raise ValueError("lam must be a 1D nonnegative array")
         self.d = self.lam.size
         if self.d < 1:
             raise ValueError("quadratic needs d >= 1, got d=0")
+        shape = (self.d,) if shape is None else tuple(shape)
+        if math.prod(shape) != self.d:
+            raise ValueError("param_shape must have objective.d elements")
+        self.manifest = ShapeManifest((ManifestEntry("x", "linear", shape),))
         self.smoothness = float(self.lam.max(initial=0.0))
         self.f_star = 0.0
 
@@ -57,8 +117,10 @@ class Quadratic:
 class MLP2:
     """Two-layer tanh network, squared loss, parameters packed into one vector.
 
-    Layout: W1 (h x d_in) then W2 (1 x h), row-major. Gradients via manual
-    backprop; checkable against finite differences.
+    Layout (the manifest): W1 ``(hidden, d_in)`` tagged ``linear``, then W2
+    ``(1, hidden)`` tagged ``head``, which no matrix rule acts on: a single
+    row admits no rank-k frame. Gradients via manual backprop; checkable
+    against finite differences.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, hidden: int):
@@ -71,24 +133,20 @@ class MLP2:
         for name, size in (("hidden", self.hidden), ("d", self.d_in)):
             if size < 1:
                 raise ValueError(f"mlp2 needs {name} >= 1, got {name}={size}")
-        self.d = self.hidden * self.d_in + self.hidden
+        self.manifest = ShapeManifest((
+            ManifestEntry("W1", "linear", (self.hidden, self.d_in)),
+            ManifestEntry("W2", "head", (1, self.hidden))))
+        self.d = sum(map(math.prod, self.manifest.shapes))
         self.f_star = None
         self.smoothness = None  # not globally smooth in closed form
 
-    def _unpack(self, x: np.ndarray):
-        h, din = self.hidden, self.d_in
-        lead = x.shape[:-1]
-        W1 = x[..., : h * din].reshape(lead + (h, din))
-        W2 = x[..., h * din:].reshape(lead + (1, h))
-        return W1, W2
-
     def value(self, x: np.ndarray):
-        W1, W2 = self._unpack(x)
+        W1, W2 = self.manifest.split(x)
         pred = (W2 @ np.tanh(W1 @ self.X.T))[..., 0, :]
         return 0.5 * np.mean((pred - self.y) ** 2, axis=-1)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        W1, W2 = self._unpack(x)
+        W1, W2 = self.manifest.split(x)
         n = self.X.shape[0]
         Z = W1 @ self.X.T  # ([S,] h, n)
         A = np.tanh(Z)
@@ -96,9 +154,7 @@ class MLP2:
         gW2 = (err[..., None, :] @ A.mT) / n  # ([S,] 1, h)
         dA = (W2.mT @ err[..., None, :]) * (1.0 - A * A)  # ([S,] h, n)
         gW1 = dA @ self.X / n  # ([S,] h, d_in)
-        lead = x.shape[:-1]
-        return np.concatenate([gW1.reshape(lead + (-1,)), gW2.reshape(lead + (-1,))],
-                              axis=-1)
+        return self.manifest.join([gW1, gW2])
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,8 @@ LOCKSTEP_CASES = [
 
 def _lockstep_config(preset, shape, seeds, **kw):
     d = int(np.prod(shape))
-    base = dict(objective=Quadratic(np.linspace(0.5, 2.0, d)),
-                noise=NoiseModel(sigma=0.3), T=20, seeds=seeds, lr=0.05,
-                param_shape=shape, rank=3)
+    base = dict(objective=Quadratic(np.linspace(0.5, 2.0, d), shape=shape),
+                noise=NoiseModel(sigma=0.3), T=20, seeds=seeds, lr=0.05, rank=3)
     return _config_and_spec(preset, **dict(base, **kw))
 
 
@@ -135,13 +134,21 @@ def test_lockstep_run_matches_one_seed_runs(preset, kw, shapes, refresh_gap):
             lambda seeds: _lockstep_config(preset, shape, seeds, **kw), (4, 0, 9))
 
 
-def test_lockstep_mlp2_matches_one_seed_runs():
+@pytest.mark.parametrize("preset,kw", [
+    pytest.param("Adam", {}, id="Adam"),
+    # W1 (4, 3) carries the frame; W2 (1, 4) falls back to EMA momentum / Adam
+    pytest.param("AdamSNSM", dict(frame_kind="svd", rank=2, refresh_gap=4),
+                 id="AdamSNSM"),
+    pytest.param("GaLore", dict(rank=2, refresh_gap=4), id="GaLore"),
+    pytest.param("AdaGradNorm", {}, id="AdaGradNorm"),  # one norm per tensor
+])
+def test_lockstep_mlp2_matches_one_seed_runs(preset, kw):
     rng = np.random.default_rng(0)
     obj = MLP2(rng.standard_normal((16, 3)), rng.standard_normal(16), hidden=4)
     _assert_lockstep_equals_alone(
         lambda seeds: (ExperimentConfig(objective=obj, noise=NoiseModel(sigma=0.1),
                                         T=15, seeds=seeds),
-                       make_preset("Adam", lr=0.05)),
+                       make_preset(preset, lr=0.05, **kw)),
         (2, 5, 1))
 
 
@@ -264,8 +271,6 @@ def test_config_validation():
         _quad_config(T=0)
     with pytest.raises(ValueError):
         _quad_config(seeds=())
-    with pytest.raises(ValueError):
-        _quad_config(d=4, param_shape=(3, 2))
     for lr in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lr must be finite and > 0"):
             _quad_config(lr=lr)
@@ -494,6 +499,23 @@ def test_cli_bound_thm3_names_missing_flag(capsys):
     assert "--thm 3 requires --b0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--thm", "3", "--sigma-subsets", "1,1", "--b0", "1", "--verify"],
+     "--verify checks --thm 2 only"),
+    (["--thm", "2", "--sigma-subsets", "1,1", "--b0", "5"],
+     "--thm 2 does not read --sigma-subsets or --b0 (--thm 3 only)"),
+    (["--thm", "2", "--b0", "5"], "--thm 2 does not read --b0 (--thm 3 only)"),
+])
+def test_cli_bound_flag_of_the_other_theorem_exit_1(capsys, argv, message):
+    # each would otherwise be ignored: the same row, exit 0, no check
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", *argv])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_cli_bound_verify_failure_writes_no_row(capsys):
     assert main(["bound", "--thm", "2", "--verify", "--n-seeds", "0", "--T", "3"]) == 1
     captured = capsys.readouterr()
@@ -640,6 +662,56 @@ def test_cli_train_bad_param_shape_exit_1(capsys, preset, shape, message):
     assert main(["train", "--d", "100", "--preset", preset, "--T", "2",
                  f"--param-shape={shape}", "--out", "/dev/null"]) == 1
     assert f"snsm: error: {message}" in capsys.readouterr().err
+
+
+def test_cli_train_param_shape_on_mlp2_exit_1(capsys):
+    # MLP2's layout is its manifest; a shape here would view W1|W2 as one matrix
+    assert main(["train", "--objective", "mlp2", "--d", "8", "--hidden", "16",
+                 "--param-shape", "12x12", "--preset", "AdamSN", "--T", "2",
+                 "--out", "/dev/null"]) == 1
+    assert "snsm: error: --param-shape sets the quadratic's parameter" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--noise-beta", "0.5", "--sigma", "3"],
+     "--sigma sets dense noise and --noise-beta sparse noise"),
+    (["--noise-alpha", "2"], "--noise-alpha sets the level of --noise-beta noise"),
+])
+def test_cli_train_noise_flag_of_the_other_form_exit_1(capsys, argv, message):
+    assert main(["train", "--d", "16", "--T", "5", *argv, "--out", "/dev/null"]) == 1
+    assert f"snsm: error: {message}" in capsys.readouterr().err
+
+
+def test_cli_train_noise_defaults(monkeypatch):
+    noises = []
+    real = harness.run
+
+    def capturing_run(config, spec):
+        noises.append(config.noise)
+        return real(config, spec)
+
+    monkeypatch.setattr(harness, "run", capturing_run)
+    for argv in ([], ["--sigma", "0.5"], ["--noise-beta", "0.5"],
+                 ["--noise-beta", "0.5", "--noise-alpha", "2"]):
+        assert main(["train", "--d", "16", "--T", "3", *argv,
+                     "--out", "/dev/null"]) == 0
+    assert noises == [NoiseModel(), NoiseModel(sigma=0.5),
+                      NoiseModel(density_beta=0.5),
+                      NoiseModel(density_beta=0.5, density_alpha=2.0)]
+
+
+@pytest.mark.parametrize("preset", ["Adam", "AdamSN", "AdamSNSM", "GaLore",
+                                    "AdaGradSNSM", "SGD-SM"])
+def test_cli_train_mlp2_steps_the_manifest_that_mem_sizes(tmp_path, preset):
+    # W1 (16, 100) holds the rank-4 frame; the flat (1616, 1) view held none
+    out = tmp_path / "run.json"
+    assert main(["train", "--objective", "mlp2", "--preset", preset, "--T", "30",
+                 "--refresh-gap", "10", "--format", "json", "--out", str(out)]) == 0
+    records = json.loads(out.read_text())
+    manifest = MLP2(np.zeros((1, 100)), np.zeros(1), hidden=16).manifest
+    assert {r["state_elems"] for r in records} == {
+        mem_report(manifest, make_preset(preset))["total"]}
 
 
 def test_cli_noise(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from snsm import harness, noise_models
 from snsm.noise_models import (
     MLP2,
+    ManifestEntry,
     NoiseModel,
     Quadratic,
     seed_words,
@@ -68,6 +69,39 @@ def test_mlp2_gradient_finite_diff():
     obj = MLP2(rng.standard_normal((16, 3)), rng.standard_normal(16), hidden=4)
     x = rng.uniform(-0.5, 0.5, obj.d)
     np.testing.assert_allclose(obj.grad(x), _finite_diff(obj, x), atol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# parameter manifests
+
+def test_quadratic_manifest_is_one_linear_entry():
+    assert Quadratic(np.ones(6)).manifest.entries == (ManifestEntry("x", "linear", (6,)),)
+    assert Quadratic(np.ones(6), shape=(3, 2)).manifest.shapes == [(3, 2)]
+    with pytest.raises(ValueError, match="param_shape must have objective.d elements"):
+        Quadratic(np.ones(4), shape=(3, 2))
+
+
+def test_mlp2_manifest_packs_w1_then_w2():
+    rng = np.random.default_rng(1)
+    obj = MLP2(rng.standard_normal((16, 3)), rng.standard_normal(16), hidden=4)
+    assert obj.manifest.entries == (ManifestEntry("W1", "linear", (4, 3)),
+                                    ManifestEntry("W2", "head", (1, 4)))
+    assert obj.d == 4 * 3 + 4
+    x = rng.standard_normal((2, obj.d))
+    W1, W2 = obj.manifest.split(x)
+    np.testing.assert_array_equal(W1, x[:, :12].reshape(2, 4, 3))
+    np.testing.assert_array_equal(W2, x[:, 12:].reshape(2, 1, 4))
+    np.testing.assert_array_equal(obj.manifest.join([W1, W2]), x)
+
+
+def test_one_entry_split_and_join_copy_nothing():
+    # a run of a 512x512 parameter holds its iterate once, not twice
+    manifest = Quadratic(np.ones(12), shape=(4, 3)).manifest
+    x = np.arange(24.0).reshape(2, 12)
+    (view,) = manifest.split(x)
+    assert view.shape == (2, 4, 3) and np.shares_memory(view, x)
+    joined = manifest.join([view])
+    assert joined.shape == x.shape and np.shares_memory(joined, x)
 
 
 # ---------------------------------------------------------------------------

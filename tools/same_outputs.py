@@ -11,9 +11,10 @@ when any command differs, 2 on a usage error.
 
 The list holds the command lines of one pass of each benchmark workload
 (``perfbench/workloads.py``, seed 3) and commands that reach the other
-paths of the entry points: MLP2 runs, the Thm-2 Monte-Carlo check, a
-three-beta sweep, a diverging run, sparse noise under GaLore and a seed
-beyond one entropy word.
+paths of the entry points: MLP2 runs (Adam-family, SM and GaLore rows over
+its two parameter tensors), the Thm-2 Monte-Carlo check, a three-beta
+sweep, a diverging run, sparse noise under GaLore and a seed beyond one
+entropy word.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ COMMANDS = [
                    "--T", "60", "--preset", "SGDm", "--lr", "0.05",
                    "--sigma", "0.1", "--n-seeds", "3", "--seed-base", "4",
                    "--format", "json"]),
+    ("mlp2/adamsnsm", ["train", "--objective", "mlp2", "--d", "6", "--hidden", "5",
+                       "--T", "60", "--preset", "AdamSNSM", "--lr", "0.01",
+                       "--refresh-gap", "20", "--sigma", "0.1", "--n-seeds", "3",
+                       "--seed-base", "2"]),
+    ("mlp2/galore", ["train", "--objective", "mlp2", "--d", "6", "--hidden", "5",
+                     "--T", "60", "--preset", "GaLore", "--lr", "0.01",
+                     "--refresh-gap", "20", "--sigma", "0.1", "--n-seeds", "3",
+                     "--seed-base", "4", "--format", "json"]),
     ("bound-verify", ["bound", "--thm", "2", "--verify", "--T", "2000",
                       "--n-seeds", "10"]),
     ("sweep-3-betas", ["sweep", "--betas", "0,0.5,1", "--d", "64", "--T", "200",
