@@ -57,10 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--seed-base", type=int, default=0)
 
     t = sub.add_parser("train", help="run one optimizer config over seeds")
     common(t)
+    t.add_argument("--seed-base", type=int, default=0)
     t.add_argument("--objective", choices=("quadratic", "mlp2"), default="quadratic")
     t.add_argument("--d", type=int, default=100)
     t.add_argument("--hidden", type=int, default=16, help="mlp2 hidden width")
@@ -88,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="beta-sweep over step-size families")
     common(s)
+    s.add_argument("--seed-base", type=int, default=0)
     s.add_argument("--betas", type=_float_list, default=[0.0, 0.5, 1.0])
     s.add_argument("--d", type=int, default=1024)
     s.add_argument("--T", type=int, default=1000)
@@ -119,21 +120,22 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--thm", choices=("2", "3"), required=True)
     b.add_argument("--delta1", type=float, default=1.0)
     b.add_argument("--L", type=float, default=1.0)
-    b.add_argument("--sigma", type=float, default=1.0)
+    b.add_argument("--sigma", type=float, default=None, help="thm 2")
     b.add_argument("--T", type=int, default=10000)
-    b.add_argument("--beta1", type=float, default=0.9)
+    b.add_argument("--beta1", type=float, default=None, help="thm 2")
     b.add_argument("--delta", type=float, default=0.1, help="failure probability")
-    b.add_argument("--eta", type=float, default=0.01, help="thm 3 step size")
+    b.add_argument("--eta", type=float, default=None, help="thm 3 step size")
     b.add_argument("--sigma-subsets", type=_float_list, default=None,
                    help="thm 3: per-subset noise levels, comma-separated")
     b.add_argument("--b0", type=_float_list, default=None,
                    help="thm 3: per-subset initial accumulators")
     b.add_argument("--verify", action="store_true",
                    help="thm 2: Monte-Carlo check over seeds (needs --L 1)")
-    b.add_argument("--d", type=int, default=100)
-    b.add_argument("--n-seeds", type=int, default=20)
-    b.add_argument("--rank", type=int, default=10)
-    b.add_argument("--frame", default="gaussian_ortho")
+    b.add_argument("--d", type=int, default=None, help="--verify only")
+    b.add_argument("--n-seeds", type=int, default=None, help="--verify only")
+    b.add_argument("--rank", type=int, default=None, help="--verify only")
+    b.add_argument("--frame", default=None, help="--verify only")
+    b.add_argument("--seed-base", type=int, default=None, help="--verify only")
     b.set_defaults(usage_error=b.error)
     return p
 
@@ -231,13 +233,30 @@ def _cmd_mem(args) -> int:
     return EXIT_OK
 
 
+# the flags that one mode of `bound` alone reads, with their defaults; the
+# other modes exit 1 on them rather than ignore them
+_BOUND_MODE_FLAGS = {
+    "--thm 2": dict(sigma=1.0, beta1=0.9),
+    "--thm 3": dict(eta=0.01, sigma_subsets=None, b0=None),
+    "--verify": dict(d=100, n_seeds=20, rank=10, frame="gaussian_ortho", seed_base=0),
+}
+
+
 def _cmd_bound(args) -> int:
-    thm3_inputs = (("--sigma-subsets", args.sigma_subsets), ("--b0", args.b0))
+    if args.thm == "3" and args.verify:
+        args.usage_error("--verify checks --thm 2 only; --thm 3 has no "
+                         "Monte-Carlo check")
+    modes = (f"--thm {args.thm}", "--verify" if args.verify else None)
+    for mode, defaults in _BOUND_MODE_FLAGS.items():
+        given = [f"--{dest.replace('_', '-')}" for dest in defaults
+                 if getattr(args, dest) is not None]
+        if given and mode not in modes:
+            args.usage_error(f"--thm {args.thm} does not read "
+                             f"{' or '.join(given)} ({mode} only)")
+        for dest, default in defaults.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
     if args.thm == "2":
-        given = [flag for flag, value in thm3_inputs if value is not None]
-        if given:
-            args.usage_error(f"--thm 2 does not read {' or '.join(given)} "
-                             f"(--thm 3 only)")
         if args.verify and args.L != 1.0:
             args.usage_error(f"--verify needs --L 1, the smoothness of its "
                              f"objective; got --L {args.L}")
@@ -262,9 +281,7 @@ def _cmd_bound(args) -> int:
             if not check.passed:
                 return EXIT_CHECK_FAILED
         return EXIT_OK
-    if args.verify:
-        args.usage_error("--verify checks --thm 2 only; --thm 3 has no "
-                         "Monte-Carlo check")
+    thm3_inputs = (("--sigma-subsets", args.sigma_subsets), ("--b0", args.b0))
     missing = [flag for flag, value in thm3_inputs if value is None]
     if missing:
         args.usage_error(f"--thm 3 requires {' and '.join(missing)}")

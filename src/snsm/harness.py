@@ -422,17 +422,13 @@ def load_manifest(path) -> ShapeManifest:
 def mem_report(manifest: ShapeManifest, spec: OptimizerSpec) -> dict:
     """Persistent optimizer-state elements for a spec over a manifest."""
     opt = Optimizer(spec, manifest.shapes, tags=manifest.tags)
-    size = opt.state_size()
     per_entry = []
     for entry, slot in zip(manifest.entries, opt.slots):
-        elems = slot.state_elements()
-        frame = elems.pop("frame", 0)
+        state, frame = slot.state_elements()
         per_entry.append(dict(name=entry.name, tag=entry.tag,
                               shape="x".join(map(str, entry.shape)),
-                              state_elems=sum(elems.values()),
-                              frame_elems=frame))
-    return dict(total=size.total, breakdown=size.breakdown,
-                frame_elements=size.frame_elements, entries=per_entry)
+                              state_elems=state, frame_elems=frame))
+    return dict(asdict(opt.state_size()), entries=per_entry)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,18 @@ def frame_storage_elements(kind: FrameKind | str, m: int, k: int) -> int:
     return k * m  # dense rows
 
 
+def check_rank(kind: FrameKind, m: int, k: int, n: int | None = None) -> None:
+    """Reject a rank-k frame over R^m (and, given n, over an m x n gradient)."""
+    if not 0 <= k <= m:
+        raise ValueError(f"rank k={k} out of range for ambient dimension m={m}")
+    if k == 0:
+        return
+    if kind is FrameKind.IDENTITY and k != m:
+        raise ValueError("identity frame requires k == m")
+    if n is not None and kind in (FrameKind.SVD, FrameKind.APPROX_SVD) and k > n:
+        raise ValueError(f"rank k={k} out of range for {m}x{n} matrix")
+
+
 def _as_matrix(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim not in (2, 3):
@@ -187,15 +199,12 @@ def make_frame(
     its S replicas; ``(m, n)`` or none gives a single frame.
     """
     kind = FrameKind(kind)
-    if not 0 <= k <= m:
-        raise ValueError(f"rank k={k} out of range for ambient dimension m={m}")
-    replicas = () if reference_grad is None else np.shape(reference_grad)[:-2]
+    replicas = np.shape(reference_grad)[:-2]  # () without a reference gradient
+    check_rank(kind, m, k, *np.shape(reference_grad)[-1:])
     if kind is FrameKind.ZERO or k == 0:
         return Frame(kind=FrameKind.ZERO, ambient_dim=m, rank=0,
                      rows=np.zeros(replicas + (0, m)))
     if kind is FrameKind.IDENTITY:
-        if k != m:
-            raise ValueError("identity frame requires k == m")
         return _stack(Frame(kind=kind, ambient_dim=m, rank=m,
                             indices=np.arange(m, dtype=np.int64)), replicas)
     if kind in GRADIENT_KINDS:

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import partition as part
 from . import subsetnorm as sn
-from .linalg import Frame, FrameKind, frame_storage_elements, take_replicas
+from .linalg import (Frame, FrameKind, check_rank, frame_storage_elements,
+                     take_replicas)
 from .subsetnorm import AdaGradSubsetNorm, EMASubsetNorm
 from .subspace import (
     GaloreMomentum,
@@ -182,19 +183,6 @@ def _build_partition(rule: str, subset_size, shape) -> part.Partition:
     raise ValueError(f"unknown partition rule {rule!r}")
 
 
-def _check_rank(momentum, m: int, n: int) -> None:
-    """Reject a frame rank the oriented (m, n) parameter cannot hold."""
-    kind, k = momentum.frame_kind, momentum.rank
-    if not 0 <= k <= m:
-        raise ValueError(f"rank k={k} out of range for ambient dimension m={m}")
-    if k == 0:
-        return
-    if kind is FrameKind.IDENTITY and k != m:
-        raise ValueError("identity frame requires k == m")
-    if kind in (FrameKind.SVD, FrameKind.APPROX_SVD) and k > n:
-        raise ValueError(f"rank k={k} out of range for {m}x{n} matrix")
-
-
 class _ParamSlot:
     """All optimizer state attached to one parameter tensor.
 
@@ -206,7 +194,6 @@ class _ParamSlot:
 
     def __init__(self, spec: OptimizerSpec, shape: tuple, tag: str, seed: int):
         self.shape = tuple(shape)
-        self.tag = tag
         self.d = int(np.prod(shape))
         self.seed = seed
         momentum, adaptive = spec.momentum, spec.adaptive
@@ -231,7 +218,8 @@ class _ParamSlot:
         # orientation: frames act on the larger dimension of a 2D parameter
         self.transposed = len(self.shape) == 2 and self.shape[0] < self.shape[1]
         if isinstance(momentum, (SubspaceMomentum, GaloreMomentum)):
-            _check_rank(momentum, *self._oriented_shape())
+            m, n = self._oriented_shape()
+            check_rank(momentum.frame_kind, m, momentum.rank, n)
         self.partition: part.Partition | None = None
         if isinstance(adaptive, (EMASubsetNorm, AdaGradSubsetNorm)):
             self.partition = _build_partition(adaptive.partition_rule,
@@ -337,33 +325,27 @@ class _ParamSlot:
 
     # -- accounting ----------------------------------------------------------
 
-    def state_elements(self) -> dict[str, int]:
-        """Elements of the buffers ``update`` keeps per replica, from the
-        configs alone.
-
-        Singleton scalars (the one accumulator of the ``norm`` rule) are not
-        counted; the frame is reported under its own key.
-        """
+    def state_elements(self) -> tuple[int, int]:
+        """``(state, frame)``: elements of the arrays ``update`` keeps per
+        replica, the frame's apart, from the configs alone."""
         m, n = self._oriented_shape()
         momentum = self.momentum_cfg
-        out: dict[str, int] = {}
+        state = frame = 0
         if isinstance(momentum, EMAMomentum):
-            out["momentum"] = self.d
+            state = self.d
         elif isinstance(momentum, (SubspaceMomentum, GaloreMomentum)):
             k = 0 if momentum.frame_kind is FrameKind.ZERO else momentum.rank
-            out["momentum"] = k * n
-            out["frame"] = frame_storage_elements(momentum.frame_kind, m, k)
-            if isinstance(momentum, GaloreMomentum):
-                out["second_moment"] = k * n
+            buffers = 2 if isinstance(momentum, GaloreMomentum) else 1  # GaLore: m, v
+            state = buffers * k * n
+            frame = frame_storage_elements(momentum.frame_kind, m, k)
         if self.partition is not None:
-            out["second_moment"] = self.partition.c
-        return {k: v for k, v in out.items() if v > 1 or (k == "frame" and v > 0)}
+            state += self.partition.c
+        return state, frame
 
 
 @dataclass(frozen=True)
 class StateSize:
-    total: int  # persistent state elements per replica, singletons excluded
-    breakdown: dict
+    total: int  # elements of every array the optimizer keeps per replica, frames apart
     frame_elements: int  # reported separately, not part of total
 
 
@@ -450,10 +432,6 @@ class Optimizer:
 
     def state_size(self) -> StateSize:
         """Closed-form state elements of one replica."""
-        breakdown: dict[str, int] = {}
-        for slot in self.slots:
-            for key, val in slot.state_elements().items():
-                breakdown[key] = breakdown.get(key, 0) + val
-        frame = breakdown.pop("frame", 0)
-        return StateSize(total=sum(breakdown.values()), breakdown=breakdown,
-                         frame_elements=frame)
+        pairs = [slot.state_elements() for slot in self.slots]
+        return StateSize(total=sum(state for state, _ in pairs),
+                         frame_elements=sum(frame for _, frame in pairs))

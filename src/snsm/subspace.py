@@ -86,27 +86,25 @@ class GaloreState:
     step: int = 0
 
 
-def _buffer_shape(frame: Frame, n: int, reference_grad) -> tuple:
-    replicas = () if reference_grad is None else np.shape(reference_grad)[:-2]
-    return replicas + (frame.rank, n)
+def _first_frame(rule: SubspaceMomentum | GaloreMomentum, m: int, n: int,
+                 seed: int, reference_grad) -> tuple[Frame, np.ndarray]:
+    """The rule's first frame and a zero ``([S,] rank, n)`` buffer."""
+    frame = make_frame(rule.frame_kind, m, rule.rank, seed=seed,
+                       reference_grad=reference_grad)
+    return frame, np.zeros(np.shape(reference_grad)[:-2] + (frame.rank, n))
 
 
 def sm_init(rule: SubspaceMomentum, m: int, n: int, seed: int = 0,
             reference_grad: np.ndarray | None = None) -> SubspaceMomentumState:
-    frame = make_frame(rule.frame_kind, m, rule.rank, seed=seed,
-                       reference_grad=reference_grad)
-    shape = _buffer_shape(frame, n, reference_grad)
-    return SubspaceMomentumState(rule=rule, frame=frame, m_buf=np.zeros(shape),
-                                 seed=seed)
+    frame, m_buf = _first_frame(rule, m, n, seed, reference_grad)
+    return SubspaceMomentumState(rule=rule, frame=frame, m_buf=m_buf, seed=seed)
 
 
 def galore_init(rule: GaloreMomentum, m: int, n: int, seed: int = 0,
                 reference_grad: np.ndarray | None = None) -> GaloreState:
-    frame = make_frame(rule.frame_kind, m, rule.rank, seed=seed,
-                       reference_grad=reference_grad)
-    shape = _buffer_shape(frame, n, reference_grad)
-    return GaloreState(rule=rule, frame=frame, m_buf=np.zeros(shape),
-                       v_buf=np.zeros(shape), seed=seed)
+    frame, m_buf = _first_frame(rule, m, n, seed, reference_grad)
+    return GaloreState(rule=rule, frame=frame, m_buf=m_buf,
+                       v_buf=np.zeros(m_buf.shape), seed=seed)
 
 
 def _refresh(state: SubspaceMomentumState | GaloreState, G: np.ndarray,

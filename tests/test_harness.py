@@ -505,6 +505,16 @@ def test_cli_bound_thm3_names_missing_flag(capsys):
     (["--thm", "2", "--sigma-subsets", "1,1", "--b0", "5"],
      "--thm 2 does not read --sigma-subsets or --b0 (--thm 3 only)"),
     (["--thm", "2", "--b0", "5"], "--thm 2 does not read --b0 (--thm 3 only)"),
+    (["--thm", "2", "--eta", "5", "--rank", "3"],
+     "--thm 2 does not read --eta (--thm 3 only)"),
+    (["--thm", "3", "--sigma-subsets", "1,1", "--b0", "1", "--sigma", "2",
+      "--beta1", "0.5"], "--thm 3 does not read --sigma or --beta1 (--thm 2 only)"),
+    (["--thm", "2", "--d", "8", "--n-seeds", "2", "--rank", "2",
+      "--frame", "srht", "--seed-base", "4"],
+     "--thm 2 does not read --d or --n-seeds or --rank or --frame or "
+     "--seed-base (--verify only)"),
+    (["--thm", "3", "--sigma-subsets", "1,1", "--b0", "1", "--seed-base", "4"],
+     "--thm 3 does not read --seed-base (--verify only)"),
 ])
 def test_cli_bound_flag_of_the_other_theorem_exit_1(capsys, argv, message):
     # each would otherwise be ignored: the same row, exit 0, no check
@@ -636,6 +646,28 @@ def test_cli_mem(tmp_path, capsys):
     assert main(["mem", "--manifest", str(mf), "--preset", "RMSPropSN"]) == 0
     out = capsys.readouterr().out
     assert "wq,linear,64x16,64,0" in out
+
+
+def test_cli_mem_counts_one_element_tensors(tmp_path, capsys):
+    # Adam keeps a momentum and a second moment of the one element
+    mf = tmp_path / "m.manifest"
+    mf.write_text("b\tnorm\t1\n")
+    assert main(["mem", "--manifest", str(mf), "--preset", "Adam"]) == 0
+    captured = capsys.readouterr()
+    assert "b,norm,1,2,0" in captured.out
+    assert "total=2 frame_elements=0" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--beta", "0.5"],
+    ["noise", "--samples", "g.npy"],
+    ["mem", "--manifest", "m.manifest", "--preset", "Adam"],
+])
+def test_cli_seed_base_only_where_a_seed_is_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed-base", "9"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed-base 9" in capsys.readouterr().err
 
 
 def test_cli_mem_rank_out_of_range_exit_1(tmp_path, capsys):

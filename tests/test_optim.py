@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from snsm import subspace
-from snsm.linalg import Frame, FrameKind
+from snsm.linalg import Frame, FrameKind, make_frame
 from snsm.optim import (
     PRESET_NAMES,
     AdaGradSubsetNorm,
@@ -226,6 +226,18 @@ def test_frame_rank_validated_at_construction(preset, shape, kw):
         Optimizer(make_preset(preset, **kw), [shape])
 
 
+@pytest.mark.parametrize("kind,rank", [
+    ("gaussian_ortho", 17), ("srht", -1), ("svd", 9), ("approx_svd", 9),
+    ("identity", 4), ("zero", 17),
+])
+def test_make_frame_and_optimizer_reject_the_same_ranks(kind, rank):
+    with pytest.raises(ValueError) as from_optimizer:
+        Optimizer(make_preset("SGD-SM", rank=rank, frame_kind=kind), [(16, 8)])
+    with pytest.raises(ValueError) as from_frame:
+        make_frame(kind, 16, rank, reference_grad=np.ones((16, 8)))
+    assert str(from_optimizer.value) == str(from_frame.value)
+
+
 def test_rank_above_n_allowed_for_non_svd_frames():
     opt = Optimizer(make_preset("AdamSNSM", rank=9, frame_kind="srht"),
                     [(16, 8)])
@@ -397,13 +409,12 @@ def test_state_size_frame_reported_separately():
     opt = Optimizer(make_preset("AdamSNSM", rank=4), [(512, 128)])
     ss = opt.state_size()
     assert ss.frame_elements == 4 * 512
-    assert "frame" not in ss.breakdown
 
 
-def test_state_size_skips_singletons():
-    # AdaGradNorm keeps one scalar accumulator: excluded from the count
-    opt = Optimizer(make_preset("AdaGradNorm"), [(64,)])
-    assert opt.state_size().total == 0
+def test_state_size_counts_one_norm_accumulator_per_tensor():
+    # AdaGradNorm keeps one scalar accumulator per tensor
+    opt = Optimizer(make_preset("AdaGradNorm"), [(64,), (8, 4), (1,)])
+    assert opt.state_size().total == 3
 
 
 def test_state_size_constant_over_steps():
@@ -428,7 +439,8 @@ def _held_arrays(obj, in_frame=False):
 
 
 # (shape, frame kind, rank): square, tall, wide (transposed), 1-D, SRHT over
-# a power-of-two and a padded dimension, rank 0, then every frame kind
+# a power-of-two and a padded dimension, rank 0, every frame kind, then
+# one-element tensors
 KIND_CASES = [((12, 6), kind.value, 12 if kind is FrameKind.IDENTITY else 3)
               for kind in FrameKind]
 # a wide seed-drawn frame sits between the kinds, so that the cases of the
@@ -437,7 +449,9 @@ ACCOUNTING_CASES = [
     ((16, 16), "svd", 4), ((24, 8), "svd", 4), ((8, 24), "svd", 4),
     ((30,), "svd", 1), ((32, 8), "srht", 4), ((24, 8), "srht", 4),
     ((16, 8), "svd", 0),
-] + KIND_CASES[:3] + [((6, 12), "gaussian_ortho", 3)] + KIND_CASES[3:]
+] + KIND_CASES[:3] + [((6, 12), "gaussian_ortho", 3)] + KIND_CASES[3:] + [
+    ((1,), "svd", 1), ((1, 1), "svd", 1),
+]
 
 
 @pytest.mark.parametrize("tag", ["linear", "embedding"])
@@ -461,7 +475,6 @@ def test_state_elements_match_held_buffers(shape, kind, rank, tag):
             held = [(n // replicas, f) for n, f in _held_arrays(slot)]
             assert all(n * replicas == size for (n, _), (size, _)
                        in zip(held, _held_arrays(slot))), preset
-            # singleton scalars (AdaGradNorm's accumulator) are not counted
-            assert sum(n for n, f in held if not f and n > 1) == \
-                sum(v for k, v in elems.items() if k != "frame"), preset
-            assert sum(n for n, f in held if f) == elems.get("frame", 0), preset
+            state, frame = elems
+            assert sum(n for n, f in held if not f) == state, preset
+            assert sum(n for n, f in held if f) == frame, preset

@@ -23,13 +23,16 @@ import time
 from dataclasses import astuple
 from pathlib import Path
 
-# perfbench/workloads.py: beta_sweep
-BETAS = (0.0, 1.0)
-D = 1024
-SUBSET = 256
-LR = 0.3
-T = 1000
-N_SEEDS = 5
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+BETAS = workloads.SWEEP_BETAS
+D = workloads.SWEEP_D
+SUBSET = workloads.SWEEP_SUBSET
+T = workloads.SWEEP_T
+N_SEEDS = workloads.SWEEP_SEEDS
+_ARGV = workloads.calls("beta_sweep", 0)[0][1]
+LR = float(_ARGV[_ARGV.index("--lr") + 1])  # no constant: a literal in the command line
 
 
 def load_tree(tree: Path, name: str):

@@ -13,8 +13,9 @@ The list holds the command lines of one pass of each benchmark workload
 (``perfbench/workloads.py``, seed 3) and commands that reach the other
 paths of the entry points: MLP2 runs (Adam-family, SM and GaLore rows over
 its two parameter tensors), the Thm-2 Monte-Carlo check, a three-beta
-sweep, a diverging run, sparse noise under GaLore and a seed beyond one
-entropy word.
+sweep, a diverging run, sparse noise under GaLore, a seed beyond one
+entropy word, the ``norm`` rule's state count in ``train`` and ``mem``, a
+one-element tensor's count, the Thm-3 bound and the rate table.
 """
 
 from __future__ import annotations
@@ -58,6 +59,16 @@ COMMANDS = [
     ("seed-base-2**32", ["train", "--preset", "Adam", "--d", "16", "--T", "30",
                          "--sigma", "0.5", "--n-seeds", "2",
                          "--seed-base", "4294967296"]),
+    ("adagradnorm", ["train", "--preset", "AdaGradNorm", "--d", "16", "--T", "30",
+                     "--lr", "0.1", "--sigma", "0.1", "--n-seeds", "2"]),
+    ("mem-norm-rule", ["mem", "--manifest", workloads.MEM_MANIFEST,
+                       "--preset", "AdamSN", "--subset-rule", "norm"]),
+    ("mlp2/hidden-1", ["train", "--objective", "mlp2", "--d", "4", "--hidden", "1",
+                       "--T", "30", "--preset", "Adam", "--lr", "0.01",
+                       "--sigma", "0.1"]),
+    ("bound-thm3", ["bound", "--thm", "3", "--eta", "0.05", "--T", "1000",
+                    "--sigma-subsets", "0.5,1,2", "--b0", "0.1"]),
+    ("rates", ["rates", "--beta", "0.5"]),
 ]
 
 
