@@ -50,7 +50,6 @@ from .noise_models import (
     Quadratic,
     ShapeManifest,
     stoch_grad,
-    verify_subgaussian,
 )
 from .harness import (
     ExperimentConfig,

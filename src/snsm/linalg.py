@@ -120,8 +120,7 @@ def topk_svd(A: np.ndarray, k: int) -> Frame:
     """Frame spanned by the top-k left singular vectors of A (of each matrix of a stack)."""
     A = _as_matrix(A)
     m, n = A.shape[-2:]
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"k={k} out of range for {m}x{n} matrix")
+    check_rank(FrameKind.SVD, m, k, n)
     try:
         U, _, _ = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -141,8 +140,7 @@ def randomized_range_svd(A: np.ndarray, k: int, seed: int = 0) -> Frame:
     """
     A = _as_matrix(A)
     m, n = A.shape[-2:]
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"k={k} out of range for {m}x{n}")
+    check_rank(FrameKind.APPROX_SVD, m, k, n)
     oversample = min(_OVERSAMPLE, min(m, n) - k)
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((n, k + oversample))

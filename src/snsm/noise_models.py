@@ -364,50 +364,3 @@ def stoch_grad(obj, noise: NoiseModel, x: np.ndarray, seed, t: int,
         rows += xi[[slot[s] for s in seeds]]
     return g
 
-
-# ---------------------------------------------------------------------------
-# sub-gaussian verification
-
-@dataclass(frozen=True)
-class SubgaussianReport:
-    passed: bool
-    sigma_fit: float | None  # smallest level on the grid passing the MGF test
-    worst_ratio: float  # max over lambdas of E[exp(l^2 xi^2)] / exp(l^2 s^2)
-
-
-def verify_subgaussian(samples: np.ndarray, sigma_grid: np.ndarray | None = None,
-                       tol: float = 1.1) -> SubgaussianReport:
-    """Empirical MGF check: E[exp(l^2 xi^2)] <= exp(l^2 s^2) for |l| <= 1/s.
-
-    Scans a geometric grid of candidate levels s and reports the smallest
-    one for which the check holds at l in {0.25, 0.5, 1}/s, up to a
-    Monte-Carlo slack factor `tol`. Heavy-tailed samples fail for every s
-    on the (capped) grid because E[exp(xi^2 / s^2)] diverges.
-    """
-    xi = np.asarray(samples, dtype=np.float64).ravel()
-    if xi.size < 10:
-        raise ValueError("need at least 10 samples")
-    # robust scale: heavy tails must not inflate the candidate grid, or the
-    # test at lambda = 1/s becomes vacuous for large s
-    scale = float(np.median(np.abs(xi))) / 0.6745
-    if scale == 0.0:
-        scale = float(np.sqrt(np.mean(xi * xi)))
-    if scale == 0.0:
-        return SubgaussianReport(passed=True, sigma_fit=0.0, worst_ratio=0.0)
-    if sigma_grid is None:
-        sigma_grid = scale * np.geomspace(0.5, 8.0, 25)
-    best = None
-    last_worst = math.inf
-    for s in np.sort(np.asarray(sigma_grid, dtype=np.float64)):
-        worst = 0.0
-        for lam in (0.25 / s, 0.5 / s, 1.0 / s):
-            with np.errstate(over="ignore"):
-                lhs = float(np.mean(np.exp(np.clip(lam ** 2 * xi * xi, None, 700.0))))
-            rhs = math.exp(lam ** 2 * s ** 2)
-            worst = max(worst, lhs / rhs)
-        last_worst = worst
-        if worst <= tol:
-            best = float(s)
-            break
-    return SubgaussianReport(passed=best is not None, sigma_fit=best,
-                             worst_ratio=last_worst)

@@ -126,9 +126,9 @@ def make_preset(name: str, lr: float = 1e-3, rank: int = 4, refresh_gap: int = 2
 
     Adam/RMSProp and AdaGrad/AdaGrad-Norm are the ``coord`` (c = d) and
     ``norm`` (c = 1) rules of the subset-norm families; ``subset_rule`` and
-    ``subset_size`` only select the partition of the SN presets.
+    ``subset_size`` only select the partition of the SN presets. Every
+    preset's spec is built, so a bad value fails whichever preset is named.
     """
-    frame_kind = FrameKind(frame_kind)
     key = name.replace("-", "").replace("_", "").lower()
     sub = dict(partition_rule=subset_rule, subset_size=subset_size)
     specs = {
@@ -167,20 +167,17 @@ PRESET_NAMES = (
 # per-parameter state
 
 def _build_partition(rule: str, subset_size, shape) -> part.Partition:
+    """The partition of ``shape`` under a rule its spec has checked."""
     d = int(np.prod(shape))
     if rule == "heuristic2d":
         if len(shape) == 2:
             return part.heuristic_2d(shape[0], shape[1])
         return part.sqrt_heuristic(d)
     if rule == "equip":
-        if subset_size is None:
-            raise ValueError("equip rule requires subset_size")
         return part.equipartition(d, subset_size)
     if rule == "norm":
         return part.singleton(d)
-    if rule == "coord":
-        return part.coordinatewise(d)
-    raise ValueError(f"unknown partition rule {rule!r}")
+    return part.coordinatewise(d)
 
 
 class _ParamSlot:
@@ -210,7 +207,8 @@ class _ParamSlot:
                                          eps=spec.momentum.eps)
             elif (isinstance(adaptive, (EMASubsetNorm, AdaGradSubsetNorm))
                   and adaptive.partition_rule in ("heuristic2d", "equip")):
-                adaptive = replace(adaptive, partition_rule="coord")
+                adaptive = replace(adaptive, partition_rule="coord",
+                                   subset_size=None)
         elif isinstance(momentum, GaloreMomentum):
             adaptive = NoAdaptive()  # GaLore's own statistics replace it
         self.momentum_cfg = momentum

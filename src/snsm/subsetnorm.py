@@ -7,15 +7,39 @@ b0^2), :class:`EMASubsetNorm` keeps their exponential moving average
 read, as Adam's bias correction does. Every coordinate of a subset
 divides by the same denominator. The accumulators of S replicas that step in
 lockstep are one ``(S, c)`` array.
+
+A rule checks its values when it is built, so every denominator is > 0:
+at least b0 under AdaGrad and at least eps under the EMA rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .partition import Partition
+from .subspace import check_beta, check_eps
+
+
+PARTITION_RULES = ("heuristic2d", "equip", "norm", "coord")
+
+
+def _check_partition(rule: EMASubsetNorm | AdaGradSubsetNorm) -> None:
+    """Reject an unknown partition rule, and a subset size the rule does not
+    read: ``equip`` needs one >= 1, the other rules take none."""
+    name, size = rule.partition_rule, rule.subset_size
+    if name not in PARTITION_RULES:
+        raise ValueError(f"unknown partition rule {name!r}; "
+                         f"choose from {', '.join(PARTITION_RULES)}")
+    if name == "equip" and size is None:
+        raise ValueError("equip rule requires subset_size")
+    if name != "equip" and size is not None:
+        raise ValueError(f"the {name} partition rule takes no subset_size, "
+                         f"got {size}")
+    if size is not None and size < 1:
+        raise ValueError(f"subset size must be >= 1, got {size}")
 
 
 @dataclass(frozen=True)
@@ -26,8 +50,9 @@ class EMASubsetNorm:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not 0.0 < self.beta2 < 1.0:
-            raise ValueError("beta2 must lie in (0, 1)")
+        _check_partition(self)
+        check_beta("beta2", self.beta2)
+        check_eps(self.eps)
 
 
 @dataclass(frozen=True)
@@ -37,8 +62,13 @@ class AdaGradSubsetNorm:
     b0: float = 1e-6
 
     def __post_init__(self):
+        _check_partition(self)
         if not self.b0 > 0:
             raise ValueError("AdaGrad subset norm requires b0 > 0")
+        # the accumulator starts at b0**2, the first denominator's square
+        if not 0 < self.b0 * self.b0 < math.inf:
+            raise ValueError(f"AdaGrad subset norm requires a finite b0 with "
+                             f"b0**2 > 0, got {self.b0}")
 
 
 @dataclass
@@ -79,14 +109,8 @@ def sn_accumulate(state: SubsetNormState, sqnorms: np.ndarray) -> SubsetNormStat
 def sn_denominators(state: SubsetNormState) -> np.ndarray:
     rule = state.rule
     if isinstance(rule, AdaGradSubsetNorm):
-        denoms = np.sqrt(state.acc)
-    else:
-        v = state.acc
-        if state.step > 0:
-            v = v / (1.0 - rule.beta2 ** state.step)
-        denoms = np.sqrt(v) + rule.eps
-    if denoms.min() <= 0:
-        raise ZeroDivisionError(
-            "zero subset-norm denominator (eps=0, or b0**2 underflowed?)"
-        )
-    return denoms
+        return np.sqrt(state.acc)
+    v = state.acc
+    if state.step > 0:
+        v = v / (1.0 - rule.beta2 ** state.step)
+    return np.sqrt(v) + rule.eps

@@ -17,6 +17,7 @@ that step in lockstep: the frame is stacked and the buffers are ``(S, k, n)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,17 +25,28 @@ import numpy as np
 from .linalg import Frame, FrameKind, lift, make_frame, project
 
 
-def _check_refresh_gap(gap: int) -> None:
-    # 0 already means a fixed subspace; a negative gap is not a second spelling
-    if gap < 0:
-        raise ValueError(f"refresh_gap must be >= 0, got {gap}")
-
-
 def check_beta(name: str, beta: float) -> None:
     """Reject an EMA factor outside [0, 1): at 1 the average never moves
     (and a bias correction divides by zero), above it grows without bound."""
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"{name} must lie in [0, 1), got {beta}")
+
+
+def check_eps(eps: float) -> None:
+    """Reject a denominator floor that is not finite and > 0: at 0 an empty
+    accumulator divides by zero."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+
+
+def _check_rule(rule: SubspaceMomentum | GaloreMomentum) -> None:
+    """Make ``frame_kind`` a :class:`FrameKind` and check the values every
+    subspace rule shares."""
+    object.__setattr__(rule, "frame_kind", FrameKind(rule.frame_kind))
+    # 0 already means a fixed subspace; a negative gap is not a second spelling
+    if rule.refresh_gap < 0:
+        raise ValueError(f"refresh_gap must be >= 0, got {rule.refresh_gap}")
+    check_beta("beta1", rule.beta1)
 
 
 @dataclass(frozen=True)
@@ -45,8 +57,7 @@ class SubspaceMomentum:
     beta1: float = 0.9
 
     def __post_init__(self):
-        _check_refresh_gap(self.refresh_gap)
-        check_beta("beta1", self.beta1)
+        _check_rule(self)
 
 
 @dataclass(frozen=True)
@@ -61,9 +72,9 @@ class GaloreMomentum:
     eps: float = 1e-8
 
     def __post_init__(self):
-        _check_refresh_gap(self.refresh_gap)
-        check_beta("beta1", self.beta1)
+        _check_rule(self)
         check_beta("beta2", self.beta2)
+        check_eps(self.eps)
 
 
 @dataclass

@@ -9,7 +9,7 @@ import pytest
 
 from snsm import partition as part
 from snsm import subsetnorm as sn
-from snsm.analysis import rate_exponents
+from snsm.analysis import estimate_noise, rate_exponents
 from snsm.harness import sweep_beta, sweep_verdict, verify_thm2
 from snsm.linalg import FrameKind, lift, make_frame, project, reconstruct
 from snsm.noise_models import NoiseModel, Quadratic, stoch_grad
@@ -255,11 +255,10 @@ def test_criterion_8_noise_estimator():
     x = np.zeros(d)
     samples = np.stack([stoch_grad(obj, noise, x, seed=0, t=t)
                         for t in range(n)])
-    var = samples.var(axis=0, ddof=1)
-    noisy = var > alpha ** 2 / 2
-    count = int(noisy.sum())
+    est = estimate_noise(samples, threshold=alpha ** 2 / 2)
+    count = est.noisy_count
     target = math.ceil(d ** beta)
-    mean_s2 = float(var[noisy].mean())
+    mean_s2 = est.mean_noisy_var
     elapsed = time.time() - t0
     count_ok = abs(count - target) <= 0.02 * target
     mean_ok = 0.8 <= mean_s2 <= 1.2

@@ -678,6 +678,19 @@ def test_cli_mem_rank_out_of_range_exit_1(tmp_path, capsys):
     assert "snsm: error: rank k=1000 out of range" in capsys.readouterr().err
 
 
+def test_cli_mem_subset_size_without_equip_exit_1(tmp_path, capsys):
+    # a subset size sets the equip rule's subsets; under another rule it is
+    # an error, not ignored
+    mf = tmp_path / "m.manifest"
+    mf.write_text(MANIFEST)
+    assert main(["mem", "--manifest", str(mf), "--preset", "AdamSN",
+                 "--subset-size", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("snsm: error: the heuristic2d partition rule takes no subset_size, "
+            "got 7") in captured.err
+
+
 def test_cli_train_rank_out_of_range_exit_1(capsys):
     assert main(["train", "--d", "64", "--param-shape", "16x4", "--T", "3",
                  "--preset", "AdamSNSM", "--rank", "5", "--out", "/dev/null"]) == 1

@@ -1,4 +1,4 @@
-"""Objectives, gradient oracles, noise patterns, sub-gaussian detector."""
+"""Objectives, gradient oracles, noise patterns."""
 
 import math
 
@@ -14,7 +14,6 @@ from snsm.noise_models import (
     seed_words,
     stoch_grad,
     streams,
-    verify_subgaussian,
 )
 from snsm.optim import make_preset
 
@@ -302,44 +301,3 @@ def test_density_beta_checked_at_construction(beta):
     with pytest.raises(ValueError, match=r"density_beta must lie in \[0, 1\]"):
         NoiseModel(density_beta=beta)
 
-
-# ---------------------------------------------------------------------------
-# sub-gaussian detector
-
-def test_subgaussian_zero_noise():
-    rep = verify_subgaussian(np.zeros(100))
-    assert rep.passed and rep.sigma_fit == 0.0
-
-
-def test_subgaussian_gaussian_passes_with_moderate_fit():
-    rng = np.random.default_rng(0)
-    rep = verify_subgaussian(rng.standard_normal(20000))
-    assert rep.passed
-    # closed form: E[exp(l^2 Z^2)] = 1/sqrt(1-2 l^2); sigma_fit ~ O(1) suffices
-    assert rep.sigma_fit <= 2.0
-
-
-def test_subgaussian_bounded_passes():
-    rng = np.random.default_rng(1)
-    rep = verify_subgaussian(rng.choice((-0.5, 0.5), size=5000))
-    assert rep.passed
-
-
-def test_subgaussian_heavy_tail_fails():
-    rng = np.random.default_rng(2)
-    t2 = rng.standard_t(df=2, size=20000)
-    rep = verify_subgaussian(t2)
-    assert not rep.passed  # negative control: detector must reject
-
-
-def test_subgaussian_needs_samples():
-    with pytest.raises(ValueError):
-        verify_subgaussian(np.ones(5))
-
-
-def test_gaussian_mgf_closed_form():
-    # sanity for the tolerance choice: at l = 0.5, E[exp(l^2 Z^2)] = 1/sqrt(0.5)
-    rng = np.random.default_rng(3)
-    z = rng.standard_normal(200000)
-    emp = np.mean(np.exp(0.25 * z * z))
-    assert np.isclose(emp, 1.0 / math.sqrt(0.5), rtol=0.02)

@@ -150,7 +150,8 @@ def test_non_linear_tag_falls_back():
     for rule, emb_rule, emb_acc in (("heuristic2d", "coord", 32),
                                     ("equip", "coord", 32),
                                     ("coord", "coord", 32), ("norm", "norm", 1)):
-        spec = make_preset("AdamSNSM", rank=2, subset_rule=rule, subset_size=4)
+        spec = make_preset("AdamSNSM", rank=2, subset_rule=rule,
+                           subset_size=4 if rule == "equip" else None)
         opt = Optimizer(spec, [(8, 4), (8, 4)], tags=["linear", "embedding"])
         opt.step([np.zeros((8, 4))] * 2,
                  [rng.standard_normal((8, 4)) for _ in range(2)], 1)
@@ -159,7 +160,7 @@ def test_non_linear_tag_falls_back():
         assert emb.sm_state is None and emb.m_buf is not None
         assert emb.sn_state.acc.size == emb_acc, rule
         assert emb.adaptive_cfg == dataclasses.replace(
-            spec.adaptive, partition_rule=emb_rule), rule
+            spec.adaptive, partition_rule=emb_rule, subset_size=None), rule
     # GaLore's own statistics become the coordinate EMA (Adam)
     opt = Optimizer(make_preset("GaLore", rank=2), [(8, 4)], tags=["embedding"])
     opt.step([np.zeros((8, 4))], [rng.standard_normal((8, 4))], 1)
@@ -328,9 +329,19 @@ def test_preset_rejects_bad_step_values(preset, kw, message):
     # rule values are checked when the rule is built, not at the first step:
     # an SN rule that could divide by zero, an EMA factor of 1 that never
     # moves (GaLore's bias correction divides by zero) or above 1 that grows
-    (lambda: EMASubsetNorm("coord", beta2=1.5), r"beta2 must lie in \(0, 1\)$"),
-    (lambda: EMASubsetNorm(beta2=0.0), r"beta2 must lie in \(0, 1\)$"),
+    (lambda: EMASubsetNorm("coord", beta2=1.5), r"beta2 must lie in \[0, 1\), got 1.5$"),
     (lambda: AdaGradSubsetNorm(b0=0.0), "AdaGrad subset norm requires b0 > 0$"),
+    # eps = 0 divides an empty accumulator by zero, and so does a b0 whose
+    # square underflows to 0
+    (lambda: EMASubsetNorm(eps=0.0), "eps must be finite and > 0, got 0.0$"),
+    (lambda: GaloreMomentum(eps=0.0), "eps must be finite and > 0, got 0.0$"),
+    (lambda: AdaGradSubsetNorm(b0=1e-200), r"b0\*\*2 > 0, got 1e-200$"),
+    # a partition rule is known, and a subset size comes with equip alone
+    (lambda: EMASubsetNorm("bogus"), "unknown partition rule 'bogus'"),
+    (lambda: AdaGradSubsetNorm("equip"), "equip rule requires subset_size$"),
+    (lambda: EMASubsetNorm("coord", subset_size=4),
+     "the coord partition rule takes no subset_size, got 4$"),
+    (lambda: SubspaceMomentum("bogus"), "'bogus' is not a valid FrameKind"),
     (lambda: EMAMomentum(beta1=1.5), r"beta1 must lie in \[0, 1\), got 1.5$"),
     (lambda: EMAMomentum(beta1=-0.1), r"beta1 must lie in \[0, 1\), got -0.1$"),
     (lambda: SubspaceMomentum(beta1=1.0), r"beta1 must lie in \[0, 1\), got 1.0$"),
@@ -339,7 +350,7 @@ def test_preset_rejects_bad_step_values(preset, kw, message):
     (lambda: GaloreMomentum(beta2=math.nan), r"beta2 must lie in \[0, 1\), got nan$"),
     # the rules of a preset cannot be given such a value either
     (lambda: dataclasses.replace(make_preset("Adam").adaptive, beta2=1.5),
-     r"beta2 must lie in \(0, 1\)"),
+     r"beta2 must lie in \[0, 1\), got 1.5"),
     (lambda: dataclasses.replace(make_preset("AdaGradSN").adaptive, b0=0.0),
      "requires b0 > 0"),
     (lambda: dataclasses.replace(make_preset("SGDm").momentum, beta1=1.5),
@@ -361,6 +372,29 @@ def test_rule_spec_edges_are_accepted():
     assert np.isfinite(x).all()
     GaloreMomentum(beta1=0.0, beta2=0.0)
     SubspaceMomentum(beta1=0.0)
+    EMASubsetNorm(beta2=0.0)
+
+
+def test_frame_kind_string_counts_as_its_kind():
+    # a 'zero' frame keeps no momentum buffer, whatever the rank
+    spec = OptimizerSpec(SubspaceMomentum("zero", rank=3))
+    assert spec.momentum.frame_kind is FrameKind.ZERO
+    assert Optimizer(spec, [(12, 6)]).state_size().total == 0
+
+
+def test_identity_string_rank_checked_at_construction():
+    spec = OptimizerSpec(SubspaceMomentum("identity", rank=3))
+    with pytest.raises(ValueError, match="identity frame requires k == m"):
+        Optimizer(spec, [(12, 6)])
+
+
+def test_galore_beta2_zero_steps_on_a_non_linear_tensor():
+    # off a linear tensor GaLore's beta2 drives the coordinate EMA rule,
+    # which accepts the same [0, 1)
+    opt = Optimizer(OptimizerSpec(GaloreMomentum(beta2=0.0)), [(8, 4)],
+                    tags=["embedding"])
+    (x,) = opt.step([np.zeros((8, 4))], [np.ones((8, 4))], 1)
+    assert np.isfinite(x).all() and np.any(x != 0)
 
 
 def test_unknown_preset():

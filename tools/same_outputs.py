@@ -14,8 +14,10 @@ The list holds the command lines of one pass of each benchmark workload
 paths of the entry points: MLP2 runs (Adam-family, SM and GaLore rows over
 its two parameter tensors), the Thm-2 Monte-Carlo check, a three-beta
 sweep, a diverging run, sparse noise under GaLore, a seed beyond one
-entropy word, the ``norm`` rule's state count in ``train`` and ``mem``, a
-one-element tensor's count, the Thm-3 bound and the rate table.
+entropy word, the ``norm`` rule's state count in ``train`` and ``mem``, the
+``equip`` rule on MLP2 (W2 falls back to coordinate-wise subsets), a subset
+size without the ``equip`` rule, a one-element tensor's count, the Thm-3
+bound and the rate table.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ COMMANDS = [
                      "--lr", "0.1", "--sigma", "0.1", "--n-seeds", "2"]),
     ("mem-norm-rule", ["mem", "--manifest", workloads.MEM_MANIFEST,
                        "--preset", "AdamSN", "--subset-rule", "norm"]),
+    ("mlp2/equip", ["train", "--objective", "mlp2", "--preset", "AdamSN",
+                    "--subset-rule", "equip", "--subset-size", "5"]),
+    ("mem-subset-size", ["mem", "--manifest", workloads.MEM_MANIFEST,
+                         "--preset", "AdamSN", "--subset-size", "7"]),
     ("mlp2/hidden-1", ["train", "--objective", "mlp2", "--d", "4", "--hidden", "1",
                        "--T", "30", "--preset", "Adam", "--lr", "0.01",
                        "--sigma", "0.1"]),
