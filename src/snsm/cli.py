@@ -1,8 +1,9 @@
 """Command-line front end: train / sweep / rates / noise / mem / bound.
 
-Exit status: 0 success, 1 usage error, 2 numeric failure (a diverged seed,
-also in any row of a sweep, or a factorization that did not converge),
-3 verification failure.
+Exit status: 0 success, 1 usage error (also a sweep whose forked process
+for some betas ended without a result), 2 numeric failure (a diverged
+seed, also in any row of a sweep, or a factorization that did not
+converge), 3 verification failure.
 """
 
 from __future__ import annotations

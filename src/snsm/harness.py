@@ -17,6 +17,12 @@ noise vector once and adds it to every row that carries the seed in one
 operation. The last step, t = T, is observed and recorded but makes no
 update, since nothing reads x_{T+1}. A seed that diverges leaves its row's
 batch. :func:`run` is that loop with one row.
+
+:func:`sweep_beta` runs one such loop per beta, and the betas are
+independent: on P = min(betas, usable CPUs) processes, the calling process
+runs every P-th beta from the first and P - 1 forked children run the
+others, each sending its results back pickled over a pipe. The rows come
+back in beta order, the same as from one process.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import pickle
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -285,8 +294,13 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
     under d^beta-dense coordinate noise.
 
     The rows of one beta share the objective, the noise and the seeds, so
-    they run as one lockstep loop and read each (seed, t) draw once.
+    they run as one lockstep loop and read each (seed, t) draw once. The
+    betas run side by side (:func:`_run_configs`); every input is checked
+    before the first of them starts.
     """
+    betas = tuple(betas)
+    if not betas:
+        raise ValueError("a sweep needs at least one beta")
     for k in subset_sizes:
         if k < 1:
             raise ValueError(f"subset size {k} must be >= 1")
@@ -300,14 +314,14 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
     jobs += [("AdaGradSN", k, dict(subset_rule="equip", subset_size=k))
              for k in subset_sizes]
     specs = [make_preset(name, lr=lr, **extra) for name, _, extra in jobs]
-    # every noise model is checked before the first beta runs
     noises = [NoiseModel(density_beta=float(beta), density_alpha=alpha)
               for beta in betas]
+    configs = [ExperimentConfig(objective=obj, noise=noise, T=T, seeds=seeds,
+                                record_every=T)
+               for noise in noises]
     rows: list[SweepRow] = []
-    for beta, noise in zip(betas, noises):
-        config = ExperimentConfig(objective=obj, noise=noise, T=T, seeds=seeds,
-                                  record_every=T)
-        for (name, k, _), result in zip(jobs, run_rows(config, specs)):
+    for beta, results in zip(betas, _run_configs(configs, specs)):
+        for (name, k, _), result in zip(jobs, results):
             metrics = np.array([s.mean_grad_norm_sq for s in result.summaries])
             rows.append(SweepRow(
                 beta=float(beta), optimizer=name, subset_size=k,
@@ -315,6 +329,91 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
                 stderr=float(metrics.std(ddof=1) / math.sqrt(metrics.size)),
                 n_diverged=sum(s.diverged for s in result.summaries)))
     return rows
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, as ``taskset`` and cpusets set
+    them; 1 where the platform cannot fork or report them."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_configs(configs: list, specs: list) -> list:
+    """``run_rows(config, specs)`` for every config, in order, on
+    P = min(len(configs), usable CPUs) processes.
+
+    The calling process runs ``configs[0::P]``; P - 1 forked children run
+    ``configs[j::P]`` and send their results, or the exception that stopped
+    them, back pickled over a pipe. The caller runs its share first, then
+    reads each child to EOF and reaps it, and re-raises a child's exception
+    as its own. A child that ends without a result raises
+    ``ChildProcessError``. No child outlives the call.
+    """
+    n_proc = min(len(configs), _usable_cpus())  # 1: nothing is forked
+    results = [None] * len(configs)
+    children = []  # (pid, read end of its pipe, its share) of each unreaped child
+    try:
+        for j in range(1, n_proc):
+            sys.stdout.flush()  # a child exits without flushing what it inherits
+            sys.stderr.flush()
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if not pid:
+                _child(write_fd, configs[j::n_proc], specs)  # never returns
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb"), j))
+        results[0::n_proc] = [run_rows(config, specs) for config in configs[0::n_proc]]
+        while children:
+            pid, reader, j = children[0]
+            with reader:
+                data = reader.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            try:
+                kind, value = pickle.loads(data)
+            except Exception:  # nothing, or a cut-off payload
+                betas = ", ".join(str(c.noise.density_beta) for c in configs[j::n_proc])
+                raise ChildProcessError(
+                    f"the process running beta {betas} ended without a result "
+                    f"(wait status {status})") from None
+            if kind == "err":
+                raise value
+            results[j::n_proc] = value
+    finally:
+        if children:
+            import signal  # loaded only when a call is cut short
+
+            for pid, reader, _ in children:
+                reader.close()
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:  # ended, not yet reaped
+                    pass
+                os.waitpid(pid, 0)
+    return results
+
+
+def _child(write_fd: int, configs: list, specs: list) -> None:
+    """The body of a forked child of :func:`_run_configs`: run ``configs``,
+    write ``("ok", results)`` or ``("err", exception)`` to ``write_fd`` and
+    exit without returning into the caller's frames, flushing its stdio or
+    running atexit handlers."""
+    code = 1
+    try:
+        try:
+            payload = ("ok", [run_rows(config, specs) for config in configs])
+        except BaseException as exc:  # the caller re-raises it
+            payload = ("err", exc)
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # an exception may pickle and still not load
+                payload = ("err", RuntimeError(repr(exc)))
+        with os.fdopen(write_fd, "wb") as writer:
+            writer.write(pickle.dumps(payload))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def sweep_verdict(row_a: SweepRow, row_b: SweepRow) -> str:

@@ -195,18 +195,22 @@ class NoiseModel:
         out[:k] = level
         return out
 
-    def sample(self, d: int, rng: np.random.Generator) -> np.ndarray:
-        """One noise vector of length d.
+    def sample(self, d: int, rng: np.random.Generator,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """One noise vector of length d, written into ``out`` when given
+        (a contiguous float64 vector) and returned.
 
-        Only the k noisy coordinates are drawn; that draw is a prefix of
-        the full-length one, so the vector is the same.
+        Only the k noisy coordinates are drawn, straight into ``out`` and
+        scaled there; that draw is a prefix of the full-length one, so the
+        vector is the same.
         """
         k, level = self._prefix(d)
-        head = rng.standard_normal(k) * level
-        if k == d:
-            return head
-        out = np.zeros(d)
-        out[:k] = head
+        if out is None:
+            out = np.empty(d)
+        head = out[:k]
+        rng.standard_normal(out=head)
+        head *= level
+        out[k:] = 0.0
         return out
 
 
@@ -285,7 +289,8 @@ def _is_word(v) -> bool:
 def _key_block(seeds: tuple, block: int):
     """Words of every seed at the steps of one block, or None when a seed
     is not one entropy word. A run reads a block for 256 steps, and the
-    rows and betas of a sweep share it; the bound keeps memory flat in T."""
+    rows of a run and the betas one process of a sweep runs share it; the
+    bound keeps memory flat in T."""
     if not all(_is_word(s) for s in seeds):
         return None
     start = block * _KEY_BLOCK
@@ -344,15 +349,21 @@ def stoch_grad(obj, noise: NoiseModel, x: np.ndarray, seed, t: int,
     seeds; row s adds noise from ``default_rng(SeedSequence([seed[s], t]))``
     (built by :func:`streams`). Seeds may repeat: each distinct seed is
     drawn once and its vector added to every row that carries it, all rows
-    in one add. ``true_grad`` is grad f(x) when the caller already has it.
+    in one add. ``true_grad`` is grad f(x) when the caller already has it;
+    it is not written.
     """
-    # added to in place: a new array for the sum raises peak memory at large d
-    g = np.array(obj.grad(x) if true_grad is None else true_grad, dtype=np.float64)
+    g_true = obj.grad(x) if true_grad is None else true_grad
     seeds = np.atleast_1d(seed).tolist()
     distinct = list(dict.fromkeys(seeds))  # first appearance: the key-block order
     xi = np.empty((len(distinct), obj.d))
     for j, rng in enumerate(streams(distinct, t)):
-        xi[j] = noise.sample(obj.d, rng)
+        noise.sample(obj.d, rng, out=xi[j])
+    if len(distinct) == len(seeds):
+        # a draw per row: the gradient goes into the draws, with no copy of it
+        xi += np.reshape(g_true, xi.shape)
+        return xi.reshape(np.shape(g_true))
+    # added to in place: a new array for the sum raises peak memory at large d
+    g = np.array(g_true, dtype=np.float64)
     reps, rest = divmod(len(seeds), len(distinct))
     if not rest and seeds == distinct * reps:
         # the rows of a lockstep run: the distinct seeds, once per row

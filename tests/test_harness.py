@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from snsm import harness
 from snsm.analysis import momentum_bound
+from snsm.linalg import NumericError
 from snsm.harness import (
     RECORD_FIELDS,
     ExperimentConfig,
@@ -301,6 +304,8 @@ def test_sweep_draws_noise_once_per_step_and_beta(monkeypatch):
         return real(obj, noise, x, seed, t, true_grad=true_grad)
 
     monkeypatch.setattr(harness, "stoch_grad", oracle)
+    # one process: a child's calls would not reach this list
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     sweep_beta([0.0, 1.0], d=32, T=50, seeds=range(3), subset_sizes=[8, 16])
     # every row of one beta (norm, coord, SN(8), SN(16)) in one call per step,
     # through t = T - 1
@@ -320,6 +325,15 @@ def test_sweep_rejects_subset_size_below_one():
 def test_sweep_rejects_fewer_than_two_seeds():
     with pytest.raises(ValueError, match="two seeds"):
         sweep_beta([0.5], d=8, T=10, seeds=(0,), subset_sizes=[4])
+
+
+def test_sweep_rejects_an_empty_beta_list(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_rows",
+                        lambda config, specs: calls.append(config) or [])
+    with pytest.raises(ValueError, match="a sweep needs at least one beta"):
+        sweep_beta([], d=16, T=5, seeds=range(2))
+    assert calls == []
 
 
 def test_sweep_verdict_logic():
@@ -350,6 +364,141 @@ def test_sweep_checks_every_beta_before_the_first_run(monkeypatch):
     with pytest.raises(ValueError, match=r"density_beta must lie in \[0, 1\], got 1.5"):
         sweep_beta([0.0, 1.5], d=16, T=5, seeds=range(2))
     assert calls == []  # beta = 0 did not run first
+
+
+# betas side by side: the caller runs its share, forked children the rest
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _counting_fork(monkeypatch) -> list:
+    """The pids the caller forks from here on."""
+    pids, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _fail_at_beta(monkeypatch, beta, action):
+    """Make run_rows call ``action()`` for the config of ``beta``."""
+    real = harness.run_rows
+
+    def run_rows(config, specs):
+        if config.noise.density_beta == beta:
+            action()
+        return real(config, specs)
+
+    monkeypatch.setattr(harness, "run_rows", run_rows)
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("betas,cpus", [
+    ([0.0, 1.0], 2),
+    ([1.0, 0.25, 0.0], 2),  # uneven shares: the caller runs two betas, a child one
+    ([1.0, 0.25, 0.0], 3),
+])
+def test_sweep_betas_side_by_side_match_one_process(monkeypatch, betas, cpus):
+    kw = dict(d=32, T=40, seeds=range(3), subset_sizes=[8])
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    alone = sweep_beta(betas, **kw)
+    forks = _counting_fork(monkeypatch)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    assert sweep_beta(betas, **kw) == alone
+    assert len(forks) == cpus - 1
+    assert [r.beta for r in alone[::3]] == betas
+    _assert_no_child_left()
+
+
+def test_sweep_on_one_cpu_forks_nothing(monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", lambda: _raise(AssertionError("forked")))
+    rows = sweep_beta([0.0, 0.5, 1.0], d=16, T=10, seeds=range(2), subset_sizes=[4])
+    assert [r.beta for r in rows[::3]] == [0.0, 0.5, 1.0]
+
+
+def test_usable_cpus_is_one_without_fork_or_affinity(monkeypatch):
+    assert harness._usable_cpus() == len(os.sched_getaffinity(0))
+    for name in ("fork", "sched_getaffinity"):
+        with monkeypatch.context() as m:
+            m.delattr(os, name)
+            assert harness._usable_cpus() == 1
+
+
+def test_sweep_reraises_a_child_error(monkeypatch):
+    _fail_at_beta(monkeypatch, 1.0, lambda: _raise(ValueError("boom")))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError) as info:
+        sweep_beta([0.0, 1.0], d=16, T=10, seeds=range(2))
+    assert info.type is ValueError and str(info.value) == "boom"
+    _assert_no_child_left()
+
+
+def test_sweep_child_error_that_does_not_pickle(monkeypatch):
+    class LocalError(Exception):  # a local class: pickle cannot find it
+        pass
+
+    _fail_at_beta(monkeypatch, 1.0, lambda: _raise(LocalError("boom")))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match=r"LocalError\('boom'\)"):
+        sweep_beta([0.0, 1.0], d=16, T=10, seeds=range(2))
+    _assert_no_child_left()
+
+
+def test_sweep_child_share_counts_diverged_seeds(monkeypatch):
+    _inject(monkeypatch, bad_seed=1, bad_t=5, value=np.nan)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    rows = sweep_beta([0.0, 1.0], d=16, T=20, seeds=range(3), subset_sizes=[4])
+    assert [r.n_diverged for r in rows] == [1] * 6  # rows[3:] came from the child
+    _assert_no_child_left()
+
+
+def test_sweep_kills_its_children_when_the_caller_fails(monkeypatch):
+    _fail_at_beta(monkeypatch, 1.0, lambda: time.sleep(60))  # the child's share
+    _fail_at_beta(monkeypatch, 0.0, lambda: _raise(ValueError("caller")))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="caller"):
+        sweep_beta([0.0, 1.0], d=16, T=10, seeds=range(2))
+    assert time.perf_counter() - t0 < 30
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc,code,message", [
+    (ValueError("boom"), 1, "snsm: error: boom"),
+    (NumericError("SVD did not converge"), 2,
+     "snsm: numeric failure: SVD did not converge"),
+])
+def test_cli_sweep_child_error_exit_code(monkeypatch, capsys, exc, code, message):
+    _fail_at_beta(monkeypatch, 1.0, lambda: _raise(exc))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    assert main(["sweep", "--betas", "0,1", "--d", "16", "--T", "10",
+                 "--n-seeds", "2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    _assert_no_child_left()
+
+
+def test_cli_sweep_lost_child_exit_1(monkeypatch, capsys):
+    _fail_at_beta(monkeypatch, 1.0, lambda: os._exit(3))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    assert main(["sweep", "--betas", "0,1", "--d", "16", "--T", "10",
+                 "--n-seeds", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("snsm: error: the process running beta 1.0 ended without a result "
+            "(wait status 768)") in captured.err
+    _assert_no_child_left()
 
 
 def test_verify_thm2_noiseless_never_violates():
@@ -775,6 +924,14 @@ def test_cli_sweep(capsys):
                  "--n-seeds", "2", "--subset-sizes", "4"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("beta,optimizer,subset_size,mean_metric,stderr")
+
+
+@pytest.mark.parametrize("betas", ["", ","])
+def test_cli_sweep_empty_beta_list_exit_1(capsys, betas):
+    assert main(["sweep", "--betas", betas, "--d", "16", "--T", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "snsm: error: a sweep needs at least one beta" in captured.err
 
 
 def test_cli_sweep_diverged_seed_exit_2(monkeypatch, capsys):

@@ -175,9 +175,9 @@ def test_stoch_grad_rows_match_single_seed_calls(monkeypatch):
     draws = []
     real_sample = NoiseModel.sample
 
-    def counting_sample(self, d, rng):
+    def counting_sample(self, d, rng, out=None):
         draws.append(d)
-        return real_sample(self, d, rng)
+        return real_sample(self, d, rng, out=out)
 
     monkeypatch.setattr(NoiseModel, "sample", counting_sample)
     batch = stoch_grad(obj, noise, X, seeds, t=9)
@@ -272,6 +272,8 @@ def test_each_key_block_is_derived_once(monkeypatch):
 
     monkeypatch.setattr(noise_models, "seed_words", counting)
     noise_models._key_block.cache_clear()
+    # one process: a child would derive its blocks where this list cannot see
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     # the rows and both betas of a sweep share the blocks of its seeds
     harness.sweep_beta([0.0, 1.0], d=16, T=BLOCK + 10, seeds=range(3), subset_sizes=[4])
     assert blocks == [((0, 1, 2), 0), ((0, 1, 2), BLOCK)]

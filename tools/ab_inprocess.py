@@ -6,7 +6,9 @@ Each tree is a checkout holding ``src/snsm``. Both are loaded into one
 interpreter, as the packages ``snsm_old`` and ``snsm_new``, and each pair
 times one ``harness.sweep_beta`` call per tree at the configuration of the
 benchmark's ``beta_sweep`` workload (``perfbench/workloads.py``), on the
-pair's own seeds; odd pairs run the new tree first. The script asserts that
+pair's own seeds; odd pairs run the new tree first. A tree whose sweep runs
+its betas in forked processes is timed with the forks and the wait for
+them included, as the CLI pays for them. The script asserts that
 both trees return the same sweep rows, then prints each side's median time,
 the median of the per-pair ratios new/old and the pairs the new tree won.
 Exit status 1 when the rows differ.

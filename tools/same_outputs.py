@@ -13,7 +13,9 @@ The list holds the command lines of one pass of each benchmark workload
 (``perfbench/workloads.py``, seed 3) and commands that reach the other
 paths of the entry points: MLP2 runs (Adam-family, SM and GaLore rows over
 its two parameter tensors), the Thm-2 Monte-Carlo check, a three-beta
-sweep, a diverging run, sparse noise under GaLore, a seed beyond one
+sweep, a four-beta sweep in unsorted order (its betas run in uneven shares
+across processes, and the rows must come back in beta order), a sweep
+with an empty beta list, a diverging run, sparse noise under GaLore, a seed beyond one
 entropy word, the ``norm`` rule's state count in ``train`` and ``mem``, the
 ``equip`` rule on MLP2 (W2 falls back to coordinate-wise subsets), a subset
 size without the ``equip`` rule, a one-element tensor's count, the Thm-3
@@ -52,6 +54,9 @@ COMMANDS = [
                       "--n-seeds", "10"]),
     ("sweep-3-betas", ["sweep", "--betas", "0,0.5,1", "--d", "64", "--T", "200",
                        "--n-seeds", "3", "--subset-sizes", "8,16"]),
+    ("sweep-4-betas", ["sweep", "--betas", "1,0.25,0,0.5", "--d", "64", "--T", "100",
+                       "--n-seeds", "3", "--subset-sizes", "8", "--format", "json"]),
+    ("sweep-no-beta", ["sweep", "--betas", ""]),
     ("sgd-diverges", ["train", "--preset", "SGD", "--lr", "10", "--d", "10",
                       "--T", "400", "--sigma", "0.1"]),
     ("galore-beta-0.5", ["train", "--preset", "GaLore", "--d", "256",
