@@ -19,7 +19,7 @@ update, since nothing reads x_{T+1}. A seed that diverges leaves its row's
 batch. :func:`run` is that loop with one row.
 
 :func:`sweep_beta` runs one such loop per beta, and the betas are
-independent: on P = min(betas, usable CPUs) processes, the calling process
+independent: on P = min(number of betas, usable CPUs) processes, the caller
 runs every P-th beta from the first and P - 1 forked children run the
 others, each sending its results back pickled over a pipe. The rows come
 back in beta order, the same as from one process.

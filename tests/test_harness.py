@@ -13,7 +13,6 @@ import pytest
 
 from snsm import harness
 from snsm.analysis import momentum_bound
-from snsm.linalg import NumericError
 from snsm.harness import (
     RECORD_FIELDS,
     ExperimentConfig,
@@ -26,6 +25,7 @@ from snsm.harness import (
     sweep_verdict,
     verify_thm2,
 )
+from snsm.linalg import NumericError
 from snsm.noise_models import MLP2, NoiseModel, Quadratic, stoch_grad
 from snsm.optim import Optimizer, make_preset
 
@@ -444,13 +444,30 @@ def test_sweep_reraises_a_child_error(monkeypatch):
     _assert_no_child_left()
 
 
-def test_sweep_child_error_that_does_not_pickle(monkeypatch):
+class _TwoArgError(Exception):
+    """Pickles, but does not load: its args hold one of its two arguments."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+        self.detail = detail
+
+
+def _local_error():
     class LocalError(Exception):  # a local class: pickle cannot find it
         pass
 
-    _fail_at_beta(monkeypatch, 1.0, lambda: _raise(LocalError("boom")))
+    return LocalError("boom")
+
+
+@pytest.mark.parametrize("make,text", [
+    pytest.param(_local_error, r"LocalError\('boom'\)", id="local-class"),
+    pytest.param(lambda: _TwoArgError("boom", 3), r"_TwoArgError\('boom'\)",
+                 id="two-argument-init"),
+])
+def test_sweep_child_error_that_does_not_pickle(monkeypatch, make, text):
+    _fail_at_beta(monkeypatch, 1.0, lambda: _raise(make()))
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    with pytest.raises(RuntimeError, match=r"LocalError\('boom'\)"):
+    with pytest.raises(RuntimeError, match=text):
         sweep_beta([0.0, 1.0], d=16, T=10, seeds=range(2))
     _assert_no_child_left()
 
