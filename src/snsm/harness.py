@@ -11,10 +11,10 @@ array, one optimizer per row holds the state of every seed along a leading
 replica axis, and each seed draws its noise from its own per-(seed, t)
 stream, so every seed of every row follows the trajectory it would follow
 alone. Each
-step evaluates the objective once for all rows, on their iterates stacked
-``(sum S_r, d)``, and makes one oracle call, which draws each (seed, t)
-noise vector once and adds it to every row that carries the seed in one
-operation. The last step, t = T, is observed and recorded but makes no
+step evaluates the objective once for all rows, one ``value_and_grad`` on
+their iterates stacked ``(sum S_r, d)``, and makes one oracle call, which
+draws each (seed, t) noise vector once and adds it to every row that
+carries the seed in one operation, into that gradient when seeds repeat. The last step, t = T, is observed and recorded but makes no
 update, since nothing reads x_{T+1}. A seed that diverges leaves its row's
 batch. :func:`run` is that loop with one row.
 
@@ -148,18 +148,35 @@ class _Row:
         self.state_elems = self.opt.state_size().total
         self.x = x1  # every step replaces it; x1 itself is never written
         self.live = np.arange(n_seeds)  # positions in config.seeds of the running seeds
+        # the running seeds' sums of ||grad f||^2 and last losses, in the
+        # order of live, and the steps each has observed; a seed's totals
+        # move to the per-seed arrays below when it leaves or the run ends
+        self.live_sq_sum = np.zeros(n_seeds)
+        self.live_loss = np.full(n_seeds, math.nan)
+        self.live_steps = 0
         self.grad_sq_sum = np.zeros(n_seeds)
         self.steps_done = np.zeros(n_seeds, dtype=np.int64)
         self.final_loss = np.full(n_seeds, math.nan)
         self.diverged = np.zeros(n_seeds, dtype=bool)
         self.records: list[list[RunRecord]] = [[] for _ in range(n_seeds)]
 
+    def _settle(self, at) -> None:
+        """Write the totals of the running seeds at positions ``at`` into
+        the per-seed arrays."""
+        seeds = self.live[at]
+        self.grad_sq_sum[seeds] = self.live_sq_sum[at]
+        self.final_loss[seeds] = self.live_loss[at]
+        self.steps_done[seeds] = self.live_steps
+
     def drop(self, bad: np.ndarray) -> np.ndarray:
         """Mark the running seeds at positions ``bad`` diverged; the kept positions."""
+        self._settle(bad)
         self.diverged[self.live[bad]] = True
         keep = np.flatnonzero(~bad)
         self.opt.keep_replicas(keep)
         self.live = self.live[keep]
+        self.live_sq_sum = self.live_sq_sum[keep]
+        self.live_loss = self.live_loss[keep]
         return keep
 
     def observe(self, t: int, loss: np.ndarray, gsq: np.ndarray,
@@ -177,9 +194,9 @@ class _Row:
                 self.records[i].append(RunRecord(
                     step=t, seed=int(self.seeds[i]), loss=loss_i,
                     grad_norm_sq=gsq_i, lr=lr, state_elems=self.state_elems))
-        self.grad_sq_sum[self.live] += gsq
-        self.steps_done[self.live] += 1
-        self.final_loss[self.live] = loss
+        self.live_sq_sum += gsq
+        self.live_loss = loss
+        self.live_steps += 1
 
     def step(self, g: np.ndarray, t: int) -> None:
         """Step the running seeds with their stochastic gradients ``g``."""
@@ -196,6 +213,7 @@ class _Row:
         self.x = self.manifest.join(params)
 
     def result(self) -> RunResult:
+        self._settle(slice(None))
         sums, steps = self.grad_sq_sum, self.steps_done
         summaries = [
             SeedSummary(seed=int(seed),
@@ -218,8 +236,8 @@ def run_rows(config: ExperimentConfig, specs) -> list:
 
     Each row keeps its own iterates, optimizer, running seeds and records,
     exactly as if run alone; all start from the same x_1. Per step the loop
-    evaluates the objective once, on the running iterates of every row
-    stacked, and makes one oracle call, which draws each seed's noise once
+    calls the objective's ``value_and_grad`` once, on the running iterates
+    of every row stacked, and makes one oracle call, which draws each seed's noise once
     and adds it to every row that carries the seed in one operation. At
     t = T the rows are observed and recorded but not stepped: nothing reads
     x_{T+1}.
@@ -234,6 +252,7 @@ def run_rows(config: ExperimentConfig, specs) -> list:
         raise ValueError("run_rows needs at least one spec")
     x1 = _init_x1(config)
     rows = [_Row(config, spec, x1) for spec in specs]
+    del x1  # held by the rows until their first step replaces it
     obj = config.objective
     for t in range(1, config.T + 1):
         running = [row for row in rows if row.live.size]
@@ -242,8 +261,7 @@ def run_rows(config: ExperimentConfig, specs) -> list:
         x = _cat([row.x for row in running])
         # overflow here is how divergence manifests; detected just below
         with np.errstate(over="ignore", invalid="ignore"):
-            loss = obj.value(x)
-            g_true = obj.grad(x)
+            loss, g_true = obj.value_and_grad(x)
             gsq = np.vecdot(g_true, g_true)
         finite = np.isfinite(loss) & np.isfinite(gsq)
         start = 0
@@ -267,6 +285,7 @@ def run_rows(config: ExperimentConfig, specs) -> list:
             stop = start + row.live.size
             row.step(g[start:stop], t)
             start = stop
+        del g  # not held while the next step evaluates the objective
     return [row.result() for row in rows]
 
 

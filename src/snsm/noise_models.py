@@ -3,7 +3,9 @@
 Objectives evaluate one point ``x`` of shape ``(d,)`` or S points at once,
 ``(S, d)``, one per row; the oracle draws each row's noise from its own
 seed, so S points stepping in lockstep see the noise each would alone. Rows
-that share a seed share one draw of it.
+that share a seed share one draw of it. An objective's ``value_and_grad``
+gives f and its gradient from one pass, the call the harness makes once per
+step; ``value`` and ``grad`` are read from the same code.
 
 Each objective exposes ``manifest``, a :class:`ShapeManifest` of its
 parameter tensors: ``x`` holds them in manifest order, each row-major, and
@@ -106,9 +108,15 @@ class Quadratic:
         self.smoothness = float(self.lam.max(initial=0.0))
         self.f_star = 0.0
 
+    def value_and_grad(self, x: np.ndarray) -> tuple:
+        """(f(x), grad f(x)) from one pass: f(x) is a float for one point,
+        ``(S,)`` values for ``(S, d)``; the gradient is a new array."""
+        g = self.grad(x)
+        # (lam * x) * x, the association of 0.5 * sum(lam * x * x)
+        return 0.5 * (g * x).sum(axis=-1), g
+
     def value(self, x: np.ndarray):
-        """f(x): a float for one point, ``(S,)`` values for ``(S, d)``."""
-        return 0.5 * (self.lam * x * x).sum(axis=-1)
+        return self.value_and_grad(x)[0]
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.lam * x
@@ -140,21 +148,24 @@ class MLP2:
         self.f_star = None
         self.smoothness = None  # not globally smooth in closed form
 
-    def value(self, x: np.ndarray):
-        W1, W2 = self.manifest.split(x)
-        pred = (W2 @ np.tanh(W1 @ self.X.T))[..., 0, :]
-        return 0.5 * np.mean((pred - self.y) ** 2, axis=-1)
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
+    def value_and_grad(self, x: np.ndarray) -> tuple:
+        """(f(x), grad f(x)) from one forward pass; the gradient is a new array."""
         W1, W2 = self.manifest.split(x)
         n = self.X.shape[0]
         Z = W1 @ self.X.T  # ([S,] h, n)
         A = np.tanh(Z)
         err = (W2 @ A)[..., 0, :] - self.y  # ([S,] n)
+        loss = 0.5 * np.mean(err ** 2, axis=-1)
         gW2 = (err[..., None, :] @ A.mT) / n  # ([S,] 1, h)
         dA = (W2.mT @ err[..., None, :]) * (1.0 - A * A)  # ([S,] h, n)
         gW1 = dA @ self.X / n  # ([S,] h, d_in)
-        return self.manifest.join([gW1, gW2])
+        return loss, self.manifest.join([gW1, gW2])
+
+    def value(self, x: np.ndarray):
+        return self.value_and_grad(x)[0]
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        return self.value_and_grad(x)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +360,9 @@ def stoch_grad(obj, noise: NoiseModel, x: np.ndarray, seed, t: int,
     seeds; row s adds noise from ``default_rng(SeedSequence([seed[s], t]))``
     (built by :func:`streams`). Seeds may repeat: each distinct seed is
     drawn once and its vector added to every row that carries it, all rows
-    in one add. ``true_grad`` is grad f(x) when the caller already has it;
-    it is not written.
+    in one add. ``true_grad`` is grad f(x) as a float64 array when the
+    caller already has it, and the call may write it: when seeds repeat,
+    the draws are added into it and it is returned.
     """
     g_true = obj.grad(x) if true_grad is None else true_grad
     seeds = np.atleast_1d(seed).tolist()
@@ -363,7 +375,7 @@ def stoch_grad(obj, noise: NoiseModel, x: np.ndarray, seed, t: int,
         xi += np.reshape(g_true, xi.shape)
         return xi.reshape(np.shape(g_true))
     # added to in place: a new array for the sum raises peak memory at large d
-    g = np.array(g_true, dtype=np.float64)
+    g = g_true
     reps, rest = divmod(len(seeds), len(distinct))
     if not rest and seeds == distinct * reps:
         # the rows of a lockstep run: the distinct seeds, once per row

@@ -281,7 +281,8 @@ class _ParamSlot:
         if isinstance(cfg, NoMomentum):
             return g
         if isinstance(cfg, EMAMomentum):
-            self.m_buf = cfg.beta1 * self.m_buf + (1.0 - cfg.beta1) * g
+            self.m_buf *= cfg.beta1
+            self.m_buf += (1.0 - cfg.beta1) * g
             return self.m_buf
         if isinstance(cfg, SubspaceMomentum):
             return self._deorient(sm_direction(self.sm_state, self._orient(g)))
@@ -290,20 +291,26 @@ class _ParamSlot:
     # -- adaptive step size --------------------------------------------------
 
     def adapt(self, step: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """``step`` divided coordinate by coordinate by its subset's
-        denominator, after folding ``g`` into the accumulators; unchanged
-        without an adaptive rule."""
+        """``step``, an array of the step's own, divided coordinate by
+        coordinate by its subset's denominator after folding ``g`` into the
+        accumulators; unchanged without an adaptive rule. The division runs
+        in place on ``step`` or, when ``step`` is not C-contiguous (a
+        transposed orientation), on its flat copy, so use the result."""
         if self.partition is None:
             return step
         replicas = g.shape[0]
         sq = part.subset_sqnorms(self.partition, g.reshape(replicas, -1))
         sn.sn_accumulate(self.sn_state, sq)
         denoms = sn.sn_denominators(self.sn_state)
-        return part.subset_divide(self.partition, step.reshape(replicas, -1),
-                                  denoms).reshape(step.shape)
+        flat = step.reshape(replicas, -1)  # a copy when step is not C-contiguous
+        return part.subset_divide(self.partition, flat, denoms).reshape(step.shape)
 
     def update(self, x: np.ndarray, g: np.ndarray, t: int, lr: float,
                weight_decay: float) -> np.ndarray:
+        """x_{t+1} of every replica from ``x`` and ``g``, both ``(S,) +
+        shape``, which are read and never written. The new iterate is
+        written into the ``lr * direction`` array this call creates, after
+        the subset division has run in it."""
         if not self.built:
             # frames are built from this g, so this step does not refresh them
             self._build_state(g)
@@ -313,12 +320,13 @@ class _ParamSlot:
             galore_maybe_refresh(self.galore_state, self._orient(g), t)
         if self.galore_state is not None:
             step_dir = galore_direction(self.galore_state, self._orient(g))
-            x_new = x - lr * self._deorient(step_dir)
+            step = lr * self._deorient(step_dir)
         else:
             # x - lr * direction / denominator, in that association
-            x_new = x - self.adapt(lr * self.direction(g), g)
+            step = self.adapt(lr * self.direction(g), g)
+        x_new = np.subtract(x, step, out=step)
         if weight_decay > 0.0:
-            x_new = x_new - lr * weight_decay * x
+            x_new -= lr * weight_decay * x
         return x_new
 
     # -- accounting ----------------------------------------------------------
@@ -403,15 +411,15 @@ class Optimizer:
         if batch is None:
             params = [p[None] for p in params]
             grads = [g[None] for g in grads]
-        flat = [g.reshape(self.replicas, -1) for g in grads]
-        finite = np.ones(self.replicas, dtype=bool)
-        for g in flat:
-            finite &= np.isfinite(g).all(axis=1)
-        if not finite.all():
+        finite = True
+        for g in grads:
+            finite = finite & np.isfinite(g.reshape(self.replicas, -1)).all(axis=1)
+        if not np.all(finite):
             raise NonFiniteGradientError(
                 f"non-finite gradient at step t={t}; step rejected",
                 replicas=tuple(int(i) for i in np.flatnonzero(~finite)))
         if self.spec.clip_norm is not None:
+            flat = [g.reshape(self.replicas, -1) for g in grads]
             total = np.sqrt(sum(np.sum(g * g, axis=1) for g in flat))
             # clip_norm / clip_norm is exactly 1: unclipped replicas keep g
             scale = self.spec.clip_norm / np.maximum(total, self.spec.clip_norm)

@@ -105,23 +105,26 @@ def subset_sqnorms(p: Partition, g: np.ndarray) -> np.ndarray:
 
 
 def subset_divide(p: Partition, a: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Each coordinate of ``a`` (``(..., d)``) divided by its subset's entry of
-    ``values`` (``(..., c)``).
+    """Divide each coordinate of ``a`` (``(..., d)``) by its subset's entry
+    of ``values`` (``(..., c)``), in place; returns ``a``.
 
     The division runs on a ``(c, k)`` view of the coordinates (rows) or a
     ``(k, c)`` view (columns), so no d-long array of per-coordinate values is
     built; the shorter last block of a ragged partition is divided on its own.
+    Each view splits only the last axis, so it is a view of ``a`` whatever
+    its strides.
     """
     if p.k == 1:
-        return a / values
+        a /= values
+        return a
     lead = a.shape[:-1]
     if p.columns:
-        return (a.reshape(lead + (p.k, p.c)) / values[..., None, :]).reshape(a.shape)
+        view = a.reshape(lead + (p.k, p.c))
+        view /= values[..., None, :]
+        return a
     full = p.d - p.d % p.k
-    if full == p.d:
-        return (a.reshape(lead + (p.c, p.k)) / values[..., None]).reshape(a.shape)
-    out = np.empty(a.shape)
-    out[..., :full] = (a[..., :full].reshape(lead + (-1, p.k))
-                       / values[..., :-1, None]).reshape(lead + (full,))
-    out[..., full:] = a[..., full:] / values[..., -1:]
-    return out
+    view = a[..., :full].reshape(lead + (-1, p.k))
+    view /= values[..., :full // p.k, None]
+    if full < p.d:
+        a[..., full:] /= values[..., -1:]
+    return a

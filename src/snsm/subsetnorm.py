@@ -107,10 +107,15 @@ def sn_accumulate(state: SubsetNormState, sqnorms: np.ndarray) -> SubsetNormStat
 
 
 def sn_denominators(state: SubsetNormState) -> np.ndarray:
+    """The denominator of each subset, a new array; the EMA rule's is
+    bias-corrected, square-rooted and floored by eps in that one array."""
     rule = state.rule
     if isinstance(rule, AdaGradSubsetNorm):
         return np.sqrt(state.acc)
-    v = state.acc
     if state.step > 0:
-        v = v / (1.0 - rule.beta2 ** state.step)
-    return np.sqrt(v) + rule.eps
+        v = state.acc / (1.0 - rule.beta2 ** state.step)
+    else:
+        v = state.acc.copy()
+    np.sqrt(v, out=v)
+    v += rule.eps
+    return v

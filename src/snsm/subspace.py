@@ -135,13 +135,18 @@ def _refresh(state: SubspaceMomentumState | GaloreState, G: np.ndarray,
 def sm_direction(state: SubspaceMomentumState, G: np.ndarray) -> np.ndarray:
     """One momentum update (in place); returns lift(m') + (G - lift(c)).
 
-    By linearity of the lift this is G + lift(m' - c), one lift per step.
+    By linearity of the lift this is G + lift(m' - c), one lift per step;
+    m' - c is formed in the projection's array and G is added into the
+    lift's, so ``G`` is never written.
     """
     G = np.asarray(G, dtype=np.float64)
     rule = state.rule
     c = project(state.frame, G)
-    state.m_buf = rule.beta1 * state.m_buf + (1.0 - rule.beta1) * c
-    return G + lift(state.frame, state.m_buf - c)
+    state.m_buf *= rule.beta1
+    state.m_buf += (1.0 - rule.beta1) * c
+    out = lift(state.frame, np.subtract(state.m_buf, c, out=c))
+    out += G
+    return out
 
 
 def sm_maybe_refresh(state: SubspaceMomentumState, G: np.ndarray, t: int) -> bool:
@@ -156,12 +161,17 @@ def galore_direction(state: GaloreState, G: np.ndarray) -> np.ndarray:
     G = np.asarray(G, dtype=np.float64)
     rule = state.rule
     c = project(state.frame, G)
-    state.m_buf = rule.beta1 * state.m_buf + (1.0 - rule.beta1) * c
-    state.v_buf = rule.beta2 * state.v_buf + (1.0 - rule.beta2) * c * c
+    state.m_buf *= rule.beta1
+    state.m_buf += (1.0 - rule.beta1) * c
+    state.v_buf *= rule.beta2
+    state.v_buf += (1.0 - rule.beta2) * c * c
     state.step += 1
+    denom = state.v_buf / (1.0 - rule.beta2 ** state.step)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += rule.eps
     m_hat = state.m_buf / (1.0 - rule.beta1 ** state.step)
-    v_hat = state.v_buf / (1.0 - rule.beta2 ** state.step)
-    return lift(state.frame, m_hat / (np.sqrt(v_hat) + rule.eps))
+    m_hat /= denom
+    return lift(state.frame, m_hat)
 
 
 def galore_maybe_refresh(state: GaloreState, G: np.ndarray, t: int) -> bool:

@@ -63,6 +63,31 @@ def test_objectives_act_row_by_row():
             np.testing.assert_array_equal(g, obj.grad(x))
 
 
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_value_and_grad_is_one_pass_with_the_same_bits(lead):
+    # one pass gives what value and grad give, and what the formulas written
+    # out separately give, bit for bit: 0.5 sum(lam x x) for the quadratic,
+    # half the mean squared error of one forward pass for the network
+    rng = np.random.default_rng(5)
+    quad = Quadratic(rng.uniform(0.1, 3.0, 10))
+    mlp = MLP2(rng.standard_normal((16, 3)), rng.standard_normal(16), hidden=4)
+
+    def mlp_value(x):
+        W1, W2 = mlp.manifest.split(x)
+        pred = (W2 @ np.tanh(W1 @ mlp.X.T))[..., 0, :]
+        return 0.5 * np.mean((pred - mlp.y) ** 2, axis=-1)
+
+    for obj, value, grad in (
+            (quad, lambda x: 0.5 * (quad.lam * x * x).sum(axis=-1),
+             lambda x: quad.lam * x),
+            (mlp, mlp_value, mlp.grad)):
+        x = rng.uniform(-0.5, 0.5, lead + (obj.d,))
+        loss, g = obj.value_and_grad(x)
+        assert np.array_equal(loss, obj.value(x)) and np.array_equal(loss, value(x))
+        np.testing.assert_array_equal(g, obj.grad(x))
+        np.testing.assert_array_equal(g, grad(x))
+
+
 def test_mlp2_gradient_finite_diff():
     rng = np.random.default_rng(2)
     obj = MLP2(rng.standard_normal((16, 3)), rng.standard_normal(16), hidden=4)

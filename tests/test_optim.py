@@ -287,6 +287,30 @@ def test_replica_count_fixed_by_first_step():
     assert x.shape == (2,) and y.shape == (3,)  # one replica may drop its axis
 
 
+@pytest.mark.parametrize("kw", [{}, dict(weight_decay=0.01, clip_norm=1.0)])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_step_never_writes_its_inputs(preset, kw):
+    # every array a step writes is one the step made: read-only params and
+    # gradients pass, tall, wide (stepped transposed) and flat, one replica
+    # or a stack of three
+    rng = np.random.default_rng(11)
+    for shape in ((64,), (12, 8), (8, 12)):
+        for lead in ((), (3,)):
+            rank = min(2, len(shape))  # a flat parameter is a d x 1 matrix
+            opt = Optimizer(make_preset(preset, lr=0.01, rank=rank, refresh_gap=2,
+                                        **kw), [shape])
+            params = [rng.standard_normal(lead + shape)]
+            for t in range(1, 6):
+                grads = [rng.standard_normal(lead + shape)]
+                frozen = [a.copy() for a in params + grads]
+                for a in params + grads:
+                    a.flags.writeable = False
+                new = opt.step(params, grads, t)
+                for a, before in zip(params + grads, frozen):
+                    np.testing.assert_array_equal(a, before)
+                params = new
+
+
 def test_global_norm_clipping():
     spec = make_preset("SGD", lr=1.0, clip_norm=1.0)
     opt = Optimizer(spec, [(2,), (2,)])

@@ -49,10 +49,11 @@ def _assert_matches_labels(p, labels, rng):
     np.testing.assert_allclose(part.subset_sqnorms(p, G), refs,
                                rtol=p.d * np.finfo(np.float64).eps, atol=0)
     denoms = rng.uniform(0.5, 2.0, (3, p.c))
-    np.testing.assert_array_equal(part.subset_divide(p, G, denoms),
-                                  G / denoms[:, labels])
-    np.testing.assert_array_equal(part.subset_divide(p, g, denoms[0]),
-                                  g / denoms[0, labels])
+    # the division runs in place, so the reference reads the input first
+    for a, values in ((G, denoms), (g, denoms[0])):
+        want = a / values[..., labels]
+        assert part.subset_divide(p, a, values) is a
+        np.testing.assert_array_equal(a, want)
 
 
 @settings(max_examples=200, deadline=None)

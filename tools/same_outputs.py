@@ -19,7 +19,10 @@ with an empty beta list, a diverging run, sparse noise under GaLore, a seed beyo
 entropy word, the ``norm`` rule's state count in ``train`` and ``mem``, the
 ``equip`` rule on MLP2 (W2 falls back to coordinate-wise subsets), a subset
 size without the ``equip`` rule, a one-element tensor's count, the Thm-3
-bound and the rate table.
+bound and the rate table. The ``wide-8x12`` commands step a parameter wider
+than tall, which the optimizer steps transposed: its step arrays are not
+C-contiguous, so the in-place subset division, the subspace directions and
+weight decay with clipping each run on that layout.
 """
 
 from __future__ import annotations
@@ -80,6 +83,14 @@ COMMANDS = [
     ("bound-thm3", ["bound", "--thm", "3", "--eta", "0.05", "--T", "1000",
                     "--sigma-subsets", "0.5,1,2", "--b0", "0.1"]),
     ("rates", ["rates", "--beta", "0.5"]),
+    *((f"wide-8x12/{label}", ["train", "--d", "96", "--param-shape", "8x12",
+                              "--T", "30", "--sigma", "0.3", "--n-seeds", "2",
+                              *extra])
+      for label, extra in (
+          ("adamsnsm", ["--preset", "AdamSNSM", "--rank", "3", "--refresh-gap", "7"]),
+          ("galore", ["--preset", "GaLore", "--rank", "3", "--refresh-gap", "7"]),
+          ("adamsn-wd-clip", ["--preset", "AdamSN", "--weight-decay", "0.01",
+                              "--clip-norm", "1.0"]))),
 ]
 
 
