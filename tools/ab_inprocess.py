@@ -1,24 +1,37 @@
-"""In-process A/B of two snsm source trees on the beta_sweep configuration.
+"""In-process A/B of two snsm source trees on a benchmark workload's calls.
 
-    python tools/ab_inprocess.py OLD_TREE NEW_TREE [--pairs 20]
+    python tools/ab_inprocess.py OLD_TREE NEW_TREE [--workload beta_sweep]
+                                 [--pairs 20]
 
 Each tree is a checkout holding ``src/snsm``. Both are loaded into one
 interpreter, as the packages ``snsm_old`` and ``snsm_new``, and each pair
-times one ``harness.sweep_beta`` call per tree at the configuration of the
-benchmark's ``beta_sweep`` workload (``perfbench/workloads.py``), on the
-pair's own seeds; odd pairs run the new tree first. A tree whose sweep runs
-its betas in forked processes is timed with the forks and the wait for
-them included, as the CLI pays for them. The script asserts that
-both trees return the same sweep rows, then prints each side's median time,
-the median of the per-pair ratios new/old and the pairs the new tree won.
-Exit status 1 when the rows differ.
+runs the workload once per tree on the pair's own seeds; odd pairs run the
+new tree first.
+
+``beta_sweep`` times one ``harness.sweep_beta`` call per tree at the
+configuration of the benchmark's ``beta_sweep`` workload
+(``perfbench/workloads.py``). A tree whose sweep runs its betas in forked
+processes is timed with the forks and the wait for them included, as the
+CLI pays for them. The script asserts that both trees return the same
+sweep rows, then prints each side's median time, the median of the
+per-pair ratios new/old and the pairs the new tree won.
+
+``matrix_train`` times each ``snsm train`` call of one ``matrix_train``
+pass (``workloads.calls``, seed = pair) through ``cli.main``, the two trees
+interleaved call by call, and asserts that both print the same stdout and
+stderr. It prints the same figures per call and for the pass, the sum of
+its calls.
+
+Exit status 1 when the outputs differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import statistics
 import sys
 import time
@@ -37,25 +50,46 @@ _ARGV = workloads.calls("beta_sweep", 0)[0][1]
 LR = float(_ARGV[_ARGV.index("--lr") + 1])  # no constant: a literal in the command line
 
 
-def load_tree(tree: Path, name: str):
-    """``tree/src/snsm`` imported as the package ``name``; its harness module."""
+def load_tree(tree: Path, name: str, module: str):
+    """``tree/src/snsm`` imported as the package ``name``; its ``module``."""
     pkg = tree / "src" / "snsm"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     if spec is None:
         raise SystemExit(f"no snsm package under {tree}")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.harness")
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.{module}")
 
 
-def timed_sweep(harness, seed_base: int):
-    seeds = range(seed_base, seed_base + N_SEEDS)
+def timed_sweep(harness, pair: int):
+    seeds = range(pair * N_SEEDS, (pair + 1) * N_SEEDS)
     t0 = time.perf_counter()
     rows = harness.sweep_beta(BETAS, d=D, T=T, seeds=seeds, subset_sizes=[SUBSET],
                               lr=LR)
     return time.perf_counter() - t0, [astuple(r) for r in rows]
+
+
+def timed_call(cli, argv: list):
+    """(seconds, (stdout, stderr)) of ``snsm ARGV`` run through ``cli.main``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        t0 = time.perf_counter()
+        rc = cli.main(argv)
+        seconds = time.perf_counter() - t0
+    if rc:
+        raise SystemExit(f"snsm {' '.join(argv)} exited {rc}")
+    return seconds, (out.getvalue(), err.getvalue())
+
+
+def _report(label: str, times: dict) -> None:
+    ratios = [new / old for old, new in zip(times["old"], times["new"])]
+    wins = sum(r < 1.0 for r in ratios)
+    print(f"{label}: old median {statistics.median(times['old']):.4f} s, "
+          f"new median {statistics.median(times['new']):.4f} s, "
+          f"median ratio new/old {statistics.median(ratios):.3f}, "
+          f"new wins {wins}/{len(ratios)}")
 
 
 def main(argv=None) -> int:
@@ -63,26 +97,37 @@ def main(argv=None) -> int:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("old_tree", type=Path)
     p.add_argument("new_tree", type=Path)
+    p.add_argument("--workload", choices=("beta_sweep", "matrix_train"),
+                   default="beta_sweep")
     p.add_argument("--pairs", type=int, default=20)
     args = p.parse_args(argv)
-    sides = {"old": load_tree(args.old_tree, "snsm_old"),
-             "new": load_tree(args.new_tree, "snsm_new")}
-    times = {"old": [], "new": []}
+    module = "harness" if args.workload == "beta_sweep" else "cli"
+    sides = {"old": load_tree(args.old_tree, "snsm_old", module),
+             "new": load_tree(args.new_tree, "snsm_new", module)}
+    times = {}  # label -> side -> seconds per pair
     for pair in range(args.pairs):
         order = ("new", "old") if pair % 2 else ("old", "new")
-        rows = {}
-        for side in order:
-            seconds, rows[side] = timed_sweep(sides[side], pair * N_SEEDS)
-            times[side].append(seconds)
-        if rows["old"] != rows["new"]:
-            print(f"pair {pair}: sweep rows differ", file=sys.stderr)
-            return 1
-    ratios = [new / old for old, new in zip(times["old"], times["new"])]
-    wins = sum(r < 1.0 for r in ratios)
-    print(f"old median {statistics.median(times['old']):.4f} s, "
-          f"new median {statistics.median(times['new']):.4f} s")
-    print(f"median ratio new/old {statistics.median(ratios):.3f}, "
-          f"new wins {wins}/{args.pairs}; rows identical in every pair")
+        if args.workload == "beta_sweep":
+            jobs = [("sweep", lambda side: timed_sweep(sides[side], pair))]
+        else:
+            jobs = [(label, lambda side, argv=argv: timed_call(sides[side], argv))
+                    for label, argv in workloads.calls("matrix_train", pair)]
+        total = {"old": 0.0, "new": 0.0}
+        for label, job in jobs:
+            outputs = {}
+            for side in order:
+                seconds, outputs[side] = job(side)
+                times.setdefault(label, {"old": [], "new": []})[side].append(seconds)
+                total[side] += seconds
+            if outputs["old"] != outputs["new"]:
+                print(f"pair {pair}: {label} outputs differ", file=sys.stderr)
+                return 1
+        if len(jobs) > 1:
+            for side in total:
+                times.setdefault("pass", {"old": [], "new": []})[side].append(total[side])
+    for label, per_side in times.items():
+        _report(label, per_side)
+    print("outputs identical in every pair")
     return 0
 
 
