@@ -262,7 +262,9 @@ def run_rows(config: ExperimentConfig, specs) -> list:
         # overflow here is how divergence manifests; detected just below
         with np.errstate(over="ignore", invalid="ignore"):
             loss, g_true = obj.value_and_grad(x)
-            gsq = np.vecdot(g_true, g_true)
+            # not a BLAS dot: its sum splits across BLAS threads at large d,
+            # and its last bits then follow the thread count
+            gsq = np.einsum("...i,...i->...", g_true, g_true)
         finite = np.isfinite(loss) & np.isfinite(gsq)
         start = 0
         for row in running:

@@ -68,7 +68,9 @@ def test_sn_c1_matches_adagradnorm_stream():
     expected = []
     for t in range(1, T + 1):
         g_true = obj.grad(x)
-        expected.append((t, obj.value(x), float(g_true @ g_true), lr))
+        # ||grad f||^2 summed as the harness sums it, not by a BLAS dot
+        expected.append((t, obj.value(x),
+                         float(np.einsum("...i,...i->...", g_true, g_true)), lr))
         g = stoch_grad(obj, noise, x, 0, t)
         b2 += np.sum(g * g)
         x = x - lr * g / np.sqrt(b2)
@@ -76,6 +78,22 @@ def test_sn_c1_matches_adagradnorm_stream():
         res = run(*_quad_config(preset=preset, d=d, T=T, lr=lr, noise=noise, **kw))
         got = [(r.step, r.loss, r.grad_norm_sq, r.lr) for r in res.records]
         assert got == expected, preset  # identical record streams
+
+
+def test_grad_norm_does_not_follow_the_blas_thread_count():
+    # at d > 10000 a BLAS dot splits its sum across threads; the recorded
+    # ||grad f||^2 must not change with their number
+    argv = [sys.executable, "-m", "snsm.cli", "train", "--d", "262144",
+            "--param-shape", "512x512", "--preset", "Adam", "--T", "3",
+            "--lr", "1e-3", "--sigma", "1e-3", "--format", "csv"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_divergence_flagged_with_partial_records():
