@@ -43,12 +43,24 @@ def _emit(rows, fields, fmt: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _items(s: str) -> list:
+    """The comma-separated items of a list flag; the empty string is the
+    empty list, and an empty item (a doubled, leading or trailing comma)
+    is a usage error that argparse reports under the flag's name."""
+    if not s:
+        return []
+    items = s.split(",")
+    if "" in items:
+        raise argparse.ArgumentTypeError(f"empty item in the list {s!r}")
+    return items
+
+
 def _int_list(s: str):
-    return [int(x) for x in s.split(",") if x]
+    return [int(x) for x in _items(s)]
 
 
 def _float_list(s: str):
-    return [float(x) for x in s.split(",") if x]
+    return [float(x) for x in _items(s)]
 
 
 def build_parser() -> argparse.ArgumentParser:

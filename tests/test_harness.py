@@ -962,12 +962,41 @@ def test_cli_sweep(capsys):
     assert out.startswith("beta,optimizer,subset_size,mean_metric,stderr")
 
 
+def _exit_code(argv) -> int:
+    """``snsm ARGV``'s exit code, whether main returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("betas", ["", ","])
 def test_cli_sweep_empty_beta_list_exit_1(capsys, betas):
-    assert main(["sweep", "--betas", betas, "--d", "16", "--T", "5"]) == 1
+    # "" is the empty list, which the sweep rejects; "," holds empty items,
+    # which the flag rejects
+    message = {"": "snsm: error: a sweep needs at least one beta",
+               ",": "snsm sweep: error: argument --betas: empty item in the "
+                    "list ','"}[betas]
+    assert _exit_code(["sweep", "--betas", betas, "--d", "16", "--T", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "snsm: error: a sweep needs at least one beta" in captured.err
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("items", ["0,,1", ",1", "1,"])  # doubled, leading, trailing
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--d", "16", "--T", "5", "--n-seeds", "2", "--betas"],
+    ["sweep", "--d", "16", "--T", "5", "--n-seeds", "2", "--subset-sizes"],
+    ["bound", "--thm", "3", "--b0", "1", "--sigma-subsets"],
+    ["bound", "--thm", "3", "--sigma-subsets", "1,1", "--b0"],
+], ids=lambda argv: argv[-1])
+def test_cli_list_flag_rejects_an_empty_item(capsys, argv, items):
+    # an empty item is not dropped: "0,,1" is not the list 0, 1
+    assert _exit_code([*argv, items]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: argument {argv[-1]}: empty item in the list {items!r}"
+            in captured.err)
 
 
 def test_cli_sweep_diverged_seed_exit_2(monkeypatch, capsys):
