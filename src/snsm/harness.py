@@ -14,8 +14,9 @@ alone. Each
 step evaluates the objective once for all rows, one ``value_and_grad`` on
 their iterates stacked ``(sum S_r, d)``, and makes one oracle call, which
 draws each (seed, t) noise vector once and adds it to every row that
-carries the seed in one operation, into that gradient when seeds repeat. The last step, t = T, is observed and recorded but makes no
-update, since nothing reads x_{T+1}. A seed that diverges leaves its row's
+carries the seed in one operation, into that gradient when seeds repeat.
+The last step, t = T, is observed and recorded but makes no update, since
+nothing reads x_{T+1}. A seed that diverges leaves its row's
 batch. :func:`run` is that loop with one row.
 
 :func:`sweep_beta` runs one such loop per beta, and the betas are
@@ -237,8 +238,9 @@ def run_rows(config: ExperimentConfig, specs) -> list:
     Each row keeps its own iterates, optimizer, running seeds and records,
     exactly as if run alone; all start from the same x_1. Per step the loop
     calls the objective's ``value_and_grad`` once, on the running iterates
-    of every row stacked, and makes one oracle call, which draws each seed's noise once
-    and adds it to every row that carries the seed in one operation. At
+    of every row stacked, and makes one oracle call, which draws each
+    seed's noise once and adds it to every row that carries the seed in
+    one operation. At
     t = T the rows are observed and recorded but not stepped: nothing reads
     x_{T+1}.
 
