@@ -9,6 +9,7 @@ converge), 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -63,7 +64,10 @@ def _float_list(s: str):
     return [float(x) for x in _items(s)]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``snsm`` parser, built on the first call and shared by every
+    later call in the process: callers must not mutate it."""
     p = _Parser(prog="snsm", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -102,11 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="beta-sweep over step-size families")
     common(s)
     s.add_argument("--seed-base", type=int, default=0)
-    s.add_argument("--betas", type=_float_list, default=[0.0, 0.5, 1.0])
+    s.add_argument("--betas", type=_float_list, default=(0.0, 0.5, 1.0))
     s.add_argument("--d", type=int, default=1024)
     s.add_argument("--T", type=int, default=1000)
     s.add_argument("--n-seeds", type=int, default=5)
-    s.add_argument("--subset-sizes", type=_int_list, default=[])
+    s.add_argument("--subset-sizes", type=_int_list, default=())
     s.add_argument("--alpha", type=float, default=1.0)
     s.add_argument("--lr", type=float, default=0.1)
 
