@@ -78,6 +78,8 @@ class ExperimentConfig:
         if self.T < 1:
             raise ValueError("T must be >= 1")
         check_seeds(self.seeds)
+        if not (math.isfinite(self.delta1) and self.delta1 >= 0):
+            raise ValueError(f"delta1 must be finite and >= 0, got {self.delta1}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
