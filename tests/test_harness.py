@@ -652,6 +652,7 @@ def test_csv_byte_identical_reruns():
 # ---------------------------------------------------------------------------
 # CLI (in-process via main(), plus one subprocess sanity check)
 
+from snsm import cli  # noqa: E402
 from snsm.cli import main  # noqa: E402
 
 
@@ -808,6 +809,23 @@ def test_cli_negative_seed_base_exit_1(capsys, argv):
 def test_cli_train_zero_size_objective_exit_1(capsys, argv, message):
     assert main(["train", *argv, "--T", "3", "--out", "/dev/null"]) == 1
     assert f"snsm: error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--delta1", "-1"],  # was a math domain error
+    ["--delta1", "nan"],  # was a run of all T steps reported as divergence
+    ["--delta1", "inf"],
+    ["--objective", "mlp2", "--d", "4", "--delta1", "-1"],  # read by no start
+])
+def test_cli_train_bad_delta1_exit_1(capsys, argv):
+    assert main(["train", *argv, "--T", "3", "--out", "/dev/null"]) == 1
+    assert (f"snsm: error: delta1 must be finite and >= 0, got {float(argv[-1])}"
+            in capsys.readouterr().err)
+
+
+def test_delta1_zero_starts_at_the_optimum():
+    res = run(*_quad_config(d=4, delta1=0.0, T=3))
+    assert [r.loss for r in res.records] == [0.0, 0.0, 0.0]
 
 
 def test_cli_train_csv(tmp_path):
@@ -1043,3 +1061,60 @@ def test_cli_entrypoint_subprocess():
                            "--beta", "1.0"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "2.1" in proc.stdout
+
+
+def test_cli_bound_mode_defaults_do_not_leak_between_calls(capsys):
+    # _cmd_bound fills the --thm 3 defaults (--eta among them) into the
+    # namespace of one call; the shared parser must not carry them over
+    assert main(["bound", "--thm", "3", "--sigma-subsets", "1,1",
+                 "--b0", "1"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--thm", "2", "--eta", "0.1"])
+    assert exc.value.code == 1
+    assert "--thm 2 does not read --eta" in capsys.readouterr().err
+
+
+def test_cli_usage_error_leaves_the_next_call_unchanged(tmp_path, capsys):
+    mf = tmp_path / "m.manifest"
+    mf.write_text(MANIFEST)
+    good = ["mem", "--manifest", str(mf), "--preset", "AdamSN"]
+    assert main(good) == 0
+    alone = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["mem", "--preset", "AdamSN"])
+    assert exc.value.code == 1
+    assert "the following arguments are required: --manifest" in \
+        capsys.readouterr().err
+    assert main(good) == 0
+    assert capsys.readouterr() == alone
+
+
+def test_cli_sweep_betas_default_survives_a_given_list():
+    parser = cli.build_parser()
+    assert parser.parse_args(["sweep", "--betas", "0.5"]).betas == [0.5]
+    args = parser.parse_args(["sweep"])
+    assert args.betas == (0.0, 0.5, 1.0) and args.subset_sizes == ()
+
+
+def test_cli_builds_its_parser_on_the_first_call_only():
+    # importing builds nothing; the first main() builds the top-level parser
+    # and its six subparsers, and later calls reuse them
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *a, **kw):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **kw)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "from snsm import cli\n"
+        "counts = [len(built)]\n"
+        "for _ in range(3):\n"
+        "    cli.main(['rates', '--beta', '0.5', '--out', '/dev/null'])\n"
+        "    counts.append(len(built))\n"
+        "print(counts)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 7, 7, 7]"
