@@ -19,7 +19,9 @@ with an empty beta list, a diverging run, sparse noise under GaLore, a seed beyo
 entropy word, the ``norm`` rule's state count in ``train`` and ``mem``, the
 ``equip`` rule on MLP2 (W2 falls back to coordinate-wise subsets), a subset
 size without the ``equip`` rule, a one-element tensor's count, the Thm-3
-bound and the rate table. The ``wide-8x12`` commands step a parameter wider
+bound and the rate table. The help of the program and of three commands, a
+usage error and a rejected ``--delta1`` put the help text, the usage lines
+and the usage exit code under the check too. The ``wide-8x12`` commands step a parameter wider
 than tall, which the optimizer steps transposed: its step arrays are not
 C-contiguous, so the in-place subset division, the subspace directions and
 weight decay with clipping each run on that layout.
@@ -83,6 +85,12 @@ COMMANDS = [
     ("bound-thm3", ["bound", "--thm", "3", "--eta", "0.05", "--T", "1000",
                     "--sigma-subsets", "0.5,1,2", "--b0", "0.1"]),
     ("rates", ["rates", "--beta", "0.5"]),
+    ("help", ["-h"]),
+    ("help/train", ["train", "-h"]),
+    ("help/mem", ["mem", "-h"]),
+    ("help/bound", ["bound", "-h"]),
+    ("mem-no-manifest", ["mem", "--preset", "Adam"]),
+    ("delta1-negative", ["train", "--T", "3", "--delta1", "-1"]),
     *((f"wide-8x12/{label}", ["train", "--d", "96", "--param-shape", "8x12",
                               "--T", "30", "--sigma", "0.3", "--n-seeds", "2",
                               *extra])
