@@ -21,10 +21,10 @@ entropy word, the ``norm`` rule's state count in ``train`` and ``mem``, the
 size without the ``equip`` rule, a one-element tensor's count, the Thm-3
 bound and the rate table. The help of the program and of three commands, a
 usage error and a rejected ``--delta1`` put the help text, the usage lines
-and the usage exit code under the check too. The ``wide-8x12`` commands step a parameter wider
-than tall, which the optimizer steps transposed: its step arrays are not
-C-contiguous, so the in-place subset division, the subspace directions and
-weight decay with clipping each run on that layout.
+and the usage exit code under the check too. The ``wide-8x12`` commands
+step a parameter wider than tall, which the optimizer steps transposed: its
+step arrays are not C-contiguous, so the in-place subset division, the
+subspace directions and weight decay with clipping each run on that layout.
 """
 
 from __future__ import annotations
