@@ -183,11 +183,12 @@ class _Row:
         return keep
 
     def observe(self, t: int, loss: np.ndarray, gsq: np.ndarray,
-                finite: np.ndarray) -> None:
+                finite: np.ndarray | None) -> None:
         """Record the running seeds at x_t from their losses and
         ||grad f(x_t)||^2; the seeds where ``finite`` is False diverged and
-        leave the batch before the record."""
-        if not finite.all():
+        leave the batch before the record. ``finite`` is None when every
+        value is finite."""
+        if finite is not None and not finite.all():
             keep = self.drop(~finite)
             self.x, loss, gsq = self.x[keep], loss[keep], gsq[keep]
         config = self.config
@@ -258,6 +259,7 @@ def run_rows(config: ExperimentConfig, specs) -> list:
     rows = [_Row(config, spec, x1) for spec in specs]
     del x1  # held by the rows until their first step replaces it
     obj = config.objective
+    seeds = []  # the running seeds of the running rows, in stacking order
     for t in range(1, config.T + 1):
         running = [row for row in rows if row.live.size]
         if not running:
@@ -270,21 +272,25 @@ def run_rows(config: ExperimentConfig, specs) -> list:
             # and its last bits then follow the thread count
             gsq = np.einsum("...i,...i->...", g_true, g_true)
         finite = np.isfinite(loss) & np.isfinite(gsq)
+        all_finite = finite.all()
         start = 0
         for row in running:
             stop = start + row.live.size
-            row.observe(t, loss[start:stop], gsq[start:stop], finite[start:stop])
+            row.observe(t, loss[start:stop], gsq[start:stop],
+                        None if all_finite else finite[start:stop])
             start = stop
         if t == config.T:
             break
-        if not finite.all():
+        if not all_finite:
             x, g_true = x[finite], g_true[finite]
             running = [row for row in running if row.live.size]
             if not running:
                 break
-        g = stoch_grad(obj, config.noise, x,
-                       _cat([row.seeds[row.live] for row in running]), t,
-                       true_grad=g_true)
+        if len(seeds) != len(x):
+            # seeds only ever leave, so the list is stale exactly when its
+            # length differs from the number of running iterates
+            seeds = _cat([row.seeds[row.live] for row in running]).tolist()
+        g = stoch_grad(obj, config.noise, x, seeds, t, true_grad=g_true)
         del x, g_true  # not held while the rows step
         start = 0
         for row in running:

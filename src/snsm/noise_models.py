@@ -358,18 +358,19 @@ def stoch_grad(obj, noise: NoiseModel, x: np.ndarray, seed, t: int,
 
     ``x`` is one point with one ``seed``, or ``(S, d)`` with a sequence of S
     seeds; row s adds noise from ``default_rng(SeedSequence([seed[s], t]))``
-    (built by :func:`streams`). Seeds may repeat: each distinct seed is
-    drawn once and its vector added to every row that carries it, all rows
-    in one add. ``true_grad`` is grad f(x) as a float64 array when the
-    caller already has it, and the call may write it: when seeds repeat,
-    the draws are added into it and it is returned.
+    (built by :func:`streams`). A list of seeds is read as given and never
+    written; any other sequence is first converted to one. Seeds may
+    repeat: each distinct seed is drawn once and its vector added to every
+    row that carries it, all rows in one add. ``true_grad`` is grad f(x) as
+    a float64 array when the caller already has it, and the call may write
+    it: when seeds repeat, the draws are added into it and it is returned.
     """
     g_true = obj.grad(x) if true_grad is None else true_grad
-    seeds = np.atleast_1d(seed).tolist()
+    seeds = seed if isinstance(seed, list) else np.atleast_1d(seed).tolist()
     distinct = list(dict.fromkeys(seeds))  # first appearance: the key-block order
     xi = np.empty((len(distinct), obj.d))
-    for j, rng in enumerate(streams(distinct, t)):
-        noise.sample(obj.d, rng, out=xi[j])
+    for row, rng in zip(xi, streams(distinct, t)):
+        noise.sample(obj.d, rng, out=row)
     if len(distinct) == len(seeds):
         # a draw per row: the gradient goes into the draws, with no copy of it
         xi += np.reshape(g_true, xi.shape)

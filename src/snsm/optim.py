@@ -411,13 +411,15 @@ class Optimizer:
         if batch is None:
             params = [p[None] for p in params]
             grads = [g[None] for g in grads]
-        finite = True
         for g in grads:
-            finite = finite & np.isfinite(g.reshape(self.replicas, -1)).all(axis=1)
-        if not np.all(finite):
-            raise NonFiniteGradientError(
-                f"non-finite gradient at step t={t}; step rejected",
-                replicas=tuple(int(i) for i in np.flatnonzero(~finite)))
+            if not np.isfinite(g).all():
+                # one test per gradient; which replicas failed is worked
+                # out only for a step that is rejected
+                finite = np.all([np.isfinite(grad.reshape(self.replicas, -1)).all(axis=1)
+                                 for grad in grads], axis=0)
+                raise NonFiniteGradientError(
+                    f"non-finite gradient at step t={t}; step rejected",
+                    replicas=tuple(int(i) for i in np.flatnonzero(~finite)))
         if self.spec.clip_norm is not None:
             flat = [g.reshape(self.replicas, -1) for g in grads]
             total = np.sqrt(sum(np.sum(g * g, axis=1) for g in flat))
