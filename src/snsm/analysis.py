@@ -81,7 +81,9 @@ def subsetnorm_bound(delta1: float, L: float, eta: float, T: int,
     """Bound on (1/T) sum_t ||grad f(x_t)||^2 for subset-norm AdaGrad.
 
     sigma_subsets[i] is the sub-gaussian noise level of subset i (the
-    2-norm over that subset's coordinates); b0[i] the initial accumulator.
+    2-norm over that subset's coordinates); b0[i] is the initial
+    denominator of subset i, whose square b0[i]**2 starts its accumulator,
+    as ``AdaGradSubsetNorm.b0`` does.
     """
     sigma_subsets = np.asarray(sigma_subsets, dtype=np.float64)
     b0 = np.asarray(b0, dtype=np.float64)
