@@ -232,6 +232,25 @@ def test_stoch_grad_matches_a_per_row_reference(seeds):
     np.testing.assert_array_equal(stoch_grad(obj, noise, X, seeds, t), np.array(want))
 
 
+def test_stoch_grad_reads_seeds_of_any_sequence_type():
+    # the harness hands over the list it keeps, which is read as given and
+    # left unchanged; a tuple, an ndarray or a list of numpy ints gives the
+    # same rows, and one point takes one int
+    d, t = 30, 12
+    obj = Quadratic(np.linspace(0.5, 2.0, d))
+    noise = NoiseModel(sigma=0.3)
+    X = np.random.default_rng(3).standard_normal((4, d))
+    seeds = [5, 2, 5, 8]
+    want = stoch_grad(obj, noise, X, seeds, t)
+    assert seeds == [5, 2, 5, 8]
+    for given in (tuple(seeds), np.array(seeds), np.array(seeds, dtype=np.uint32),
+                  [np.int64(s) for s in seeds]):
+        np.testing.assert_array_equal(stoch_grad(obj, noise, X, given, t), want)
+    for x, seed, row in zip(X, seeds, want):
+        np.testing.assert_array_equal(stoch_grad(obj, noise, x, seed, t), row)
+        np.testing.assert_array_equal(stoch_grad(obj, noise, x, np.int64(seed), t), row)
+
+
 # ---------------------------------------------------------------------------
 # per-(seed, t) streams from bulk-derived keys
 

@@ -66,6 +66,24 @@ def test_partition_matches_label_reference(rule, a, b, seed):
         assert type(getattr(p, f.name)) in (int, bool)
 
 
+@pytest.mark.parametrize("d,k", [(1024, 256), (1024, 1024), (50, 4), (50, 48)],
+                         ids=["k-divides-d", "one-block", "ragged", "ragged-2"])
+def test_whole_and_ragged_blocks_match_label_reference(d, k):
+    # k | d takes the reshape-only path of segment_sqnorms and subset_divide,
+    # a ragged d (the sqrt_heuristic(50) blocks of 4 and a tail of 2) the
+    # path that reduces and divides the short last block on its own
+    p = part.ragged_equipartition(d, k)
+    labels = np.arange(d) // k
+    rng = np.random.default_rng(d + k)
+    _assert_matches_labels(p, labels, rng)
+    # a strided last axis is still divided in place, through a view
+    a = np.asfortranarray(rng.standard_normal((3, d)))
+    values = rng.uniform(0.5, 2.0, (3, p.c))
+    want = a / values[..., labels]
+    assert part.subset_divide(p, a, values) is a
+    np.testing.assert_array_equal(a, want)
+
+
 def test_partition_fields_from_numpy_ints_are_python_scalars():
     p = part.heuristic_2d(np.int64(3), np.int64(7))
     assert (type(p.d), type(p.k), type(p.columns)) == (int, int, bool)
