@@ -12,9 +12,12 @@ new tree first.
 configuration of the benchmark's ``beta_sweep`` workload
 (``perfbench/workloads.py``). A tree whose sweep runs its betas in forked
 processes is timed with the forks and the wait for them included, as the
-CLI pays for them. The script asserts that both trees return the same
-sweep rows, then prints each side's median time, the median of the
-per-pair ratios new/old and the pairs the new tree won.
+CLI pays for them. It then times each beta's ``harness.run_rows`` call on
+its own, in this process, so the beta that sets the sweep's wall time
+shows even where a forked child runs it. The script asserts that both
+trees return the same sweep rows and the same results per beta, then
+prints, per call, each side's median time, the median of the per-pair
+ratios new/old and the pairs the new tree won.
 
 ``matrix_train`` times each ``snsm train`` call of one ``matrix_train``
 pass (``workloads.calls``, seed = pair) through ``cli.main``, the two trees
@@ -37,6 +40,8 @@ import sys
 import time
 from dataclasses import astuple
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -69,6 +74,23 @@ def timed_sweep(harness, pair: int):
     rows = harness.sweep_beta(BETAS, d=D, T=T, seeds=seeds, subset_sizes=[SUBSET],
                               lr=LR)
     return time.perf_counter() - t0, [astuple(r) for r in rows]
+
+
+def timed_rows(harness, pair: int, beta: float):
+    """(seconds, repr of the results) of the ``run_rows`` call that
+    ``sweep_beta`` makes for ``beta``, with the same config and specs."""
+    seeds = tuple(range(pair * N_SEEDS, (pair + 1) * N_SEEDS))
+    config = harness.ExperimentConfig(
+        objective=harness.Quadratic(np.ones(D)),
+        noise=harness.NoiseModel(density_beta=beta), T=T, seeds=seeds,
+        record_every=T)
+    specs = [harness.make_preset("AdaGradNorm", lr=LR),
+             harness.make_preset("AdaGrad", lr=LR),
+             harness.make_preset("AdaGradSN", lr=LR, subset_rule="equip",
+                                 subset_size=SUBSET)]
+    t0 = time.perf_counter()
+    results = harness.run_rows(config, specs)
+    return time.perf_counter() - t0, repr(results)
 
 
 def timed_call(cli, argv: list):
@@ -109,6 +131,9 @@ def main(argv=None) -> int:
         order = ("new", "old") if pair % 2 else ("old", "new")
         if args.workload == "beta_sweep":
             jobs = [("sweep", lambda side: timed_sweep(sides[side], pair))]
+            jobs += [(f"run_rows beta={beta}",
+                      lambda side, beta=beta: timed_rows(sides[side], pair, beta))
+                     for beta in BETAS]
         else:
             jobs = [(label, lambda side, argv=argv: timed_call(sides[side], argv))
                     for label, argv in workloads.calls("matrix_train", pair)]
@@ -122,7 +147,7 @@ def main(argv=None) -> int:
             if outputs["old"] != outputs["new"]:
                 print(f"pair {pair}: {label} outputs differ", file=sys.stderr)
                 return 1
-        if len(jobs) > 1:
+        if args.workload == "matrix_train":
             for side in total:
                 times.setdefault("pass", {"old": [], "new": []})[side].append(total[side])
     for label, per_side in times.items():

@@ -62,6 +62,8 @@ COMMANDS = [
     ("sweep-4-betas", ["sweep", "--betas", "1,0.25,0,0.5", "--d", "64", "--T", "100",
                        "--n-seeds", "3", "--subset-sizes", "8", "--format", "json"]),
     ("sweep-no-beta", ["sweep", "--betas", ""]),
+    ("sweep-rows-diverge", ["sweep", "--betas", "0,1", "--d", "64", "--T", "50",
+                            "--n-seeds", "4", "--subset-sizes", "8", "--lr", "3e153"]),
     ("sgd-diverges", ["train", "--preset", "SGD", "--lr", "10", "--d", "10",
                       "--T", "400", "--sigma", "0.1"]),
     ("galore-beta-0.5", ["train", "--preset", "GaLore", "--d", "256",
@@ -71,6 +73,8 @@ COMMANDS = [
     ("seed-base-2**32", ["train", "--preset", "Adam", "--d", "16", "--T", "30",
                          "--sigma", "0.5", "--n-seeds", "2",
                          "--seed-base", "4294967296"]),
+    ("adamsn-ragged", ["train", "--preset", "AdamSN", "--d", "50", "--T", "30",
+                       "--sigma", "0.1", "--n-seeds", "2"]),
     ("adagradnorm", ["train", "--preset", "AdaGradNorm", "--d", "16", "--T", "30",
                      "--lr", "0.1", "--sigma", "0.1", "--n-seeds", "2"]),
     ("mem-norm-rule", ["mem", "--manifest", workloads.MEM_MANIFEST,
