@@ -12,10 +12,10 @@ new tree first.
 configuration of the benchmark's ``beta_sweep`` workload
 (``perfbench/workloads.py``). A tree whose sweep runs its betas in forked
 processes is timed with the forks and the wait for them included, as the
-CLI pays for them. It then times each beta's ``harness.run_rows`` call on
-its own, in this process, so the beta that sets the sweep's wall time
-shows even where a forked child runs it. The script asserts that both
-trees return the same sweep rows and the same results per beta, then
+CLI pays for them. It then times a sweep of each beta alone, which runs
+that beta's one ``harness.run_rows`` call in this process, so the beta
+that sets the sweep's wall time shows even where a forked child runs it.
+The script asserts that both trees return the same sweep rows, then
 prints, per call, each side's median time, the median of the per-pair
 ratios new/old and the pairs the new tree won.
 
@@ -40,8 +40,6 @@ import sys
 import time
 from dataclasses import astuple
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -68,29 +66,12 @@ def load_tree(tree: Path, name: str, module: str):
     return importlib.import_module(f"{name}.{module}")
 
 
-def timed_sweep(harness, pair: int):
+def timed_sweep(harness, pair: int, betas=BETAS):
     seeds = range(pair * N_SEEDS, (pair + 1) * N_SEEDS)
     t0 = time.perf_counter()
-    rows = harness.sweep_beta(BETAS, d=D, T=T, seeds=seeds, subset_sizes=[SUBSET],
+    rows = harness.sweep_beta(betas, d=D, T=T, seeds=seeds, subset_sizes=[SUBSET],
                               lr=LR)
     return time.perf_counter() - t0, [astuple(r) for r in rows]
-
-
-def timed_rows(harness, pair: int, beta: float):
-    """(seconds, repr of the results) of the ``run_rows`` call that
-    ``sweep_beta`` makes for ``beta``, with the same config and specs."""
-    seeds = tuple(range(pair * N_SEEDS, (pair + 1) * N_SEEDS))
-    config = harness.ExperimentConfig(
-        objective=harness.Quadratic(np.ones(D)),
-        noise=harness.NoiseModel(density_beta=beta), T=T, seeds=seeds,
-        record_every=T)
-    specs = [harness.make_preset("AdaGradNorm", lr=LR),
-             harness.make_preset("AdaGrad", lr=LR),
-             harness.make_preset("AdaGradSN", lr=LR, subset_rule="equip",
-                                 subset_size=SUBSET)]
-    t0 = time.perf_counter()
-    results = harness.run_rows(config, specs)
-    return time.perf_counter() - t0, repr(results)
 
 
 def timed_call(cli, argv: list):
@@ -131,8 +112,9 @@ def main(argv=None) -> int:
         order = ("new", "old") if pair % 2 else ("old", "new")
         if args.workload == "beta_sweep":
             jobs = [("sweep", lambda side: timed_sweep(sides[side], pair))]
-            jobs += [(f"run_rows beta={beta}",
-                      lambda side, beta=beta: timed_rows(sides[side], pair, beta))
+            # one beta runs in this process: its run_rows call alone
+            jobs += [(f"beta={beta} alone",
+                      lambda side, beta=beta: timed_sweep(sides[side], pair, (beta,)))
                      for beta in BETAS]
         else:
             jobs = [(label, lambda side, argv=argv: timed_call(sides[side], argv))
