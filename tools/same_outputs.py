@@ -15,8 +15,10 @@ paths of the entry points: MLP2 runs (Adam-family, SM and GaLore rows over
 its two parameter tensors), the Thm-2 Monte-Carlo check, a three-beta
 sweep, a four-beta sweep in unsorted order (its betas run in uneven shares
 across processes, and the rows must come back in beta order), a sweep
-with an empty beta list, a diverging run, sparse noise under GaLore, a seed beyond one
-entropy word, the ``norm`` rule's state count in ``train`` and ``mem``, the
+with an empty beta list, a sweep whose AdaGrad rows diverge at both
+betas (seeds leave the lockstep batch), a diverging run, AdamSN on a
+length whose subsets end in a shorter block, sparse noise under GaLore, a
+seed beyond one entropy word, the ``norm`` rule's state count in ``train`` and ``mem``, the
 ``equip`` rule on MLP2 (W2 falls back to coordinate-wise subsets), a subset
 size without the ``equip`` rule, a one-element tensor's count, the Thm-3
 bound and the rate table. The help of the program and of three commands, a
