@@ -152,29 +152,28 @@ class _Row:
         self.x = x1  # every step replaces it; x1 itself is never written
         self.live = np.arange(n_seeds)  # positions in config.seeds of the running seeds
         # the running seeds' sums of ||grad f||^2 and last losses, in the
-        # order of live, and the steps each has observed; a seed's totals
-        # move to the per-seed arrays below when it leaves or the run ends
+        # order of live, and the steps each has observed; a seed's summary
+        # is written from them when it leaves or the run ends
         self.live_sq_sum = np.zeros(n_seeds)
         self.live_loss = np.full(n_seeds, math.nan)
         self.live_steps = 0
-        self.grad_sq_sum = np.zeros(n_seeds)
-        self.steps_done = np.zeros(n_seeds, dtype=np.int64)
-        self.final_loss = np.full(n_seeds, math.nan)
-        self.diverged = np.zeros(n_seeds, dtype=bool)
+        self.summaries: list[SeedSummary | None] = [None] * n_seeds
         self.records: list[list[RunRecord]] = [[] for _ in range(n_seeds)]
 
-    def _settle(self, at) -> None:
-        """Write the totals of the running seeds at positions ``at`` into
-        the per-seed arrays."""
-        seeds = self.live[at]
-        self.grad_sq_sum[seeds] = self.live_sq_sum[at]
-        self.final_loss[seeds] = self.live_loss[at]
-        self.steps_done[seeds] = self.live_steps
+    def _settle(self, at, diverged: bool) -> None:
+        """Write the SeedSummary of each running seed at positions ``at``."""
+        steps = self.live_steps
+        for i, sq_sum, loss in zip(self.live[at].tolist(),
+                                   self.live_sq_sum[at].tolist(),
+                                   self.live_loss[at].tolist()):
+            self.summaries[i] = SeedSummary(
+                seed=int(self.seeds[i]),
+                mean_grad_norm_sq=sq_sum / steps if steps else math.nan,
+                final_loss=loss, diverged=diverged)
 
     def drop(self, bad: np.ndarray) -> np.ndarray:
         """Mark the running seeds at positions ``bad`` diverged; the kept positions."""
-        self._settle(bad)
-        self.diverged[self.live[bad]] = True
+        self._settle(bad, diverged=True)
         keep = np.flatnonzero(~bad)
         self.opt.keep_replicas(keep)
         self.live = self.live[keep]
@@ -217,17 +216,9 @@ class _Row:
         self.x = self.manifest.join(params)
 
     def result(self) -> RunResult:
-        self._settle(slice(None))
-        sums, steps = self.grad_sq_sum, self.steps_done
-        summaries = [
-            SeedSummary(seed=int(seed),
-                        mean_grad_norm_sq=(float(sums[i]) / int(steps[i])
-                                           if steps[i] else math.nan),
-                        final_loss=float(self.final_loss[i]),
-                        diverged=bool(self.diverged[i]))
-            for i, seed in enumerate(self.seeds)]
+        self._settle(slice(None), diverged=False)
         return RunResult(records=[r for per_seed in self.records for r in per_seed],
-                         summaries=summaries)
+                         summaries=self.summaries)
 
 
 def _cat(arrays: list) -> np.ndarray:

@@ -28,12 +28,12 @@ def segment_sqnorms(g: np.ndarray, k: int, columns: bool = False) -> np.ndarray:
     lead, d = sq.shape[:-1], sq.shape[-1]
     if columns:
         return sq.reshape(lead + (k, -1)).sum(axis=-2)
-    if not d % k:  # whole blocks: a reshape, no slice
-        return sq.reshape(lead + (-1, k)).sum(axis=-1)
     full = d - d % k
     out = sq[..., :full].reshape(lead + (-1, k)).sum(axis=-1)
-    return np.concatenate([out, sq[..., full:].sum(axis=-1, keepdims=True)],
-                          axis=-1)
+    if full < d:
+        out = np.concatenate([out, sq[..., full:].sum(axis=-1, keepdims=True)],
+                             axis=-1)
+    return out
 
 
 def fwht(a: np.ndarray) -> np.ndarray:

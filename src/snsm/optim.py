@@ -213,32 +213,26 @@ class _ParamSlot:
             adaptive = NoAdaptive()  # GaLore's own statistics replace it
         self.momentum_cfg = momentum
         self.adaptive_cfg = adaptive
-        # orientation: frames act on the larger dimension of a 2D parameter
+        # orientation: frames act on the larger dimension of a 2D parameter;
+        # any other shape is one d x 1 matrix
         self.transposed = len(self.shape) == 2 and self.shape[0] < self.shape[1]
+        self.matrix = self.shape if len(self.shape) == 2 else (self.d, 1)
+        self.mn = self.matrix[::-1] if self.transposed else self.matrix
         if isinstance(momentum, (SubspaceMomentum, GaloreMomentum)):
-            m, n = self._oriented_shape()
-            check_rank(momentum.frame_kind, m, momentum.rank, n)
+            check_rank(momentum.frame_kind, self.mn[0], momentum.rank, self.mn[1])
         self.partition: part.Partition | None = None
         if isinstance(adaptive, (EMASubsetNorm, AdaGradSubsetNorm)):
             self.partition = _build_partition(adaptive.partition_rule,
                                               adaptive.subset_size, self.shape)
 
         self.built = False
-        self.m_buf = None
-        self.sm_state: SubspaceMomentumState | None = None
-        self.galore_state: GaloreState | None = None
+        # the EMA buffer, or the SubspaceMomentumState or GaloreState
+        self.m_state: np.ndarray | SubspaceMomentumState | GaloreState | None = None
         self.sn_state: sn.SubsetNormState | None = None
-
-    def _oriented_shape(self):
-        if len(self.shape) == 2:
-            m, n = self.shape
-            return (n, m) if self.transposed else (m, n)
-        return (self.d, 1)
 
     def _orient(self, G: np.ndarray) -> np.ndarray:
         """``(S,) + shape`` -> ``(S, m, n)``, the frames' orientation."""
-        G = G.reshape(G.shape[:1] + (self.shape if len(self.shape) == 2
-                                     else self._oriented_shape()))
+        G = G.reshape(G.shape[:1] + self.matrix)
         return G.mT if self.transposed else G
 
     def _deorient(self, G: np.ndarray) -> np.ndarray:
@@ -247,15 +241,14 @@ class _ParamSlot:
 
     def _build_state(self, g: np.ndarray) -> None:
         """Allocate every buffer; gradient-based frames come from ``g``."""
-        m, n = self._oriented_shape()
+        m, n = self.mn
         momentum = self.momentum_cfg
         if isinstance(momentum, EMAMomentum):
-            self.m_buf = np.zeros(g.shape)
+            self.m_state = np.zeros(g.shape)
         elif isinstance(momentum, SubspaceMomentum):
-            self.sm_state = sm_init(momentum, m, n, self.seed, self._orient(g))
+            self.m_state = sm_init(momentum, m, n, self.seed, self._orient(g))
         elif isinstance(momentum, GaloreMomentum):
-            self.galore_state = galore_init(momentum, m, n, self.seed,
-                                            self._orient(g))
+            self.m_state = galore_init(momentum, m, n, self.seed, self._orient(g))
         if self.partition is not None:
             self.sn_state = sn.sn_init(self.adaptive_cfg, self.partition,
                                        g.shape[:1])
@@ -263,30 +256,31 @@ class _ParamSlot:
 
     def keep_replicas(self, keep: np.ndarray) -> None:
         """Keep the replicas ``keep`` (positions in the batch) in every array."""
-        if self.m_buf is not None:
-            self.m_buf = self.m_buf[keep]
-        for state in (self.sm_state, self.galore_state, self.sn_state):
-            if state is None:
-                continue
-            for name, value in vars(state).items():
-                if isinstance(value, np.ndarray):
-                    setattr(state, name, value[keep])
-                elif isinstance(value, Frame):
-                    setattr(state, name, take_replicas(value, keep))
+        for state in (self.m_state, self.sn_state):
+            if isinstance(state, np.ndarray):  # the EMA buffer
+                self.m_state = state[keep]
+            elif state is not None:
+                for name, value in vars(state).items():
+                    if isinstance(value, np.ndarray):
+                        setattr(state, name, value[keep])
+                    elif isinstance(value, Frame):
+                        setattr(state, name, take_replicas(value, keep))
 
     # -- direction (momentum) ------------------------------------------------
 
     def direction(self, g: np.ndarray) -> np.ndarray:
+        """The step's direction of every replica, ``(S,) + shape``: ``g``,
+        the EMA of it, subspace momentum, or GaLore's lifted Adam step."""
         cfg = self.momentum_cfg
         if isinstance(cfg, NoMomentum):
             return g
         if isinstance(cfg, EMAMomentum):
-            self.m_buf *= cfg.beta1
-            self.m_buf += (1.0 - cfg.beta1) * g
-            return self.m_buf
+            self.m_state *= cfg.beta1
+            self.m_state += (1.0 - cfg.beta1) * g
+            return self.m_state
         if isinstance(cfg, SubspaceMomentum):
-            return self._deorient(sm_direction(self.sm_state, self._orient(g)))
-        raise AssertionError("galore handled in update()")
+            return self._deorient(sm_direction(self.m_state, self._orient(g)))
+        return self._deorient(galore_direction(self.m_state, self._orient(g)))
 
     # -- adaptive step size --------------------------------------------------
 
@@ -314,16 +308,13 @@ class _ParamSlot:
         if not self.built:
             # frames are built from this g, so this step does not refresh them
             self._build_state(g)
-        elif self.sm_state is not None:
-            sm_maybe_refresh(self.sm_state, self._orient(g), t)
-        elif self.galore_state is not None:
-            galore_maybe_refresh(self.galore_state, self._orient(g), t)
-        if self.galore_state is not None:
-            step_dir = galore_direction(self.galore_state, self._orient(g))
-            step = lr * self._deorient(step_dir)
-        else:
-            # x - lr * direction / denominator, in that association
-            step = self.adapt(lr * self.direction(g), g)
+        elif isinstance(self.m_state, SubspaceMomentumState):
+            sm_maybe_refresh(self.m_state, self._orient(g), t)
+        elif isinstance(self.m_state, GaloreState):
+            galore_maybe_refresh(self.m_state, self._orient(g), t)
+        # x - lr * direction / denominator, in that association; GaLore's
+        # linear slots have no adaptive rule, so adapt returns its step
+        step = self.adapt(lr * self.direction(g), g)
         x_new = np.subtract(x, step, out=step)
         if weight_decay > 0.0:
             x_new -= lr * weight_decay * x
@@ -334,7 +325,7 @@ class _ParamSlot:
     def state_elements(self) -> tuple[int, int]:
         """``(state, frame)``: elements of the arrays ``update`` keeps per
         replica, the frame's apart, from the configs alone."""
-        m, n = self._oriented_shape()
+        m, n = self.mn
         momentum = self.momentum_cfg
         state = frame = 0
         if isinstance(momentum, EMAMomentum):
@@ -371,29 +362,6 @@ class Optimizer:
             for i, (shape, tag) in enumerate(zip(shapes, tags))
         ]
 
-    def _batch_size(self, params: list, grads: list) -> int | None:
-        """S of a ``(S,) + shape`` batch, or None when every array is ``shape``."""
-        sizes = set()
-        for p, g, slot in zip(params, grads, self.slots):
-            if p.shape != g.shape:
-                raise ValueError("parameter/gradient shape mismatch")
-            if p.shape == slot.shape:
-                sizes.add(None)
-            elif p.shape[1:] == slot.shape and p.ndim == len(slot.shape) + 1:
-                sizes.add(p.shape[0])
-            else:
-                raise ValueError("parameter/gradient shape mismatch")
-        if len(sizes) > 1:
-            raise ValueError("parameters disagree on the replica count")
-        batch = sizes.pop() if sizes else None
-        replicas = 1 if batch is None else batch
-        if self.replicas is None:
-            self.replicas = replicas
-        elif replicas != self.replicas:
-            raise ValueError(f"{replicas} replicas, the optimizer steps "
-                             f"{self.replicas}")
-        return batch
-
     def step(self, params: list[np.ndarray], grads: list[np.ndarray],
              t: int) -> list[np.ndarray]:
         """Step t >= 1 of every replica; arrays are ``shape`` or ``(S,) + shape``.
@@ -407,8 +375,22 @@ class Optimizer:
             raise ValueError("params/grads count does not match the optimizer")
         params = [np.asarray(p, dtype=np.float64) for p in params]
         grads = [np.asarray(g, dtype=np.float64) for g in grads]
-        batch = self._batch_size(params, grads)
-        if batch is None:
+        lead = None  # () for arrays of the slots' shapes, (S,) for S replicas
+        for p, g, slot in zip(params, grads, self.slots):
+            own = p.shape[:p.ndim - len(slot.shape)]
+            if g.shape != p.shape or len(own) > 1 or own + slot.shape != p.shape:
+                raise ValueError("parameter/gradient shape mismatch")
+            if lead is None:
+                lead = own
+            elif own != lead:
+                raise ValueError("parameters disagree on the replica count")
+        replicas = lead[0] if lead else 1
+        if self.replicas is None:
+            self.replicas = replicas
+        elif replicas != self.replicas:
+            raise ValueError(f"{replicas} replicas, the optimizer steps "
+                             f"{self.replicas}")
+        if not lead:
             params = [p[None] for p in params]
             grads = [g[None] for g in grads]
         for g in grads:
@@ -428,7 +410,7 @@ class Optimizer:
             grads = [g * scale.reshape((-1,) + (1,) * (g.ndim - 1)) for g in grads]
         out = [slot.update(p, g, t, self.spec.base_lr, self.spec.weight_decay)
                for p, g, slot in zip(params, grads, self.slots)]
-        return out if batch is not None else [x[0] for x in out]
+        return out if lead else [x[0] for x in out]
 
     def keep_replicas(self, keep) -> None:
         """Keep only the replicas ``keep`` (positions in the current batch)."""

@@ -122,12 +122,9 @@ def subset_divide(p: Partition, a: np.ndarray, values: np.ndarray) -> np.ndarray
         view = a.reshape(lead + (p.k, p.c))
         view /= values[..., None, :]
         return a
-    if not p.d % p.k:  # whole blocks: a reshape, no slice
-        view = a.reshape(lead + (p.c, p.k))
-        view /= values[..., None]
-        return a
     full = p.d - p.d % p.k
     view = a[..., :full].reshape(lead + (-1, p.k))
-    view /= values[..., :-1, None]
-    a[..., full:] /= values[..., -1:]
+    view /= values[..., :full // p.k, None]
+    if full < p.d:
+        a[..., full:] /= values[..., -1:]
     return a

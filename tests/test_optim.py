@@ -156,8 +156,8 @@ def test_non_linear_tag_falls_back():
         opt.step([np.zeros((8, 4))] * 2,
                  [rng.standard_normal((8, 4)) for _ in range(2)], 1)
         lin, emb = opt.slots
-        assert lin.sm_state is not None and lin.sn_state is not None
-        assert emb.sm_state is None and emb.m_buf is not None
+        assert isinstance(lin.m_state, subspace.SubspaceMomentumState) and lin.sn_state is not None
+        assert isinstance(emb.m_state, np.ndarray)
         assert emb.sn_state.acc.size == emb_acc, rule
         assert emb.adaptive_cfg == dataclasses.replace(
             spec.adaptive, partition_rule=emb_rule, subset_size=None), rule
@@ -165,7 +165,7 @@ def test_non_linear_tag_falls_back():
     opt = Optimizer(make_preset("GaLore", rank=2), [(8, 4)], tags=["embedding"])
     opt.step([np.zeros((8, 4))], [rng.standard_normal((8, 4))], 1)
     (slot,) = opt.slots
-    assert slot.galore_state is None and slot.m_buf is not None
+    assert isinstance(slot.m_state, np.ndarray)
     assert slot.adaptive_cfg == EMASubsetNorm("coord", beta2=0.999, eps=1e-8)
     assert slot.sn_state.acc.size == 32
 
@@ -198,7 +198,7 @@ def test_first_svd_frame_spans_first_gradient(preset, shape, refresh_gap):
     g = np.random.default_rng(2).standard_normal(shape)
     opt.step([np.zeros(shape)], [g], 1)
     slot = opt.slots[0]
-    state = slot.sm_state or slot.galore_state
+    state = slot.m_state
     G = g.T if shape[0] < shape[1] else g  # frames act on the larger side
     U = np.linalg.svd(G, full_matrices=False)[0][:, :k]
     capture = np.linalg.norm(state.frame.rows[0] @ U) ** 2 / k  # replica 0 of 1
@@ -211,7 +211,7 @@ def test_first_top_k_rows_frame_picks_largest_gradient_rows():
     g = np.random.default_rng(5).standard_normal((10, 4))
     g[[1, 6, 8]] *= 10.0
     opt.step([np.zeros((10, 4))], [g], 1)
-    np.testing.assert_array_equal(opt.slots[0].sm_state.frame.indices, [[1, 6, 8]])
+    np.testing.assert_array_equal(opt.slots[0].m_state.frame.indices, [[1, 6, 8]])
 
 
 @pytest.mark.parametrize("preset,shape,kw", [
@@ -282,7 +282,7 @@ def test_replica_count_fixed_by_first_step():
     with pytest.raises(ValueError, match="replicas"):
         opt.step([np.zeros(2), np.zeros(3)], [np.ones(2), np.ones(3)], 2)
     opt.keep_replicas([1])
-    assert opt.slots[0].m_buf.shape == (1, 2)
+    assert opt.slots[0].m_state.shape == (1, 2)
     (x, y) = opt.step([np.zeros(2), np.zeros(3)], [np.ones(2), np.ones(3)], 2)
     assert x.shape == (2,) and y.shape == (3,)  # one replica may drop its axis
 
