@@ -19,6 +19,18 @@ def _check_finite(**params) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _finite_terms(bound, *names):
+    """``bound`` when each of its terms ``names`` is finite; otherwise a
+    ValueError names the first term, in the order computed, that overflowed
+    or came out NaN."""
+    for name in names:
+        value = getattr(bound, name)
+        if not math.isfinite(value):
+            raise ValueError(f"the bound's {name} is {value}: it overflows a "
+                             f"float at these inputs")
+    return bound
+
+
 # ---------------------------------------------------------------------------
 # high-probability bound for subspace momentum with norm-adaptive step sizes
 
@@ -49,19 +61,25 @@ def momentum_bound(delta1: float, L: float, sigma: float, T: int,
         raise ValueError("beta1 must lie in [0, 1)")
     if min(delta1, L, T) <= 0 or sigma < 0 or not 0 < fail_prob < 1:
         raise ValueError("invalid bound parameters")
+    try:
+        sigma_sq = sigma ** 2
+    except OverflowError:
+        raise ValueError(f"the bound's sigma**2 overflows a float at "
+                         f"sigma={sigma}") from None
     alpha = (3.0 - beta1) * L / (2.0 * (1.0 - beta1))
     if sigma > 0:
         eta_star = min(1.0 / (2.0 * alpha),
-                       math.sqrt(delta1 / (sigma ** 2 * alpha * T)))
+                       math.sqrt(delta1 / (sigma_sq * alpha * T)))
     else:
         eta_star = 1.0 / (2.0 * alpha)
-    return MomentumBound(
+    return _finite_terms(MomentumBound(
         alpha=alpha,
         eta_star=eta_star,
         deterministic_term=8.0 * delta1 * alpha / T,
         noise_term=7.0 * sigma * math.sqrt(alpha * delta1) / math.sqrt(T),
-        concentration_term=48.0 * sigma ** 2 * math.log(1.0 / fail_prob) / T,
-    )
+        concentration_term=48.0 * sigma_sq * math.log(1.0 / fail_prob) / T,
+    ), "alpha", "eta_star", "deterministic_term", "noise_term",
+        "concentration_term", "total")
 
 
 # ---------------------------------------------------------------------------
@@ -95,32 +113,35 @@ def subsetnorm_bound(delta1: float, L: float, eta: float, T: int,
         raise ValueError("b0 entries must be positive")
     if min(delta1, L, eta, T) <= 0 or not 0 < fail_prob < 1:
         raise ValueError("invalid bound parameters")
-    c = sigma_subsets.size
-    delta = fail_prob
-    log1d = math.log(1.0 / delta)
-    logTd = math.log(T / delta)
-    b0_min = float(b0.min())
-    sig_sq = sigma_subsets ** 2
-    sum_sig = float(sigma_subsets.sum())  # sum_i ||sigma_{Psi_i}||
-    sig_l2_sq = float(sig_sq.sum())  # ||sigma||_2^2 over all coordinates
-    sigma_max = float(sigma_subsets.max(initial=0.0))
+    # an overflow (to inf) or an invalid value (NaN) shows in the terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = sigma_subsets.size
+        delta = fail_prob
+        log1d = math.log(1.0 / delta)
+        logTd = math.log(T / delta)
+        b0_min = float(b0.min())
+        sig_sq = sigma_subsets ** 2
+        sum_sig = float(sigma_subsets.sum())  # sum_i ||sigma_{Psi_i}||
+        sig_l2_sq = float(sig_sq.sum())  # ||sigma||_2^2 over all coordinates
+        sigma_max = float(sigma_subsets.max(initial=0.0))
 
-    alpha = sigma_max * math.sqrt(c * log1d)
-    H = float(np.sum(
-        (logTd * sig_sq + 2.0 * alpha)
-        * (8.0 * sig_sq * log1d / b0 ** 2
-           + 2.0 * np.log(1.0 + sig_sq * T + sig_sq * log1d))
-    ))
-    I = (float(b0.sum()) + 2.0 * delta1 / eta
-         + (8.0 * log1d / b0_min) * sig_l2_sq
-         + math.sqrt(log1d) * sum_sig
-         + 8.0 * eta * L * c * math.log(4.0 * eta * L / b0_min))
-    G = (delta1 / eta + H
-         + (logTd * sig_l2_sq + c * eta * L
-            + 4.0 * c ** 1.5 * sigma_max * math.sqrt(log1d))
-         * math.log((4.0 * math.sqrt(T) * sum_sig + I) / b0_min))
-    rhs = G * (4.0 * sum_sig / math.sqrt(T) + I / T)
-    return SubsetNormBound(G=G, I=I, H=H, rhs=rhs)
+        alpha = sigma_max * math.sqrt(c * log1d)
+        H = float(np.sum(
+            (logTd * sig_sq + 2.0 * alpha)
+            * (8.0 * sig_sq * log1d / b0 ** 2
+               + 2.0 * np.log(1.0 + sig_sq * T + sig_sq * log1d))
+        ))
+        I = (float(b0.sum()) + 2.0 * delta1 / eta
+             + (8.0 * log1d / b0_min) * sig_l2_sq
+             + math.sqrt(log1d) * sum_sig
+             + 8.0 * eta * L * c * math.log(4.0 * eta * L / b0_min))
+        G = (delta1 / eta + H
+             + (logTd * sig_l2_sq + c * eta * L
+                + 4.0 * c ** 1.5 * sigma_max * math.sqrt(log1d))
+             * math.log((4.0 * math.sqrt(T) * sum_sig + I) / b0_min))
+        rhs = G * (4.0 * sum_sig / math.sqrt(T) + I / T)
+    return _finite_terms(SubsetNormBound(G=G, I=I, H=H, rhs=rhs),
+                         "H", "I", "G", "rhs")
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -84,9 +84,6 @@ class ExperimentConfig:
             raise ValueError("record_every must be >= 1")
 
 
-RECORD_FIELDS = ("step", "seed", "loss", "grad_norm_sq", "lr", "state_elems")
-
-
 @dataclass(frozen=True)
 class RunRecord:
     step: int
@@ -95,6 +92,9 @@ class RunRecord:
     grad_norm_sq: float
     lr: float
     state_elems: int
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
 @dataclass(frozen=True)
@@ -345,10 +345,18 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
     for beta, results in zip(betas, _run_configs(configs, specs)):
         for (name, k, _), result in zip(jobs, results):
             metrics = np.array([s.mean_grad_norm_sq for s in result.summaries])
+            root_n = math.sqrt(metrics.size)
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = float(metrics.mean())
+                stderr = float(metrics.std(ddof=1) / root_n)
+                if not math.isfinite(stderr):
+                    # squares of metrics near the float limit overflow: take
+                    # the std of the metrics over their largest magnitude
+                    scale = np.abs(metrics).max()
+                    stderr = float(scale * (metrics / scale).std(ddof=1) / root_n)
             rows.append(SweepRow(
                 beta=float(beta), optimizer=name, subset_size=k,
-                mean_metric=float(metrics.mean()),
-                stderr=float(metrics.std(ddof=1) / math.sqrt(metrics.size)),
+                mean_metric=mean, stderr=stderr,
                 n_diverged=sum(s.diverged for s in result.summaries)))
     return rows
 
@@ -441,8 +449,11 @@ def _child(write_fd: int, configs: list, specs: list) -> None:
 def sweep_verdict(row_a: SweepRow, row_b: SweepRow) -> str:
     """'a_better' / 'b_better' when the +-1 stderr intervals do not overlap;
     'invalid' when either row has a diverged seed, whose truncated metric
-    would bias the comparison."""
+    would bias the comparison, or a mean or stderr that is not finite."""
     if row_a.n_diverged or row_b.n_diverged:
+        return "invalid"
+    if not all(map(math.isfinite, (row_a.mean_metric, row_a.stderr,
+                                   row_b.mean_metric, row_b.stderr))):
         return "invalid"
     if row_a.mean_metric + row_a.stderr < row_b.mean_metric - row_b.stderr:
         return "a_better"

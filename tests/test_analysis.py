@@ -55,6 +55,18 @@ def test_momentum_bound_validation():
         momentum_bound(1.0, 1.0, 1.0, 100, beta1=0.9, fail_prob=0.0)
 
 
+@pytest.mark.parametrize("kw,term", [
+    (dict(sigma=1e308), "sigma\\*\\*2"),  # sigma ** 2 raises OverflowError
+    (dict(L=1e308), "alpha"),
+    (dict(delta1=1e308), "deterministic_term"),
+    (dict(sigma=9.5e152, delta1=1.2e306, T=1), "total"),  # finite terms, inf sum
+])
+def test_momentum_bound_overflow_names_the_term(kw, term):
+    args = dict(delta1=1.0, L=1.0, sigma=1.0, T=100, beta1=0.9, fail_prob=0.1)
+    with pytest.raises(ValueError, match=f"the bound's {term} "):
+        momentum_bound(**{**args, **kw})
+
+
 # ---------------------------------------------------------------------------
 # subset-norm bound
 
@@ -100,6 +112,15 @@ def test_subsetnorm_bound_validation():
         subsetnorm_bound(1.0, 1.0, 0.01, 100, np.zeros(2), np.array([0.1, 0.0]), 0.1)
     with pytest.raises(ValueError):
         subsetnorm_bound(1.0, 1.0, 0.01, 100, np.zeros(2), np.ones(3), 0.1)
+
+
+@pytest.mark.parametrize("sig,b0,term", [
+    ([1e200, 1e200], [1.0, 1.0], "H"),  # its squares overflow
+    ([0.5, 1.0], [1e308, 1e308], "I"),  # the b0 sum overflows
+])
+def test_subsetnorm_bound_overflow_names_the_term(sig, b0, term):
+    with pytest.raises(ValueError, match=f"the bound's {term} is inf"):
+        subsetnorm_bound(1.0, 1.0, 0.01, 100, np.array(sig), np.array(b0), 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,15 @@
 
 import dataclasses
 import json
+import math
 import os
+import re
+import statistics
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +371,49 @@ def test_sweep_verdict_logic():
     a_diverged = r(0.0, "A", 1, mean_metric=1.0, stderr=0.1, n_diverged=1)
     assert sweep_verdict(a_diverged, b) == "invalid"
     assert sweep_verdict(b, a_diverged) == "invalid"
+
+
+def test_sweep_verdict_invalid_on_a_mean_or_stderr_not_finite():
+    r = harness.SweepRow
+    a = r(0.0, "A", 1, mean_metric=1.0, stderr=0.1)
+    b = r(0.0, "B", 1, mean_metric=2.0, stderr=0.1)
+    for bad in (dict(mean_metric=math.inf), dict(stderr=math.inf),
+                dict(stderr=math.nan)):
+        assert sweep_verdict(dataclasses.replace(a, **bad), b) == "invalid"
+        assert sweep_verdict(b, dataclasses.replace(a, **bad)) == "invalid"
+
+
+def test_sweep_stderr_of_metrics_near_the_float_limit():
+    # the lr makes the AdaGradNorm and AdaGradSN metrics ~1e305-1e306, whose
+    # squares overflow; every AdaGrad seed diverges
+    rows = sweep_beta([0.0], d=64, T=50, seeds=range(4), subset_sizes=[8],
+                      lr=3e153)
+    norm, coord, sn = rows
+    assert coord.n_diverged == 4 and sweep_verdict(norm, coord) == "invalid"
+    for row in (norm, sn):
+        assert row.n_diverged == 0 and row.mean_metric > 1e305
+        assert math.isfinite(row.stderr) and row.stderr > 0
+    assert sweep_verdict(norm, sn) == "a_better"
+
+
+def test_sweep_stderr_falls_back_only_when_it_overflows(monkeypatch):
+    metrics = {"AdaGradNorm": [1e306, 1.2e306, 0.9e306, 1.1e306],
+               "AdaGrad": [1.0, 1.5, 0.5, 2.25]}
+
+    def fake_run_configs(configs, specs):
+        names = ["AdaGradNorm", "AdaGrad"]
+        return [[harness.RunResult(records=[], summaries=[
+            harness.SeedSummary(seed=i, mean_grad_norm_sq=v, final_loss=0.0,
+                                diverged=False)
+            for i, v in enumerate(metrics[name])]) for name in names]
+            for _ in configs]
+
+    monkeypatch.setattr(harness, "_run_configs", fake_run_configs)
+    big, small = sweep_beta([0.0], d=8, T=5, seeds=range(4))
+    exact = statistics.stdev(metrics["AdaGradNorm"]) / 2.0  # over Fractions
+    assert big.stderr == pytest.approx(exact, rel=1e-14)
+    values = np.array(metrics["AdaGrad"])
+    assert small.stderr == float(values.std(ddof=1) / 2.0)  # the same bits
 
 
 def test_sweep_counts_diverged_seeds(monkeypatch):
@@ -755,6 +802,36 @@ def test_cli_bound_non_finite_parameter_exit_1(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"snsm: error: {message}" in captured.err
+
+
+_THM3 = {"--sigma-subsets": "0.5,1", "--b0": "0.1"}
+_FLOAT_FLAGS = [
+    *(pytest.param(["bound", "--thm", "2"], {}, flag, id=f"thm2{flag}")
+      for flag in ("--delta1", "--L", "--sigma", "--beta1", "--delta")),
+    *(pytest.param(["bound", "--thm", "3"], _THM3, flag, id=f"thm3{flag}")
+      for flag in ("--delta1", "--L", "--eta", "--delta", *_THM3)),
+    pytest.param(["rates"], {}, "--beta", id="rates--beta"),
+]
+
+
+@pytest.mark.parametrize("value", ["1e308", "-0.0", "0"])
+@pytest.mark.parametrize("argv,base,flag", _FLOAT_FLAGS)
+def test_cli_float_flag_at_the_edges_of_the_range(capsys, argv, base, flag, value):
+    # a row or a one-line error: no traceback, no warning, no inf or nan row
+    flags = {**base, flag: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv + [f"{k}={v}" for k, v in flags.items()])
+        except SystemExit as exc:
+            code = exc.code
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+    if code == 0:
+        assert not {"inf", "nan"} & set(re.split(r"[,\n]", captured.out.lower()))
+    else:
+        assert captured.out == "" and "error: " in captured.err
 
 
 def test_cli_sweep_bad_subset_size_exit_1(capsys):
