@@ -10,23 +10,26 @@ stderr or the exit code, next to the new tree's exit code. Exit status 1
 when any command differs, 2 on a usage error.
 
 The list holds the command lines of one pass of each benchmark workload
-(``perfbench/workloads.py``, seed 3) and commands that reach the other
-paths of the entry points: MLP2 runs (Adam-family, SM and GaLore rows over
-its two parameter tensors), the Thm-2 Monte-Carlo check, a three-beta
-sweep, a four-beta sweep in unsorted order (its betas run in uneven shares
-across processes, and the rows must come back in beta order), a sweep
-with an empty beta list, a sweep whose AdaGrad rows diverge at both
-betas (seeds leave the lockstep batch), a diverging run, AdamSN on a
+(``perfbench/workloads.py``, seed 3) and commands that reach the other paths
+of the entry points: MLP2 runs (Adam-family, SM and GaLore rows over its two
+parameter tensors), the Thm-2 Monte-Carlo check, a three-beta sweep, a
+four-beta sweep in unsorted order (its betas run in uneven shares across
+processes, and the rows must come back in beta order), a sweep with an empty
+beta list, a sweep whose AdaGrad rows diverge at both betas (seeds leave the
+lockstep batch) and whose other rows' metrics lie so near the float limit
+that their stderr is taken over scaled metrics, a diverging run, AdamSN on a
 length whose subsets end in a shorter block, sparse noise under GaLore, a
-seed beyond one entropy word, the ``norm`` rule's state count in ``train`` and ``mem``, the
-``equip`` rule on MLP2 (W2 falls back to coordinate-wise subsets), a subset
-size without the ``equip`` rule, a one-element tensor's count, the Thm-3
-bound and the rate table. The help of the program and of three commands, a
-usage error and a rejected ``--delta1`` put the help text, the usage lines
-and the usage exit code under the check too. The ``wide-8x12`` commands
-step a parameter wider than tall, which the optimizer steps transposed: its
-step arrays are not C-contiguous, so the in-place subset division, the
-subspace directions and weight decay with clipping each run on that layout.
+seed beyond one entropy word, the ``norm`` rule's state count in ``train``
+and ``mem``, the ``equip`` rule on MLP2 (W2 falls back to coordinate-wise
+subsets), a subset size without the ``equip`` rule, a one-element tensor's
+count, the Thm-3 bound, a Thm-2 and a Thm-3 bound whose terms overflow a
+float (each exits 1 naming the term) and the rate table. The help of the
+program and of three commands, a usage error and a rejected ``--delta1`` put
+the help text, the usage lines and the usage exit code under the check too.
+The ``wide-8x12`` commands step a parameter wider than tall, which the
+optimizer steps transposed: its step arrays are not C-contiguous, so the
+in-place subset division, the subspace directions and weight decay with
+clipping each run on that layout.
 """
 
 from __future__ import annotations
@@ -90,6 +93,9 @@ COMMANDS = [
                        "--sigma", "0.1"]),
     ("bound-thm3", ["bound", "--thm", "3", "--eta", "0.05", "--T", "1000",
                     "--sigma-subsets", "0.5,1,2", "--b0", "0.1"]),
+    ("bound-overflow", ["bound", "--thm", "2", "--sigma", "1e308"]),
+    ("bound3-overflow", ["bound", "--thm", "3", "--sigma-subsets", "1e200,1e200",
+                         "--b0", "1"]),
     ("rates", ["rates", "--beta", "0.5"]),
     ("help", ["-h"]),
     ("help/train", ["train", "-h"]),
