@@ -16,8 +16,8 @@ CLI pays for them. It then times a sweep of each beta alone, which runs
 that beta's one ``harness.run_rows`` call in this process, so the beta
 that sets the sweep's wall time shows even where a forked child runs it.
 The script asserts that both trees return the same sweep rows, then
-prints, per call, each side's median time, the median of the per-pair
-ratios new/old and the pairs the new tree won.
+prints, per call, each side's median time, the median and quartiles of the
+per-pair ratios new/old and the pairs the new tree won.
 
 ``matrix_train`` times each ``snsm train`` call of one ``matrix_train``
 pass (``workloads.calls``, seed = pair) through ``cli.main``, the two trees
@@ -89,9 +89,13 @@ def timed_call(cli, argv: list):
 def _report(label: str, times: dict) -> None:
     ratios = [new / old for old, new in zip(times["old"], times["new"])]
     wins = sum(r < 1.0 for r in ratios)
+    spread = ""
+    if len(ratios) > 1:
+        q1, _, q3 = statistics.quantiles(ratios, n=4)
+        spread = f" (quartiles {q1:.3f}-{q3:.3f})"
     print(f"{label}: old median {statistics.median(times['old']):.4f} s, "
           f"new median {statistics.median(times['new']):.4f} s, "
-          f"median ratio new/old {statistics.median(ratios):.3f}, "
+          f"median ratio new/old {statistics.median(ratios):.3f}{spread}, "
           f"new wins {wins}/{len(ratios)}")
 
 
