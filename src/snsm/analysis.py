@@ -53,7 +53,8 @@ def momentum_bound(delta1: float, L: float, sigma: float, T: int,
 
     delta1 is the initial suboptimality f(x_1) - f*, L the smoothness
     constant, sigma the sub-gaussian noise level, beta1 the momentum
-    parameter, fail_prob the allowed failure probability.
+    parameter, fail_prob the allowed failure probability. A term that
+    overflows a float, or an eta_star lost to 0, raises ValueError.
     """
     _check_finite(delta1=delta1, L=L, sigma=sigma, beta1=beta1,
                   fail_prob=fail_prob)
@@ -72,7 +73,7 @@ def momentum_bound(delta1: float, L: float, sigma: float, T: int,
                        math.sqrt(delta1 / (sigma_sq * alpha * T)))
     else:
         eta_star = 1.0 / (2.0 * alpha)
-    return _finite_terms(MomentumBound(
+    bound = _finite_terms(MomentumBound(
         alpha=alpha,
         eta_star=eta_star,
         deterministic_term=8.0 * delta1 * alpha / T,
@@ -80,6 +81,10 @@ def momentum_bound(delta1: float, L: float, sigma: float, T: int,
         concentration_term=48.0 * sigma_sq * math.log(1.0 / fail_prob) / T,
     ), "alpha", "eta_star", "deterministic_term", "noise_term",
         "concentration_term", "total")
+    if not eta_star > 0:  # delta1 > 0 and every term finite: a lost ratio
+        raise ValueError("the bound's eta_star comes out 0: sigma**2 * alpha * T "
+                         "overflows a float, or delta1 over it underflows")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +106,8 @@ def subsetnorm_bound(delta1: float, L: float, eta: float, T: int,
     sigma_subsets[i] is the sub-gaussian noise level of subset i (the
     2-norm over that subset's coordinates); b0[i] is the initial
     denominator of subset i, whose square b0[i]**2 starts its accumulator,
-    as ``AdaGradSubsetNorm.b0`` does.
+    as ``AdaGradSubsetNorm.b0`` does. A term that overflows a float or
+    comes out NaN raises ValueError.
     """
     sigma_subsets = np.asarray(sigma_subsets, dtype=np.float64)
     b0 = np.asarray(b0, dtype=np.float64)

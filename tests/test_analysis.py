@@ -60,6 +60,8 @@ def test_momentum_bound_validation():
     (dict(L=1e308), "alpha"),
     (dict(delta1=1e308), "deterministic_term"),
     (dict(sigma=9.5e152, delta1=1.2e306, T=1), "total"),  # finite terms, inf sum
+    (dict(sigma=1e153, delta1=1e300), "eta_star"),  # its ratio's denominator overflows
+    (dict(sigma=1e10, delta1=1e-300, T=10 ** 6), "eta_star"),  # the ratio underflows
 ])
 def test_momentum_bound_overflow_names_the_term(kw, term):
     args = dict(delta1=1.0, L=1.0, sigma=1.0, T=100, beta1=0.9, fail_prob=0.1)
