@@ -98,6 +98,9 @@ class SubsetNormBound:
     rhs: float
 
 
+# an overflow (to inf) or an invalid value (NaN) shows in the terms, which
+# are checked before they are returned
+@np.errstate(over="ignore", invalid="ignore")
 def subsetnorm_bound(delta1: float, L: float, eta: float, T: int,
                      sigma_subsets: np.ndarray, b0: np.ndarray,
                      fail_prob: float) -> SubsetNormBound:
@@ -119,33 +122,31 @@ def subsetnorm_bound(delta1: float, L: float, eta: float, T: int,
         raise ValueError("b0 entries must be positive")
     if min(delta1, L, eta, T) <= 0 or not 0 < fail_prob < 1:
         raise ValueError("invalid bound parameters")
-    # an overflow (to inf) or an invalid value (NaN) shows in the terms
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = sigma_subsets.size
-        delta = fail_prob
-        log1d = math.log(1.0 / delta)
-        logTd = math.log(T / delta)
-        b0_min = float(b0.min())
-        sig_sq = sigma_subsets ** 2
-        sum_sig = float(sigma_subsets.sum())  # sum_i ||sigma_{Psi_i}||
-        sig_l2_sq = float(sig_sq.sum())  # ||sigma||_2^2 over all coordinates
-        sigma_max = float(sigma_subsets.max(initial=0.0))
+    c = sigma_subsets.size
+    delta = fail_prob
+    log1d = math.log(1.0 / delta)
+    logTd = math.log(T / delta)
+    b0_min = float(b0.min())
+    sig_sq = sigma_subsets ** 2
+    sum_sig = float(sigma_subsets.sum())  # sum_i ||sigma_{Psi_i}||
+    sig_l2_sq = float(sig_sq.sum())  # ||sigma||_2^2 over all coordinates
+    sigma_max = float(sigma_subsets.max(initial=0.0))
 
-        alpha = sigma_max * math.sqrt(c * log1d)
-        H = float(np.sum(
-            (logTd * sig_sq + 2.0 * alpha)
-            * (8.0 * sig_sq * log1d / b0 ** 2
-               + 2.0 * np.log(1.0 + sig_sq * T + sig_sq * log1d))
-        ))
-        I = (float(b0.sum()) + 2.0 * delta1 / eta
-             + (8.0 * log1d / b0_min) * sig_l2_sq
-             + math.sqrt(log1d) * sum_sig
-             + 8.0 * eta * L * c * math.log(4.0 * eta * L / b0_min))
-        G = (delta1 / eta + H
-             + (logTd * sig_l2_sq + c * eta * L
-                + 4.0 * c ** 1.5 * sigma_max * math.sqrt(log1d))
-             * math.log((4.0 * math.sqrt(T) * sum_sig + I) / b0_min))
-        rhs = G * (4.0 * sum_sig / math.sqrt(T) + I / T)
+    alpha = sigma_max * math.sqrt(c * log1d)
+    H = float(np.sum(
+        (logTd * sig_sq + 2.0 * alpha)
+        * (8.0 * sig_sq * log1d / b0 ** 2
+           + 2.0 * np.log(1.0 + sig_sq * T + sig_sq * log1d))
+    ))
+    I = (float(b0.sum()) + 2.0 * delta1 / eta
+         + (8.0 * log1d / b0_min) * sig_l2_sq
+         + math.sqrt(log1d) * sum_sig
+         + 8.0 * eta * L * c * math.log(4.0 * eta * L / b0_min))
+    G = (delta1 / eta + H
+         + (logTd * sig_l2_sq + c * eta * L
+            + 4.0 * c ** 1.5 * sigma_max * math.sqrt(log1d))
+         * math.log((4.0 * math.sqrt(T) * sum_sig + I) / b0_min))
+    rhs = G * (4.0 * sum_sig / math.sqrt(T) + I / T)
     return _finite_terms(SubsetNormBound(G=G, I=I, H=H, rhs=rhs),
                          "H", "I", "G", "rhs")
 
