@@ -5,7 +5,8 @@ noise model, T, seeds and the start), and one
 :class:`~snsm.optim.OptimizerSpec` per row. The objective's
 :class:`~snsm.noise_models.ShapeManifest` lists the parameter tensors, the
 layout ``snsm mem`` sizes: each row's optimizer is built over it and steps
-the views the manifest splits from the flat iterate. :func:`run_rows` steps
+the views the manifest splits from the flat iterate, or the iterate itself
+when the manifest is one one-axis tensor. :func:`run_rows` steps
 every row and every seed in lockstep: each row's iterates are one ``(S, d)``
 array, one optimizer per row holds the state of every seed along a leading
 replica axis, and each seed draws its noise from its own per-(seed, t)
@@ -147,6 +148,9 @@ class _Row:
         self.seeds = np.array(config.seeds, dtype=np.int64)
         n_seeds = self.seeds.size
         self.opt = Optimizer(spec, manifest.shapes, tags=manifest.tags)
+        # one one-axis tensor is the flat iterate itself: stepped without a
+        # split or a join
+        self.whole = manifest.shapes == [(config.objective.d,)]
         # closed form, constant over steps
         self.state_elems = self.opt.state_size().total
         self.x = x1  # every step replaces it; x1 itself is never written
@@ -203,17 +207,21 @@ class _Row:
 
     def step(self, g: np.ndarray, t: int) -> None:
         """Step the running seeds with their stochastic gradients ``g``."""
-        split = self.manifest.split
         try:
-            params = self.opt.step(split(self.x), split(g), t)
+            self.x = self._step(self.x, g, t)
         except NonFiniteGradientError as exc:
             bad = np.zeros(self.live.size, dtype=bool)
             bad[list(exc.replicas)] = True
             keep = self.drop(bad)
-            if not self.live.size:
-                return
-            params = self.opt.step(split(self.x[keep]), split(g[keep]), t)
-        self.x = self.manifest.join(params)
+            if self.live.size:
+                self.x = self._step(self.x[keep], g[keep], t)
+
+    def _step(self, x: np.ndarray, g: np.ndarray, t: int) -> np.ndarray:
+        """The optimizer's step of the iterates ``x``, ``(S, d)``."""
+        if self.whole:
+            return self.opt.step([x], [g], t)[0]
+        split = self.manifest.split
+        return self.manifest.join(self.opt.step(split(x), split(g), t))
 
     def result(self) -> RunResult:
         self._settle(slice(None), diverged=False)

@@ -220,8 +220,10 @@ class NoiseModel:
             out = np.empty(d)
         head = out[:k]
         rng.standard_normal(out=head)
-        head *= level
-        out[k:] = 0.0
+        if level != 1.0:  # x * 1.0 is x, bit for bit
+            head *= level
+        if k < d:
+            out[k:] = 0.0
         return out
 
 

@@ -220,6 +220,9 @@ class _ParamSlot:
         self.mn = self.matrix[::-1] if self.transposed else self.matrix
         if isinstance(momentum, (SubspaceMomentum, GaloreMomentum)):
             check_rank(momentum.frame_kind, self.mn[0], momentum.rank, self.mn[1])
+        # the (S, d) shape adapt folds and divides in; None for a one-axis
+        # parameter, whose (S,) + shape is that already
+        self.flat = None if len(self.shape) == 1 else (-1, self.d)
         self.partition: part.Partition | None = None
         if isinstance(adaptive, (EMASubsetNorm, AdaGradSubsetNorm)):
             self.partition = _build_partition(adaptive.partition_rule,
@@ -292,12 +295,15 @@ class _ParamSlot:
         transposed orientation), on its flat copy, so use the result."""
         if self.partition is None:
             return step
-        replicas = g.shape[0]
-        sq = part.subset_sqnorms(self.partition, g.reshape(replicas, -1))
+        flat = self.flat
+        sq = part.subset_sqnorms(self.partition, g if flat is None else g.reshape(flat))
         sn.sn_accumulate(self.sn_state, sq)
         denoms = sn.sn_denominators(self.sn_state)
-        flat = step.reshape(replicas, -1)  # a copy when step is not C-contiguous
-        return part.subset_divide(self.partition, flat, denoms).reshape(step.shape)
+        if flat is None:
+            return part.subset_divide(self.partition, step, denoms)
+        # on a flat copy when step is not C-contiguous (a transposed orientation)
+        return part.subset_divide(self.partition, step.reshape(flat),
+                                  denoms).reshape(step.shape)
 
     def update(self, x: np.ndarray, g: np.ndarray, t: int, lr: float,
                weight_decay: float) -> np.ndarray:
@@ -357,24 +363,23 @@ class Optimizer:
             raise ValueError("tags and shapes must align")
         self.spec = spec
         self.replicas: int | None = None  # S, fixed by the first step
+        # the parameter shapes of the last step that passed the layout
+        # check, and whether they carried the replica axis; None until a
+        # step passes and after keep_replicas
+        self._layout: list[tuple] | None = None
+        self._batched = False
         self.slots = [
             _ParamSlot(spec, shape, tag, 7919 * i)
             for i, (shape, tag) in enumerate(zip(shapes, tags))
         ]
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray],
-             t: int) -> list[np.ndarray]:
-        """Step t >= 1 of every replica; arrays are ``shape`` or ``(S,) + shape``.
-
-        t is the clock of the frame refreshes; the step size is the spec's
-        ``base_lr`` at every t.
-        """
-        if t < 1:
-            raise ValueError(f"step index t must be >= 1, got {t}")
+    def _check_layout(self, params: list[np.ndarray],
+                      grads: list[np.ndarray]) -> None:
+        """Check every parameter and gradient against ``lead + slot.shape``,
+        where ``lead`` is ``()`` or ``(S,)`` with S the replica count the
+        first step fixed; on success remember the layout."""
         if len(params) != len(self.slots) or len(grads) != len(self.slots):
             raise ValueError("params/grads count does not match the optimizer")
-        params = [np.asarray(p, dtype=np.float64) for p in params]
-        grads = [np.asarray(g, dtype=np.float64) for g in grads]
         lead = None  # () for arrays of the slots' shapes, (S,) for S replicas
         for p, g, slot in zip(params, grads, self.slots):
             own = p.shape[:p.ndim - len(slot.shape)]
@@ -390,6 +395,25 @@ class Optimizer:
         elif replicas != self.replicas:
             raise ValueError(f"{replicas} replicas, the optimizer steps "
                              f"{self.replicas}")
+        self._layout = [p.shape for p in params]
+        self._batched = bool(lead)
+
+    def step(self, params: list[np.ndarray], grads: list[np.ndarray],
+             t: int) -> list[np.ndarray]:
+        """Step t >= 1 of every replica; arrays are ``shape`` or ``(S,) + shape``.
+
+        t is the clock of the frame refreshes; the step size is the spec's
+        ``base_lr`` at every t. A step whose shapes are those of the last
+        step that passed the layout check is checked by that one comparison.
+        """
+        if t < 1:
+            raise ValueError(f"step index t must be >= 1, got {t}")
+        params = [np.asarray(p, dtype=np.float64) for p in params]
+        grads = [np.asarray(g, dtype=np.float64) for g in grads]
+        layout = [p.shape for p in params]
+        if layout != self._layout or [g.shape for g in grads] != layout:
+            self._check_layout(params, grads)
+        lead = self._batched
         if not lead:
             params = [p[None] for p in params]
             grads = [g[None] for g in grads]
@@ -419,6 +443,7 @@ class Optimizer:
             slot.keep_replicas(keep)
         if self.replicas is not None:
             self.replicas = keep.size
+        self._layout = None  # the next step is checked against the new count
 
     def state_size(self) -> StateSize:
         """Closed-form state elements of one replica."""
