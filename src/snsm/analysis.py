@@ -120,6 +120,8 @@ def subsetnorm_bound(delta1: float, L: float, eta: float, T: int,
         raise ValueError("sigma_subsets and b0 must be matching 1D arrays")
     if np.any(b0 <= 0):
         raise ValueError("b0 entries must be positive")
+    if np.any(sigma_subsets < 0):  # a noise level is a norm
+        raise ValueError("sigma_subsets entries must be >= 0")
     if min(delta1, L, eta, T) <= 0 or not 0 < fail_prob < 1:
         raise ValueError("invalid bound parameters")
     c = sigma_subsets.size

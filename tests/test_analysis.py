@@ -116,6 +116,15 @@ def test_subsetnorm_bound_validation():
         subsetnorm_bound(1.0, 1.0, 0.01, 100, np.zeros(2), np.ones(3), 0.1)
 
 
+@pytest.mark.parametrize("sig", [
+    [-0.001, -0.001],  # small enough that every term stays finite
+    [-1.0, -1.0],  # a log of a negative number
+])
+def test_subsetnorm_bound_rejects_a_negative_noise_level(sig):
+    with pytest.raises(ValueError, match="sigma_subsets entries must be >= 0"):
+        subsetnorm_bound(1.0, 1.0, 0.01, 1000, np.array(sig), np.ones(2), 0.1)
+
+
 @pytest.mark.parametrize("sig,b0,term", [
     ([1e200, 1e200], [1.0, 1.0], "H"),  # its squares overflow
     ([0.5, 1.0], [1e308, 1e308], "I"),  # the b0 sum overflows

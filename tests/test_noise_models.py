@@ -181,15 +181,17 @@ def test_unbiasedness():
                          ids=lambda beta: f"{beta}-gaussian-contiguous")
 def test_sample_prefix_draw_equals_full_draw(beta):
     # sample draws only the noisy prefix; the full-length draw of the same
-    # stream, times the per-coordinate levels, is the same
-    nm = NoiseModel(sigma=0.7, density_beta=beta, density_alpha=1.5)
-    d = 1000
-    sig = nm.per_coord_sigma(d)
-    for t in range(1, 20):
-        rng = np.random.default_rng(np.random.SeedSequence([5, t]))
-        full = rng.standard_normal(d)
-        got = nm.sample(d, np.random.default_rng(np.random.SeedSequence([5, t])))
-        np.testing.assert_array_equal(got, full * sig)
+    # stream, times the per-coordinate levels, is the same, also at level 1,
+    # which sample does not multiply by
+    for sigma, alpha in ((0.7, 1.5), (1.0, 1.0)):
+        nm = NoiseModel(sigma=sigma, density_beta=beta, density_alpha=alpha)
+        d = 1000
+        sig = nm.per_coord_sigma(d)
+        for t in range(1, 20):
+            rng = np.random.default_rng(np.random.SeedSequence([5, t]))
+            full = rng.standard_normal(d)
+            got = nm.sample(d, np.random.default_rng(np.random.SeedSequence([5, t])))
+            np.testing.assert_array_equal(got, full * sig)
 
 
 def test_stoch_grad_rows_match_single_seed_calls(monkeypatch):

@@ -270,6 +270,13 @@ def test_shape_mismatch_rejected():
     opt = Optimizer(make_preset("SGD"), [(2,)])
     with pytest.raises(ValueError):
         opt.step([np.zeros(3)], [np.zeros(3)], 1)
+    # after a step has fixed the layout, a step that leaves it still gets
+    # the per-parameter check
+    opt.step([np.zeros((3, 2))], [np.ones((3, 2))], 1)
+    for p, g in ((np.zeros((3, 2)), np.ones((3, 4))),  # g's shape is not p's
+                 (np.zeros((3, 4)), np.ones((3, 4)))):  # nor the slot's, same lead
+        with pytest.raises(ValueError, match="parameter/gradient shape mismatch"):
+            opt.step([p], [g], 2)
 
 
 def test_replica_count_fixed_by_first_step():

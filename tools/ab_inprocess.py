@@ -15,9 +15,12 @@ processes is timed with the forks and the wait for them included, as the
 CLI pays for them. It then times a sweep of each beta alone, which runs
 that beta's one ``harness.run_rows`` call in this process, so the beta
 that sets the sweep's wall time shows even where a forked child runs it.
-The script asserts that both trees return the same sweep rows, then
-prints, per call, each side's median time, the median and quartiles of the
-per-pair ratios new/old and the pairs the new tree won.
+Per pair it prints each side's sweep time minus its slowest beta alone: the
+cost of the fork, the copy-on-write faults and the two processes contending,
+which no change to the lockstep loop reaches. The script asserts that both
+trees return the same sweep rows, then prints, per call, each side's median
+time, the median and quartiles of the per-pair ratios new/old and the pairs
+the new tree won, and the median of each side's fork gap.
 
 ``matrix_train`` times each ``snsm train`` call of one ``matrix_train``
 pass (``workloads.calls``, seed = pair) through ``cli.main``, the two trees
@@ -112,6 +115,7 @@ def main(argv=None) -> int:
     sides = {"old": load_tree(args.old_tree, "snsm_old", module),
              "new": load_tree(args.new_tree, "snsm_new", module)}
     times = {}  # label -> side -> seconds per pair
+    gaps = {"old": [], "new": []}  # beta_sweep: sweep - slowest beta alone, per pair
     for pair in range(args.pairs):
         order = ("new", "old") if pair % 2 else ("old", "new")
         if args.workload == "beta_sweep":
@@ -136,8 +140,20 @@ def main(argv=None) -> int:
         if args.workload == "matrix_train":
             for side in total:
                 times.setdefault("pass", {"old": [], "new": []})[side].append(total[side])
+        else:
+            for side in ("old", "new"):
+                gap = times["sweep"][side][-1] - max(
+                    times[f"beta={beta} alone"][side][-1] for beta in BETAS)
+                gaps[side].append(gap)
+            print(f"pair {pair}: sweep - slowest beta alone: "
+                  f"old {gaps['old'][-1] * 1e3:.2f} ms, "
+                  f"new {gaps['new'][-1] * 1e3:.2f} ms")
     for label, per_side in times.items():
         _report(label, per_side)
+    if args.workload == "beta_sweep":
+        print(f"fork gap (sweep - slowest beta alone): "
+              f"old median {statistics.median(gaps['old']) * 1e3:.2f} ms, "
+              f"new median {statistics.median(gaps['new']) * 1e3:.2f} ms")
     print("outputs identical in every pair")
     return 0
 

@@ -14,18 +14,21 @@ The list holds the command lines of one pass of each benchmark workload
 of the entry points: MLP2 runs (Adam-family, SM and GaLore rows over its two
 parameter tensors), the Thm-2 Monte-Carlo check, a three-beta sweep, a
 four-beta sweep in unsorted order (its betas run in uneven shares across
-processes, and the rows must come back in beta order), a sweep with an empty
-beta list, a sweep whose AdaGrad rows diverge at both betas (seeds leave the
-lockstep batch) and whose other rows' metrics lie so near the float limit
-that their stderr is taken over scaled metrics, a diverging run, AdamSN on a
-length whose subsets end in a shorter block, sparse noise under GaLore, a
-seed beyond one entropy word, the ``norm`` rule's state count in ``train``
-and ``mem``, the ``equip`` rule on MLP2 (W2 falls back to coordinate-wise
-subsets), a subset size without the ``equip`` rule, a one-element tensor's
-count, the Thm-3 bound, a Thm-2 and a Thm-3 bound whose terms overflow a
-float (each exits 1 naming the term) and the rate table. The help of the
-program and of three commands, a usage error and a rejected ``--delta1`` put
-the help text, the usage lines and the usage exit code under the check too.
+processes, and the rows must come back in beta order), a sweep whose noise
+level is not 1 (every other sweep draws at level 1, which the oracle does
+not multiply by), a sweep with an empty beta list, a sweep whose AdaGrad
+rows diverge at both betas (seeds leave the lockstep batch) and whose other
+rows' metrics lie so near the float limit that their stderr is taken over
+scaled metrics, a diverging run, AdamSN on a length whose subsets end in a
+shorter block, sparse noise under GaLore, a seed beyond one entropy word,
+the ``norm`` rule's state count in ``train`` and ``mem``, the ``equip`` rule
+on MLP2 (W2 falls back to coordinate-wise subsets), a subset size without
+the ``equip`` rule, a one-element tensor's count, the Thm-3 bound, a Thm-2
+and a Thm-3 bound whose terms overflow a float (each exits 1 naming the
+term), a Thm-3 bound with negative noise levels (exit 1) and the rate table.
+The help of the program and of three commands, a usage error and a rejected
+``--delta1`` put the help text, the usage lines and the usage exit code
+under the check too.
 The ``wide-8x12`` commands step a parameter wider than tall, which the
 optimizer steps transposed: its step arrays are not C-contiguous, so the
 in-place subset division, the subspace directions and weight decay with
@@ -66,6 +69,8 @@ COMMANDS = [
                        "--n-seeds", "3", "--subset-sizes", "8,16"]),
     ("sweep-4-betas", ["sweep", "--betas", "1,0.25,0,0.5", "--d", "64", "--T", "100",
                        "--n-seeds", "3", "--subset-sizes", "8", "--format", "json"]),
+    ("sweep-alpha-0.5", ["sweep", "--betas", "0,1", "--d", "64", "--T", "100",
+                         "--n-seeds", "3", "--subset-sizes", "8", "--alpha", "0.5"]),
     ("sweep-no-beta", ["sweep", "--betas", ""]),
     ("sweep-rows-diverge", ["sweep", "--betas", "0,1", "--d", "64", "--T", "50",
                             "--n-seeds", "4", "--subset-sizes", "8", "--lr", "3e153"]),
@@ -96,6 +101,8 @@ COMMANDS = [
     ("bound-overflow", ["bound", "--thm", "2", "--sigma", "1e308"]),
     ("bound3-overflow", ["bound", "--thm", "3", "--sigma-subsets", "1e200,1e200",
                          "--b0", "1"]),
+    ("bound3-negative-sigma", ["bound", "--thm", "3", "--sigma-subsets=-0.001,-0.001",
+                               "--b0", "1"]),
     ("rates", ["rates", "--beta", "0.5"]),
     ("help", ["-h"]),
     ("help/train", ["train", "-h"]),
