@@ -64,19 +64,7 @@ def _float_list(s: str):
     return [float(x) for x in _items(s)]
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``snsm`` parser, built on the first call and shared by every
-    later call in the process: callers must not mutate it."""
-    p = _Parser(prog="snsm", description=__doc__)
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    def common(sp):
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", default=None, help="output file (default stdout)")
-
-    t = sub.add_parser("train", help="run one optimizer config over seeds")
-    common(t)
+def _train_flags(t):
     t.add_argument("--seed-base", type=int, default=0)
     t.add_argument("--objective", choices=("quadratic", "mlp2"), default="quadratic")
     t.add_argument("--d", type=int, default=100)
@@ -103,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--clip-norm", type=float, default=None)
     t.add_argument("--weight-decay", type=float, default=0.0)
 
-    s = sub.add_parser("sweep", help="beta-sweep over step-size families")
-    common(s)
+
+def _sweep_flags(s):
     s.add_argument("--seed-base", type=int, default=0)
     s.add_argument("--betas", type=_float_list, default=(0.0, 0.5, 1.0))
     s.add_argument("--d", type=int, default=1024)
@@ -114,26 +102,26 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=float, default=1.0)
     s.add_argument("--lr", type=float, default=0.1)
 
-    r = sub.add_parser("rates", help="dimension-dependence exponents at beta")
-    common(r)
+
+def _rates_flags(r):
     r.add_argument("--beta", type=float, required=True)
 
-    n = sub.add_parser("noise", help="noise-variance report from gradient samples")
-    common(n)
+
+def _noise_flags(n):
     n.add_argument("--samples", required=True,
                    help="(n, d) array: .npy or whitespace-delimited text")
     n.add_argument("--threshold", type=float, default=1e-12)
 
-    m = sub.add_parser("mem", help="optimizer state size over a shape manifest")
-    common(m)
+
+def _mem_flags(m):
     m.add_argument("--manifest", required=True)
     m.add_argument("--preset", required=True)
     m.add_argument("--rank", type=int, default=4)
     m.add_argument("--subset-rule", default="heuristic2d")
     m.add_argument("--subset-size", type=int, default=None)
 
-    b = sub.add_parser("bound", help="evaluate a convergence bound")
-    common(b)
+
+def _bound_flags(b):
     b.add_argument("--thm", choices=("2", "3"), required=True)
     b.add_argument("--delta1", type=float, default=1.0)
     b.add_argument("--L", type=float, default=1.0)
@@ -154,6 +142,38 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--frame", default=None, help="--verify only")
     b.add_argument("--seed-base", type=int, default=None, help="--verify only")
     b.set_defaults(usage_error=b.error)
+
+
+# each command's help line and the function that registers its flags, in
+# the order of the usage line
+_SUBPARSERS = {
+    "train": ("run one optimizer config over seeds", _train_flags),
+    "sweep": ("beta-sweep over step-size families", _sweep_flags),
+    "rates": ("dimension-dependence exponents at beta", _rates_flags),
+    "noise": ("noise-variance report from gradient samples", _noise_flags),
+    "mem": ("optimizer state size over a shape manifest", _mem_flags),
+    "bound": ("evaluate a convergence bound", _bound_flags),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``snsm`` parser, built on the first call for each ``command``
+    and shared by every later call in the process: callers must not mutate
+    it.
+
+    Every command has its subparser, so the usage line, ``-h`` and the
+    top-level errors are the same for any ``command``; only the flags of
+    ``command`` are registered, or those of every command when it is None.
+    """
+    p = _Parser(prog="snsm", description=__doc__)
+    sub = p.add_subparsers(dest="cmd", required=True)
+    for name, (help_, add_flags) in _SUBPARSERS.items():
+        sp = sub.add_parser(name, help=help_)
+        if command is None or command == name:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
+            sp.add_argument("--out", default=None, help="output file (default stdout)")
+            add_flags(sp)
     return p
 
 
@@ -320,7 +340,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a parser with only the named command's flags: a one-shot process
+    # registers no flag of the five commands that do not run
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return _COMMANDS[args.cmd](args)
     except (ValueError, OSError) as exc:

@@ -520,7 +520,8 @@ def verify_thm2(d: int, sigma: float, delta1: float, T: int, fail_prob: float,
 
 def parse_manifest(text: str) -> ShapeManifest:
     """One parameter per line: ``name<TAB>class<TAB>dim1xdim2`` (or a single
-    dim for 1D parameters). Blank lines and ``#`` comments are skipped."""
+    dim for 1D parameters). Blank lines and ``#`` comments are skipped; a
+    text with no parameter line is an error."""
     entries = []
     names = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -540,6 +541,8 @@ def parse_manifest(text: str) -> ShapeManifest:
         except ValueError as exc:
             raise ValueError(f"manifest line {lineno}: {exc}") from None
         entries.append(ManifestEntry(name=name, tag=tag, shape=shape))
+    if not entries:
+        raise ValueError("manifest lists no parameters")
     return ShapeManifest(entries=tuple(entries))
 
 

@@ -168,7 +168,7 @@ PRESET_NAMES = (
 
 def _build_partition(rule: str, subset_size, shape) -> part.Partition:
     """The partition of ``shape`` under a rule its spec has checked."""
-    d = int(np.prod(shape))
+    d = math.prod(shape)
     if rule == "heuristic2d":
         if len(shape) == 2:
             return part.heuristic_2d(shape[0], shape[1])
@@ -191,7 +191,7 @@ class _ParamSlot:
 
     def __init__(self, spec: OptimizerSpec, shape: tuple, tag: str, seed: int):
         self.shape = tuple(shape)
-        self.d = int(np.prod(shape))
+        self.d = math.prod(shape)
         self.seed = seed
         momentum, adaptive = spec.momentum, spec.adaptive
         # Subspace momentum and the shape-based partition rules (heuristic2d,

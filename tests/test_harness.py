@@ -1,5 +1,6 @@
 """Runner, sweep, bound verification, manifests, CSV output, and the CLI."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -645,6 +646,9 @@ def test_parse_manifest_errors():
         parse_manifest("a\tlinear\n")  # missing field
     with pytest.raises(ValueError):
         parse_manifest("a\tlinear\t0x4\n")  # non-positive dim
+    for text in ("", "# comment only\n\n"):
+        with pytest.raises(ValueError, match="manifest lists no parameters"):
+            parse_manifest(text)
 
 
 def test_mem_report_matches_optimizer_state_size():
@@ -672,6 +676,19 @@ def test_mem_report_allocates_nothing():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert rep["total"] == 2 * 4 * 100000 and rep["frame_elements"] == 4 * 100000
+
+
+def test_mem_report_counts_past_int64():
+    # element counts are exact ints: m * n = 2**64 + 2**32 and 2**64 both
+    # wrap in an int64, to 2**32 and to 0
+    m, n = 2**32, 2**32 + 1
+    for shape, big, small in (((m, n), n, m), ((m, m), m, m)):
+        man = parse_manifest(f"w\tlinear\t{shape[0]}x{shape[1]}\n")
+        want = {"Adam": (2 * big * small, 0), "AdamSN": (big * small + big, 0),
+                "AdamSNSM": (4 * small + big, 4 * big)}
+        for preset, (total, frame) in want.items():
+            rep = mem_report(man, make_preset(preset, rank=4))
+            assert (rep["total"], rep["frame_elements"]) == (total, frame), preset
 
 
 # ---------------------------------------------------------------------------
@@ -1131,6 +1148,16 @@ def test_cli_bad_manifest_exit_1(tmp_path):
     assert main(["mem", "--manifest", str(mf), "--preset", "Adam"]) == 1
 
 
+@pytest.mark.parametrize("text", ["", "# comment only\n"])
+def test_cli_empty_manifest_exit_1(tmp_path, capsys, text):
+    mf = tmp_path / "empty.manifest"
+    mf.write_text(text)
+    assert main(["mem", "--manifest", str(mf), "--preset", "Adam"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "snsm: error: manifest lists no parameters\n"
+
+
 def test_cli_entrypoint_subprocess():
     proc = subprocess.run([sys.executable, "-m", "snsm.cli", "rates",
                            "--beta", "1.0"], capture_output=True, text=True)
@@ -1195,3 +1222,73 @@ def test_cli_builds_its_parser_on_the_first_call_only():
     counts = json.loads(proc.stdout)
     assert counts[0] == 0 and counts[1] > 0
     assert counts[1:] == [counts[1]] * 3
+
+
+# a representative command line of each command, and one with only the
+# flags it requires
+_CLI_ARGVS = {
+    "train": (["train", "--preset", "AdamSN", "--d", "8", "--sigma", "0.1",
+               "--format", "json"], ["train"]),
+    "sweep": (["sweep", "--betas", "0,1", "--subset-sizes", "4,8", "--T", "9"],
+              ["sweep"]),
+    "rates": (["rates", "--beta", "0.5", "--out", "r.csv"], ["rates", "--beta", "1"]),
+    "noise": (["noise", "--samples", "g.npy", "--threshold", "0.1"],
+              ["noise", "--samples", "g.txt"]),
+    "mem": (["mem", "--manifest", "m", "--preset", "AdamSNSM", "--rank", "2"],
+            ["mem", "--manifest", "m", "--preset", "Adam"]),
+    "bound": (["bound", "--thm", "3", "--sigma-subsets", "1,2", "--b0", "0.5"],
+              ["bound", "--thm", "2"]),
+}
+
+
+def _subparser(parser, cmd):
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices[cmd]
+
+
+@pytest.mark.parametrize("cmd", sorted(_CLI_ARGVS))
+def test_cli_command_parser_agrees_with_the_full_parser(cmd):
+    from snsm import cli
+    assert set(_CLI_ARGVS) == set(cli._COMMANDS)
+    own, full = build_parser(cmd), build_parser()
+    for argv in _CLI_ARGVS[cmd]:
+        a, b = vars(own.parse_args(argv)), vars(full.parse_args(argv))
+        if cmd == "bound":  # the error method of each parser's own subparser
+            assert a.pop("usage_error") == _subparser(own, cmd).error
+            assert b.pop("usage_error") == _subparser(full, cmd).error
+        assert a == b
+    assert _subparser(own, cmd).format_help() == _subparser(full, cmd).format_help()
+    assert own.format_usage() == full.format_usage()
+    assert own.format_help() == full.format_help()
+
+
+def test_cli_mem_registers_no_flag_of_another_command(tmp_path):
+    # a one-shot `snsm mem` builds every subparser but registers the flags
+    # of mem alone
+    mf = tmp_path / "m.manifest"
+    mf.write_text(MANIFEST)
+    code = (
+        "import argparse\n"
+        "flags = []\n"
+        "add = argparse.ArgumentParser.add_argument\n"
+        "def recording_add(self, *a, **kw):\n"
+        "    flags.append([self.prog, a[0]])\n"
+        "    return add(self, *a, **kw)\n"
+        "argparse.ArgumentParser.add_argument = recording_add\n"
+        "from snsm import cli\n"
+        f"cli.main(['mem', '--manifest', {str(mf)!r}, '--preset', 'Adam',\n"
+        "          '--out', '/dev/null'])\n"
+        "print(json.dumps(flags))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", "import json\n" + code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    progs = {}
+    for prog, flag in json.loads(proc.stdout):
+        progs.setdefault(prog, []).append(flag)
+    assert progs["snsm mem"] == ["-h", "--format", "--out", "--manifest", "--preset",
+                                 "--rank", "--subset-rule", "--subset-size"]
+    assert progs["snsm train"] == ["-h"]
+    assert all(flags == ["-h"] for prog, flags in progs.items()
+               if prog not in ("snsm", "snsm mem"))

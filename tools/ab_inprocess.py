@@ -28,6 +28,14 @@ interleaved call by call, and asserts that both print the same stdout and
 stderr. It prints the same figures per call and for the pass, the sum of
 its calls.
 
+``mem_manifest`` runs the ``snsm mem`` calls of one ``mem_manifest`` pass
+through ``cli.main`` in a fresh interpreter per side and pair, from the
+tree's own directory with ``PYTHONPATH=TREE/src``, because the first call
+in a process pays costs (building the argument parser, numpy's first
+reductions) that a warm interpreter hides. It times the import of
+``snsm.cli``, each call and the pass, the sum of its calls, asserts that
+both trees print the same stdout and stderr, and prints the same figures.
+
 Exit status 1 when the outputs differ.
 """
 
@@ -38,7 +46,10 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
+import os
 import statistics
+import subprocess
 import sys
 import time
 from dataclasses import astuple
@@ -89,6 +100,33 @@ def timed_call(cli, argv: list):
     return seconds, (out.getvalue(), err.getvalue())
 
 
+# one mem_manifest pass in a fresh interpreter; prints its times and outputs
+_FRESH_PASS = """\
+import json, sys, time
+sys.path.insert(0, {tools!r})
+import ab_inprocess as ab
+t0 = time.perf_counter()
+from snsm import cli
+times, outputs = {{"import snsm.cli": time.perf_counter() - t0, "pass": 0.0}}, []
+for label, argv in ab.workloads.calls("mem_manifest", {pair}):
+    times[label], output = ab.timed_call(cli, argv)
+    times["pass"] += times[label]
+    outputs.append(output)
+print(json.dumps(dict(times=times, outputs=outputs)))
+"""
+
+
+def fresh_pass(tree: Path, pair: int) -> dict:
+    """``{"times", "outputs"}`` of one mem_manifest pass run from ``tree``
+    in a new interpreter."""
+    code = _FRESH_PASS.format(tools=str(Path(__file__).resolve().parent), pair=pair)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tree, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(tree / "src")))
+    if proc.returncode:
+        raise SystemExit(f"mem_manifest pass from {tree} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
 def _report(label: str, times: dict) -> None:
     ratios = [new / old for old, new in zip(times["old"], times["new"])]
     wins = sum(r < 1.0 for r in ratios)
@@ -107,17 +145,29 @@ def main(argv=None) -> int:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("old_tree", type=Path)
     p.add_argument("new_tree", type=Path)
-    p.add_argument("--workload", choices=("beta_sweep", "matrix_train"),
+    p.add_argument("--workload", choices=("beta_sweep", "matrix_train", "mem_manifest"),
                    default="beta_sweep")
     p.add_argument("--pairs", type=int, default=20)
     args = p.parse_args(argv)
-    module = "harness" if args.workload == "beta_sweep" else "cli"
-    sides = {"old": load_tree(args.old_tree, "snsm_old", module),
-             "new": load_tree(args.new_tree, "snsm_new", module)}
+    if args.workload == "mem_manifest":
+        sides = {"old": args.old_tree.resolve(), "new": args.new_tree.resolve()}
+    else:
+        module = "harness" if args.workload == "beta_sweep" else "cli"
+        sides = {"old": load_tree(args.old_tree, "snsm_old", module),
+                 "new": load_tree(args.new_tree, "snsm_new", module)}
     times = {}  # label -> side -> seconds per pair
     gaps = {"old": [], "new": []}  # beta_sweep: sweep - slowest beta alone, per pair
     for pair in range(args.pairs):
         order = ("new", "old") if pair % 2 else ("old", "new")
+        if args.workload == "mem_manifest":
+            passes = {side: fresh_pass(sides[side], pair) for side in order}
+            if passes["old"]["outputs"] != passes["new"]["outputs"]:
+                print(f"pair {pair}: mem_manifest outputs differ", file=sys.stderr)
+                return 1
+            for side, result in passes.items():
+                for label, seconds in result["times"].items():
+                    times.setdefault(label, {"old": [], "new": []})[side].append(seconds)
+            continue
         if args.workload == "beta_sweep":
             jobs = [("sweep", lambda side: timed_sweep(sides[side], pair))]
             # one beta runs in this process: its run_rows call alone

@@ -26,9 +26,11 @@ on MLP2 (W2 falls back to coordinate-wise subsets), a subset size without
 the ``equip`` rule, a one-element tensor's count, the Thm-3 bound, a Thm-2
 and a Thm-3 bound whose terms overflow a float (each exits 1 naming the
 term), a Thm-3 bound with negative noise levels (exit 1) and the rate table.
-The help of the program and of three commands, a usage error and a rejected
-``--delta1`` put the help text, the usage lines and the usage exit code
-under the check too.
+The help of the program and of every command, usage errors (a missing
+``--manifest``, an unknown command, and a flag no command has, whose usage
+line is the program's and lists every command), an empty manifest and a
+rejected ``--delta1`` put the help text, the usage lines and the usage exit
+code under the check too.
 The ``wide-8x12`` commands step a parameter wider than tall, which the
 optimizer steps transposed: its step arrays are not C-contiguous, so the
 in-place subset division, the subspace directions and weight decay with
@@ -105,10 +107,13 @@ COMMANDS = [
                                "--b0", "1"]),
     ("rates", ["rates", "--beta", "0.5"]),
     ("help", ["-h"]),
-    ("help/train", ["train", "-h"]),
-    ("help/mem", ["mem", "-h"]),
-    ("help/bound", ["bound", "-h"]),
+    *((f"help/{cmd}", [cmd, "-h"])
+      for cmd in ("train", "mem", "bound", "sweep", "rates", "noise")),
     ("mem-no-manifest", ["mem", "--preset", "Adam"]),
+    ("nonsense", ["nonsense"]),
+    ("mem-unrecognized", ["mem", "--manifest", workloads.MEM_MANIFEST,
+                          "--preset", "Adam", "--bogus", "1"]),
+    ("mem-empty-manifest", ["mem", "--manifest", os.devnull, "--preset", "Adam"]),
     ("delta1-negative", ["train", "--T", "3", "--delta1", "-1"]),
     *((f"wide-8x12/{label}", ["train", "--d", "96", "--param-shape", "8x12",
                               "--T", "30", "--sigma", "0.3", "--n-seeds", "2",
