@@ -1269,7 +1269,7 @@ def test_cli_mem_registers_no_flag_of_another_command(tmp_path):
     mf = tmp_path / "m.manifest"
     mf.write_text(MANIFEST)
     code = (
-        "import argparse\n"
+        "import argparse, json\n"
         "flags = []\n"
         "add = argparse.ArgumentParser.add_argument\n"
         "def recording_add(self, *a, **kw):\n"
@@ -1281,8 +1281,8 @@ def test_cli_mem_registers_no_flag_of_another_command(tmp_path):
         "          '--out', '/dev/null'])\n"
         "print(json.dumps(flags))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", "import json\n" + code],
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
     assert proc.returncode == 0, proc.stderr
     progs = {}
     for prog, flag in json.loads(proc.stdout):

@@ -3,10 +3,10 @@
     python tools/ab_inprocess.py OLD_TREE NEW_TREE [--workload beta_sweep]
                                  [--pairs 20]
 
-Each tree is a checkout holding ``src/snsm``. Both are loaded into one
-interpreter, as the packages ``snsm_old`` and ``snsm_new``, and each pair
-runs the workload once per tree on the pair's own seeds; odd pairs run the
-new tree first.
+Each tree is a checkout holding ``src/snsm``. For ``beta_sweep`` and
+``matrix_train`` both are loaded into one interpreter, as the packages
+``snsm_old`` and ``snsm_new``. Each pair runs the workload once per tree on
+the pair's own seeds; odd pairs run the new tree first.
 
 ``beta_sweep`` times one ``harness.sweep_beta`` call per tree at the
 configuration of the benchmark's ``beta_sweep`` workload
