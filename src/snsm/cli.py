@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis, harness
 from .linalg import NumericError
-from .noise_models import MLP2, NoiseModel, Quadratic
+from .noise_models import MLP2, NoiseModel, Quadratic, check_size
 from .optim import make_preset
 
 EXIT_OK = 0
@@ -196,12 +196,14 @@ def _cmd_train(args) -> int:
     seeds = tuple(range(args.seed_base, args.seed_base + args.n_seeds))
     if args.objective == "quadratic":
         shape = harness.parse_shape(args.param_shape) if args.param_shape else None
-        obj = Quadratic(np.ones(args.d), shape=shape)
+        obj = Quadratic.isotropic(args.d, shape=shape)
     else:
         if args.param_shape is not None:
             raise ValueError("--param-shape sets the quadratic's parameter; "
                              "mlp2 has its own layout, W1 and W2")
-        harness.check_seeds(seeds)  # before the data is drawn from the first seed
+        # before the data is drawn from the first seed, with d columns
+        harness.check_seeds(seeds)
+        check_size("mlp2", "d", args.d)
         rng = np.random.default_rng(args.seed_base)
         X = rng.standard_normal((64, args.d))
         y = rng.standard_normal(64)
@@ -230,6 +232,18 @@ def _cmd_sweep(args) -> int:
         subset_sizes=args.subset_sizes, alpha=args.alpha, lr=args.lr)
     _emit(rows, ("beta", "optimizer", "subset_size", "mean_metric", "stderr",
                  "n_diverged"), args.format, args.out)
+    # the paper's comparison: each row of a beta against coordinate-wise
+    # AdaGrad at that beta, whose rows come in one group per beta
+    per_beta = len(rows) // len(args.betas)
+    for i in range(0, len(rows), per_beta):
+        group = rows[i:i + per_beta]
+        coord = next(r for r in group if r.optimizer == "AdaGrad")
+        for r in group:
+            if r is not coord:
+                name = (f"{r.optimizer}({r.subset_size})" if r.optimizer == "AdaGradSN"
+                        else r.optimizer)
+                print(f"# beta={r.beta:.17g} {name} vs AdaGrad: "
+                      f"{harness.sweep_verdict(r, coord)}", file=sys.stderr)
     return EXIT_NUMERIC if any(r.n_diverged for r in rows) else EXIT_OK
 
 

@@ -14,11 +14,13 @@ stream, so every seed of every row follows the trajectory it would follow
 alone. Each
 step evaluates the objective once for all rows, one ``value_and_grad`` on
 their iterates stacked ``(sum S_r, d)``, and makes one oracle call, which
-draws each (seed, t) noise vector once and adds it to every row that
-carries the seed in one operation, into that gradient when seeds repeat.
-The last step, t = T, is observed and recorded but makes no update, since
-nothing reads x_{T+1}. A seed that diverges leaves its row's
-batch. :func:`run` is that loop with one row.
+draws each (seed, t) noise vector once and adds it into that gradient,
+to every row that carries the seed, in one operation. Where that pays
+(:func:`_draws_ahead`), a helper thread draws step t + 1's noise while
+step t runs, and the oracle adds that draw instead. The last step, t = T,
+is observed and recorded but makes no update, since nothing reads
+x_{T+1}. A seed that diverges leaves its row's batch. :func:`run` is that
+loop with one row.
 
 :func:`sweep_beta` runs one such loop per beta, and the betas are
 independent: on P = min(number of betas, usable CPUs) processes, the caller
@@ -35,6 +37,7 @@ import math
 import os
 import pickle
 import sys
+import threading
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -45,10 +48,12 @@ from .noise_models import (
     NoiseModel,
     Quadratic,
     ShapeManifest,
+    draw,
     stoch_grad,
     streams,
 )
 from .optim import NonFiniteGradientError, Optimizer, OptimizerSpec, make_preset
+from .subspace import GaloreMomentum, SubspaceMomentum
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +247,10 @@ def run_rows(config: ExperimentConfig, specs) -> list:
     calls the objective's ``value_and_grad`` once, on the running iterates
     of every row stacked, and makes one oracle call, which draws each
     seed's noise once and adds it to every row that carries the seed in
-    one operation. At
-    t = T the rows are observed and recorded but not stepped: nothing reads
-    x_{T+1}.
+    one operation; where :func:`_draws_ahead` holds, that draw was made on
+    a helper thread during the step before, and the helper is joined
+    before the call returns or raises. At t = T the rows are observed and
+    recorded but not stepped: nothing reads x_{T+1}.
 
     A seed diverges when its loss or ||grad f||^2 is not finite (it stops
     before that step's record) or when the optimizer rejects its stochastic
@@ -258,46 +264,147 @@ def run_rows(config: ExperimentConfig, specs) -> list:
     rows = [_Row(config, spec, x1) for spec in specs]
     del x1  # held by the rows until their first step replaces it
     obj = config.objective
-    seeds = []  # the running seeds of the running rows, in stacking order
-    for t in range(1, config.T + 1):
-        running = [row for row in rows if row.live.size]
-        if not running:
-            break
-        x = _cat([row.x for row in running])
-        # overflow here is how divergence manifests; detected just below
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss, g_true = obj.value_and_grad(x)
-            # not a BLAS dot: its sum splits across BLAS threads at large d,
-            # and its last bits then follow the thread count
-            gsq = np.einsum("...i,...i->...", g_true, g_true)
-        finite = np.isfinite(loss) & np.isfinite(gsq)
-        all_finite = finite.all()
-        start = 0
-        for row in running:
-            stop = start + row.live.size
-            row.observe(t, loss[start:stop], gsq[start:stop],
-                        None if all_finite else finite[start:stop])
-            start = stop
-        if t == config.T:
-            break
-        if not all_finite:
-            x, g_true = x[finite], g_true[finite]
-            running = [row for row in running if row.live.size]
+    ahead = _NoiseAhead(config) if _draws_ahead(config, specs) else None
+    try:
+        seeds = []  # the running seeds of the running rows, in stacking order
+        for t in range(1, config.T + 1):
+            running = [row for row in rows if row.live.size]
             if not running:
                 break
-        if len(seeds) != len(x):
-            # seeds only ever leave, so the list is stale exactly when its
-            # length differs from the number of running iterates
-            seeds = _cat([row.seeds[row.live] for row in running]).tolist()
-        g = stoch_grad(obj, config.noise, x, seeds, t, true_grad=g_true)
-        del x, g_true  # not held while the rows step
-        start = 0
-        for row in running:
-            stop = start + row.live.size
-            row.step(g[start:stop], t)
-            start = stop
-        del g  # not held while the next step evaluates the objective
+            x = _cat([row.x for row in running])
+            # overflow here is how divergence manifests; detected just below
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, g_true = obj.value_and_grad(x)
+                # not a BLAS dot: its sum splits across BLAS threads at large d,
+                # and its last bits then follow the thread count
+                gsq = np.einsum("...i,...i->...", g_true, g_true)
+            finite = np.isfinite(loss) & np.isfinite(gsq)
+            all_finite = finite.all()
+            start = 0
+            for row in running:
+                stop = start + row.live.size
+                row.observe(t, loss[start:stop], gsq[start:stop],
+                            None if all_finite else finite[start:stop])
+                start = stop
+            if t == config.T:
+                break
+            if not all_finite:
+                x, g_true = x[finite], g_true[finite]
+                running = [row for row in running if row.live.size]
+                if not running:
+                    break
+            if len(seeds) != len(x):
+                # seeds only ever leave, so the list is stale exactly when its
+                # length differs from the number of running iterates
+                seeds = _cat([row.seeds[row.live] for row in running]).tolist()
+                distinct = list(dict.fromkeys(seeds))
+            drawn = None if ahead is None else ahead.take(distinct, t)
+            g = stoch_grad(obj, config.noise, x, seeds, t, true_grad=g_true,
+                           drawn=drawn)
+            del x, g_true, drawn  # not held while the rows step
+            if ahead is not None and t + 1 < config.T:
+                ahead.start(distinct, t + 1)  # drawn while the rows step
+            start = 0
+            for row in running:
+                stop = start + row.live.size
+                row.step(g[start:stop], t)
+                start = stop
+            del g  # not held while the next step evaluates the objective
+    finally:
+        if ahead is not None:
+            ahead.close()
     return [row.result() for row in rows]
+
+
+# Normals per step below which a draw handed to the helper thread costs
+# more than it saves. Draw-ahead over inline, Adam on a quadratic, in one
+# interpreter on a 2-vCPU VM: 4096 normals 1.15-1.34x, 8192 0.84x on one
+# seed but 1.11x on four, 16384 0.79x on one seed and 0.91x on four,
+# 32768 and more 0.59-0.75x in every shape tried.
+_DRAW_AHEAD_MIN = 32768
+
+
+def _draws_ahead(config: ExperimentConfig, specs: list) -> bool:
+    """Whether :func:`run_rows` draws each step's noise on a helper thread
+    while the step before it runs. Only when all of these hold:
+
+    - two or more usable CPUs: the helper needs the one the loop leaves idle;
+    - neither the objective nor a row calls BLAS: a quadratic, and no row
+      keeps a subspace frame (``SubspaceMomentum``, ``GaloreMomentum``).
+      OpenBLAS's worker thread spins on the second CPU, and the helper made
+      the frame steps and the matmuls of an ``MLP2`` slower;
+    - a step draws at least ``_DRAW_AHEAD_MIN`` normals.
+    """
+    d = config.objective.d
+    normals = len(set(config.seeds)) * config.noise.prefix(d)[0]
+    return (normals >= _DRAW_AHEAD_MIN and isinstance(config.objective, Quadratic)
+            and not any(isinstance(spec.momentum, (SubspaceMomentum, GaloreMomentum))
+                        for spec in specs)
+            and _usable_cpus() >= 2)
+
+
+class _NoiseAhead:
+    """A helper thread that draws one step's noise while the loop runs the
+    step before it, into a buffer of one row per distinct seed of the run
+    that the calling thread allocates.
+
+    :meth:`start` hands the helper the draw of ``(seeds, t)``; :meth:`take`
+    waits for it and returns it when it is for the seeds and step asked
+    for, else None, and the buffer is free again. The thread starts with
+    the first draw; :meth:`close` waits for a draw under way and joins it.
+    """
+
+    def __init__(self, config: ExperimentConfig):
+        self._noise, self._d = config.noise, config.objective.d
+        self._buf = np.empty((len(set(config.seeds)), self._d))
+        self._job = None  # (seeds, t) handed to the helper and not yet taken
+        self._error = None  # what stopped the helper's last draw
+        self._go = threading.Lock()  # released: a job, or None to stop
+        self._go.acquire()
+        self._done = threading.Lock()  # released: the job is drawn
+        self._done.acquire()
+        self._thread = None
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            if self._job is None:
+                return
+            seeds, t = self._job
+            try:
+                draw(self._noise, self._d, seeds, t, out=self._buf[:len(seeds)])
+            except BaseException as exc:  # raised again by take, in the loop
+                self._error = exc
+            finally:
+                self._done.release()
+
+    def start(self, seeds: list, t: int) -> None:
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._serve, daemon=True)
+            self._thread.start()
+        self._job = (seeds, t)
+        self._go.release()
+
+    def take(self, seeds: list, t: int):
+        if self._job is None:
+            return None
+        self._done.acquire()
+        job, self._job = self._job, None
+        if self._error is not None:
+            error, self._error = self._error, None
+            raise error
+        # a seed that left the batch since the draw leaves it stale
+        return self._buf[:len(seeds)] if job == (seeds, t) else None
+
+    def close(self) -> None:
+        if self._thread is None:
+            return
+        if self._job is not None:
+            self._done.acquire()
+            self._job = None
+        self._go.release()
+        self._thread.join()
+        self._thread = None
 
 
 def run(config: ExperimentConfig, spec: OptimizerSpec) -> RunResult:
@@ -339,7 +446,7 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
     seeds = tuple(seeds)
     if len(seeds) < 2:
         raise ValueError("a sweep needs at least two seeds to report a stderr")
-    obj = Quadratic(np.ones(d))
+    obj = Quadratic.isotropic(d)
     jobs = [("AdaGradNorm", d, {}), ("AdaGrad", 1, {})]
     jobs += [("AdaGradSN", k, dict(subset_rule="equip", subset_size=k))
              for k in subset_sizes]
@@ -496,7 +603,7 @@ def verify_thm2(d: int, sigma: float, delta1: float, T: int, fail_prob: float,
     """
     L = 1.0
     mb = momentum_bound(delta1, L, sigma, T, beta1, fail_prob)
-    obj = Quadratic(np.ones(d), shape=param_shape)
+    obj = Quadratic.isotropic(d, shape=param_shape)
     noise = NoiseModel(sigma=sigma / math.sqrt(d))
     config = ExperimentConfig(
         objective=obj, noise=noise, T=T,

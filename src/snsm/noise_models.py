@@ -90,6 +90,12 @@ class ShapeManifest:
 # ---------------------------------------------------------------------------
 # deterministic objectives with exact gradients
 
+def check_size(objective: str, name: str, size: int) -> None:
+    """Reject a size of an objective below 1, naming the size and its value."""
+    if size < 1:
+        raise ValueError(f"{objective} needs {name} >= 1, got {name}={size}")
+
+
 class Quadratic:
     """f(x) = 0.5 * sum_i lam_i x_i^2, minimum 0 at the origin; its manifest
     is one ``linear`` parameter of shape ``shape``, by default ``(d,)``."""
@@ -99,14 +105,20 @@ class Quadratic:
         if self.lam.ndim != 1 or np.any(self.lam < 0):
             raise ValueError("lam must be a 1D nonnegative array")
         self.d = self.lam.size
-        if self.d < 1:
-            raise ValueError("quadratic needs d >= 1, got d=0")
+        check_size("quadratic", "d", self.d)
         shape = (self.d,) if shape is None else tuple(shape)
         if math.prod(shape) != self.d:
             raise ValueError("param_shape must have objective.d elements")
         self.manifest = ShapeManifest((ManifestEntry("x", "linear", shape),))
         self.smoothness = float(self.lam.max(initial=0.0))
         self.f_star = 0.0
+
+    @classmethod
+    def isotropic(cls, d: int, shape: tuple | None = None) -> Quadratic:
+        """f(x) = 0.5 ||x||^2 on d coordinates: every curvature 1, so L = 1."""
+        # np.ones would reject d < 0 with numpy's message, which names no flag
+        check_size("quadratic", "d", d)
+        return cls(np.ones(d), shape=shape)
 
     def value_and_grad(self, x: np.ndarray) -> tuple:
         """(f(x), grad f(x)) from one pass: f(x) is a float for one point,
@@ -139,8 +151,7 @@ class MLP2:
         self.hidden = int(hidden)
         self.d_in = self.X.shape[1]
         for name, size in (("hidden", self.hidden), ("d", self.d_in)):
-            if size < 1:
-                raise ValueError(f"mlp2 needs {name} >= 1, got {name}={size}")
+            check_size("mlp2", name, size)
         self.manifest = ShapeManifest((
             ManifestEntry("W1", "linear", (self.hidden, self.d_in)),
             ManifestEntry("W2", "head", (1, self.hidden))))
@@ -193,7 +204,7 @@ class NoiseModel:
         if beta is not None and not 0.0 <= beta <= 1.0:  # False for nan
             raise ValueError(f"density_beta must lie in [0, 1], got {beta}")
 
-    def _prefix(self, d: int) -> tuple:
+    def prefix(self, d: int) -> tuple:
         """(k, level): the first k of d coordinates draw noise at ``level``."""
         if self.density_beta is None:
             return d, self.sigma
@@ -201,7 +212,7 @@ class NoiseModel:
 
     def per_coord_sigma(self, d: int) -> np.ndarray:
         """The noise level of each of d coordinates."""
-        k, level = self._prefix(d)
+        k, level = self.prefix(d)
         out = np.zeros(d)
         out[:k] = level
         return out
@@ -215,7 +226,7 @@ class NoiseModel:
         scaled there; that draw is a prefix of the full-length one, so the
         vector is the same.
         """
-        k, level = self._prefix(d)
+        k, level = self.prefix(d)
         if out is None:
             out = np.empty(d)
         head = out[:k]
@@ -354,8 +365,20 @@ def streams(seeds, t: int) -> list:
             for words in keys[:, t % _KEY_BLOCK]]
 
 
+def draw(noise: NoiseModel, d: int, seeds: list, t: int,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """The noise vector of each of ``seeds`` at step t, one row of
+    ``(len(seeds), d)`` each, written into ``out`` when given and returned."""
+    if out is None:
+        out = np.empty((len(seeds), d))
+    for row, rng in zip(out, streams(seeds, t)):
+        noise.sample(d, rng, out=row)
+    return out
+
+
 def stoch_grad(obj, noise: NoiseModel, x: np.ndarray, seed, t: int,
-               true_grad: np.ndarray | None = None) -> np.ndarray:
+               true_grad: np.ndarray | None = None,
+               drawn: np.ndarray | None = None) -> np.ndarray:
     """Stochastic gradient grad f(x) + xi, deterministic in (seed, t).
 
     ``x`` is one point with one ``seed``, or ``(S, d)`` with a sequence of S
@@ -364,21 +387,18 @@ def stoch_grad(obj, noise: NoiseModel, x: np.ndarray, seed, t: int,
     written; any other sequence is first converted to one. Seeds may
     repeat: each distinct seed is drawn once and its vector added to every
     row that carries it, all rows in one add. ``true_grad`` is grad f(x) as
-    a float64 array when the caller already has it, and the call may write
-    it: when seeds repeat, the draws are added into it and it is returned.
+    a float64 array when the caller already has it, and the call writes
+    it: the draws are added into it and it is returned. ``drawn`` is
+    :func:`draw` of the distinct seeds at t, in order of first appearance,
+    when the caller drew it ahead; it is read, not written.
     """
-    g_true = obj.grad(x) if true_grad is None else true_grad
+    g = obj.grad(x) if true_grad is None else true_grad
     seeds = seed if isinstance(seed, list) else np.atleast_1d(seed).tolist()
     distinct = list(dict.fromkeys(seeds))  # first appearance: the key-block order
-    xi = np.empty((len(distinct), obj.d))
-    for row, rng in zip(xi, streams(distinct, t)):
-        noise.sample(obj.d, rng, out=row)
-    if len(distinct) == len(seeds):
-        # a draw per row: the gradient goes into the draws, with no copy of it
-        xi += np.reshape(g_true, xi.shape)
-        return xi.reshape(np.shape(g_true))
-    # added to in place: a new array for the sum raises peak memory at large d
-    g = g_true
+    xi = draw(noise, obj.d, distinct, t) if drawn is None else drawn
+    # the draws go into the gradient, which is split along its first axis
+    # only, so every reshape below is a view of it; a new array for the sum
+    # would raise peak memory at large d
     reps, rest = divmod(len(seeds), len(distinct))
     if not rest and seeds == distinct * reps:
         # the rows of a lockstep run: the distinct seeds, once per row
@@ -389,4 +409,3 @@ def stoch_grad(obj, noise: NoiseModel, x: np.ndarray, seed, t: int,
         rows = g.reshape(-1, obj.d)
         rows += xi[[slot[s] for s in seeds]]
     return g
-

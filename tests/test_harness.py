@@ -6,9 +6,11 @@ import json
 import math
 import os
 import re
+import signal
 import statistics
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -182,8 +184,8 @@ def _inject(monkeypatch, bad_seed, bad_t, value):
     """Make the oracle return ``value`` for one (seed, t)."""
     real = harness.stoch_grad
 
-    def oracle(obj, noise, x, seed, t, true_grad=None):
-        g = real(obj, noise, x, seed, t, true_grad=true_grad)
+    def oracle(obj, noise, x, seed, t, true_grad=None, drawn=None):
+        g = real(obj, noise, x, seed, t, true_grad=true_grad, drawn=drawn)
         if t == bad_t:
             g[np.asarray(seed) == bad_seed] = value
         return g
@@ -229,9 +231,9 @@ def test_rows_in_lockstep_match_one_config_runs(monkeypatch):
     real = harness.stoch_grad
     calls = []
 
-    def oracle(obj, noise, x, seed, t, true_grad=None):
+    def oracle(obj, noise, x, seed, t, true_grad=None, drawn=None):
         calls.append(t)
-        g = real(obj, noise, x, seed, t, true_grad=true_grad)
+        g = real(obj, noise, x, seed, t, true_grad=true_grad, drawn=drawn)
         seed = np.asarray(seed)
         if t == 6:
             # a coordinate whose square still fits a float64: only the SGD row
@@ -288,6 +290,145 @@ def test_rows_share_one_read_only_start(monkeypatch):
         run_rows(config, [])
 
 
+# ---------------------------------------------------------------------------
+# the next step's noise drawn ahead on a helper thread
+
+# two seeds of a 128x256 quadratic parameter: each step draws 2x the
+# break-even count of normals, so the run draws ahead on two CPUs
+_AHEAD_SHAPE = (128, 256)
+
+
+def _ahead_config(preset):
+    d = math.prod(_AHEAD_SHAPE)
+    assert 2 * d >= harness._DRAW_AHEAD_MIN
+    return _config_and_spec(
+        preset, objective=Quadratic(np.linspace(0.5, 2.0, d), shape=_AHEAD_SHAPE),
+        noise=NoiseModel(sigma=0.3), T=8, seeds=(3, 8), lr=0.05)
+
+
+def _helper_draws(monkeypatch) -> list:
+    """(seeds, t) of each draw made on a thread other than the caller's."""
+    caller, real, draws = threading.get_ident(), harness.draw, []
+
+    def recording(noise, d, seeds, t, out=None):
+        if threading.get_ident() != caller:
+            draws.append((list(seeds), t))
+        return real(noise, d, seeds, t, out=out)
+
+    monkeypatch.setattr(harness, "draw", recording)
+    return draws
+
+
+def _ahead_and_inline(monkeypatch, config, spec) -> tuple:
+    """(result, the bytes of each stochastic gradient it stepped with) of
+    the run on two CPUs, which draws ahead, and then on one."""
+    out = []
+    for cpus in (2, 1):
+        real, grads = harness.stoch_grad, []
+
+        def oracle(obj, noise, x, seed, t, true_grad=None, drawn=None):
+            g = real(obj, noise, x, seed, t, true_grad=true_grad, drawn=drawn)
+            grads.append(g.tobytes())
+            return g
+
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_usable_cpus", lambda: cpus)
+            m.setattr(harness, "stoch_grad", oracle)
+            out.append((run(config, spec), grads))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("preset", ["Adam", "AdamSN"])
+def test_draw_ahead_matches_the_inline_oracle(monkeypatch, preset):
+    config, spec = _ahead_config(preset)
+    draws = _helper_draws(monkeypatch)
+    (ahead, g_ahead), (inline, g_inline) = _ahead_and_inline(monkeypatch, config, spec)
+    # each oracle call after the first reads a draw made ahead on the helper;
+    # on one CPU none is
+    assert draws == [([3, 8], t) for t in range(2, config.T)]
+    assert g_ahead == g_inline and len(g_ahead) == config.T - 1
+    assert ahead.records == inline.records
+    assert ahead.summaries == inline.summaries
+
+
+def test_draw_ahead_discards_the_draw_of_a_seed_that_left(monkeypatch):
+    config, spec = _ahead_config("Adam")
+    draws = _helper_draws(monkeypatch)
+    # the first seed leaves: its row of the stale buffer is where seed 8's
+    # draw would be read
+    _inject(monkeypatch, bad_seed=3, bad_t=4, value=np.nan)
+    (ahead, g_ahead), (inline, g_inline) = _ahead_and_inline(monkeypatch, config, spec)
+    # the draw of t = 5 was made for both seeds while seed 3 left at t = 4;
+    # the oracle draws seed 8 alone at t = 5, and the helper from t = 6
+    assert draws == ([([3, 8], t) for t in range(2, 6)]
+                     + [([8], t) for t in range(6, config.T)])
+    assert g_ahead == g_inline
+    assert ahead.records == inline.records
+    assert ahead.summaries == inline.summaries
+    assert [s.diverged for s in ahead.summaries] == [True, False]
+
+
+def test_no_helper_thread_outlives_the_run(monkeypatch):
+    config, spec = _ahead_config("Adam")
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    run(config, spec)
+    assert threading.active_count() == before
+    real, seen = harness.stoch_grad, []
+
+    def oracle(obj, noise, x, seed, t, true_grad=None, drawn=None):
+        if t == 3:
+            seen.append(threading.active_count())
+            raise RuntimeError("injected at step 3")
+        return real(obj, noise, x, seed, t, true_grad=true_grad, drawn=drawn)
+
+    monkeypatch.setattr(harness, "stoch_grad", oracle)
+    with pytest.raises(RuntimeError, match="injected at step 3"):
+        run(config, spec)
+    assert seen == [before + 1]  # the helper was running
+    assert threading.active_count() == before
+
+
+def test_a_helper_draw_error_is_raised_by_the_run(monkeypatch):
+    config, spec = _ahead_config("Adam")
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+    def failing(noise, d, seeds, t, out=None):
+        raise RuntimeError(f"no draw at t={t}")
+
+    monkeypatch.setattr(harness, "draw", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="no draw at t=2"):
+        run(config, spec)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("change,ahead", [
+    ({}, True),
+    (dict(cpus=1), False),
+    (dict(preset="AdamSNSM"), False),  # keeps a subspace frame: OpenBLAS
+    (dict(preset="GaLore"), False),
+    (dict(mlp2=True), False),  # its passes are matmuls: OpenBLAS
+    (dict(seeds=(3,)), False),  # one seed: half the break-even
+    (dict(seeds=(3, 3, 8)), True),  # a repeated seed draws once
+    (dict(beta=0.5), False),  # 2 x 128 noisy coordinates
+])
+def test_draws_ahead_only_where_it_pays(monkeypatch, change, ahead):
+    d = harness._DRAW_AHEAD_MIN // 2
+    if change.get("mlp2"):
+        obj = MLP2(np.zeros((4, d - 1)), np.zeros(4), hidden=1)
+        assert obj.d == d
+    else:
+        obj = Quadratic(np.ones(d))
+    noise = (NoiseModel(sigma=0.1) if "beta" not in change
+             else NoiseModel(density_beta=change["beta"]))
+    config = ExperimentConfig(objective=obj, noise=noise, T=4,
+                              seeds=change.get("seeds", (3, 8)))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: change.get("cpus", 2))
+    specs = [make_preset("Adam"), make_preset(change.get("preset", "AdamSN"))]
+    assert harness._draws_ahead(config, specs) == ahead
+
+
 def test_run_is_deterministic():
     cfg = _quad_config(T=30, noise=NoiseModel(sigma=1.0), seeds=(3, 4))
     assert run(*cfg).records == run(*cfg).records
@@ -323,9 +464,9 @@ def test_sweep_draws_noise_once_per_step_and_beta(monkeypatch):
     real = harness.stoch_grad
     calls = []
 
-    def oracle(obj, noise, x, seed, t, true_grad=None):
+    def oracle(obj, noise, x, seed, t, true_grad=None, drawn=None):
         calls.append((noise.density_beta, t, len(seed)))
-        return real(obj, noise, x, seed, t, true_grad=true_grad)
+        return real(obj, noise, x, seed, t, true_grad=true_grad, drawn=drawn)
 
     monkeypatch.setattr(harness, "stoch_grad", oracle)
     # one process: a child's calls would not reach this list
@@ -484,6 +625,36 @@ def test_sweep_betas_side_by_side_match_one_process(monkeypatch, betas, cpus):
     assert len(forks) == cpus - 1
     assert [r.beta for r in alone[::3]] == betas
     _assert_no_child_left()
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("the sweep did not finish")
+
+
+def test_forked_sweep_after_a_run_that_drew_ahead(monkeypatch):
+    # a thread does not survive os.fork: a helper kept past its run would be
+    # missing in the forked child
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    draws = _helper_draws(monkeypatch)
+    run(*_ahead_config("Adam"))
+    assert draws  # this process drew ahead
+    d = harness._DRAW_AHEAD_MIN
+    kw = dict(d=d, T=6, seeds=range(2), subset_sizes=[d // 8])
+    beta1 = ExperimentConfig(objective=Quadratic.isotropic(d),
+                             noise=NoiseModel(density_beta=1.0), T=6, seeds=(0, 1))
+    assert harness._draws_ahead(beta1, [make_preset("AdaGrad")])  # in the child
+    forks = _counting_fork(monkeypatch)
+    old = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(120)
+    try:
+        side_by_side = sweep_beta([0.0, 1.0], **kw)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert side_by_side == sweep_beta([0.0, 1.0], **kw)
 
 
 def test_sweep_on_one_cpu_forks_nothing(monkeypatch):
@@ -897,10 +1068,25 @@ def test_cli_negative_seed_base_exit_1(capsys, argv):
     (["--objective", "mlp2", "--hidden", "0"], "mlp2 needs hidden >= 1, got hidden=0"),
     (["--objective", "mlp2", "--d", "0"], "mlp2 needs d >= 1, got d=0"),
     (["--d", "0"], "quadratic needs d >= 1, got d=0"),
+    # numpy's "negative dimensions are not allowed" named no flag
+    (["--d", "-1"], "quadratic needs d >= 1, got d=-1"),
+    (["--objective", "mlp2", "--d", "-1"], "mlp2 needs d >= 1, got d=-1"),
+    (["--objective", "mlp2", "--hidden", "-1"], "mlp2 needs hidden >= 1, got hidden=-1"),
 ])
 def test_cli_train_zero_size_objective_exit_1(capsys, argv, message):
     assert main(["train", *argv, "--T", "3", "--out", "/dev/null"]) == 1
     assert f"snsm: error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n-seeds", "2"],
+    ["bound", "--thm", "2", "--verify", "--n-seeds", "2", "--rank", "1"],
+], ids=lambda argv: argv[0])
+def test_cli_sweep_and_verify_reject_a_size_below_one(capsys, argv, d):
+    assert main([*argv, "--d", d, "--T", "3", "--out", "/dev/null"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"snsm: error: quadratic needs d >= 1, got d={d}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1070,6 +1256,24 @@ def test_cli_sweep(capsys):
                  "--n-seeds", "2", "--subset-sizes", "4"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("beta,optimizer,subset_size,mean_metric,stderr")
+
+
+def test_cli_sweep_states_each_comparison_on_stderr(capsys):
+    argv = ["--betas", "0,1", "--d", "64", "--T", "100", "--n-seeds", "3",
+            "--subset-sizes", "8,16"]
+    assert main(["sweep", *argv]) == 0
+    captured = capsys.readouterr()
+    rows = sweep_beta([0.0, 1.0], d=64, T=100, seeds=range(3), subset_sizes=[8, 16])
+    # the table is unchanged: the verdicts go to stderr alone
+    assert captured.out == rows_to_csv(rows, [f.name for f in dataclasses.fields(rows[0])])
+    by = {(r.beta, r.optimizer, r.subset_size): r for r in rows}
+    want = [f"# beta={beta:g} {name} vs AdaGrad: "
+            f"{sweep_verdict(by[(beta, optimizer, k)], by[(beta, 'AdaGrad', 1)])}"
+            for beta in (0.0, 1.0)
+            for name, optimizer, k in (("AdaGradNorm", "AdaGradNorm", 64),
+                                       ("AdaGradSN(8)", "AdaGradSN", 8),
+                                       ("AdaGradSN(16)", "AdaGradSN", 16))]
+    assert captured.err.splitlines() == want
 
 
 def _exit_code(argv) -> int:

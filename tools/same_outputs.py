@@ -34,7 +34,17 @@ code under the check too.
 The ``wide-8x12`` commands step a parameter wider than tall, which the
 optimizer steps transposed: its step arrays are not C-contiguous, so the
 in-place subset division, the subspace directions and weight decay with
-clipping each run on that layout.
+clipping each run on that layout. The ``draw-ahead`` commands draw enough
+normals per step that, on two or more CPUs, a run without a subspace frame
+draws the next step's noise on a helper thread: Adam, AdamSN, and an SGD
+run in which one seed leaves the batch while a draw for both is under way;
+AdamSNSM keeps a frame and draws inline.
+
+Every sweep that runs prints one verdict line per beta and comparison on
+stderr after its table, e.g. ``# beta=1 AdaGradSN(8) vs AdaGrad:
+a_better``. Against a tree older than those lines, ``beta_sweep/sweep``,
+``sweep-3-betas``, ``sweep-4-betas``, ``sweep-alpha-0.5`` and
+``sweep-rows-diverge`` differ by them on stderr alone.
 """
 
 from __future__ import annotations
@@ -115,6 +125,18 @@ COMMANDS = [
                           "--preset", "Adam", "--bogus", "1"]),
     ("mem-empty-manifest", ["mem", "--manifest", os.devnull, "--preset", "Adam"]),
     ("delta1-negative", ["train", "--T", "3", "--delta1", "-1"]),
+    # each step draws 2 x 65536 normals: the frame-free presets draw the next
+    # step's noise on a helper thread; AdamSNSM keeps a frame and draws inline
+    *((f"draw-ahead/{label}", ["train", "--d", "65536", "--param-shape", "256x256",
+                               "--T", "8", "--n-seeds", "2", *extra])
+      for label, extra in (
+          ("adam", ["--sigma", "1e-3", "--preset", "Adam"]),
+          ("adamsn", ["--sigma", "1e-3", "--preset", "AdamSN"]),
+          # the iterates grow 999x a step: seed 3 overflows at t = 5, where the
+          # draw made ahead for seeds 2 and 3 is discarded, and seed 2 at t = 6
+          ("one-seed-diverges", ["--sigma", "5.265e139", "--preset", "SGD",
+                                 "--lr", "1000", "--delta1", "0", "--seed-base", "2"]),
+          ("adamsnsm", ["--sigma", "1e-3", "--preset", "AdamSNSM"]))),
     *((f"wide-8x12/{label}", ["train", "--d", "96", "--param-shape", "8x12",
                               "--T", "30", "--sigma", "0.3", "--n-seeds", "2",
                               *extra])
