@@ -17,10 +17,12 @@ their iterates stacked ``(sum S_r, d)``, and makes one oracle call, which
 draws each (seed, t) noise vector once and adds it into that gradient,
 to every row that carries the seed, in one operation. Where that pays
 (:func:`_draws_ahead`), a helper thread draws step t + 1's noise while
-step t runs, and the oracle adds that draw instead. The last step, t = T,
-is observed and recorded but makes no update, since nothing reads
-x_{T+1}. A seed that diverges leaves its row's batch. :func:`run` is that
-loop with one row.
+step t runs, and the oracle adds that draw instead. While the helper
+exists, OpenBLAS is held to the usable CPUs less one, so that its worker
+threads leave the helper a CPU, and the thread count it had is restored
+when the helper is joined. The last step, t = T, is observed and recorded
+but makes no update, since nothing reads x_{T+1}. A seed that diverges
+leaves its row's batch. :func:`run` is that loop with one row.
 
 :func:`sweep_beta` runs one such loop per beta, and the betas are
 independent: on P = min(number of betas, usable CPUs) processes, the caller
@@ -31,6 +33,7 @@ back in beta order, the same as from one process.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -141,6 +144,14 @@ def _init_x1(config: ExperimentConfig) -> np.ndarray:
     return x1
 
 
+# Below this bound no running sum of ||grad f||^2 can overflow: two floats
+# under 2**1023 add up to at most the largest float.
+_SQ_SAFE = 2.0 ** 1023
+# A sum whose plain addition would overflow is carried times this exact
+# power of two from then on, and its mean divided by it.
+_SQ_SHIFT = 2.0 ** -64
+
+
 class _Row:
     """One spec of a lockstep loop: its iterates ``(S, d)``, its optimizer
     over S replicas of the objective's parameters, its running seeds and
@@ -166,18 +177,23 @@ class _Row:
         self.live_sq_sum = np.zeros(n_seeds)
         self.live_loss = np.full(n_seeds, math.nan)
         self.live_steps = 0
+        # a bound on every sum, and the sums carried times _SQ_SHIFT
+        self.sq_bound = 0.0
+        self.live_sq_shifted = np.zeros(n_seeds, dtype=bool)
         self.summaries: list[SeedSummary | None] = [None] * n_seeds
         self.records: list[list[RunRecord]] = [[] for _ in range(n_seeds)]
 
     def _settle(self, at, diverged: bool) -> None:
         """Write the SeedSummary of each running seed at positions ``at``."""
         steps = self.live_steps
-        for i, sq_sum, loss in zip(self.live[at].tolist(),
-                                   self.live_sq_sum[at].tolist(),
-                                   self.live_loss[at].tolist()):
+        for i, sq_sum, shifted, loss in zip(self.live[at].tolist(),
+                                            self.live_sq_sum[at].tolist(),
+                                            self.live_sq_shifted[at].tolist(),
+                                            self.live_loss[at].tolist()):
+            mean = sq_sum / steps if steps else math.nan
             self.summaries[i] = SeedSummary(
                 seed=int(self.seeds[i]),
-                mean_grad_norm_sq=sq_sum / steps if steps else math.nan,
+                mean_grad_norm_sq=mean / _SQ_SHIFT if shifted else mean,
                 final_loss=loss, diverged=diverged)
 
     def drop(self, bad: np.ndarray) -> np.ndarray:
@@ -187,6 +203,7 @@ class _Row:
         self.opt.keep_replicas(keep)
         self.live = self.live[keep]
         self.live_sq_sum = self.live_sq_sum[keep]
+        self.live_sq_shifted = self.live_sq_shifted[keep]
         self.live_loss = self.live_loss[keep]
         return keep
 
@@ -206,9 +223,25 @@ class _Row:
                 self.records[i].append(RunRecord(
                     step=t, seed=int(self.seeds[i]), loss=loss_i,
                     grad_norm_sq=gsq_i, lr=lr, state_elems=self.state_elems))
-        self.live_sq_sum += gsq
+        # every sum stays at most sq_bound: below _SQ_SAFE none can overflow
+        self.sq_bound += max(gsq.tolist(), default=0.0)
+        if self.sq_bound < _SQ_SAFE:
+            self.live_sq_sum += gsq
+        else:
+            self._add_near_the_limit(gsq)
         self.live_loss = loss
         self.live_steps += 1
+
+    def _add_near_the_limit(self, gsq: np.ndarray) -> None:
+        """Add ``gsq`` into sums that may overflow. A sum whose plain
+        addition overflows is carried times ``_SQ_SHIFT`` from then on; the
+        others add as they are, so their bits do not change."""
+        with np.errstate(over="ignore"):
+            plain = self.live_sq_sum + gsq
+        shifted = (np.where(self.live_sq_shifted, self.live_sq_sum,
+                            self.live_sq_sum * _SQ_SHIFT) + gsq * _SQ_SHIFT)
+        self.live_sq_shifted |= np.isinf(plain)
+        self.live_sq_sum = np.where(self.live_sq_shifted, shifted, plain)
 
     def step(self, g: np.ndarray, t: int) -> None:
         """Step the running seeds with their stochastic gradients ``g``."""
@@ -248,9 +281,10 @@ def run_rows(config: ExperimentConfig, specs) -> list:
     of every row stacked, and makes one oracle call, which draws each
     seed's noise once and adds it to every row that carries the seed in
     one operation; where :func:`_draws_ahead` holds, that draw was made on
-    a helper thread during the step before, and the helper is joined
-    before the call returns or raises. At t = T the rows are observed and
-    recorded but not stepped: nothing reads x_{T+1}.
+    a helper thread during the step before, OpenBLAS runs on the CPUs the
+    helper leaves, and the helper is joined and OpenBLAS's thread count
+    restored before the call returns or raises. At t = T the rows are
+    observed and recorded but not stepped: nothing reads x_{T+1}.
 
     A seed diverges when its loss or ||grad f||^2 is not finite (it stops
     before that step's record) or when the optimizer rejects its stochastic
@@ -328,19 +362,62 @@ def _draws_ahead(config: ExperimentConfig, specs: list) -> bool:
     """Whether :func:`run_rows` draws each step's noise on a helper thread
     while the step before it runs. Only when all of these hold:
 
-    - two or more usable CPUs: the helper needs the one the loop leaves idle;
-    - neither the objective nor a row calls BLAS: a quadratic, and no row
-      keeps a subspace frame (``SubspaceMomentum``, ``GaloreMomentum``).
-      OpenBLAS's worker thread spins on the second CPU, and the helper made
-      the frame steps and the matmuls of an ``MLP2`` slower;
-    - a step draws at least ``_DRAW_AHEAD_MIN`` normals.
+    - two or more usable CPUs: the helper needs one that the loop and
+      OpenBLAS leave it;
+    - the objective is a quadratic: the matmuls of an ``MLP2`` ran slower
+      beside the helper;
+    - a step draws at least ``_DRAW_AHEAD_MIN`` normals;
+    - a row that keeps a subspace frame (``SubspaceMomentum``,
+      ``GaloreMomentum``) calls OpenBLAS every step, whose worker threads
+      spin on every CPU after each call: such rows draw ahead only where
+      :func:`_openblas_threads` can hold OpenBLAS off the helper's CPU.
     """
     d = config.objective.d
     normals = len(set(config.seeds)) * config.noise.prefix(d)[0]
-    return (normals >= _DRAW_AHEAD_MIN and isinstance(config.objective, Quadratic)
-            and not any(isinstance(spec.momentum, (SubspaceMomentum, GaloreMomentum))
-                        for spec in specs)
-            and _usable_cpus() >= 2)
+    if not (normals >= _DRAW_AHEAD_MIN and isinstance(config.objective, Quadratic)
+            and _usable_cpus() >= 2):
+        return False
+    return _openblas_threads() is not None or not any(
+        isinstance(spec.momentum, (SubspaceMomentum, GaloreMomentum)) for spec in specs)
+
+
+# the (get, set) thread-count calls of an OpenBLAS build, by symbol: the
+# scipy-openblas wheels that numpy ships with, then a plain OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)``, the thread-count calls of the OpenBLAS this process
+    has loaded, or None where no OpenBLAS with those symbols is mapped (a
+    numpy on another BLAS, a platform without ``/proc/self/maps``). Looked
+    up once per process, on the first run that may draw ahead."""
+    import ctypes  # loaded only by a run that may draw ahead
+
+    paths = set()
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            for line in fh:
+                fields = line.split(None, 5)  # the sixth is the mapped file
+                if len(fields) == 6 and "openblas" in fields[5].lower():
+                    paths.add(fields[5].strip())
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
 
 
 class _NoiseAhead:
@@ -351,7 +428,9 @@ class _NoiseAhead:
     :meth:`start` hands the helper the draw of ``(seeds, t)``; :meth:`take`
     waits for it and returns it when it is for the seeds and step asked
     for, else None, and the buffer is free again. The thread starts with
-    the first draw; :meth:`close` waits for a draw under way and joins it.
+    the first draw, and from then on OpenBLAS runs on at most the usable
+    CPUs less one (:func:`_openblas_threads`); :meth:`close` waits for a
+    draw under way, joins the thread and restores OpenBLAS's thread count.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -364,6 +443,7 @@ class _NoiseAhead:
         self._done = threading.Lock()  # released: the job is drawn
         self._done.acquire()
         self._thread = None
+        self._restore = None  # (set, OpenBLAS's thread count before the hold), if held
 
     def _serve(self) -> None:
         while True:
@@ -382,8 +462,22 @@ class _NoiseAhead:
         if self._thread is None:
             self._thread = threading.Thread(target=self._serve, daemon=True)
             self._thread.start()
+            self._hold_openblas()
         self._job = (seeds, t)
         self._go.release()
+
+    def _hold_openblas(self) -> None:
+        """Cap OpenBLAS at the usable CPUs less one, which leaves the helper
+        a CPU; a count already that low stays as it is."""
+        calls = _openblas_threads()
+        if calls is None:
+            return
+        get, set_ = calls
+        before = get()
+        held = min(before, _usable_cpus() - 1)
+        if held != before:
+            set_(held)
+            self._restore = set_, before
 
     def take(self, seeds: list, t: int):
         if self._job is None:
@@ -405,6 +499,9 @@ class _NoiseAhead:
         self._go.release()
         self._thread.join()
         self._thread = None
+        if self._restore is not None:
+            set_, before = self._restore
+            set_(before)
 
 
 def run(config: ExperimentConfig, spec: OptimizerSpec) -> RunResult:

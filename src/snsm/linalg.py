@@ -121,6 +121,12 @@ def topk_svd(A: np.ndarray, k: int) -> Frame:
     A = _as_matrix(A)
     m, n = A.shape[-2:]
     check_rank(FrameKind.SVD, m, k, n)
+    return _topk_svd(A, k)
+
+
+def _topk_svd(A: np.ndarray, k: int) -> Frame:
+    """:func:`topk_svd` of a checked float64 matrix or stack."""
+    m = A.shape[-2]
     try:
         U, _, _ = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -141,6 +147,12 @@ def randomized_range_svd(A: np.ndarray, k: int, seed: int = 0) -> Frame:
     A = _as_matrix(A)
     m, n = A.shape[-2:]
     check_rank(FrameKind.APPROX_SVD, m, k, n)
+    return _range_svd(A, k, seed)
+
+
+def _range_svd(A: np.ndarray, k: int, seed: int) -> Frame:
+    """:func:`randomized_range_svd` of a checked float64 matrix or stack."""
+    m, n = A.shape[-2:]
     oversample = min(_OVERSAMPLE, min(m, n) - k)
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((n, k + oversample))
@@ -208,13 +220,13 @@ def make_frame(
     if kind in GRADIENT_KINDS:
         if reference_grad is None:
             raise ValueError(f"{kind.value} frame requires reference_grad")
-        G = _as_matrix(reference_grad)
+        G = _as_matrix(reference_grad)  # the one check of this gradient
         if G.shape[-2] != m:
             raise ValueError(f"reference_grad has {G.shape[-2]} rows, expected {m}")
         if kind is FrameKind.SVD:
-            return topk_svd(G, k)
+            return _topk_svd(G, k)
         if kind is FrameKind.APPROX_SVD:
-            return randomized_range_svd(G, k, seed=seed)
+            return _range_svd(G, k, seed)
         order = np.argsort(-np.linalg.norm(G, axis=-1), axis=-1, kind="stable")
         idx = np.sort(order[..., :k], axis=-1).astype(np.int64)
         return Frame(kind=kind, ambient_dim=m, rank=k, indices=idx)

@@ -298,12 +298,16 @@ def test_rows_share_one_read_only_start(monkeypatch):
 _AHEAD_SHAPE = (128, 256)
 
 
-def _ahead_config(preset):
+def _ahead_config(preset, **spec_kw):
     d = math.prod(_AHEAD_SHAPE)
     assert 2 * d >= harness._DRAW_AHEAD_MIN
     return _config_and_spec(
         preset, objective=Quadratic(np.linspace(0.5, 2.0, d), shape=_AHEAD_SHAPE),
-        noise=NoiseModel(sigma=0.3), T=8, seeds=(3, 8), lr=0.05)
+        noise=NoiseModel(sigma=0.3), T=8, seeds=(3, 8), lr=0.05, **spec_kw)
+
+
+# the frame rows of the draw-ahead tests: rank 8, refreshed at t = 3 and 6
+_FRAME_KW = dict(rank=8, refresh_gap=3)
 
 
 def _helper_draws(monkeypatch) -> list:
@@ -338,14 +342,24 @@ def _ahead_and_inline(monkeypatch, config, spec) -> tuple:
     return tuple(out)
 
 
-@pytest.mark.parametrize("preset", ["Adam", "AdamSN"])
-def test_draw_ahead_matches_the_inline_oracle(monkeypatch, preset):
-    config, spec = _ahead_config(preset)
+@pytest.mark.parametrize("preset,spec_kw", [
+    ("Adam", {}),
+    ("AdamSN", {}),
+    ("AdamSNSM", _FRAME_KW),
+    ("AdamSNSM", dict(_FRAME_KW, frame_kind="srht")),
+    ("GaLore", _FRAME_KW),
+], ids=["Adam", "AdamSN", "AdamSNSM-svd", "AdamSNSM-srht", "GaLore"])
+def test_draw_ahead_matches_the_inline_oracle(monkeypatch, preset, spec_kw):
+    config, spec = _ahead_config(preset, **spec_kw)
     draws = _helper_draws(monkeypatch)
     (ahead, g_ahead), (inline, g_inline) = _ahead_and_inline(monkeypatch, config, spec)
     # each oracle call after the first reads a draw made ahead on the helper;
-    # on one CPU none is
-    assert draws == [([3, 8], t) for t in range(2, config.T)]
+    # on one CPU none is. A frame row draws ahead only where OpenBLAS's
+    # thread count can be held.
+    if not spec_kw or harness._openblas_threads() is not None:
+        assert draws == [([3, 8], t) for t in range(2, config.T)]
+    else:
+        assert draws == []
     assert g_ahead == g_inline and len(g_ahead) == config.T - 1
     assert ahead.records == inline.records
     assert ahead.summaries == inline.summaries
@@ -406,12 +420,18 @@ def test_a_helper_draw_error_is_raised_by_the_run(monkeypatch):
 @pytest.mark.parametrize("change,ahead", [
     ({}, True),
     (dict(cpus=1), False),
-    (dict(preset="AdamSNSM"), False),  # keeps a subspace frame: OpenBLAS
-    (dict(preset="GaLore"), False),
+    # keeps a subspace frame, which calls OpenBLAS, and no thread count to
+    # hold off the helper's CPU
+    (dict(preset="AdamSNSM", openblas=None), False),
+    (dict(preset="GaLore", openblas=None), False),
     (dict(mlp2=True), False),  # its passes are matmuls: OpenBLAS
     (dict(seeds=(3,)), False),  # one seed: half the break-even
     (dict(seeds=(3, 3, 8)), True),  # a repeated seed draws once
     (dict(beta=0.5), False),  # 2 x 128 noisy coordinates
+    # OpenBLAS held off the helper's CPU while it draws
+    (dict(preset="AdamSNSM"), True),
+    (dict(preset="GaLore"), True),
+    (dict(openblas=None), True),  # no frame, no OpenBLAS call to hold
 ])
 def test_draws_ahead_only_where_it_pays(monkeypatch, change, ahead):
     d = harness._DRAW_AHEAD_MIN // 2
@@ -425,8 +445,134 @@ def test_draws_ahead_only_where_it_pays(monkeypatch, change, ahead):
     config = ExperimentConfig(objective=obj, noise=noise, T=4,
                               seeds=change.get("seeds", (3, 8)))
     monkeypatch.setattr(harness, "_usable_cpus", lambda: change.get("cpus", 2))
+    calls = change.get("openblas", _Threads(2).calls)
+    monkeypatch.setattr(harness, "_openblas_threads", lambda: calls)
     specs = [make_preset("Adam"), make_preset(change.get("preset", "AdamSN"))]
     assert harness._draws_ahead(config, specs) == ahead
+
+
+class _Threads:
+    """A stand-in for OpenBLAS's thread count: the count and each set."""
+
+    def __init__(self, count):
+        self.count, self.sets = count, []
+        self.calls = (lambda: self.count), self._set
+
+    def _set(self, count):
+        self.sets.append(count)
+        self.count = count
+
+
+def _counting_oracle(monkeypatch, threads, fail_at=None) -> list:
+    """The OpenBLAS thread count at each oracle call; the call at step
+    ``fail_at`` raises."""
+    real, seen = harness.stoch_grad, []
+
+    def oracle(obj, noise, x, seed, t, true_grad=None, drawn=None):
+        seen.append(threads())
+        if t == fail_at:
+            raise RuntimeError(f"injected at step {t}")
+        return real(obj, noise, x, seed, t, true_grad=true_grad, drawn=drawn)
+
+    monkeypatch.setattr(harness, "stoch_grad", oracle)
+    return seen
+
+
+# the hold never raises the count: OpenBLAS set to fewer threads stays there
+@pytest.mark.parametrize("cpus,before,held", [(2, 2, 1), (4, 8, 3), (2, 1, 1), (4, 2, 2)])
+@pytest.mark.parametrize("fail_at", [None, 3])
+def test_openblas_is_held_while_the_helper_draws(monkeypatch, cpus, before, held,
+                                                 fail_at):
+    threads = _Threads(before)
+    monkeypatch.setattr(harness, "_openblas_threads", lambda: threads.calls)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    config, spec = _ahead_config("AdamSNSM", **_FRAME_KW)
+    seen = _counting_oracle(monkeypatch, threads.calls[0], fail_at)
+    if fail_at is None:
+        run(config, spec)
+    else:
+        with pytest.raises(RuntimeError, match="injected at step 3"):
+            run(config, spec)
+    # the hold starts with the helper, after the first oracle call, and ends
+    # when it is joined, on return or raise
+    assert seen == [before] + [held] * (len(seen) - 1)
+    assert len(seen) == (fail_at or config.T - 1)
+    assert threads.count == before
+    assert threads.sets == ([] if held == before else [held, before])
+
+
+@pytest.mark.parametrize("fail_at", [None, 3])
+def test_openblas_thread_count_is_restored(monkeypatch, fail_at):
+    calls = harness._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy is not linked to an OpenBLAS whose thread count can be set")
+    get, set_ = calls
+    start = get()
+    set_(2)  # a count the hold lowers, whatever count earlier runs left
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    config, spec = _ahead_config("GaLore", **_FRAME_KW)
+    seen = _counting_oracle(monkeypatch, get, fail_at)
+    try:
+        if fail_at is None:
+            run(config, spec)
+        else:
+            with pytest.raises(RuntimeError, match="injected at step 3"):
+                run(config, spec)
+    finally:
+        after = get()
+        set_(start)  # a failure here leaves the next test its count
+    assert seen == [2] + [1] * (len(seen) - 1)
+    assert after == 2
+
+
+def _no_lookup():
+    raise AssertionError("looked up OpenBLAS")
+
+
+def test_runs_that_draw_inline_leave_openblas_alone(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(harness, "_openblas_threads", _no_lookup)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert not harness._draws_ahead(*_ahead_config("AdamSNSM", **_FRAME_KW))
+    run(*_ahead_config("AdamSNSM", **_FRAME_KW))
+    # the benchmark's sweep draws 5 x 1024 normals a step; mem runs nothing
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    sweep_beta([0.0, 1.0], d=1024, T=20, seeds=range(5), subset_sizes=[256])
+    _assert_no_child_left()
+    (tmp_path / "m.manifest").write_text(MANIFEST)
+    assert main(["mem", "--manifest", str(tmp_path / "m.manifest"),
+                 "--preset", "AdamSNSM"]) == 0
+    capsys.readouterr()
+
+
+def test_no_snsm_module_imports_ctypes_when_loaded():
+    import importlib
+    import pkgutil
+
+    import snsm
+    for info in pkgutil.iter_modules(snsm.__path__):
+        module = importlib.import_module(f"snsm.{info.name}")
+        assert "ctypes" not in vars(module), info.name
+
+
+def test_row_sums_past_the_float_limit_stay_finite():
+    config, spec = _quad_config(seeds=(0, 1), T=4)
+    row = harness._Row(config, spec, harness._init_x1(config))
+    big, small = [1.5e308, 1.7e308, 1.6e308, 1.0e308], [0.1, 0.2, 0.3, 0.7]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, pair in enumerate(zip(big, small), start=1):
+            row.observe(t, np.zeros(2), np.array(pair), None)
+    seed0, seed1 = row.result().summaries
+    # seed 0's sum is carried times 2**-64 from its overflow on, exactly
+    shifted = plain = 0.0
+    for b, s in zip(big, small):
+        shifted += b * 2.0 ** -64
+        plain += s
+    assert seed0.mean_grad_norm_sq == shifted / 4 * 2.0 ** 64
+    assert math.isclose(seed0.mean_grad_norm_sq, math.fsum(b / 4 for b in big),
+                        rel_tol=1e-15)
+    # seed 1's never overflows: the bits of its plain sum
+    assert seed1.mean_grad_norm_sq == plain / 4
 
 
 def test_run_is_deterministic():
@@ -909,6 +1055,24 @@ def test_cli_bound_thm3(capsys):
                  "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data[0]["H"] == 0.0
+
+
+def test_cli_grad_norm_sum_past_the_float_limit(capsys):
+    # every ||grad f||^2 from t = 2 is about 1.77e308: their sum overflows
+    argv = ["train", "--d", "65536", "--param-shape", "256x256", "--T", "8",
+            "--n-seeds", "2", "--preset", "SGD", "--lr", "1", "--delta1", "0",
+            "--sigma", "5.2e151"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    gsq = [float(line.split(",")[3]) for line in captured.out.splitlines()[1:]]
+    assert len(gsq) == 16 and all(map(math.isfinite, gsq))
+    means = [float(m) for m in re.findall(r"mean_grad_norm_sq=(\S+)", captured.err)]
+    # each value over 8 is exact: fsum would overflow on the values
+    assert means == pytest.approx([math.fsum(v / 8 for v in gsq[:8]),
+                                   math.fsum(v / 8 for v in gsq[8:])], rel=1e-15)
+    assert "Warning" not in captured.err
 
 
 def test_cli_bound_thm3_names_missing_flag(capsys):

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from snsm import linalg
 from snsm.linalg import (
+    GRADIENT_KINDS,
     Frame,
     FrameKind,
     frame_storage_elements,
@@ -112,6 +114,23 @@ def test_topk_svd_full_rank_contains_columns():
 def test_topk_svd_k_out_of_range():
     with pytest.raises(ValueError):
         topk_svd(np.eye(3), 4)
+
+
+@pytest.mark.parametrize("kind", sorted(GRADIENT_KINDS))
+def test_make_frame_checks_its_reference_gradient_once(monkeypatch, kind):
+    ref = np.random.default_rng(4).standard_normal((2, 16, 12))
+    real, checked = linalg._as_matrix, []
+    monkeypatch.setattr(linalg, "_as_matrix",
+                        lambda A: checked.append(A.shape) or real(A))
+    f = make_frame(kind, 16, 4, seed=5, reference_grad=ref)
+    assert checked == [(2, 16, 12)]
+    if kind is FrameKind.SVD:
+        assert np.array_equal(f.rows, topk_svd(ref, 4).rows)
+    elif kind is FrameKind.APPROX_SVD:
+        assert np.array_equal(f.rows, randomized_range_svd(ref, 4, seed=5).rows)
+    ref[1, 3, 2] = np.nan
+    with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+        make_frame(kind, 16, 4, seed=5, reference_grad=ref)
 
 
 def test_randomized_range_exact_low_rank():

@@ -1,7 +1,7 @@
 """In-process A/B of two snsm source trees on a benchmark workload's calls.
 
     python tools/ab_inprocess.py OLD_TREE NEW_TREE [--workload beta_sweep]
-                                 [--pairs 20]
+                                 [--pairs 20] [--fresh]
 
 Each tree is a checkout holding ``src/snsm``. For ``beta_sweep`` and
 ``matrix_train`` both are loaded into one interpreter, as the packages
@@ -26,7 +26,11 @@ the new tree won, and the median of each side's fork gap.
 pass (``workloads.calls``, seed = pair) through ``cli.main``, the two trees
 interleaved call by call, and asserts that both print the same stdout and
 stderr. It prints the same figures per call and for the pass, the sum of
-its calls.
+its calls. With ``--fresh`` it runs each pass in a fresh interpreter per
+side and pair instead, as ``mem_manifest`` does (below), with the
+benchmark's calibration loop where ``perfbench/worker.py`` runs it (twice
+before the first call, once after each), so that the heap, and the peak
+RSS read after each call, follow a benchmark pass.
 
 ``mem_manifest`` runs the ``snsm mem`` calls of one ``mem_manifest`` pass
 through ``cli.main`` in a fresh interpreter per side and pair, from the
@@ -35,6 +39,10 @@ in a process pays costs (building the argument parser, numpy's first
 reductions) that a warm interpreter hides. It times the import of
 ``snsm.cli``, each call and the pass, the sum of its calls, asserts that
 both trees print the same stdout and stderr, and prints the same figures.
+It also reads the interpreter's peak RSS (``ru_maxrss``) after each call,
+as ``perfbench/worker.py`` reads it after a pass, and prints per call each
+side's median and the median of the per-pair differences new - old: the
+call whose peak moves is the call that sets a change in a pass's peak.
 
 Exit status 1 when the outputs differ.
 """
@@ -100,30 +108,44 @@ def timed_call(cli, argv: list):
     return seconds, (out.getvalue(), err.getvalue())
 
 
-# one mem_manifest pass in a fresh interpreter; prints its times and outputs
+# one pass in a fresh interpreter; prints its times, peak RSS after each
+# call (MB) and outputs. With a calibration loop, it runs the loop where
+# perfbench/worker.py does: twice before the first call and once after each.
 _FRESH_PASS = """\
-import json, sys, time
+import json, resource, sys, time
 sys.path.insert(0, {tools!r})
 import ab_inprocess as ab
 t0 = time.perf_counter()
 from snsm import cli
 times, outputs = {{"import snsm.cli": time.perf_counter() - t0, "pass": 0.0}}, []
-for label, argv in ab.workloads.calls("mem_manifest", {pair}):
+rss = {{}}
+loop = lambda: None
+if {calibrate!r}:
+    import calibrate
+    loop = calibrate.LOOPS[{workload!r}]
+    loop()
+    loop()
+for label, argv in ab.workloads.calls({workload!r}, {pair}):
     times[label], output = ab.timed_call(cli, argv)
     times["pass"] += times[label]
+    rss[label] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     outputs.append(output)
-print(json.dumps(dict(times=times, outputs=outputs)))
+    loop()
+print(json.dumps(dict(times=times, rss=rss, outputs=outputs)))
 """
 
 
-def fresh_pass(tree: Path, pair: int) -> dict:
-    """``{"times", "outputs"}`` of one mem_manifest pass run from ``tree``
-    in a new interpreter."""
-    code = _FRESH_PASS.format(tools=str(Path(__file__).resolve().parent), pair=pair)
+def fresh_pass(tree: Path, workload: str, pair: int) -> dict:
+    """``{"times", "rss", "outputs"}`` of one pass of ``workload`` run from
+    ``tree`` in a new interpreter; a matrix_train pass runs the calibration
+    loop as a benchmark pass does, which sets the heap its peak RSS reads."""
+    code = _FRESH_PASS.format(tools=str(Path(__file__).resolve().parent),
+                              workload=workload, pair=pair,
+                              calibrate=workload == "matrix_train")
     proc = subprocess.run([sys.executable, "-c", code], cwd=tree, capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(tree / "src")))
     if proc.returncode:
-        raise SystemExit(f"mem_manifest pass from {tree} failed:\n{proc.stderr}")
+        raise SystemExit(f"{workload} pass from {tree} failed:\n{proc.stderr}")
     return json.loads(proc.stdout)
 
 
@@ -148,25 +170,34 @@ def main(argv=None) -> int:
     p.add_argument("--workload", choices=("beta_sweep", "matrix_train", "mem_manifest"),
                    default="beta_sweep")
     p.add_argument("--pairs", type=int, default=20)
+    p.add_argument("--fresh", action="store_true",
+                   help="matrix_train: one fresh interpreter per pass and side, "
+                        "with the peak RSS after each call")
     args = p.parse_args(argv)
-    if args.workload == "mem_manifest":
+    fresh = args.workload == "mem_manifest" or (args.fresh and
+                                                 args.workload == "matrix_train")
+    if fresh:
         sides = {"old": args.old_tree.resolve(), "new": args.new_tree.resolve()}
     else:
         module = "harness" if args.workload == "beta_sweep" else "cli"
         sides = {"old": load_tree(args.old_tree, "snsm_old", module),
                  "new": load_tree(args.new_tree, "snsm_new", module)}
     times = {}  # label -> side -> seconds per pair
+    rss = {}  # fresh passes: label -> side -> peak RSS (MB) after the call, per pair
     gaps = {"old": [], "new": []}  # beta_sweep: sweep - slowest beta alone, per pair
     for pair in range(args.pairs):
         order = ("new", "old") if pair % 2 else ("old", "new")
-        if args.workload == "mem_manifest":
-            passes = {side: fresh_pass(sides[side], pair) for side in order}
+        if fresh:
+            passes = {side: fresh_pass(sides[side], args.workload, pair)
+                      for side in order}
             if passes["old"]["outputs"] != passes["new"]["outputs"]:
-                print(f"pair {pair}: mem_manifest outputs differ", file=sys.stderr)
+                print(f"pair {pair}: {args.workload} outputs differ", file=sys.stderr)
                 return 1
             for side, result in passes.items():
                 for label, seconds in result["times"].items():
                     times.setdefault(label, {"old": [], "new": []})[side].append(seconds)
+                for label, mb in result["rss"].items():
+                    rss.setdefault(label, {"old": [], "new": []})[side].append(mb)
             continue
         if args.workload == "beta_sweep":
             jobs = [("sweep", lambda side: timed_sweep(sides[side], pair))]
@@ -200,6 +231,12 @@ def main(argv=None) -> int:
                   f"new {gaps['new'][-1] * 1e3:.2f} ms")
     for label, per_side in times.items():
         _report(label, per_side)
+    for label, per_side in rss.items():
+        diffs = [new - old for old, new in zip(per_side["old"], per_side["new"])]
+        print(f"{label}: peak RSS after the call: old median "
+              f"{statistics.median(per_side['old']):.2f} MB, new median "
+              f"{statistics.median(per_side['new']):.2f} MB, median new - old "
+              f"{statistics.median(diffs):+.2f} MB")
     if args.workload == "beta_sweep":
         print(f"fork gap (sweep - slowest beta alone): "
               f"old median {statistics.median(gaps['old']) * 1e3:.2f} ms, "

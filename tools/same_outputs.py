@@ -35,10 +35,14 @@ The ``wide-8x12`` commands step a parameter wider than tall, which the
 optimizer steps transposed: its step arrays are not C-contiguous, so the
 in-place subset division, the subspace directions and weight decay with
 clipping each run on that layout. The ``draw-ahead`` commands draw enough
-normals per step that, on two or more CPUs, a run without a subspace frame
-draws the next step's noise on a helper thread: Adam, AdamSN, and an SGD
-run in which one seed leaves the batch while a draw for both is under way;
-AdamSNSM keeps a frame and draws inline.
+normals per step that, on two or more CPUs, the run draws the next step's
+noise on a helper thread: Adam, AdamSN, an SGD run in which one seed leaves
+the batch while a draw for both is under way, and the rows that keep a
+subspace frame, AdamSNSM (SVD and SRHT frames) and GaLore, which draw ahead
+while OpenBLAS is held off the helper's CPU. ``grad-norm-sum-overflow`` is
+an SGD run whose every ||grad f||^2 is finite but whose sum overflows a
+float; against a tree that reported its mean as ``inf`` with numpy's
+overflow warning, it differs on stderr by design.
 
 Every sweep that runs prints one verdict line per beta and comparison on
 stderr after its table, e.g. ``# beta=1 AdaGradSN(8) vs AdaGrad:
@@ -125,8 +129,8 @@ COMMANDS = [
                           "--preset", "Adam", "--bogus", "1"]),
     ("mem-empty-manifest", ["mem", "--manifest", os.devnull, "--preset", "Adam"]),
     ("delta1-negative", ["train", "--T", "3", "--delta1", "-1"]),
-    # each step draws 2 x 65536 normals: the frame-free presets draw the next
-    # step's noise on a helper thread; AdamSNSM keeps a frame and draws inline
+    # each step draws 2 x 65536 normals: every preset draws the next step's
+    # noise on a helper thread
     *((f"draw-ahead/{label}", ["train", "--d", "65536", "--param-shape", "256x256",
                                "--T", "8", "--n-seeds", "2", *extra])
       for label, extra in (
@@ -136,7 +140,15 @@ COMMANDS = [
           # draw made ahead for seeds 2 and 3 is discarded, and seed 2 at t = 6
           ("one-seed-diverges", ["--sigma", "5.265e139", "--preset", "SGD",
                                  "--lr", "1000", "--delta1", "0", "--seed-base", "2"]),
-          ("adamsnsm", ["--sigma", "1e-3", "--preset", "AdamSNSM"]))),
+          ("adamsnsm", ["--sigma", "1e-3", "--preset", "AdamSNSM"]),
+          # refreshed at t = 3 and 6, beside the helper's draws
+          ("adamsnsm-srht", ["--sigma", "1e-3", "--preset", "AdamSNSM",
+                             "--frame", "srht", "--refresh-gap", "3"]),
+          ("galore", ["--sigma", "1e-3", "--preset", "GaLore", "--refresh-gap", "3"]))),
+    # from t = 2 every ||grad f||^2 is about 1.77e308: their sum overflows
+    ("grad-norm-sum-overflow", ["train", "--d", "65536", "--param-shape", "256x256",
+                                "--T", "8", "--n-seeds", "2", "--preset", "SGD",
+                                "--lr", "1", "--delta1", "0", "--sigma", "5.2e151"]),
     *((f"wide-8x12/{label}", ["train", "--d", "96", "--param-shape", "8x12",
                               "--T", "30", "--sigma", "0.3", "--n-seeds", "2",
                               *extra])
