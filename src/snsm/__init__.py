@@ -49,6 +49,7 @@ from .noise_models import (
     NoiseModel,
     Quadratic,
     ShapeManifest,
+    parse_manifest,
     stoch_grad,
 )
 from .harness import (
@@ -56,7 +57,6 @@ from .harness import (
     RunRecord,
     load_manifest,
     mem_report,
-    parse_manifest,
     run,
     sweep_beta,
     verify_thm2,

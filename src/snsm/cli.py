@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import analysis, harness
 from .linalg import NumericError
-from .noise_models import MLP2, NoiseModel, Quadratic, check_size
+from .noise_models import MLP2, NoiseModel, Quadratic, check_size, parse_shape
 from .optim import make_preset
 
 EXIT_OK = 0
@@ -32,11 +34,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _fmt(value) -> str:
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def rows_to_csv(rows, fields) -> str:
+    """UTF-8 CSV text with \\n line endings and a fixed header row."""
+    lines = [",".join(fields)]
+    for r in rows:
+        d = r if isinstance(r, dict) else asdict(r)
+        lines.append(",".join(_fmt(d[f]) for f in fields))
+    return "\n".join(lines) + "\n"
+
+
 def _emit(rows, fields, fmt: str, out_path: str | None):
     if fmt == "csv":
-        text = harness.rows_to_csv(rows, fields)
+        text = rows_to_csv(rows, fields)
     else:
-        text = harness.rows_to_json(rows)
+        text = json.dumps([r if isinstance(r, dict) else asdict(r) for r in rows],
+                          indent=2) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -192,10 +208,17 @@ def _train_noise(args) -> NoiseModel:
                       else args.noise_alpha)
 
 
+def _seeds(args, fewest: int = 1, why: str = "seeds must be non-empty") -> tuple:
+    """The seeds of --seed-base and --n-seeds: ``fewest`` or more, else ``why``."""
+    if args.n_seeds < fewest:
+        raise ValueError(f"{why}: --n-seeds is {args.n_seeds}")
+    return tuple(range(args.seed_base, args.seed_base + args.n_seeds))
+
+
 def _cmd_train(args) -> int:
-    seeds = tuple(range(args.seed_base, args.seed_base + args.n_seeds))
+    seeds = _seeds(args)
     if args.objective == "quadratic":
-        shape = harness.parse_shape(args.param_shape) if args.param_shape else None
+        shape = parse_shape(args.param_shape) if args.param_shape else None
         obj = Quadratic.isotropic(args.d, shape=shape)
     else:
         if args.param_shape is not None:
@@ -228,7 +251,7 @@ def _cmd_train(args) -> int:
 def _cmd_sweep(args) -> int:
     rows = harness.sweep_beta(
         args.betas, d=args.d, T=args.T,
-        seeds=range(args.seed_base, args.seed_base + args.n_seeds),
+        seeds=_seeds(args, 2, "a sweep needs at least two seeds to report a stderr"),
         subset_sizes=args.subset_sizes, alpha=args.alpha, lr=args.lr)
     _emit(rows, ("beta", "optimizer", "subset_size", "mean_metric", "stderr",
                  "n_diverged"), args.format, args.out)
@@ -319,6 +342,7 @@ def _cmd_bound(args) -> int:
                    concentration_term=mb.concentration_term, total=mb.total)
         check = None
         if args.verify:  # before the row: a verification that cannot run leaves none
+            _seeds(args)  # checked here, so that the error names --n-seeds
             check = harness.verify_thm2(
                 d=args.d, sigma=args.sigma, delta1=args.delta1, T=args.T,
                 fail_prob=args.delta, n_seeds=args.n_seeds, rank=args.rank,

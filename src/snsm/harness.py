@@ -1,4 +1,5 @@
-"""Experiment runner: optimizer x objective x noise, with CSV/JSON output.
+"""Experiment runner: the lockstep loop over optimizer x objective x noise,
+the beta sweep, the Thm-2 Monte-Carlo check and the memory report.
 
 A run is an :class:`ExperimentConfig`, what its rows share (objective,
 noise model, T, seeds and the start), and one
@@ -6,57 +7,35 @@ noise model, T, seeds and the start), and one
 :class:`~snsm.noise_models.ShapeManifest` lists the parameter tensors, the
 layout ``snsm mem`` sizes: each row's optimizer is built over it and steps
 the views the manifest splits from the flat iterate, or the iterate itself
-when the manifest is one one-axis tensor. :func:`run_rows` steps
-every row and every seed in lockstep: each row's iterates are one ``(S, d)``
-array, one optimizer per row holds the state of every seed along a leading
+when the manifest is one one-axis tensor. :func:`run_rows` steps every row
+and every seed in lockstep: each row's iterates are one ``(S, d)`` array,
+one optimizer per row holds the state of every seed along a leading
 replica axis, and each seed draws its noise from its own per-(seed, t)
 stream, so every seed of every row follows the trajectory it would follow
-alone. Each
-step evaluates the objective once for all rows, one ``value_and_grad`` on
-their iterates stacked ``(sum S_r, d)``, and makes one oracle call, which
-draws each (seed, t) noise vector once and adds it into that gradient,
-to every row that carries the seed, in one operation. Where that pays
-(:func:`_draws_ahead`), a helper thread draws step t + 1's noise while
-step t runs, and the oracle adds that draw instead. While the helper
-exists, OpenBLAS is held to the usable CPUs less one, so that its worker
-threads leave the helper a CPU, and the thread count it had is restored
-when the helper is joined. The last step, t = T, is observed and recorded
-but makes no update, since nothing reads x_{T+1}. A seed that diverges
-leaves its row's batch. :func:`run` is that loop with one row.
+alone. :func:`run` is that loop with one row.
 
-:func:`sweep_beta` runs one such loop per beta, and the betas are
-independent: on P = min(number of betas, usable CPUs) processes, the caller
-runs every P-th beta from the first and P - 1 forked children run the
-others, each sending its results back pickled over a pipe. The rows come
-back in beta order, the same as from one process.
+:func:`sweep_beta` runs one such loop per beta, the betas side by side on
+forked processes (:mod:`snsm.parallel`).
 """
 
 from __future__ import annotations
 
-import functools
-import io
-import json
 import math
-import os
-import pickle
-import sys
-import threading
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from . import parallel
 from .analysis import momentum_bound
 from .noise_models import (
-    ManifestEntry,
     NoiseModel,
     Quadratic,
     ShapeManifest,
-    draw,
+    parse_manifest,
     stoch_grad,
     streams,
 )
 from .optim import NonFiniteGradientError, Optimizer, OptimizerSpec, make_preset
-from .subspace import GaloreMomentum, SubspaceMomentum
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +259,9 @@ def run_rows(config: ExperimentConfig, specs) -> list:
     calls the objective's ``value_and_grad`` once, on the running iterates
     of every row stacked, and makes one oracle call, which draws each
     seed's noise once and adds it to every row that carries the seed in
-    one operation; where :func:`_draws_ahead` holds, that draw was made on
-    a helper thread during the step before, OpenBLAS runs on the CPUs the
-    helper leaves, and the helper is joined and OpenBLAS's thread count
-    restored before the call returns or raises. At t = T the rows are
+    one operation; where :func:`snsm.parallel._draws_ahead` holds, that
+    draw was made on a helper thread during the step before, which is
+    joined before the call returns or raises. At t = T the rows are
     observed and recorded but not stepped: nothing reads x_{T+1}.
 
     A seed diverges when its loss or ||grad f||^2 is not finite (it stops
@@ -298,7 +276,8 @@ def run_rows(config: ExperimentConfig, specs) -> list:
     rows = [_Row(config, spec, x1) for spec in specs]
     del x1  # held by the rows until their first step replaces it
     obj = config.objective
-    ahead = _NoiseAhead(config) if _draws_ahead(config, specs) else None
+    ahead = (parallel._NoiseAhead(config) if parallel._draws_ahead(config, specs)
+             else None)
     try:
         seeds = []  # the running seeds of the running rows, in stacking order
         for t in range(1, config.T + 1):
@@ -350,160 +329,6 @@ def run_rows(config: ExperimentConfig, specs) -> list:
     return [row.result() for row in rows]
 
 
-# Normals per step below which a draw handed to the helper thread costs
-# more than it saves. Draw-ahead over inline, Adam on a quadratic, in one
-# interpreter on a 2-vCPU VM: 4096 normals 1.15-1.34x, 8192 0.84x on one
-# seed but 1.11x on four, 16384 0.79x on one seed and 0.91x on four,
-# 32768 and more 0.59-0.75x in every shape tried.
-_DRAW_AHEAD_MIN = 32768
-
-
-def _draws_ahead(config: ExperimentConfig, specs: list) -> bool:
-    """Whether :func:`run_rows` draws each step's noise on a helper thread
-    while the step before it runs. Only when all of these hold:
-
-    - two or more usable CPUs: the helper needs one that the loop and
-      OpenBLAS leave it;
-    - the objective is a quadratic: the matmuls of an ``MLP2`` ran slower
-      beside the helper;
-    - a step draws at least ``_DRAW_AHEAD_MIN`` normals;
-    - a row that keeps a subspace frame (``SubspaceMomentum``,
-      ``GaloreMomentum``) calls OpenBLAS every step, whose worker threads
-      spin on every CPU after each call: such rows draw ahead only where
-      :func:`_openblas_threads` can hold OpenBLAS off the helper's CPU.
-    """
-    d = config.objective.d
-    normals = len(set(config.seeds)) * config.noise.prefix(d)[0]
-    if not (normals >= _DRAW_AHEAD_MIN and isinstance(config.objective, Quadratic)
-            and _usable_cpus() >= 2):
-        return False
-    return _openblas_threads() is not None or not any(
-        isinstance(spec.momentum, (SubspaceMomentum, GaloreMomentum)) for spec in specs)
-
-
-# the (get, set) thread-count calls of an OpenBLAS build, by symbol: the
-# scipy-openblas wheels that numpy ships with, then a plain OpenBLAS
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_threads():
-    """``(get, set)``, the thread-count calls of the OpenBLAS this process
-    has loaded, or None where no OpenBLAS with those symbols is mapped (a
-    numpy on another BLAS, a platform without ``/proc/self/maps``). Looked
-    up once per process, on the first run that may draw ahead."""
-    import ctypes  # loaded only by a run that may draw ahead
-
-    paths = set()
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            for line in fh:
-                fields = line.split(None, 5)  # the sixth is the mapped file
-                if len(fields) == 6 and "openblas" in fields[5].lower():
-                    paths.add(fields[5].strip())
-    except OSError:
-        return None
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = (), ctypes.c_int
-                set_.argtypes, set_.restype = (ctypes.c_int,), None
-                return get, set_
-    return None
-
-
-class _NoiseAhead:
-    """A helper thread that draws one step's noise while the loop runs the
-    step before it, into a buffer of one row per distinct seed of the run
-    that the calling thread allocates.
-
-    :meth:`start` hands the helper the draw of ``(seeds, t)``; :meth:`take`
-    waits for it and returns it when it is for the seeds and step asked
-    for, else None, and the buffer is free again. The thread starts with
-    the first draw, and from then on OpenBLAS runs on at most the usable
-    CPUs less one (:func:`_openblas_threads`); :meth:`close` waits for a
-    draw under way, joins the thread and restores OpenBLAS's thread count.
-    """
-
-    def __init__(self, config: ExperimentConfig):
-        self._noise, self._d = config.noise, config.objective.d
-        self._buf = np.empty((len(set(config.seeds)), self._d))
-        self._job = None  # (seeds, t) handed to the helper and not yet taken
-        self._error = None  # what stopped the helper's last draw
-        self._go = threading.Lock()  # released: a job, or None to stop
-        self._go.acquire()
-        self._done = threading.Lock()  # released: the job is drawn
-        self._done.acquire()
-        self._thread = None
-        self._restore = None  # (set, OpenBLAS's thread count before the hold), if held
-
-    def _serve(self) -> None:
-        while True:
-            self._go.acquire()
-            if self._job is None:
-                return
-            seeds, t = self._job
-            try:
-                draw(self._noise, self._d, seeds, t, out=self._buf[:len(seeds)])
-            except BaseException as exc:  # raised again by take, in the loop
-                self._error = exc
-            finally:
-                self._done.release()
-
-    def start(self, seeds: list, t: int) -> None:
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._serve, daemon=True)
-            self._thread.start()
-            self._hold_openblas()
-        self._job = (seeds, t)
-        self._go.release()
-
-    def _hold_openblas(self) -> None:
-        """Cap OpenBLAS at the usable CPUs less one, which leaves the helper
-        a CPU; a count already that low stays as it is."""
-        calls = _openblas_threads()
-        if calls is None:
-            return
-        get, set_ = calls
-        before = get()
-        held = min(before, _usable_cpus() - 1)
-        if held != before:
-            set_(held)
-            self._restore = set_, before
-
-    def take(self, seeds: list, t: int):
-        if self._job is None:
-            return None
-        self._done.acquire()
-        job, self._job = self._job, None
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-        # a seed that left the batch since the draw leaves it stale
-        return self._buf[:len(seeds)] if job == (seeds, t) else None
-
-    def close(self) -> None:
-        if self._thread is None:
-            return
-        if self._job is not None:
-            self._done.acquire()
-            self._job = None
-        self._go.release()
-        self._thread.join()
-        self._thread = None
-        if self._restore is not None:
-            set_, before = self._restore
-            set_(before)
-
-
 def run(config: ExperimentConfig, spec: OptimizerSpec) -> RunResult:
     """Run every seed of the config under one spec, all seeds stepping together."""
     return run_rows(config, [spec])[0]
@@ -529,8 +354,8 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
 
     The rows of one beta share the objective, the noise and the seeds, so
     they run as one lockstep loop and read each (seed, t) draw once. The
-    betas run side by side (:func:`_run_configs`); every input is checked
-    before the first of them starts.
+    betas run side by side (:func:`snsm.parallel._run_configs`); every
+    input is checked before the first of them starts.
     """
     betas = tuple(betas)
     if not betas:
@@ -554,7 +379,7 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
                                 record_every=T)
                for noise in noises]
     rows: list[SweepRow] = []
-    for beta, results in zip(betas, _run_configs(configs, specs)):
+    for beta, results in zip(betas, parallel._run_configs(run_rows, configs, specs)):
         for (name, k, _), result in zip(jobs, results):
             metrics = np.array([s.mean_grad_norm_sq for s in result.summaries])
             root_n = math.sqrt(metrics.size)
@@ -571,91 +396,6 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
                 mean_metric=mean, stderr=stderr,
                 n_diverged=sum(s.diverged for s in result.summaries)))
     return rows
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, as ``taskset`` and cpusets set
-    them; 1 where the platform cannot fork or report them."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _run_configs(configs: list, specs: list) -> list:
-    """``run_rows(config, specs)`` for every config, in order, on
-    P = min(len(configs), usable CPUs) processes.
-
-    The calling process runs ``configs[0::P]``; P - 1 forked children run
-    ``configs[j::P]`` and send their results, or the exception that stopped
-    them, back pickled over a pipe. The caller runs its share first, then
-    reads each child to EOF and reaps it, and re-raises a child's exception
-    as its own. A child that ends without a result raises
-    ``ChildProcessError``. No child outlives the call.
-    """
-    n_proc = min(len(configs), _usable_cpus())  # 1: nothing is forked
-    results = [None] * len(configs)
-    children = []  # (pid, read end of its pipe, its share) of each unreaped child
-    try:
-        for j in range(1, n_proc):
-            sys.stdout.flush()  # a child exits without flushing what it inherits
-            sys.stderr.flush()
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if not pid:
-                _child(write_fd, configs[j::n_proc], specs)  # never returns
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb"), j))
-        results[0::n_proc] = [run_rows(config, specs) for config in configs[0::n_proc]]
-        while children:
-            pid, reader, j = children[0]
-            with reader:
-                data = reader.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            try:
-                kind, value = pickle.loads(data)
-            except Exception:  # nothing, or a cut-off payload
-                betas = ", ".join(str(c.noise.density_beta) for c in configs[j::n_proc])
-                raise ChildProcessError(
-                    f"the process running beta {betas} ended without a result "
-                    f"(wait status {status})") from None
-            if kind == "err":
-                raise value
-            results[j::n_proc] = value
-    finally:
-        if children:
-            import signal  # loaded only when a call is cut short
-
-            for pid, reader, _ in children:
-                reader.close()
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:  # ended, not yet reaped
-                    pass
-                os.waitpid(pid, 0)
-    return results
-
-
-def _child(write_fd: int, configs: list, specs: list) -> None:
-    """The body of a forked child of :func:`_run_configs`: run ``configs``,
-    write ``("ok", results)`` or ``("err", exception)`` to ``write_fd`` and
-    exit without returning into the caller's frames, flushing its stdio or
-    running atexit handlers."""
-    code = 1
-    try:
-        try:
-            payload = ("ok", [run_rows(config, specs) for config in configs])
-        except BaseException as exc:  # the caller re-raises it
-            payload = ("err", exc)
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:  # an exception may pickle and still not load
-                payload = ("err", RuntimeError(repr(exc)))
-        with os.fdopen(write_fd, "wb") as writer:
-            writer.write(pickle.dumps(payload))
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def sweep_verdict(row_a: SweepRow, row_b: SweepRow) -> str:
@@ -720,46 +460,7 @@ def verify_thm2(d: int, sigma: float, delta1: float, T: int, fail_prob: float,
 
 
 # ---------------------------------------------------------------------------
-# shape manifests
-
-def parse_manifest(text: str) -> ShapeManifest:
-    """One parameter per line: ``name<TAB>class<TAB>dim1xdim2`` (or a single
-    dim for 1D parameters). Blank lines and ``#`` comments are skipped; a
-    text with no parameter line is an error."""
-    entries = []
-    names = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"manifest line {lineno}: expected 3 tab-separated "
-                             f"fields, got {len(parts)}")
-        name, tag, dims = (p.strip() for p in parts)
-        if name in names:
-            raise ValueError(f"manifest line {lineno}: duplicate name {name!r}")
-        names.add(name)
-        try:
-            shape = parse_shape(dims)
-        except ValueError as exc:
-            raise ValueError(f"manifest line {lineno}: {exc}") from None
-        entries.append(ManifestEntry(name=name, tag=tag, shape=shape))
-    if not entries:
-        raise ValueError("manifest lists no parameters")
-    return ShapeManifest(entries=tuple(entries))
-
-
-def parse_shape(dims: str) -> tuple:
-    """``dim1xdim2x...`` (or a single dim) as a tuple of positive ints."""
-    try:
-        shape = tuple(int(s) for s in dims.lower().split("x"))
-    except ValueError:
-        raise ValueError(f"bad shape {dims!r}") from None
-    if any(s < 1 for s in shape):
-        raise ValueError(f"non-positive dim in {dims!r}")
-    return shape
-
+# memory reports
 
 def load_manifest(path) -> ShapeManifest:
     with open(path, encoding="utf-8") as fh:
@@ -776,27 +477,3 @@ def mem_report(manifest: ShapeManifest, spec: OptimizerSpec) -> dict:
                               shape="x".join(map(str, entry.shape)),
                               state_elems=state, frame_elems=frame))
     return dict(asdict(opt.state_size()), entries=per_entry)
-
-
-# ---------------------------------------------------------------------------
-# output formatting
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def rows_to_csv(rows, fields) -> str:
-    """UTF-8 CSV text with \\n line endings and a fixed header row."""
-    buf = io.StringIO()
-    buf.write(",".join(fields) + "\n")
-    for r in rows:
-        d = r if isinstance(r, dict) else asdict(r)
-        buf.write(",".join(_fmt(d[f]) for f in fields) + "\n")
-    return buf.getvalue()
-
-
-def rows_to_json(rows) -> str:
-    out = [r if isinstance(r, dict) else asdict(r) for r in rows]
-    return json.dumps(out, indent=2) + "\n"

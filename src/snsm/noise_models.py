@@ -87,6 +87,45 @@ class ShapeManifest:
         return np.concatenate([p.reshape(lead) for p in parts], axis=-1)
 
 
+def parse_manifest(text: str) -> ShapeManifest:
+    """One parameter per line: ``name<TAB>class<TAB>dim1xdim2`` (or a single
+    dim for 1D parameters). Blank lines and ``#`` comments are skipped; a
+    text with no parameter line is an error."""
+    entries = []
+    names = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"manifest line {lineno}: expected 3 tab-separated "
+                             f"fields, got {len(parts)}")
+        name, tag, dims = (p.strip() for p in parts)
+        if name in names:
+            raise ValueError(f"manifest line {lineno}: duplicate name {name!r}")
+        names.add(name)
+        try:
+            shape = parse_shape(dims)
+        except ValueError as exc:
+            raise ValueError(f"manifest line {lineno}: {exc}") from None
+        entries.append(ManifestEntry(name=name, tag=tag, shape=shape))
+    if not entries:
+        raise ValueError("manifest lists no parameters")
+    return ShapeManifest(entries=tuple(entries))
+
+
+def parse_shape(dims: str) -> tuple:
+    """``dim1xdim2x...`` (or a single dim) as a tuple of positive ints."""
+    try:
+        shape = tuple(int(s) for s in dims.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"bad shape {dims!r}") from None
+    if any(s < 1 for s in shape):
+        raise ValueError(f"non-positive dim in {dims!r}")
+    return shape
+
+
 # ---------------------------------------------------------------------------
 # deterministic objectives with exact gradients
 

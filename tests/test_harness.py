@@ -18,14 +18,13 @@ import warnings
 import numpy as np
 import pytest
 
-from snsm import harness
+from snsm import harness, parallel
 from snsm.analysis import momentum_bound
+from snsm.cli import rows_to_csv
 from snsm.harness import (
     RECORD_FIELDS,
     ExperimentConfig,
     mem_report,
-    parse_manifest,
-    rows_to_csv,
     run,
     run_rows,
     sweep_beta,
@@ -33,7 +32,7 @@ from snsm.harness import (
     verify_thm2,
 )
 from snsm.linalg import NumericError
-from snsm.noise_models import MLP2, NoiseModel, Quadratic, stoch_grad
+from snsm.noise_models import MLP2, NoiseModel, Quadratic, parse_manifest, stoch_grad
 from snsm.optim import Optimizer, make_preset
 
 
@@ -300,7 +299,7 @@ _AHEAD_SHAPE = (128, 256)
 
 def _ahead_config(preset, **spec_kw):
     d = math.prod(_AHEAD_SHAPE)
-    assert 2 * d >= harness._DRAW_AHEAD_MIN
+    assert 2 * d >= parallel._DRAW_AHEAD_MIN
     return _config_and_spec(
         preset, objective=Quadratic(np.linspace(0.5, 2.0, d), shape=_AHEAD_SHAPE),
         noise=NoiseModel(sigma=0.3), T=8, seeds=(3, 8), lr=0.05, **spec_kw)
@@ -312,14 +311,14 @@ _FRAME_KW = dict(rank=8, refresh_gap=3)
 
 def _helper_draws(monkeypatch) -> list:
     """(seeds, t) of each draw made on a thread other than the caller's."""
-    caller, real, draws = threading.get_ident(), harness.draw, []
+    caller, real, draws = threading.get_ident(), parallel.draw, []
 
     def recording(noise, d, seeds, t, out=None):
         if threading.get_ident() != caller:
             draws.append((list(seeds), t))
         return real(noise, d, seeds, t, out=out)
 
-    monkeypatch.setattr(harness, "draw", recording)
+    monkeypatch.setattr(parallel, "draw", recording)
     return draws
 
 
@@ -336,7 +335,7 @@ def _ahead_and_inline(monkeypatch, config, spec) -> tuple:
             return g
 
         with monkeypatch.context() as m:
-            m.setattr(harness, "_usable_cpus", lambda: cpus)
+            m.setattr(parallel, "_usable_cpus", lambda: cpus)
             m.setattr(harness, "stoch_grad", oracle)
             out.append((run(config, spec), grads))
     return tuple(out)
@@ -356,7 +355,7 @@ def test_draw_ahead_matches_the_inline_oracle(monkeypatch, preset, spec_kw):
     # each oracle call after the first reads a draw made ahead on the helper;
     # on one CPU none is. A frame row draws ahead only where OpenBLAS's
     # thread count can be held.
-    if not spec_kw or harness._openblas_threads() is not None:
+    if not spec_kw or parallel._openblas_threads() is not None:
         assert draws == [([3, 8], t) for t in range(2, config.T)]
     else:
         assert draws == []
@@ -384,7 +383,7 @@ def test_draw_ahead_discards_the_draw_of_a_seed_that_left(monkeypatch):
 
 def test_no_helper_thread_outlives_the_run(monkeypatch):
     config, spec = _ahead_config("Adam")
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     before = threading.active_count()
     run(config, spec)
     assert threading.active_count() == before
@@ -405,12 +404,12 @@ def test_no_helper_thread_outlives_the_run(monkeypatch):
 
 def test_a_helper_draw_error_is_raised_by_the_run(monkeypatch):
     config, spec = _ahead_config("Adam")
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
 
     def failing(noise, d, seeds, t, out=None):
         raise RuntimeError(f"no draw at t={t}")
 
-    monkeypatch.setattr(harness, "draw", failing)
+    monkeypatch.setattr(parallel, "draw", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="no draw at t=2"):
         run(config, spec)
@@ -434,7 +433,7 @@ def test_a_helper_draw_error_is_raised_by_the_run(monkeypatch):
     (dict(openblas=None), True),  # no frame, no OpenBLAS call to hold
 ])
 def test_draws_ahead_only_where_it_pays(monkeypatch, change, ahead):
-    d = harness._DRAW_AHEAD_MIN // 2
+    d = parallel._DRAW_AHEAD_MIN // 2
     if change.get("mlp2"):
         obj = MLP2(np.zeros((4, d - 1)), np.zeros(4), hidden=1)
         assert obj.d == d
@@ -444,11 +443,11 @@ def test_draws_ahead_only_where_it_pays(monkeypatch, change, ahead):
              else NoiseModel(density_beta=change["beta"]))
     config = ExperimentConfig(objective=obj, noise=noise, T=4,
                               seeds=change.get("seeds", (3, 8)))
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: change.get("cpus", 2))
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: change.get("cpus", 2))
     calls = change.get("openblas", _Threads(2).calls)
-    monkeypatch.setattr(harness, "_openblas_threads", lambda: calls)
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: calls)
     specs = [make_preset("Adam"), make_preset(change.get("preset", "AdamSN"))]
-    assert harness._draws_ahead(config, specs) == ahead
+    assert parallel._draws_ahead(config, specs) == ahead
 
 
 class _Threads:
@@ -484,8 +483,8 @@ def _counting_oracle(monkeypatch, threads, fail_at=None) -> list:
 def test_openblas_is_held_while_the_helper_draws(monkeypatch, cpus, before, held,
                                                  fail_at):
     threads = _Threads(before)
-    monkeypatch.setattr(harness, "_openblas_threads", lambda: threads.calls)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: threads.calls)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
     config, spec = _ahead_config("AdamSNSM", **_FRAME_KW)
     seen = _counting_oracle(monkeypatch, threads.calls[0], fail_at)
     if fail_at is None:
@@ -503,13 +502,13 @@ def test_openblas_is_held_while_the_helper_draws(monkeypatch, cpus, before, held
 
 @pytest.mark.parametrize("fail_at", [None, 3])
 def test_openblas_thread_count_is_restored(monkeypatch, fail_at):
-    calls = harness._openblas_threads()
+    calls = parallel._openblas_threads()
     if calls is None:
         pytest.skip("numpy is not linked to an OpenBLAS whose thread count can be set")
     get, set_ = calls
     start = get()
     set_(2)  # a count the hold lowers, whatever count earlier runs left
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     config, spec = _ahead_config("GaLore", **_FRAME_KW)
     seen = _counting_oracle(monkeypatch, get, fail_at)
     try:
@@ -530,12 +529,12 @@ def _no_lookup():
 
 
 def test_runs_that_draw_inline_leave_openblas_alone(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(harness, "_openblas_threads", _no_lookup)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-    assert not harness._draws_ahead(*_ahead_config("AdamSNSM", **_FRAME_KW))
+    monkeypatch.setattr(parallel, "_openblas_threads", _no_lookup)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+    assert not parallel._draws_ahead(*_ahead_config("AdamSNSM", **_FRAME_KW))
     run(*_ahead_config("AdamSNSM", **_FRAME_KW))
     # the benchmark's sweep draws 5 x 1024 normals a step; mem runs nothing
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     sweep_beta([0.0, 1.0], d=1024, T=20, seeds=range(5), subset_sizes=[256])
     _assert_no_child_left()
     (tmp_path / "m.manifest").write_text(MANIFEST)
@@ -552,6 +551,21 @@ def test_no_snsm_module_imports_ctypes_when_loaded():
     for info in pkgutil.iter_modules(snsm.__path__):
         module = importlib.import_module(f"snsm.{info.name}")
         assert "ctypes" not in vars(module), info.name
+
+
+def test_parallel_imports_nothing_from_the_harness():
+    import ast
+
+    tree = ast.parse(open(parallel.__file__, encoding="utf-8").read())
+    names = []  # each imported module, and each name imported from one
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names += [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert ".noise_models" in names  # the walk saw the module's imports
+    assert not [name for name in names if "harness" in name.split(".")]
 
 
 def test_row_sums_past_the_float_limit_stay_finite():
@@ -616,7 +630,7 @@ def test_sweep_draws_noise_once_per_step_and_beta(monkeypatch):
 
     monkeypatch.setattr(harness, "stoch_grad", oracle)
     # one process: a child's calls would not reach this list
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
     sweep_beta([0.0, 1.0], d=32, T=50, seeds=range(3), subset_sizes=[8, 16])
     # every row of one beta (norm, coord, SN(8), SN(16)) in one call per step,
     # through t = T - 1
@@ -688,14 +702,14 @@ def test_sweep_stderr_falls_back_only_when_it_overflows(monkeypatch):
     metrics = {"AdaGradNorm": [1e306, 1.2e306, 0.9e306, 1.1e306],
                "AdaGrad": [1.0, 1.5, 0.5, 2.25]}
 
-    def fake_run_configs(configs, specs):  # one result per row, in job order
+    def fake_run_configs(run_rows, configs, specs):  # one result per row, in job order
         return [[harness.RunResult(records=[], summaries=[
             harness.SeedSummary(seed=i, mean_grad_norm_sq=v, final_loss=0.0,
                                 diverged=False)
             for i, v in enumerate(values)]) for values in metrics.values()]
             for _ in configs]
 
-    monkeypatch.setattr(harness, "_run_configs", fake_run_configs)
+    monkeypatch.setattr(parallel, "_run_configs", fake_run_configs)
     big, small = sweep_beta([0.0], d=8, T=5, seeds=range(4))
     exact = statistics.stdev(metrics["AdaGradNorm"]) / 2.0  # over Fractions
     assert big.stderr == pytest.approx(exact, rel=1e-14)
@@ -763,10 +777,10 @@ def _raise(exc):
 ])
 def test_sweep_betas_side_by_side_match_one_process(monkeypatch, betas, cpus):
     kw = dict(d=32, T=40, seeds=range(3), subset_sizes=[8])
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
     alone = sweep_beta(betas, **kw)
     forks = _counting_fork(monkeypatch)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
     assert sweep_beta(betas, **kw) == alone
     assert len(forks) == cpus - 1
     assert [r.beta for r in alone[::3]] == betas
@@ -780,15 +794,15 @@ def _alarm(signum, frame):
 def test_forked_sweep_after_a_run_that_drew_ahead(monkeypatch):
     # a thread does not survive os.fork: a helper kept past its run would be
     # missing in the forked child
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     draws = _helper_draws(monkeypatch)
     run(*_ahead_config("Adam"))
     assert draws  # this process drew ahead
-    d = harness._DRAW_AHEAD_MIN
+    d = parallel._DRAW_AHEAD_MIN
     kw = dict(d=d, T=6, seeds=range(2), subset_sizes=[d // 8])
     beta1 = ExperimentConfig(objective=Quadratic.isotropic(d),
                              noise=NoiseModel(density_beta=1.0), T=6, seeds=(0, 1))
-    assert harness._draws_ahead(beta1, [make_preset("AdaGrad")])  # in the child
+    assert parallel._draws_ahead(beta1, [make_preset("AdaGrad")])  # in the child
     forks = _counting_fork(monkeypatch)
     old = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(120)
@@ -799,28 +813,28 @@ def test_forked_sweep_after_a_run_that_drew_ahead(monkeypatch):
         signal.signal(signal.SIGALRM, old)
     assert len(forks) == 1
     _assert_no_child_left()
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
     assert side_by_side == sweep_beta([0.0, 1.0], **kw)
 
 
 def test_sweep_on_one_cpu_forks_nothing(monkeypatch):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(os, "fork", lambda: _raise(AssertionError("forked")))
     rows = sweep_beta([0.0, 0.5, 1.0], d=16, T=10, seeds=range(2), subset_sizes=[4])
     assert [r.beta for r in rows[::3]] == [0.0, 0.5, 1.0]
 
 
 def test_usable_cpus_is_one_without_fork_or_affinity(monkeypatch):
-    assert harness._usable_cpus() == len(os.sched_getaffinity(0))
+    assert parallel._usable_cpus() == len(os.sched_getaffinity(0))
     for name in ("fork", "sched_getaffinity"):
         with monkeypatch.context() as m:
             m.delattr(os, name)
-            assert harness._usable_cpus() == 1
+            assert parallel._usable_cpus() == 1
 
 
 def test_sweep_reraises_a_child_error(monkeypatch):
     _fail_at_beta(monkeypatch, 1.0, lambda: _raise(ValueError("boom")))
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     with pytest.raises(ValueError) as info:
         sweep_beta([0.0, 1.0], d=16, T=10, seeds=range(2))
     assert info.type is ValueError and str(info.value) == "boom"
@@ -849,7 +863,7 @@ def _local_error():
 ])
 def test_sweep_child_error_that_does_not_pickle(monkeypatch, make, text):
     _fail_at_beta(monkeypatch, 1.0, lambda: _raise(make()))
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     with pytest.raises(RuntimeError, match=text):
         sweep_beta([0.0, 1.0], d=16, T=10, seeds=range(2))
     _assert_no_child_left()
@@ -857,7 +871,7 @@ def test_sweep_child_error_that_does_not_pickle(monkeypatch, make, text):
 
 def test_sweep_child_share_counts_diverged_seeds(monkeypatch):
     _inject(monkeypatch, bad_seed=1, bad_t=5, value=np.nan)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     rows = sweep_beta([0.0, 1.0], d=16, T=20, seeds=range(3), subset_sizes=[4])
     assert [r.n_diverged for r in rows] == [1] * 6  # rows[3:] came from the child
     _assert_no_child_left()
@@ -866,7 +880,7 @@ def test_sweep_child_share_counts_diverged_seeds(monkeypatch):
 def test_sweep_kills_its_children_when_the_caller_fails(monkeypatch):
     _fail_at_beta(monkeypatch, 1.0, lambda: time.sleep(60))  # the child's share
     _fail_at_beta(monkeypatch, 0.0, lambda: _raise(ValueError("caller")))
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="caller"):
         sweep_beta([0.0, 1.0], d=16, T=10, seeds=range(2))
@@ -881,7 +895,7 @@ def test_sweep_kills_its_children_when_the_caller_fails(monkeypatch):
 ])
 def test_cli_sweep_child_error_exit_code(monkeypatch, capsys, exc, code, message):
     _fail_at_beta(monkeypatch, 1.0, lambda: _raise(exc))
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     assert main(["sweep", "--betas", "0,1", "--d", "16", "--T", "10",
                  "--n-seeds", "2"]) == code
     captured = capsys.readouterr()
@@ -891,7 +905,7 @@ def test_cli_sweep_child_error_exit_code(monkeypatch, capsys, exc, code, message
 
 def test_cli_sweep_lost_child_exit_1(monkeypatch, capsys):
     _fail_at_beta(monkeypatch, 1.0, lambda: os._exit(3))
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     assert main(["sweep", "--betas", "0,1", "--d", "16", "--T", "10",
                  "--n-seeds", "2"]) == 1
     captured = capsys.readouterr()
@@ -1251,6 +1265,25 @@ def test_cli_sweep_and_verify_reject_a_size_below_one(capsys, argv, d):
     assert main([*argv, "--d", d, "--T", "3", "--out", "/dev/null"]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"snsm: error: quadratic needs d >= 1, got d={d}\n"
+
+
+_NO_SEEDS = "seeds must be non-empty"
+_ONE_SEED = "a sweep needs at least two seeds to report a stderr"
+
+
+@pytest.mark.parametrize("argv,n,message", [
+    *(pytest.param(argv, n, message, id=f"{argv[0]}{n}")
+      for argv, message in ((["train"], _NO_SEEDS), (["sweep"], _ONE_SEED),
+                            (["bound", "--thm", "2", "--verify", "--rank", "1"],
+                             _NO_SEEDS))
+      for n in ("0", "-1")),
+    pytest.param(["sweep"], "1", _ONE_SEED, id="sweep1"),
+])
+def test_cli_too_few_seeds_names_the_flag(capsys, argv, n, message):
+    assert main([*argv, "--n-seeds", n, "--d", "16", "--T", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"snsm: error: {message}: --n-seeds is {n}\n"
 
 
 @pytest.mark.parametrize("argv", [

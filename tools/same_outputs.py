@@ -28,9 +28,12 @@ and a Thm-3 bound whose terms overflow a float (each exits 1 naming the
 term), a Thm-3 bound with negative noise levels (exit 1) and the rate table.
 The help of the program and of every command, usage errors (a missing
 ``--manifest``, an unknown command, and a flag no command has, whose usage
-line is the program's and lists every command), an empty manifest and a
-rejected ``--delta1`` put the help text, the usage lines and the usage exit
-code under the check too.
+line is the program's and lists every command), an empty manifest, a file
+that is not a manifest (``manifest line 1: ...``), a shape that is not one
+and a rejected ``--delta1`` put the help text, the usage lines and the
+usage exit code under the check too. The ``n-seeds`` commands ask for too
+few seeds; against a tree whose error did not name ``--n-seeds``, they
+differ on stderr by design.
 The ``wide-8x12`` commands step a parameter wider than tall, which the
 optimizer steps transposed: its step arrays are not C-contiguous, so the
 in-place subset division, the subspace directions and weight decay with
@@ -129,6 +132,14 @@ COMMANDS = [
                           "--preset", "Adam", "--bogus", "1"]),
     ("mem-empty-manifest", ["mem", "--manifest", os.devnull, "--preset", "Adam"]),
     ("delta1-negative", ["train", "--T", "3", "--delta1", "-1"]),
+    # a file that is not a manifest, and a shape that is not one
+    ("mem-bad-manifest", ["mem", "--manifest", "pyproject.toml", "--preset", "Adam"]),
+    ("train-bad-shape", ["train", "--param-shape", "10xabc", "--d", "100"]),
+    # too few seeds: the error names --n-seeds
+    ("train-n-seeds-0", ["train", "--d", "16", "--T", "3", "--n-seeds", "0"]),
+    ("sweep-n-seeds-1", ["sweep", "--d", "16", "--T", "3", "--n-seeds", "1"]),
+    ("bound-verify-n-seeds-0", ["bound", "--thm", "2", "--verify", "--T", "3",
+                                "--n-seeds", "0"]),
     # each step draws 2 x 65536 normals: every preset draws the next step's
     # noise on a helper thread
     *((f"draw-ahead/{label}", ["train", "--d", "65536", "--param-shape", "256x256",
