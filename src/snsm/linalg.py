@@ -23,10 +23,13 @@ the kinds drawn from the seed give every replica the same draw.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+
+from . import openblas
 
 
 class FrameKind(str, Enum):
@@ -125,14 +128,102 @@ def topk_svd(A: np.ndarray, k: int) -> Frame:
 
 
 def _topk_svd(A: np.ndarray, k: int) -> Frame:
-    """:func:`topk_svd` of a checked float64 matrix or stack."""
-    m = A.shape[-2]
+    """:func:`topk_svd` of a checked float64 matrix or stack.
+
+    The rows are the first k columns of U from ``np.linalg.svd(A,
+    full_matrices=False)``, bit for bit. numpy runs LAPACK ``dgesdd`` with
+    JOBZ='S'; where dgesdd takes its path 5 (``n <= m < int(11n/6)``,
+    unscaled) and the loaded OpenBLAS exports its steps,
+    :func:`_path5_rows` runs those steps itself and skips the one that only
+    builds V^T. Every other matrix goes to ``np.linalg.svd``.
+    """
+    m, n = A.shape[-2:]
+    steps = (openblas.svd_steps()
+             if _PATH5_MIN_N <= n <= m < int(n * 11.0 / 6.0) else None)
     try:
-        U, _, _ = np.linalg.svd(A, full_matrices=False)
+        if steps is None:
+            U, _, _ = np.linalg.svd(A, full_matrices=False)
+            rows = np.ascontiguousarray(U[..., :k].mT)
+        else:
+            rows = np.empty(A.shape[:-2] + (k, m))
+            for i in np.ndindex(A.shape[:-2]):
+                rows[i] = _path5_rows(A[i], k, steps)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge: {exc}") from exc
-    return Frame(kind=FrameKind.SVD, ambient_dim=m, rank=k,
-                 rows=np.ascontiguousarray(U[..., :k].mT))
+    return Frame(kind=FrameKind.SVD, ambient_dim=m, rank=k, rows=rows)
+
+
+# Short side below which np.linalg.svd is the faster of the two: the
+# ctypes calls of _path5_rows cost more than the V^T they save. Median per
+# call, path 5 over np.linalg.svd, n x n at 1 and 2 OpenBLAS threads on a
+# 2-vCPU VM: 8x8 1.38-1.48x, 16x16 1.13x, 24x24 1.01-1.05x, 32x32
+# 0.99-1.00x, 40x40 0.92x, 48x48 0.84-0.91x, 96x96 0.86-0.88x.
+_PATH5_MIN_N = 32
+
+# dgesdd scales a matrix whose largest |entry| lies outside [_SMLNUM,
+# _BIGNUM] before it factors it: sqrt(dlamch('S')) / dlamch('P') = 2**-459
+# and its inverse 2**459. Such a matrix goes to np.linalg.svd.
+_SMLNUM = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
+_BIGNUM = 1.0 / _SMLNUM
+
+
+@functools.cache
+def _lwork(m: int, n: int) -> int:
+    """The workspace, in doubles, that dgesdd's path 5 gives its steps on an
+    m x n matrix: the larger of the optimal DGEBRD and DORMBR('Q') workspaces
+    (their workspace queries) and DBDSDC's 3n^2 + 4n. Any workspace at least
+    a routine's optimum gives it the same blocking, so the same bits."""
+    dgebrd, _, dormbr = openblas.svd_steps()
+    ints = np.array([m, n, -1, 0], dtype=np.int64)  # m, n, lwork = query, info
+    out = np.zeros(1)
+    p, w = ints.ctypes.data, out.ctypes.data
+    dgebrd(p, p + 8, w, p, w, w, w, w, w, p + 16, p + 24)
+    best = out[0]
+    dormbr(b"Q", b"L", b"N", p, p + 8, p + 8, w, p, w, w, p, w, p + 16, p + 24, 1, 1, 1)
+    return int(max(best, out[0], 3 * n * n + 4 * n))
+
+
+def _path5_rows(A: np.ndarray, k: int, steps) -> np.ndarray:
+    """The top-k left singular vectors of one m x n matrix, as the (k, m)
+    rows that ``np.linalg.svd`` gives, for ``n <= m < int(11n/6)``.
+
+    These are dgesdd's path-5 steps for JOBZ='S', run on a Fortran-order
+    copy of A: DGEBRD reduces it to upper bidiagonal form, DBDSDC('U', 'I')
+    factors the bidiagonal, and DORMBR('Q', 'L', 'N') applies the left
+    reflectors to all n columns of U (fewer columns would change the
+    blocking of its GEMMs, and so the bits). DORMBR('P') would build V^T,
+    which no frame reads. A matrix that dgesdd would scale goes to
+    ``np.linalg.svd``. A DBDSDC that does not converge raises numpy's
+    ``LinAlgError``.
+    """
+    anrm = max(A.max(), -A.min())  # dgesdd's DLANGE('M')
+    if anrm and not _SMLNUM <= anrm <= _BIGNUM:
+        return np.linalg.svd(A, full_matrices=False)[0][:, :k].T
+    dgebrd, dbdsdc, dormbr = steps
+    m, n = A.shape
+    lwork = _lwork(m, n)
+    # one buffer, for one address: A in Fortran order (DGEBRD overwrites it
+    # with its reflectors), U (m x n in Fortran order, so row j of ``u`` is
+    # column j), DBDSDC's right vectors (unused), d, e, tauq, taup, workspace
+    f = np.empty(2 * m * n + n * n + 4 * n + lwork)
+    f[:m * n].reshape(n, m)[...] = A.T
+    u = f[m * n:2 * m * n].reshape(n, m)
+    u[...] = 0.0
+    pa = f.ctypes.data
+    pu, pv = pa + 8 * m * n, pa + 16 * m * n
+    d, e, tauq, taup, work = (pv + 8 * (n * n + j * n) for j in range(5))
+    ints = np.empty(4 + 8 * n, dtype=np.int64)  # m, n, lwork, info, then iwork
+    ints[:4] = m, n, lwork, 0
+    pm = ints.ctypes.data
+    pn, plw, info, iwork = pm + 8, pm + 16, pm + 24, pm + 32
+    dgebrd(pm, pn, pa, pm, d, e, tauq, taup, work, plw, info)
+    if not ints[3]:  # its Q and IQ, unread with COMPQ='I', get work and iwork
+        dbdsdc(b"U", b"I", pn, d, e, pu, pm, pv, pn, work, iwork, work, iwork, info, 1, 1)
+    if not ints[3]:
+        dormbr(b"Q", b"L", b"N", pm, pn, pn, pa, pm, tauq, pu, pm, work, plw, info, 1, 1, 1)
+    if ints[3]:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return u[:k]
 
 
 _OVERSAMPLE = 8  # extra sketch columns beyond k

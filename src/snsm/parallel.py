@@ -2,14 +2,14 @@
 decides it: the betas of a sweep side by side on forked processes
 (:func:`_run_configs`), the noise drawn a step ahead on a helper thread
 where :func:`_draws_ahead` holds (:class:`_NoiseAhead`), and OpenBLAS held
-off the helper's CPU (:func:`_openblas_threads`). Every thread, process and
-OpenBLAS name of snsm lives here. Nothing here imports :mod:`snsm.harness`,
-whose ``run_rows`` is handed to :func:`_run_configs`.
+off the helper's CPU (:func:`_openblas_threads`). Every thread and process
+of snsm is started here; the OpenBLAS it holds is looked up in
+:mod:`snsm.openblas`. Nothing here imports :mod:`snsm.harness`, whose
+``run_rows`` is handed to :func:`_run_configs`.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import pickle
 import sys
@@ -17,6 +17,7 @@ import threading
 
 import numpy as np
 
+from . import openblas
 from .noise_models import Quadratic, draw
 from .subspace import GaloreMomentum, SubspaceMomentum
 
@@ -137,43 +138,11 @@ def _draws_ahead(config, specs: list) -> bool:
         isinstance(spec.momentum, (SubspaceMomentum, GaloreMomentum)) for spec in specs)
 
 
-# the (get, set) thread-count calls of an OpenBLAS build, by symbol: the
-# scipy-openblas wheels that numpy ships with, then a plain OpenBLAS
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_threads():
-    """``(get, set)``, the thread-count calls of the OpenBLAS this process
-    has loaded, or None where no OpenBLAS with those symbols is mapped (a
-    numpy on another BLAS, a platform without ``/proc/self/maps``). Looked
-    up once per process, on the first run that may draw ahead."""
-    import ctypes  # loaded only by a run that may draw ahead
-
-    paths = set()
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            for line in fh:
-                fields = line.split(None, 5)  # the sixth is the mapped file
-                if len(fields) == 6 and "openblas" in fields[5].lower():
-                    paths.add(fields[5].strip())
-    except OSError:
-        return None
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = (), ctypes.c_int
-                set_.argtypes, set_.restype = (ctypes.c_int,), None
-                return get, set_
-    return None
+# ``(get, set)``, the thread-count calls of the OpenBLAS this process has
+# loaded, or None (:func:`snsm.openblas.thread_calls`): looked up once per
+# process, on the first run that may draw ahead. Named here so that tests
+# can stand in for it.
+_openblas_threads = openblas.thread_calls
 
 
 class _NoiseAhead:

@@ -1,6 +1,7 @@
 """Runner, sweep, bound verification, manifests, CSV output, and the CLI."""
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -18,7 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
-from snsm import harness, parallel
+from snsm import harness, openblas, parallel
 from snsm.analysis import momentum_bound
 from snsm.cli import rows_to_csv
 from snsm.harness import (
@@ -1523,9 +1524,30 @@ def test_cli_numeric_failure_exit_2(monkeypatch, capsys):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    assert main(["train", "--preset", "AdamSNSM", "--d", "64",
-                 "--param-shape", "8x8", "--T", "3", "--out", "/dev/null"]) == 2
+    # an 8x8 frame, below linalg._PATH5_MIN_N, is factored by np.linalg.svd
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", no_convergence)
+        assert main(["train", "--preset", "AdamSNSM", "--d", "64",
+                     "--param-shape", "8x8", "--T", "3", "--out", "/dev/null"]) == 2
+    assert "snsm: numeric failure: SVD did not converge" in capsys.readouterr().err
+
+    # a 32x32 frame runs dgesdd's steps itself: DBDSDC reports no convergence
+    steps = openblas.svd_steps()
+    if steps is None:
+        pytest.skip("numpy is not linked to an OpenBLAS that exports dgesdd's steps")
+    dgebrd, dbdsdc, dormbr = steps
+
+    def dbdsdc_no_convergence(*args):
+        dbdsdc(*args)
+        ctypes.c_int64.from_address(args[13]).value = 1  # INFO
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("np.linalg.svd factored a path-5 frame")
+
+    monkeypatch.setattr(openblas, "svd_steps", lambda: (dgebrd, dbdsdc_no_convergence, dormbr))
+    monkeypatch.setattr(np.linalg, "svd", not_reached)
+    assert main(["train", "--preset", "AdamSNSM", "--d", "1024",
+                 "--param-shape", "32x32", "--T", "3", "--out", "/dev/null"]) == 2
     assert "snsm: numeric failure: SVD did not converge" in capsys.readouterr().err
 
 

@@ -1,12 +1,13 @@
 """Frames: top-k SVD, randomized range finder, sketching, projector algebra."""
 
+import ctypes
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from snsm import linalg
+from snsm import linalg, openblas
 from snsm.linalg import (
     GRADIENT_KINDS,
     Frame,
@@ -114,6 +115,130 @@ def test_topk_svd_full_rank_contains_columns():
 def test_topk_svd_k_out_of_range():
     with pytest.raises(ValueError):
         topk_svd(np.eye(3), 4)
+
+
+# ---------------------------------------------------------------------------
+# "svd" frames: dgesdd's path-5 steps run by linalg against np.linalg.svd
+
+def _numpy_rows(G, k):
+    """The rows of an "svd" frame as np.linalg.svd gives them."""
+    return np.ascontiguousarray(np.linalg.svd(G, full_matrices=False)[0][..., :k].mT)
+
+
+@pytest.fixture
+def path5_calls(monkeypatch):
+    """The matrices factored by linalg's own dgesdd steps: one entry per
+    DGEBRD call that is not a workspace query."""
+    steps = openblas.svd_steps()
+    if steps is None:
+        pytest.skip("numpy is not linked to an OpenBLAS that exports dgesdd's steps")
+    dgebrd, dbdsdc, dormbr = steps
+    calls = []
+
+    def counted(*args):
+        if ctypes.c_int64.from_address(args[9]).value != -1:  # LWORK
+            calls.append(ctypes.c_int64.from_address(args[0]).value)  # M
+        dgebrd(*args)
+
+    monkeypatch.setattr(openblas, "svd_steps", lambda: (counted, dbdsdc, dormbr))
+    return calls
+
+
+def _assert_numpy_rows(G, k, frame):
+    before = G.copy()
+    rows = frame(G, k).rows
+    assert np.array_equal(G, before)  # the input is never written
+    assert np.array_equal(rows, _numpy_rows(G, k))
+    assert rows.flags.c_contiguous
+    # no LAPACK buffer kept alive behind the rows
+    assert rows.base is None or rows.base.size == rows.size
+
+
+def _svd_frame(G, k):
+    return make_frame(FrameKind.SVD, G.shape[-2], k, reference_grad=G)
+
+
+# (m, n, taken by path 5): n <= m < int(11n/6); 64x16 is tall past it
+@pytest.mark.parametrize("m,n,path5", [(40, 40, True), (12, 8, True), (300, 200, True),
+                                       (2, 2, True), (64, 16, False), (29, 16, False),
+                                       (28, 16, True)])
+def test_svd_frame_rows_equal_numpy_svd(monkeypatch, path5_calls, m, n, path5):
+    monkeypatch.setattr(linalg, "_PATH5_MIN_N", 2)  # small shapes take path 5 too
+    G = np.random.default_rng(m * n).standard_normal((m, n))
+    for k in sorted({1, n // 2, n}):
+        _assert_numpy_rows(G, k, _svd_frame)
+    assert path5_calls == ([m] * len({1, n // 2, n}) if path5 else [])
+
+
+def test_wide_matrix_goes_to_numpy_svd(monkeypatch, path5_calls):
+    monkeypatch.setattr(linalg, "_PATH5_MIN_N", 2)
+    G = np.random.default_rng(3).standard_normal((8, 12))
+    for k in (1, 4, 8):
+        _assert_numpy_rows(G, k, topk_svd)
+    assert path5_calls == []
+
+
+def test_path5_starts_at_its_measured_short_side(path5_calls):
+    rng = np.random.default_rng(2)
+    n = linalg._PATH5_MIN_N
+    _assert_numpy_rows(rng.standard_normal((n - 1, n - 1)), 3, _svd_frame)
+    assert path5_calls == []
+    _assert_numpy_rows(rng.standard_normal((n, n)), 3, _svd_frame)
+    assert path5_calls == [n]
+
+
+def test_stacked_svd_frame_equals_numpy_svd(monkeypatch, path5_calls):
+    monkeypatch.setattr(linalg, "_PATH5_MIN_N", 2)
+    G = np.random.default_rng(11).standard_normal((3, 40, 24))
+    G[1] *= 1e-140  # below dgesdd's scaling floor: np.linalg.svd factors it
+    for k in (1, 12, 24):
+        _assert_numpy_rows(G, k, _svd_frame)
+    assert path5_calls == [40, 40] * 3
+
+
+def test_transposed_view_svd_frame_equals_numpy_svd(monkeypatch, path5_calls):
+    monkeypatch.setattr(linalg, "_PATH5_MIN_N", 2)
+    G = np.random.default_rng(12).standard_normal((24, 40)).T
+    assert G.flags.f_contiguous and not G.flags.c_contiguous
+    for k in (1, 12, 24):
+        _assert_numpy_rows(G, k, _svd_frame)
+    assert path5_calls == [40] * 3
+
+
+def test_scaling_bounds_are_dgesdd_s():
+    lib = next((lib for lib in openblas._libraries() if hasattr(lib, "scipy_dlamch_64_")),
+               None)
+    if lib is None:
+        pytest.skip("numpy is not linked to an OpenBLAS that exports dlamch")
+    dlamch = lib.scipy_dlamch_64_
+    dlamch.argtypes, dlamch.restype = (ctypes.c_char_p, ctypes.c_size_t), ctypes.c_double
+    assert linalg._SMLNUM == np.sqrt(dlamch(b"S", 1)) / dlamch(b"P", 1) == 2.0 ** -459
+    assert linalg._BIGNUM == 2.0 ** 459
+
+
+# the largest |entry|, and whether dgesdd leaves the matrix unscaled
+@pytest.mark.parametrize("top,path5", [(6e-139, False), (2.0 ** -459, True),
+                                       (2.0 ** 459, True), (1.5e138, False),
+                                       (0.0, True)])
+def test_svd_frame_at_dgesdd_s_scaling_bounds(monkeypatch, path5_calls, top, path5):
+    monkeypatch.setattr(linalg, "_PATH5_MIN_N", 2)
+    G = np.random.default_rng(13).standard_normal((12, 8))
+    G = G / np.abs(G).max() * top  # its largest |entry| is exactly ``top``
+    assert np.abs(G).max() == top
+    for k in (1, 4, 8):
+        _assert_numpy_rows(G, k, _svd_frame)
+    assert path5_calls == ([12] * 3 if path5 else [])
+
+
+def test_svd_frame_without_dgesdd_s_steps(monkeypatch):
+    monkeypatch.setattr(openblas, "svd_steps", lambda: None)
+    real, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    G = np.random.default_rng(14).standard_normal((2, 40, 40))
+    f = _svd_frame(G, 5)
+    assert calls == [1]
+    monkeypatch.setattr(np.linalg, "svd", real)
+    assert np.array_equal(f.rows, _numpy_rows(G, 5))
 
 
 @pytest.mark.parametrize("kind", sorted(GRADIENT_KINDS))

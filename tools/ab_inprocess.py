@@ -44,6 +44,14 @@ as ``perfbench/worker.py`` reads it after a pass, and prints per call each
 side's median and the median of the per-pair differences new - old: the
 call whose peak moves is the call that sets a change in a pass's peak.
 
+``svd_frame`` times one ``linalg.make_frame(FrameKind.SVD, 512, 64,
+reference_grad=G)`` per tree and pair, the frame of matrix_train's 512x512
+parameter at its rank, on a standard normal G drawn from the pair's seed.
+OpenBLAS runs at the thread count that a draw-ahead run holds it at (the
+usable CPUs less one), as during matrix_train's frame calls. The script
+asserts that both trees build the same rows, bit for bit, and prints the
+same figures.
+
 Exit status 1 when the outputs differ.
 """
 
@@ -62,6 +70,8 @@ import sys
 import time
 from dataclasses import astuple
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -94,6 +104,32 @@ def timed_sweep(harness, pair: int, betas=BETAS):
     rows = harness.sweep_beta(betas, d=D, T=T, seeds=seeds, subset_sizes=[SUBSET],
                               lr=LR)
     return time.perf_counter() - t0, [astuple(r) for r in rows]
+
+
+SVD_M, SVD_K = 512, 64  # matrix_train's parameter rows and frame rank
+
+
+def timed_svd_frame(linalg, G):
+    """(seconds, rows as bytes) of one "svd" frame of G."""
+    t0 = time.perf_counter()
+    rows = linalg.make_frame(linalg.FrameKind.SVD, SVD_M, SVD_K, reference_grad=G).rows
+    return time.perf_counter() - t0, rows.tobytes()
+
+
+@contextlib.contextmanager
+def held_openblas(parallel):
+    """OpenBLAS at the thread count a draw-ahead run holds it at, if any."""
+    calls = parallel._openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(max(1, min(before, parallel._usable_cpus() - 1)))
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def timed_call(cli, argv: list):
@@ -167,7 +203,8 @@ def main(argv=None) -> int:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("old_tree", type=Path)
     p.add_argument("new_tree", type=Path)
-    p.add_argument("--workload", choices=("beta_sweep", "matrix_train", "mem_manifest"),
+    p.add_argument("--workload", choices=("beta_sweep", "matrix_train", "mem_manifest",
+                                          "svd_frame"),
                    default="beta_sweep")
     p.add_argument("--pairs", type=int, default=20)
     p.add_argument("--fresh", action="store_true",
@@ -179,9 +216,16 @@ def main(argv=None) -> int:
     if fresh:
         sides = {"old": args.old_tree.resolve(), "new": args.new_tree.resolve()}
     else:
-        module = "harness" if args.workload == "beta_sweep" else "cli"
+        module = {"beta_sweep": "harness", "svd_frame": "linalg"}.get(args.workload, "cli")
         sides = {"old": load_tree(args.old_tree, "snsm_old", module),
                  "new": load_tree(args.new_tree, "snsm_new", module)}
+    with (held_openblas(sys.modules["snsm_old.parallel"])
+          if args.workload == "svd_frame" else contextlib.nullcontext()):
+        return _pairs(args, sides, fresh)
+
+
+def _pairs(args, sides: dict, fresh: bool) -> int:
+    """Run and report ``args.pairs`` pairs of ``args.workload``."""
     times = {}  # label -> side -> seconds per pair
     rss = {}  # fresh passes: label -> side -> peak RSS (MB) after the call, per pair
     gaps = {"old": [], "new": []}  # beta_sweep: sweep - slowest beta alone, per pair
@@ -205,6 +249,9 @@ def main(argv=None) -> int:
             jobs += [(f"beta={beta} alone",
                       lambda side, beta=beta: timed_sweep(sides[side], pair, (beta,)))
                      for beta in BETAS]
+        elif args.workload == "svd_frame":
+            G = np.random.default_rng(pair).standard_normal((SVD_M, SVD_M))
+            jobs = [("make_frame svd", lambda side: timed_svd_frame(sides[side], G))]
         else:
             jobs = [(label, lambda side, argv=argv: timed_call(sides[side], argv))
                     for label, argv in workloads.calls("matrix_train", pair)]
@@ -221,7 +268,7 @@ def main(argv=None) -> int:
         if args.workload == "matrix_train":
             for side in total:
                 times.setdefault("pass", {"old": [], "new": []})[side].append(total[side])
-        else:
+        elif args.workload == "beta_sweep":
             for side in ("old", "new"):
                 gap = times["sweep"][side][-1] - max(
                     times[f"beta={beta} alone"][side][-1] for beta in BETAS)

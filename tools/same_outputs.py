@@ -45,7 +45,12 @@ subspace frame, AdamSNSM (SVD and SRHT frames) and GaLore, which draw ahead
 while OpenBLAS is held off the helper's CPU. ``grad-norm-sum-overflow`` is
 an SGD run whose every ||grad f||^2 is finite but whose sum overflows a
 float; against a tree that reported its mean as ``inf`` with numpy's
-overflow warning, it differs on stderr by design.
+overflow warning, it differs on stderr by design. The ``svd`` commands build
+"svd" frames where ``linalg`` runs LAPACK dgesdd's path-5 steps itself and
+where it hands the gradient to ``np.linalg.svd``: a tall 96x64 gradient
+inside path 5, a 64x16 one past it, 32x32 gradients below and above
+dgesdd's scaling bounds, and a frame stacked over three seeds of which one
+diverges and leaves the stack.
 
 Every sweep that runs prints one verdict line per beta and comparison on
 stderr after its table, e.g. ``# beta=1 AdaGradSN(8) vs AdaGrad:
@@ -168,6 +173,26 @@ COMMANDS = [
           ("galore", ["--preset", "GaLore", "--rank", "3", "--refresh-gap", "7"]),
           ("adamsn-wd-clip", ["--preset", "AdamSN", "--weight-decay", "0.01",
                               "--clip-norm", "1.0"]))),
+    # "svd" frames at the edges of dgesdd's path 5, whose steps linalg runs
+    # itself: a tall gradient inside it and one past it
+    ("svd-tall-96x64", ["train", "--d", "6144", "--param-shape", "96x64", "--T", "30",
+                        "--sigma", "0.3", "--n-seeds", "2", "--preset", "AdamSNSM",
+                        "--rank", "8", "--refresh-gap", "10"]),
+    ("svd-tall-64x16", ["train", "--d", "1024", "--param-shape", "64x16", "--T", "30",
+                        "--sigma", "0.3", "--n-seeds", "2", "--preset", "GaLore",
+                        "--rank", "4", "--refresh-gap", "10"]),
+    # a 32x32 gradient below dgesdd's scaling floor (2**-459), and one above
+    # its ceiling (2**459): both go to np.linalg.svd
+    *((f"svd-{label}", ["train", "--preset", "AdamSNSM", "--d", "1024",
+                        "--param-shape", "32x32", "--delta1", "1e-300",
+                        "--sigma", sigma, "--T", "3"])
+      for label, sigma in (("tiny-grad", "0"), ("huge-noise", "1e150"))),
+    # W1 (64x48) of three seeds refreshed every step: seed 1 diverges at
+    # t = 43, and the frame is stacked over the other two from then on
+    ("svd-3-seeds-one-diverges", ["train", "--objective", "mlp2", "--d", "48",
+                                  "--hidden", "64", "--n-seeds", "3", "--T", "60",
+                                  "--lr", "60", "--sigma", "1", "--refresh-gap", "1",
+                                  "--rank", "4", "--preset", "SGD-SM"]),
 ]
 
 
