@@ -154,10 +154,12 @@ class Quadratic:
 
     @classmethod
     def isotropic(cls, d: int, shape: tuple | None = None) -> Quadratic:
-        """f(x) = 0.5 ||x||^2 on d coordinates: every curvature 1, so L = 1."""
-        # np.ones would reject d < 0 with numpy's message, which names no flag
+        """f(x) = 0.5 ||x||^2 on d coordinates: every curvature 1, so L = 1.
+        ``lam`` is one 1.0 seen d times (a read-only view of stride 0), not a
+        d-long buffer; 1.0 * x is x bit for bit."""
+        # broadcast_to would reject d < 0 with numpy's message, which names no flag
         check_size("quadratic", "d", d)
-        return cls(np.ones(d), shape=shape)
+        return cls(np.broadcast_to(1.0, (d,)), shape=shape)
 
     def value_and_grad(self, x: np.ndarray) -> tuple:
         """(f(x), grad f(x)) from one pass: f(x) is a float for one point,

@@ -2,11 +2,13 @@
 
 :func:`_libraries` scans ``/proc/self/maps`` for mapped OpenBLAS files and
 loads each through ``ctypes``, on the first call that needs one; nothing
-here runs at import. Two parts of snsm call into them:
+here runs at import. snsm calls three kinds of routine in them:
 
-- :func:`thread_calls`, the thread-count calls with which
-  :mod:`snsm.parallel` holds OpenBLAS off its noise helper's CPU;
-- :func:`svd_steps`, the LAPACK routines with which :mod:`snsm.linalg`
+- the thread-count calls, with which :mod:`snsm.parallel` holds OpenBLAS
+  off its noise helper's CPU, and
+- the worker-pool shutdown, with which it parks OpenBLAS's idle worker
+  threads as the helper starts, both from :func:`thread_calls`;
+- the LAPACK routines of :func:`svd_steps`, with which :mod:`snsm.linalg`
   builds an exact "svd" frame without the right singular vectors.
 
 Every OpenBLAS symbol of snsm is named here, and only here is ``ctypes``
@@ -23,6 +25,12 @@ _THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+
+# joins OpenBLAS's worker threads, which otherwise spin on their CPUs after
+# each multi-threaded call whatever the thread count is set to; the next
+# multi-threaded call starts them again. OpenBLAS's own pthread_atfork
+# prepare handler calls it before every fork.
+_PARK_SYMBOL = "blas_thread_shutdown_"
 
 # DGEBRD, DBDSDC and DORMBR of the scipy-openblas ILP64 wheels (64-bit
 # integers), each with its count of arguments passed by reference and of
@@ -56,27 +64,31 @@ def _libraries() -> tuple:
     return tuple(libs)
 
 
-def _exported(names: tuple):
-    """The functions ``names`` of the first loaded OpenBLAS that exports all
-    of them, or None."""
+def _exporting(names: tuple):
+    """The first loaded OpenBLAS that exports all of ``names``, or None."""
     for lib in _libraries():
         if all(hasattr(lib, name) for name in names):
-            return tuple(getattr(lib, name) for name in names)
+            return lib
     return None
 
 
 @functools.cache
 def thread_calls():
-    """``(get, set)``, the thread-count calls of the loaded OpenBLAS, or
-    None where no OpenBLAS with those symbols is mapped."""
+    """``(get, set, park)`` of the loaded OpenBLAS, or None where no
+    OpenBLAS with the thread-count calls is mapped. ``park`` joins the
+    worker threads and leaves the count as it is; it is None where the
+    library with those calls does not export it."""
     import ctypes
 
     for names in _THREAD_SYMBOLS:
-        if (calls := _exported(names)) is not None:
-            get, set_ = calls
+        if (lib := _exporting(names)) is not None:
+            get, set_ = (getattr(lib, name) for name in names)
             get.argtypes, get.restype = (), ctypes.c_int
             set_.argtypes, set_.restype = (ctypes.c_int,), None
-            return calls
+            park = getattr(lib, _PARK_SYMBOL, None)
+            if park is not None:
+                park.argtypes, park.restype = (), ctypes.c_int
+            return get, set_, park
     return None
 
 
@@ -88,9 +100,10 @@ def svd_steps():
     then one length per CHARACTER argument."""
     import ctypes
 
-    steps = _exported(tuple(name for name, _, _ in _SVD_SYMBOLS))
-    if steps is None:
+    names = tuple(name for name, _, _ in _SVD_SYMBOLS)
+    if (lib := _exporting(names)) is None:
         return None
+    steps = tuple(getattr(lib, name) for name in names)
     for fn, (_, refs, chars) in zip(steps, _SVD_SYMBOLS):
         fn.argtypes = (ctypes.c_void_p,) * refs + (ctypes.c_size_t,) * chars
         fn.restype = None

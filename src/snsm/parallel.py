@@ -2,7 +2,8 @@
 decides it: the betas of a sweep side by side on forked processes
 (:func:`_run_configs`), the noise drawn a step ahead on a helper thread
 where :func:`_draws_ahead` holds (:class:`_NoiseAhead`), and OpenBLAS held
-off the helper's CPU (:func:`_openblas_threads`). Every thread and process
+off the helper's CPU, its thread count lowered and its idle worker threads
+parked (:func:`_openblas_threads`). Every thread and process
 of snsm is started here; the OpenBLAS it holds is looked up in
 :mod:`snsm.openblas`. Nothing here imports :mod:`snsm.harness`, whose
 ``run_rows`` is handed to :func:`_run_configs`.
@@ -128,6 +129,8 @@ def _draws_ahead(config, specs: list) -> bool:
       ``GaloreMomentum``) calls OpenBLAS every step, whose worker threads
       spin on every CPU after each call: such rows draw ahead only where
       :func:`_openblas_threads` can hold OpenBLAS off the helper's CPU.
+      Parking the worker threads is not required: without it the hold
+      only lowers the count.
     """
     d = config.objective.d
     normals = len(set(config.seeds)) * config.noise.prefix(d)[0]
@@ -138,8 +141,9 @@ def _draws_ahead(config, specs: list) -> bool:
         isinstance(spec.momentum, (SubspaceMomentum, GaloreMomentum)) for spec in specs)
 
 
-# ``(get, set)``, the thread-count calls of the OpenBLAS this process has
-# loaded, or None (:func:`snsm.openblas.thread_calls`): looked up once per
+# ``(get, set, park)``, the thread-count calls and the worker-pool shutdown
+# of the OpenBLAS this process has loaded (``park`` None where it is not
+# exported), or None (:func:`snsm.openblas.thread_calls`): looked up once per
 # process, on the first run that may draw ahead. Named here so that tests
 # can stand in for it.
 _openblas_threads = openblas.thread_calls
@@ -153,9 +157,11 @@ class _NoiseAhead:
     :meth:`start` hands the helper the draw of ``(seeds, t)``; :meth:`take`
     waits for it and returns it when it is for the seeds and step asked
     for, else None, and the buffer is free again. The thread starts with
-    the first draw, and from then on OpenBLAS runs on at most the usable
-    CPUs less one (:func:`_openblas_threads`); :meth:`close` waits for a
-    draw under way, joins the thread and restores OpenBLAS's thread count.
+    the first draw: just before, from the calling thread, OpenBLAS is set
+    to run on at most the usable CPUs less one and its worker threads are
+    parked (:meth:`_hold_openblas`). :meth:`close` waits for a draw under
+    way, joins the thread and restores OpenBLAS's thread count; the next
+    multi-threaded OpenBLAS call starts its workers again.
     """
 
     def __init__(self, config):
@@ -185,24 +191,31 @@ class _NoiseAhead:
 
     def start(self, seeds: list, t: int) -> None:
         if self._thread is None:
-            self._thread = threading.Thread(target=self._serve, daemon=True)
-            self._thread.start()
             self._hold_openblas()
+            thread = threading.Thread(target=self._serve, daemon=True)
+            thread.start()
+            self._thread = thread
         self._job = (seeds, t)
         self._go.release()
 
     def _hold_openblas(self) -> None:
         """Cap OpenBLAS at the usable CPUs less one, which leaves the helper
-        a CPU; a count already that low stays as it is."""
+        a CPU; a count already that low stays as it is. Then park its
+        worker threads: after a multi-threaded call they spin on their CPUs
+        whatever the count, about 130 ms of CPU time on a 2-vCPU VM. The
+        park took about 0.1 ms, and the next two-thread call about 1 ms
+        longer than a warm one to start them again."""
         calls = _openblas_threads()
         if calls is None:
             return
-        get, set_ = calls
+        get, set_, park = calls
         before = get()
         held = min(before, _usable_cpus() - 1)
         if held != before:
             set_(held)
             self._restore = set_, before
+        if park is not None:
+            park()
 
     def take(self, seeds: list, t: int):
         if self._job is None:
@@ -216,14 +229,13 @@ class _NoiseAhead:
         return self._buf[:len(seeds)] if job == (seeds, t) else None
 
     def close(self) -> None:
-        if self._thread is None:
-            return
-        if self._job is not None:
-            self._done.acquire()
-            self._job = None
-        self._go.release()
-        self._thread.join()
-        self._thread = None
-        if self._restore is not None:
+        if self._thread is not None:
+            if self._job is not None:
+                self._done.acquire()
+                self._job = None
+            self._go.release()
+            self._thread.join()
+            self._thread = None
+        if self._restore is not None:  # also where the thread did not start
             set_, before = self._restore
             set_(before)

@@ -452,15 +452,20 @@ def test_draws_ahead_only_where_it_pays(monkeypatch, change, ahead):
 
 
 class _Threads:
-    """A stand-in for OpenBLAS's thread count: the count and each set."""
+    """A stand-in for OpenBLAS's thread count: the count, each set and the
+    parks of its worker threads, or no park call at all."""
 
-    def __init__(self, count):
-        self.count, self.sets = count, []
-        self.calls = (lambda: self.count), self._set
+    def __init__(self, count, park=True):
+        self.count, self.sets, self.parks = count, [], 0
+        self.calls = (lambda: self.count), self._set, self._park if park else None
 
     def _set(self, count):
         self.sets.append(count)
         self.count = count
+
+    def _park(self):
+        self.parks += 1
+        return 0
 
 
 def _counting_oracle(monkeypatch, threads, fail_at=None) -> list:
@@ -478,27 +483,69 @@ def _counting_oracle(monkeypatch, threads, fail_at=None) -> list:
     return seen
 
 
-# the hold never raises the count: OpenBLAS set to fewer threads stays there
-@pytest.mark.parametrize("cpus,before,held", [(2, 2, 1), (4, 8, 3), (2, 1, 1), (4, 2, 2)])
-@pytest.mark.parametrize("fail_at", [None, 3])
-def test_openblas_is_held_while_the_helper_draws(monkeypatch, cpus, before, held,
-                                                 fail_at):
-    threads = _Threads(before)
+def _held_run(monkeypatch, threads, cpus, fail_at) -> tuple:
+    """(OpenBLAS's count at each oracle call, its parks at each helper draw)
+    of a frame run that draws ahead on ``cpus`` CPUs, with ``threads``
+    standing in for OpenBLAS; the oracle call at step ``fail_at`` raises."""
     monkeypatch.setattr(parallel, "_openblas_threads", lambda: threads.calls)
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
     config, spec = _ahead_config("AdamSNSM", **_FRAME_KW)
     seen = _counting_oracle(monkeypatch, threads.calls[0], fail_at)
+    real, parks_at_draw = parallel.draw, []
+
+    def drawing(noise, d, seeds, t, out=None):
+        parks_at_draw.append(threads.parks)
+        return real(noise, d, seeds, t, out=out)
+
+    monkeypatch.setattr(parallel, "draw", drawing)
     if fail_at is None:
         run(config, spec)
     else:
         with pytest.raises(RuntimeError, match="injected at step 3"):
             run(config, spec)
+    assert len(seen) == (fail_at or config.T - 1)
+    assert parks_at_draw
+    return seen, parks_at_draw
+
+
+# the hold never raises the count: OpenBLAS set to fewer threads stays there;
+# it parks the worker threads whatever the count
+@pytest.mark.parametrize("cpus,before,held", [(2, 2, 1), (4, 8, 3), (2, 1, 1), (4, 2, 2)])
+@pytest.mark.parametrize("fail_at", [None, 3])
+def test_openblas_is_held_while_the_helper_draws(monkeypatch, cpus, before, held,
+                                                 fail_at):
+    threads = _Threads(before)
+    seen, parks_at_draw = _held_run(monkeypatch, threads, cpus, fail_at)
     # the hold starts with the helper, after the first oracle call, and ends
     # when it is joined, on return or raise
     assert seen == [before] + [held] * (len(seen) - 1)
-    assert len(seen) == (fail_at or config.T - 1)
     assert threads.count == before
     assert threads.sets == ([] if held == before else [held, before])
+    # parked once, before the helper's first draw
+    assert threads.parks == 1 and set(parks_at_draw) == {1}
+
+
+@pytest.mark.parametrize("fail_at", [None, 3])
+def test_openblas_without_the_park_call_is_only_held(monkeypatch, fail_at):
+    threads = _Threads(2, park=False)
+    seen, _ = _held_run(monkeypatch, threads, 2, fail_at)
+    assert seen == [2] + [1] * (len(seen) - 1)
+    assert (threads.count, threads.sets, threads.parks) == (2, [1, 2], 0)
+
+
+def test_a_helper_that_cannot_start_leaves_openblas_as_found(monkeypatch):
+    threads = _Threads(2)
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: threads.calls)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        run(*_ahead_config("Adam"))
+    # held and parked before the start, and the count restored after it failed
+    assert (threads.count, threads.sets, threads.parks) == (2, [1, 2], 1)
 
 
 @pytest.mark.parametrize("fail_at", [None, 3])
@@ -506,7 +553,7 @@ def test_openblas_thread_count_is_restored(monkeypatch, fail_at):
     calls = parallel._openblas_threads()
     if calls is None:
         pytest.skip("numpy is not linked to an OpenBLAS whose thread count can be set")
-    get, set_ = calls
+    get, set_, _ = calls
     start = get()
     set_(2)  # a count the hold lowers, whatever count earlier runs left
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
@@ -523,6 +570,24 @@ def test_openblas_thread_count_is_restored(monkeypatch, fail_at):
         set_(start)  # a failure here leaves the next test its count
     assert seen == [2] + [1] * (len(seen) - 1)
     assert after == 2
+
+
+def test_parked_openblas_keeps_its_count_and_its_bits():
+    calls = parallel._openblas_threads()
+    if calls is None or calls[2] is None:
+        pytest.skip("numpy is not linked to an OpenBLAS that can park its threads")
+    get, set_, park = calls
+    start = get()
+    a = np.random.default_rng(0).standard_normal((512, 512))
+    try:
+        set_(2)
+        first = a @ a  # starts the worker pool where it is not running
+        assert park() == 0
+        assert get() == 2
+        # the next call starts the workers again and splits the work as before
+        assert (a @ a).tobytes() == first.tobytes()
+    finally:
+        set_(start)
 
 
 def _no_lookup():

@@ -88,6 +88,29 @@ def test_value_and_grad_is_one_pass_with_the_same_bits(lead):
         np.testing.assert_array_equal(g, grad(x))
 
 
+@pytest.mark.parametrize("lead", [(), (15,)])
+def test_isotropic_quadratic_holds_one_curvature(lead):
+    # its lam is one read-only 1.0 seen d times, and steps as np.ones(d)
+    # does, bit for bit
+    d = 1024
+    iso, ones = Quadratic.isotropic(d), Quadratic(np.ones(d))
+    assert iso.lam.shape == (d,) and iso.lam.strides == (0,)
+    low, high = np.lib.array_utils.byte_bounds(iso.lam)
+    assert high - low == iso.lam.itemsize
+    assert not iso.lam.flags.writeable
+    assert (iso.d, iso.smoothness) == (ones.d, ones.smoothness) == (d, 1.0)
+    assert iso.lam.sum() == ones.lam.sum() == d
+    rng = np.random.default_rng(11)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    for x in (rng.standard_normal(lead + (d,)),
+              rng.integers(-2**40, 2**40, lead + (d,)) * tiny,  # subnormal
+              np.where(rng.random(lead + (d,)) < 0.5, 0.0, -0.0)):
+        (v_iso, g_iso), (v_ones, g_ones) = iso.value_and_grad(x), ones.value_and_grad(x)
+        assert np.asarray(v_iso).tobytes() == np.asarray(v_ones).tobytes()
+        assert g_iso.tobytes() == g_ones.tobytes() == x.tobytes()
+        assert g_iso.flags.writeable and not np.shares_memory(g_iso, x)
+
+
 def test_mlp2_gradient_finite_diff():
     rng = np.random.default_rng(2)
     obj = MLP2(rng.standard_normal((16, 3)), rng.standard_normal(16), hidden=4)

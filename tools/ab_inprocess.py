@@ -25,8 +25,11 @@ the new tree won, and the median of each side's fork gap.
 ``matrix_train`` times each ``snsm train`` call of one ``matrix_train``
 pass (``workloads.calls``, seed = pair) through ``cli.main``, the two trees
 interleaved call by call, and asserts that both print the same stdout and
-stderr. It prints the same figures per call and for the pass, the sum of
-its calls. With ``--fresh`` it runs each pass in a fresh interpreter per
+stderr. Before each call it runs the workload's calibration loop, untimed,
+so that each call starts right after multi-threaded BLAS work, as in a
+benchmark pass (``perfbench/worker.py`` runs it after each call). It prints
+the same figures per call and for the pass, the sum of its calls. With
+``--fresh`` it runs each pass in a fresh interpreter per
 side and pair instead, as ``mem_manifest`` does (below), with the
 benchmark's calibration loop where ``perfbench/worker.py`` runs it (twice
 before the first call, once after each), so that the heap, and the peak
@@ -74,6 +77,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import calibrate  # noqa: E402
 import workloads  # noqa: E402
 
 BETAS = workloads.SWEEP_BETAS
@@ -123,7 +127,7 @@ def held_openblas(parallel):
     if calls is None:
         yield
         return
-    get, set_ = calls
+    get, set_ = calls[:2]  # a tree from before the park returns (get, set)
     before = get()
     set_(max(1, min(before, parallel._usable_cpus() - 1)))
     try:
@@ -259,6 +263,8 @@ def _pairs(args, sides: dict, fresh: bool) -> int:
         for label, job in jobs:
             outputs = {}
             for side in order:
+                if args.workload == "matrix_train":
+                    calibrate.LOOPS["matrix_train"]()
                 seconds, outputs[side] = job(side)
                 times.setdefault(label, {"old": [], "new": []})[side].append(seconds)
                 total[side] += seconds
