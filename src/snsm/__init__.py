@@ -3,7 +3,7 @@ subspace momentum as composable pieces of a first-order optimizer, plus
 analysis tools for convergence bounds, rate exponents, noise estimation,
 and optimizer-state accounting."""
 
-from .linalg import Frame, FrameKind, make_frame, project, lift, reconstruct
+from .linalg import Frame, FrameKind, make_frame, project, lift
 from .partition import (
     Partition,
     coordinatewise,

@@ -119,16 +119,9 @@ def _as_matrix(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def topk_svd(A: np.ndarray, k: int) -> Frame:
-    """Frame spanned by the top-k left singular vectors of A (of each matrix of a stack)."""
-    A = _as_matrix(A)
-    m, n = A.shape[-2:]
-    check_rank(FrameKind.SVD, m, k, n)
-    return _topk_svd(A, k)
-
-
 def _topk_svd(A: np.ndarray, k: int) -> Frame:
-    """:func:`topk_svd` of a checked float64 matrix or stack.
+    """Frame spanned by the top-k left singular vectors of a checked float64
+    matrix (of each matrix of a stack).
 
     The rows are the first k columns of U from ``np.linalg.svd(A,
     full_matrices=False)``, bit for bit. numpy runs LAPACK ``dgesdd`` with
@@ -230,19 +223,12 @@ _OVERSAMPLE = 8  # extra sketch columns beyond k
 _POWER_ITERS = 1  # subspace iterations that sharpen the sketch
 
 
-def randomized_range_svd(A: np.ndarray, k: int, seed: int = 0) -> Frame:
-    """Halko-style randomized range finder for the top-k left singular space.
+def _range_svd(A: np.ndarray, k: int, seed: int) -> Frame:
+    """Halko-style randomized range finder for the top-k left singular space
+    of a checked float64 matrix or stack.
 
     Every matrix of a stack is sketched with the same Gaussian test matrix.
     """
-    A = _as_matrix(A)
-    m, n = A.shape[-2:]
-    check_rank(FrameKind.APPROX_SVD, m, k, n)
-    return _range_svd(A, k, seed)
-
-
-def _range_svd(A: np.ndarray, k: int, seed: int) -> Frame:
-    """:func:`randomized_range_svd` of a checked float64 matrix or stack."""
     m, n = A.shape[-2:]
     oversample = min(_OVERSAMPLE, min(m, n) - k)
     rng = np.random.default_rng(seed)
@@ -371,8 +357,3 @@ def lift(f: Frame, C: np.ndarray) -> np.ndarray:
     out = np.zeros(C.shape[:-2] + (f.ambient_dim,) + C.shape[-1:])
     np.put_along_axis(out, _along_rows(f.indices, C), C, axis=-2)
     return out
-
-
-def reconstruct(f: Frame, G: np.ndarray) -> np.ndarray:
-    """P* P G — the component of G in the frame's subspace."""
-    return lift(f, project(f, G))

@@ -5,7 +5,8 @@ Objectives evaluate one point ``x`` of shape ``(d,)`` or S points at once,
 seed, so S points stepping in lockstep see the noise each would alone. Rows
 that share a seed share one draw of it. An objective's ``value_and_grad``
 gives f and its gradient from one pass, the call the harness makes once per
-step; ``value`` and ``grad`` are read from the same code.
+step; a :class:`Quadratic`'s ``value`` and ``grad`` are read from the same
+code.
 
 Each objective exposes ``manifest``, a :class:`ShapeManifest` of its
 parameter tensors: ``x`` holds them in manifest order, each row-major, and
@@ -212,12 +213,6 @@ class MLP2:
         dA = (W2.mT @ err[..., None, :]) * (1.0 - A * A)  # ([S,] h, n)
         gW1 = dA @ self.X / n  # ([S,] h, d_in)
         return loss, self.manifest.join([gW1, gW2])
-
-    def value(self, x: np.ndarray):
-        return self.value_and_grad(x)[0]
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_grad(x)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +428,7 @@ def stoch_grad(obj, noise: NoiseModel, x: np.ndarray, seed, t: int,
     :func:`draw` of the distinct seeds at t, in order of first appearance,
     when the caller drew it ahead; it is read, not written.
     """
-    g = obj.grad(x) if true_grad is None else true_grad
+    g = obj.value_and_grad(x)[1] if true_grad is None else true_grad
     seeds = seed if isinstance(seed, list) else np.atleast_1d(seed).tolist()
     distinct = list(dict.fromkeys(seeds))  # first appearance: the key-block order
     xi = draw(noise, obj.d, distinct, t) if drawn is None else drawn

@@ -42,11 +42,6 @@ class Partition:
         """Number of subsets."""
         return -(-self.d // self.k)
 
-    @property
-    def subset_sizes(self) -> np.ndarray:
-        sizes = np.full(self.c, self.k, dtype=np.int64)
-        sizes[-1] = self.d - (self.c - 1) * self.k
-        return sizes
 
 def equipartition(d: int, k: int) -> Partition:
     """Consecutive blocks of size k; requires k | d."""

@@ -382,13 +382,8 @@ def test_draw_ahead_discards_the_draw_of_a_seed_that_left(monkeypatch):
     assert [s.diverged for s in ahead.summaries] == [True, False]
 
 
-def test_no_helper_thread_outlives_the_run(monkeypatch):
-    config, spec = _ahead_config("Adam")
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
-    before = threading.active_count()
-    run(config, spec)
-    assert threading.active_count() == before
-    real, seen = harness.stoch_grad, []
+def _fail_in_oracle(monkeypatch, seen):
+    real = harness.stoch_grad
 
     def oracle(obj, noise, x, seed, t, true_grad=None, drawn=None):
         if t == 3:
@@ -397,10 +392,41 @@ def test_no_helper_thread_outlives_the_run(monkeypatch):
         return real(obj, noise, x, seed, t, true_grad=true_grad, drawn=drawn)
 
     monkeypatch.setattr(harness, "stoch_grad", oracle)
+
+
+def _fail_in_step(monkeypatch, seen):
+    real = Optimizer.step
+
+    def step(self, params, grads, t):
+        if t == 3:
+            seen.append(threading.active_count())
+            raise RuntimeError("injected at step 3")
+        return real(self, params, grads, t)
+
+    monkeypatch.setattr(Optimizer, "step", step)
+
+
+# the error at t = 3 comes from the oracle call, before the helper is handed
+# step 4's draw, or from the rows' step, after it: the run then closes the
+# helper with that draw handed out and not taken
+@pytest.mark.parametrize("inject,last_draw", [(_fail_in_oracle, 3), (_fail_in_step, 4)],
+                         ids=["oracle", "step"])
+def test_no_helper_thread_outlives_the_run(monkeypatch, inject, last_draw):
+    config, spec = _ahead_config("Adam")
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    threads = _Threads(2)
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: threads.calls)
+    before = threading.active_count()
+    run(config, spec)
+    assert threading.active_count() == before
+    draws, seen = _helper_draws(monkeypatch), []
+    inject(monkeypatch, seen)
     with pytest.raises(RuntimeError, match="injected at step 3"):
         run(config, spec)
     assert seen == [before + 1]  # the helper was running
+    assert draws[-1] == ([3, 8], last_draw)
     assert threading.active_count() == before
+    assert threads.count == 2 and threads.sets == [1, 2, 1, 2]  # held, restored
 
 
 def test_a_helper_draw_error_is_raised_by_the_run(monkeypatch):
@@ -1196,6 +1222,20 @@ def test_cli_bound_verify_failure_writes_no_row(capsys):
     assert "snsm: error: seeds must be non-empty" in captured.err
 
 
+def test_cli_bound_verify_check_failed_exit_3(monkeypatch, capsys):
+    argv = ["bound", "--thm", "2", "--T", "50", "--format", "json"]
+    assert main(argv) == 0
+    row = capsys.readouterr().out
+    failing = harness.BoundCheck(bound=0.5, eta_star=0.1, metrics=(1.0, 1.0),
+                                 violations=2, fraction=1.0, threshold=0.2,
+                                 passed=False)
+    monkeypatch.setattr(harness, "verify_thm2", lambda **kw: failing)
+    assert main(argv + ["--verify"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == row
+    assert "passed=False" in captured.err
+
+
 def test_cli_bound_verify_forwards_beta1(monkeypatch, capsys):
     specs = _capture_run(monkeypatch)
     assert main(["bound", "--thm", "2", "--verify", "--beta1", "0.5", "--T", "50",
@@ -1275,6 +1315,9 @@ def test_cli_sweep_bad_subset_size_exit_1(capsys):
     (["sweep", "--lr", "nan"], "lr must be finite and > 0, got nan"),
     (["train", "--sigma", "-1"], "sigma must be finite and >= 0, got -1.0"),
     (["sweep", "--alpha", "-1"], "density_alpha must be finite and >= 0, got -1.0"),
+    (["train", "--record-every", "0"], "record_every must be >= 1"),
+    (["train", "--subset-rule", "equip", "--subset-size", "0"],
+     "subset size must be >= 1, got 0"),
 ])
 def test_cli_bad_step_size_or_noise_level_exit_1(capsys, argv, message):
     assert main(argv + ["--d", "16", "--T", "5", "--out", "/dev/null"]) == 1
@@ -1510,8 +1553,14 @@ def test_cli_noise(tmp_path, capsys):
     np.save(path, samples)
     assert main(["noise", "--samples", str(path), "--threshold", "0.5",
                  "--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data[0]["d"] == 20
+    out = capsys.readouterr().out
+    assert json.loads(out)[0]["d"] == 20
+    # a whitespace text file of the same samples gives the same row
+    text = tmp_path / "g.txt"
+    np.savetxt(text, samples)
+    assert main(["noise", "--samples", str(text), "--threshold", "0.5",
+                 "--format", "json"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_cli_sweep(capsys):

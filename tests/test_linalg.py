@@ -16,10 +16,7 @@ from snsm.linalg import (
     lift,
     make_frame,
     project,
-    randomized_range_svd,
-    reconstruct,
     take_replicas,
-    topk_svd,
 )
 
 PROJECTOR_KINDS = [
@@ -35,6 +32,14 @@ PROJECTOR_KINDS = [
 def _frame(kind, m, k, seed, rng):
     ref = rng.standard_normal((m, k + 8))
     return make_frame(kind, m, k, seed=seed, reference_grad=ref)
+
+
+def _svd_frame(G, k):
+    return make_frame(FrameKind.SVD, G.shape[-2], k, reference_grad=G)
+
+
+def _range_frame(G, k, seed):
+    return make_frame(FrameKind.APPROX_SVD, G.shape[-2], k, seed=seed, reference_grad=G)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +82,7 @@ def test_topk_svd_matches_jacobi_oracle():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((12, 9))
     k = 4
-    f = topk_svd(A, k)
+    f = _svd_frame(A, k)
     U, svals = jacobi_left_singular_vectors(A)
     # compare the spanned subspaces, not the (sign-ambiguous) vectors
     P_ours = f.rows.T @ f.rows
@@ -90,7 +95,7 @@ def test_topk_svd_matches_jacobi_oracle():
 
 
 def test_topk_svd_identity_input():
-    f = topk_svd(np.eye(3), 2)
+    f = _svd_frame(np.eye(3), 2)
     P = f.rows.T @ f.rows
     assert np.isclose(np.trace(P), 2.0)
     eig = np.sort(np.linalg.eigvalsh(P))
@@ -99,8 +104,8 @@ def test_topk_svd_identity_input():
 
 def test_topk_svd_diagonal_residual():
     A = np.diag([3.0, 2.0, 1.0])
-    f = topk_svd(A, 1)
-    resid = np.linalg.norm(A - reconstruct(f, A), "fro") ** 2
+    f = _svd_frame(A, 1)
+    resid = np.linalg.norm(A - lift(f, project(f, A)), "fro") ** 2
     assert np.isclose(resid, 5.0, atol=1e-12)
     assert np.isclose(abs(f.rows[0, 0]), 1.0, atol=1e-12)
 
@@ -108,13 +113,13 @@ def test_topk_svd_diagonal_residual():
 def test_topk_svd_full_rank_contains_columns():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((8, 5))
-    f = topk_svd(A, 5)
-    assert np.linalg.norm(A - reconstruct(f, A), "fro") <= 1e-8
+    f = _svd_frame(A, 5)
+    assert np.linalg.norm(A - lift(f, project(f, A)), "fro") <= 1e-8
 
 
 def test_topk_svd_k_out_of_range():
     with pytest.raises(ValueError):
-        topk_svd(np.eye(3), 4)
+        _svd_frame(np.eye(3), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +159,6 @@ def _assert_numpy_rows(G, k, frame):
     assert rows.base is None or rows.base.size == rows.size
 
 
-def _svd_frame(G, k):
-    return make_frame(FrameKind.SVD, G.shape[-2], k, reference_grad=G)
-
-
 # (m, n, taken by path 5): n <= m < int(11n/6); 64x16 is tall past it
 @pytest.mark.parametrize("m,n,path5", [(40, 40, True), (12, 8, True), (300, 200, True),
                                        (2, 2, True), (64, 16, False), (29, 16, False),
@@ -174,7 +175,7 @@ def test_wide_matrix_goes_to_numpy_svd(monkeypatch, path5_calls):
     monkeypatch.setattr(linalg, "_PATH5_MIN_N", 2)
     G = np.random.default_rng(3).standard_normal((8, 12))
     for k in (1, 4, 8):
-        _assert_numpy_rows(G, k, topk_svd)
+        _assert_numpy_rows(G, k, _svd_frame)
     assert path5_calls == []
 
 
@@ -250,9 +251,7 @@ def test_make_frame_checks_its_reference_gradient_once(monkeypatch, kind):
     f = make_frame(kind, 16, 4, seed=5, reference_grad=ref)
     assert checked == [(2, 16, 12)]
     if kind is FrameKind.SVD:
-        assert np.array_equal(f.rows, topk_svd(ref, 4).rows)
-    elif kind is FrameKind.APPROX_SVD:
-        assert np.array_equal(f.rows, randomized_range_svd(ref, 4, seed=5).rows)
+        assert np.array_equal(f.rows, _numpy_rows(ref, 4))
     ref[1, 3, 2] = np.nan
     with pytest.raises(ValueError, match="matrix contains non-finite entries"):
         make_frame(kind, 16, 4, seed=5, reference_grad=ref)
@@ -263,12 +262,12 @@ def test_randomized_range_exact_low_rank():
     B = rng.standard_normal((64, 6))
     C = rng.standard_normal((6, 32))
     A = B @ C
-    f = randomized_range_svd(A, 6, seed=5)
-    assert np.linalg.norm(A - reconstruct(f, A), "fro") <= 1e-6
+    f = _range_frame(A, 6, seed=5)
+    assert np.linalg.norm(A - lift(f, project(f, A)), "fro") <= 1e-6
 
 
 def test_randomized_range_zero_matrix():
-    f = randomized_range_svd(np.zeros((16, 8)), 4, seed=1)
+    f = _range_frame(np.zeros((16, 8)), 4, seed=1)
     assert f.rank == 4
     assert np.allclose(f.rows @ f.rows.T, np.eye(4), atol=1e-10)
 
@@ -278,9 +277,8 @@ def test_randomized_range_near_exact_residual():
     ratios = []
     for seed in range(20):
         A = rng.standard_normal((64, 32))
-        exact = np.linalg.norm(A - reconstruct(topk_svd(A, 8), A), "fro")
-        approx = np.linalg.norm(
-            A - reconstruct(randomized_range_svd(A, 8, seed=seed), A), "fro")
+        exact, approx = (np.linalg.norm(A - lift(f, project(f, A)), "fro")
+                         for f in (_svd_frame(A, 8), _range_frame(A, 8, seed)))
         ratios.append(approx / exact)
         assert approx >= exact - 1e-10  # SVD is optimal
     assert np.mean(ratios) <= 2.0
@@ -303,7 +301,7 @@ def test_row_subset_selector():
               indices=np.array([0, 2]))
     g = np.array([[1.0], [2.0], [3.0], [4.0]])
     np.testing.assert_array_equal(project(f, g), [[1.0], [3.0]])
-    np.testing.assert_array_equal(reconstruct(f, g).ravel(), [1.0, 0.0, 3.0, 0.0])
+    np.testing.assert_array_equal(lift(f, project(f, g)).ravel(), [1.0, 0.0, 3.0, 0.0])
 
 
 def test_topkrows_picks_largest_row_norms():
@@ -317,7 +315,7 @@ def test_zero_frame():
     G = np.ones((5, 2))
     assert project(f, G).shape == (0, 2)
     np.testing.assert_array_equal(lift(f, np.zeros((0, 2))), np.zeros((5, 2)))
-    np.testing.assert_array_equal(reconstruct(f, G), np.zeros((5, 2)))
+    np.testing.assert_array_equal(lift(f, project(f, G)), np.zeros((5, 2)))
 
 
 def _sylvester_hadamard(m):
@@ -420,9 +418,9 @@ def test_projector_invariants(kind, m, k):
     for trial in range(5):
         f = _frame(kind, m, k, seed=trial, rng=rng)
         G = rng.standard_normal((m, 12))
-        PG = reconstruct(f, G)
+        PG = lift(f, project(f, G))
         # idempotency
-        assert np.linalg.norm(reconstruct(f, PG) - PG) <= 1e-10 * np.linalg.norm(G)
+        assert np.linalg.norm(lift(f, project(f, PG)) - PG) <= 1e-10 * np.linalg.norm(G)
         # orthogonal split + Pythagoras
         R = G - PG
         assert abs(np.sum(PG * R)) <= 1e-8 * np.linalg.norm(G) ** 2
@@ -451,7 +449,7 @@ def test_orthonormal_frame_orthogonality_example():
     f = Frame(kind=FrameKind.GAUSSIAN_ORTHO, ambient_dim=4, rank=2,
               rows=np.ascontiguousarray(q.T))
     G = rng.standard_normal((4, 3))
-    PG = reconstruct(f, G)
+    PG = lift(f, project(f, G))
     assert abs(np.sum(PG * (G - PG))) <= 1e-10
 
 

@@ -23,7 +23,7 @@ def _finite_diff(obj, x, h=1e-6):
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h
-        g[i] = (obj.value(x + e) - obj.value(x - e)) / (2 * h)
+        g[i] = (obj.value_and_grad(x + e)[0] - obj.value_and_grad(x - e)[0]) / (2 * h)
     return g
 
 
@@ -55,37 +55,55 @@ def test_objectives_act_row_by_row():
     mlp = MLP2(rng.standard_normal((16, 3)), rng.standard_normal(16), hidden=4)
     for obj in (quad, mlp):
         X = rng.uniform(-0.5, 0.5, (4, obj.d))
-        values, grads = obj.value(X), obj.grad(X)
+        values, grads = obj.value_and_grad(X)
         assert values.shape == (4,) and grads.shape == (4, obj.d)
         for x, v, g in zip(X, values, grads):
-            assert isinstance(obj.value(x), float)
-            assert v == obj.value(x)
-            np.testing.assert_array_equal(g, obj.grad(x))
+            value, grad = obj.value_and_grad(x)
+            assert isinstance(value, float)
+            assert v == value
+            np.testing.assert_array_equal(g, grad)
 
 
 @pytest.mark.parametrize("lead", [(), (3,)])
 def test_value_and_grad_is_one_pass_with_the_same_bits(lead):
-    # one pass gives what value and grad give, and what the formulas written
-    # out separately give, bit for bit: 0.5 sum(lam x x) for the quadratic,
-    # half the mean squared error of one forward pass for the network
+    # one pass gives what the formulas written out separately give, bit for
+    # bit: 0.5 sum(lam x x) and lam x for the quadratic (whose value and
+    # grad give the same), half the mean squared error of one forward pass
+    # and its backprop, layer by layer, for the network
     rng = np.random.default_rng(5)
     quad = Quadratic(rng.uniform(0.1, 3.0, 10))
     mlp = MLP2(rng.standard_normal((16, 3)), rng.standard_normal(16), hidden=4)
 
-    def mlp_value(x):
+    def mlp_forward(x):
         W1, W2 = mlp.manifest.split(x)
-        pred = (W2 @ np.tanh(W1 @ mlp.X.T))[..., 0, :]
-        return 0.5 * np.mean((pred - mlp.y) ** 2, axis=-1)
+        A = np.tanh(W1 @ mlp.X.T)
+        return W2, A, (W2 @ A)[..., 0, :] - mlp.y
 
-    for obj, value, grad in (
-            (quad, lambda x: 0.5 * (quad.lam * x * x).sum(axis=-1),
-             lambda x: quad.lam * x),
-            (mlp, mlp_value, mlp.grad)):
+    def mlp_value(x):
+        return 0.5 * np.mean(mlp_forward(x)[2] ** 2, axis=-1)
+
+    def mlp_grad(x):
+        W2, A, err = mlp_forward(x)
+        n = len(mlp.y)
+        gW2 = (err[..., None, :] @ A.mT) / n
+        gW1 = (W2.mT @ err[..., None, :]) * (1.0 - A * A) @ mlp.X / n
+        return np.concatenate([gW1.reshape(lead + (-1,)), gW2.reshape(lead + (-1,))],
+                              axis=-1)
+
+    def quad_value(x):
+        return 0.5 * (quad.lam * x * x).sum(axis=-1)
+
+    def quad_grad(x):
+        return quad.lam * x
+
+    for obj, value, grad in ((quad, quad_value, quad_grad), (mlp, mlp_value, mlp_grad)):
         x = rng.uniform(-0.5, 0.5, lead + (obj.d,))
         loss, g = obj.value_and_grad(x)
-        assert np.array_equal(loss, obj.value(x)) and np.array_equal(loss, value(x))
-        np.testing.assert_array_equal(g, obj.grad(x))
+        assert np.array_equal(loss, value(x))
         np.testing.assert_array_equal(g, grad(x))
+    x = rng.uniform(-0.5, 0.5, lead + (quad.d,))
+    assert np.array_equal(quad.value(x), quad_value(x))
+    np.testing.assert_array_equal(quad.grad(x), quad_grad(x))
 
 
 @pytest.mark.parametrize("lead", [(), (15,)])
@@ -115,7 +133,7 @@ def test_mlp2_gradient_finite_diff():
     rng = np.random.default_rng(2)
     obj = MLP2(rng.standard_normal((16, 3)), rng.standard_normal(16), hidden=4)
     x = rng.uniform(-0.5, 0.5, obj.d)
-    np.testing.assert_allclose(obj.grad(x), _finite_diff(obj, x), atol=1e-5)
+    np.testing.assert_allclose(obj.value_and_grad(x)[1], _finite_diff(obj, x), atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
