@@ -4,16 +4,7 @@ analysis tools for convergence bounds, rate exponents, noise estimation,
 and optimizer-state accounting."""
 
 from .linalg import Frame, FrameKind, make_frame, project, lift
-from .partition import (
-    Partition,
-    coordinatewise,
-    equipartition,
-    heuristic_2d,
-    ragged_equipartition,
-    singleton,
-    sqrt_heuristic,
-    subset_sqnorms,
-)
+from .partition import Partition, subset_sqnorms
 from .subsetnorm import (
     SubsetNormState,
     sn_accumulate,

@@ -360,11 +360,6 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
     betas = tuple(betas)
     if not betas:
         raise ValueError("a sweep needs at least one beta")
-    for k in subset_sizes:
-        if k < 1:
-            raise ValueError(f"subset size {k} must be >= 1")
-        if d % k != 0:
-            raise ValueError(f"subset size {k} does not divide d={d}")
     seeds = tuple(seeds)
     if len(seeds) < 2:
         raise ValueError("a sweep needs at least two seeds to report a stderr")
@@ -373,6 +368,8 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
     jobs += [("AdaGradSN", k, dict(subset_rule="equip", subset_size=k))
              for k in subset_sizes]
     specs = [make_preset(name, lr=lr, **extra) for name, _, extra in jobs]
+    for spec in specs:  # checks each row's partition of d; allocates nothing
+        Optimizer(spec, obj.manifest.shapes)
     noises = [NoiseModel(density_beta=float(beta), density_alpha=alpha)
               for beta in betas]
     configs = [ExperimentConfig(objective=obj, noise=noise, T=T, seeds=seeds,

@@ -166,18 +166,8 @@ PRESET_NAMES = (
 # ---------------------------------------------------------------------------
 # per-parameter state
 
-def _build_partition(rule: str, subset_size, shape) -> part.Partition:
-    """The partition of ``shape`` under a rule its spec has checked."""
-    d = math.prod(shape)
-    if rule == "heuristic2d":
-        if len(shape) == 2:
-            return part.heuristic_2d(shape[0], shape[1])
-        return part.sqrt_heuristic(d)
-    if rule == "equip":
-        return part.equipartition(d, subset_size)
-    if rule == "norm":
-        return part.singleton(d)
-    return part.coordinatewise(d)
+# the slots build partitions by this name, which perfbench/spans.py wraps
+_build_partition = part.build
 
 
 class _ParamSlot:

@@ -5,6 +5,9 @@ A partition is described by its shape alone: ``d`` coordinates in subsets of
 may be shorter); a ``columns`` partition views the flat coordinates
 row-major as a ``k x (d/k)`` matrix and takes each column as one subset.
 No per-coordinate label array is kept.
+
+A rule, one of ``RULES``, names how a parameter's shape is partitioned:
+:func:`check_rule` checks it when a spec is built, :func:`build` applies it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+
+RULES = ("heuristic2d", "equip", "norm", "coord")
 
 
 @dataclass(frozen=True)
@@ -43,48 +48,42 @@ class Partition:
         return -(-self.d // self.k)
 
 
-def equipartition(d: int, k: int) -> Partition:
-    """Consecutive blocks of size k; requires k | d."""
-    if k < 1:
-        raise ValueError("subset size k must be >= 1")
-    if d % k != 0:
-        raise ValueError(f"subset size k={k} does not divide d={d}")
-    return Partition(d, k)
+def check_rule(rule: str, subset_size: int | None) -> None:
+    """Reject an unknown rule, and a subset size the rule does not read:
+    ``equip`` needs one >= 1, the other rules take none."""
+    if rule not in RULES:
+        raise ValueError(f"unknown partition rule {rule!r}; "
+                         f"choose from {', '.join(RULES)}")
+    if rule == "equip" and subset_size is None:
+        raise ValueError("equip rule requires subset_size")
+    if rule != "equip" and subset_size is not None:
+        raise ValueError(f"the {rule} partition rule takes no subset_size, "
+                         f"got {subset_size}")
+    if subset_size is not None and subset_size < 1:
+        raise ValueError(f"subset size must be >= 1, got {subset_size}")
 
 
-def ragged_equipartition(d: int, k: int) -> Partition:
-    """Consecutive blocks of size k; the last block may be smaller."""
-    if k < 1:
-        raise ValueError("subset size k must be >= 1")
-    return Partition(d, min(k, d))
+def build(rule: str, subset_size: int | None, shape: tuple) -> Partition:
+    """The partition of ``shape`` under a rule that passed :func:`check_rule`.
 
-
-def sqrt_heuristic(d: int) -> Partition:
-    """Subset size ~ sqrt(d)/2 for arbitrary 1D parameters (ragged)."""
-    k = max(1, round(math.sqrt(d) / 2))
-    return ragged_equipartition(d, k)
-
-
-def heuristic_2d(m: int, n: int) -> Partition:
-    """Group an m x n parameter (row-major) along its smaller dimension.
-
-    For m >= n each row is a subset (state size m); otherwise each column is
-    one (state size n).  Ties go to rows.
+    ``heuristic2d`` makes each row of an m x n matrix a subset when m >= n,
+    else each column, and cuts any other shape into blocks of about
+    sqrt(d)/2, the last one possibly shorter; ``equip`` cuts blocks of
+    ``subset_size``, which must divide d; ``norm`` is one subset
+    (AdaGrad-Norm) and ``coord`` one per coordinate (AdaGrad).
     """
-    if m < 1 or n < 1:
-        raise ValueError("shape dimensions must be positive")
-    if m >= n:
-        return Partition(m * n, n)
-    return Partition(m * n, m, columns=True)
-
-
-def singleton(d: int) -> Partition:
-    """One subset for everything — the AdaGrad-Norm grouping (c=1)."""
-    return Partition(d, d)
-
-
-def coordinatewise(d: int) -> Partition:
-    """Every coordinate its own subset — the AdaGrad-Coordinate grouping (c=d)."""
+    d = math.prod(shape)
+    if rule == "heuristic2d":
+        if len(shape) == 2:
+            m, n = shape
+            return Partition(d, min(m, n), columns=m < n)
+        return Partition(d, max(1, round(math.sqrt(d) / 2)))
+    if rule == "equip":
+        if d % subset_size != 0:
+            raise ValueError(f"subset size k={subset_size} does not divide d={d}")
+        return Partition(d, subset_size)
+    if rule == "norm":
+        return Partition(d, d)
     return Partition(d, 1)
 
 

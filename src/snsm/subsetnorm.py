@@ -9,7 +9,8 @@ divides by the same denominator. The accumulators of S replicas that step in
 lockstep are one ``(S, c)`` array.
 
 A rule checks its values when it is built, so every denominator is > 0:
-at least b0 under AdaGrad and at least eps under the EMA rule.
+at least b0 under AdaGrad and at least eps under the EMA rule; its
+partition rule is checked and applied by :mod:`snsm.partition`.
 """
 
 from __future__ import annotations
@@ -19,27 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import Partition
+from .partition import Partition, check_rule
 from .subspace import check_beta, check_eps
-
-
-PARTITION_RULES = ("heuristic2d", "equip", "norm", "coord")
-
-
-def _check_partition(rule: EMASubsetNorm | AdaGradSubsetNorm) -> None:
-    """Reject an unknown partition rule, and a subset size the rule does not
-    read: ``equip`` needs one >= 1, the other rules take none."""
-    name, size = rule.partition_rule, rule.subset_size
-    if name not in PARTITION_RULES:
-        raise ValueError(f"unknown partition rule {name!r}; "
-                         f"choose from {', '.join(PARTITION_RULES)}")
-    if name == "equip" and size is None:
-        raise ValueError("equip rule requires subset_size")
-    if name != "equip" and size is not None:
-        raise ValueError(f"the {name} partition rule takes no subset_size, "
-                         f"got {size}")
-    if size is not None and size < 1:
-        raise ValueError(f"subset size must be >= 1, got {size}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +32,7 @@ class EMASubsetNorm:
     eps: float = 1e-8
 
     def __post_init__(self):
-        _check_partition(self)
+        check_rule(self.partition_rule, self.subset_size)
         check_beta("beta2", self.beta2)
         check_eps(self.eps)
 
@@ -62,7 +44,7 @@ class AdaGradSubsetNorm:
     b0: float = 1e-6
 
     def __post_init__(self):
-        _check_partition(self)
+        check_rule(self.partition_rule, self.subset_size)
         if not self.b0 > 0:
             raise ValueError("AdaGrad subset norm requires b0 > 0")
         # the accumulator starts at b0**2, the first denominator's square

@@ -208,6 +208,6 @@ def test_estimate_noise_needs_two_samples():
 
 
 def test_subset_sigmas():
-    p = part.equipartition(4, 2)
+    p = part.Partition(4, 2)
     sig = subset_sigmas(p, np.array([3.0, 4.0, 0.0, 1.0]))
     np.testing.assert_allclose(sig, [5.0, 1.0])

@@ -689,6 +689,9 @@ def test_run_is_deterministic():
 def test_config_validation():
     with pytest.raises(ValueError):
         _quad_config(T=0)
+    # no multiple of ones has f(x_1) = delta1 on a quadratic without curvature
+    with pytest.raises(ValueError, match="quadratic needs a positive curvature sum$"):
+        run(*_quad_config(objective=Quadratic(np.zeros(2))))
     with pytest.raises(ValueError):
         _quad_config(seeds=())
     for lr in (0.0, -0.1, float("nan"), float("inf")):
@@ -729,9 +732,13 @@ def test_sweep_draws_noise_once_per_step_and_beta(monkeypatch):
     assert calls == [(beta, t, 4 * 3) for beta in (0.0, 1.0) for t in range(1, 50)]
 
 
-def test_sweep_divisibility_error():
-    with pytest.raises(ValueError):
-        sweep_beta([0.5], d=10, T=10, seeds=(0,), subset_sizes=[3])
+def test_sweep_divisibility_error(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_rows",
+                        lambda config, specs: calls.append(config) or [])
+    with pytest.raises(ValueError, match="subset size k=3 does not divide d=10$"):
+        sweep_beta([0.5], d=10, T=10, seeds=(0, 1), subset_sizes=[3])
+    assert calls == []  # found before any beta runs
 
 
 def test_sweep_rejects_subset_size_below_one():
@@ -1306,8 +1313,12 @@ def test_cli_float_flag_at_the_edges_of_the_range(capsys, argv, base, flag, valu
 
 
 def test_cli_sweep_bad_subset_size_exit_1(capsys):
-    assert main(["sweep", "--d", "16", "--T", "5", "--subset-sizes", "0"]) == 1
-    assert "snsm: error: subset size 0" in capsys.readouterr().err
+    # the messages of train's --subset-size: the sweep's rows are built as
+    # train builds its optimizer
+    for size, message in (("0", "subset size must be >= 1, got 0"),
+                          ("3", "subset size k=3 does not divide d=16")):
+        assert main(["sweep", "--d", "16", "--T", "5", "--subset-sizes", size]) == 1
+        assert capsys.readouterr().err == f"snsm: error: {message}\n"
 
 
 @pytest.mark.parametrize("argv,message", [

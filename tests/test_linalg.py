@@ -464,3 +464,14 @@ def test_project_shape_mismatch():
 def test_missing_reference_grad():
     with pytest.raises(ValueError):
         make_frame(FrameKind.SVD, 8, 2)
+
+
+@pytest.mark.parametrize("shape,message", [
+    ((7, 3), "reference_grad has 7 rows, expected 8$"),
+    ((2, 7, 3), "reference_grad has 7 rows, expected 8$"),
+    ((8,), r"expected a 2D array or a stack of them, got shape \(8,\)$"),
+    ((1, 2, 8, 3), r"expected a 2D array or a stack of them, got shape \(1, 2, 8, 3\)$"),
+])
+def test_make_frame_rejects_a_reference_gradient_of_another_shape(shape, message):
+    with pytest.raises(ValueError, match=message):
+        make_frame(FrameKind.SVD, 8, 2, reference_grad=np.ones(shape))

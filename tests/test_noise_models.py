@@ -139,6 +139,18 @@ def test_mlp2_gradient_finite_diff():
 # ---------------------------------------------------------------------------
 # parameter manifests
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: Quadratic(np.array([1.0, -0.5])), "lam must be a 1D nonnegative array$"),
+    (lambda: Quadratic(np.ones((2, 2))), "lam must be a 1D nonnegative array$"),
+    (lambda: MLP2(np.ones(4), np.ones(4), 3), r"X must be \(n, d_in\) with y of length n$"),
+    (lambda: MLP2(np.ones((4, 2)), np.ones(3), 3),
+     r"X must be \(n, d_in\) with y of length n$"),
+], ids=["negative-curvature", "2d-curvature", "1d-X", "short-y"])
+def test_objectives_reject_data_of_the_wrong_shape_or_sign(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_quadratic_manifest_is_one_linear_entry():
     assert Quadratic(np.ones(6)).manifest.entries == (ManifestEntry("x", "linear", (6,)),)
     assert Quadratic(np.ones(6), shape=(3, 2)).manifest.shapes == [(3, 2)]

@@ -1,5 +1,6 @@
 """Optimizer template: presets, the step clock, clipping, state accounting."""
 
+import ast
 import dataclasses
 import math
 
@@ -267,9 +268,15 @@ def test_nan_gradient_names_the_replicas():
 
 
 def test_shape_mismatch_rejected():
+    with pytest.raises(ValueError, match="tags and shapes must align$"):
+        Optimizer(make_preset("SGD"), [(2,), (3,)], tags=["linear"])
     opt = Optimizer(make_preset("SGD"), [(2,)])
     with pytest.raises(ValueError):
         opt.step([np.zeros(3)], [np.zeros(3)], 1)
+    for params, grads in (([np.zeros(2)], []), ([np.zeros(2)] * 2, [np.ones(2)] * 2)):
+        with pytest.raises(ValueError,
+                           match="params/grads count does not match the optimizer$"):
+            opt.step(params, grads, 1)
     # after a step has fixed the layout, a step that leaves it still gets
     # the per-parameter check
     opt.step([np.zeros((3, 2))], [np.ones((3, 2))], 1)
@@ -347,6 +354,15 @@ def test_decoupled_weight_decay():
 def test_preset_rejects_bad_step_values(preset, kw, message):
     with pytest.raises(ValueError, match=message):
         make_preset(preset, **kw)
+
+
+def test_preset_names_are_the_presets_make_preset_builds():
+    # PRESET_NAMES and make_preset's table list the presets twice
+    with pytest.raises(ValueError, match="unknown preset 'bogus'; choose from ") as exc:
+        make_preset("bogus")
+    known = ast.literal_eval(str(exc.value).split("choose from ", 1)[1])
+    assert known == sorted(name.replace("-", "").replace("_", "").lower()
+                           for name in PRESET_NAMES)
 
 
 _OPEN_BETA2_ID = r"<lambda>-beta2 must lie in \(0, 1\)"

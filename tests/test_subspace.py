@@ -118,6 +118,16 @@ def test_refresh_off_gap_boundary():
     assert sm_maybe_refresh(st, np.ones((6, 2)), 200)
 
 
+def test_refresh_rejects_a_step_index_below_one():
+    st = sm_init(SubspaceMomentum(FrameKind.GAUSSIAN_ORTHO, rank=2, refresh_gap=200),
+                 6, 2, seed=1)
+    frame = st.frame
+    for t in (0, -200):  # -200 is a multiple of the gap
+        with pytest.raises(ValueError, match="step index t must be >= 1$"):
+            sm_maybe_refresh(st, np.ones((6, 2)), t)
+    assert st.frame is frame
+
+
 def test_refresh_svd_consumes_gradient():
     st = sm_init(SubspaceMomentum(FrameKind.SVD, rank=1, refresh_gap=10), 6, 3,
                  reference_grad=np.eye(6)[:, :3])

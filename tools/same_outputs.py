@@ -51,6 +51,13 @@ where it hands the gradient to ``np.linalg.svd``: a tall 96x64 gradient
 inside path 5, a 64x16 one past it, 32x32 gradients below and above
 dgesdd's scaling bounds, and a frame stacked over three seeds of which one
 diverges and leaves the stack.
+The ``train-subset-rule`` commands give a partition rule a subset size that
+does not divide d, an unknown rule, and a size the rule does not read; each
+exits 1. ``adamsn-2x3x4`` partitions a tensor of three axes in blocks of
+about sqrt(d)/2. The ``sweep-subset-size`` commands give the sweep a subset
+size that does not divide d and one below 1; the sweep reports train's
+messages for both, so against a tree whose sweep checked its subset sizes
+with its own wording they differ on stderr by design.
 
 Every sweep that runs prints one verdict line per beta and comparison on
 stderr after its table, e.g. ``# beta=1 AdaGradSN(8) vs AdaGrad:
@@ -193,6 +200,19 @@ COMMANDS = [
                                   "--hidden", "64", "--n-seeds", "3", "--T", "60",
                                   "--lr", "60", "--sigma", "1", "--refresh-gap", "1",
                                   "--rank", "4", "--preset", "SGD-SM"]),
+    # the partition rules' errors, in the sweep and in train, and the
+    # heuristic2d rule on a tensor of three axes
+    *((f"sweep-subset-size-{size}", ["sweep", "--d", "16", "--T", "3",
+                                     "--subset-sizes", size])
+      for size in ("3", "0")),
+    *((f"train-subset-rule/{label}", ["train", "--d", "16", "--T", "3",
+                                      "--preset", "AdamSN", *extra])
+      for label, extra in (
+          ("equip-3", ["--subset-rule", "equip", "--subset-size", "3"]),
+          ("bogus", ["--subset-rule", "bogus"]),
+          ("norm-4", ["--subset-rule", "norm", "--subset-size", "4"]))),
+    ("adamsn-2x3x4", ["train", "--d", "24", "--param-shape", "2x3x4", "--preset",
+                      "AdamSN", "--T", "5", "--sigma", "0.1"]),
 ]
 
 
