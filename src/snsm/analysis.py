@@ -206,6 +206,8 @@ def estimate_noise(grad_samples: np.ndarray, threshold: float = 1e-12
     grad_samples has shape (n, d): n independent stochastic gradients at a
     fixed point.
     """
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     grad_samples = np.asarray(grad_samples, dtype=np.float64)
     if grad_samples.ndim != 2 or grad_samples.shape[0] < 2:
         raise ValueError("need an (n, d) array with n >= 2 samples")

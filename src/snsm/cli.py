@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -285,7 +286,9 @@ def _cmd_noise(args) -> int:
     if args.samples.endswith(".npy"):
         samples = np.load(args.samples)
     else:
-        samples = np.loadtxt(args.samples)
+        with warnings.catch_warnings():  # an empty file: estimate_noise says why
+            warnings.simplefilter("ignore", UserWarning)
+            samples = np.loadtxt(args.samples, ndmin=2)  # one column: d = 1
     est = analysis.estimate_noise(samples, threshold=args.threshold)
     d = samples.shape[1]
     row = dict(d=d, n=samples.shape[0], noisy_count=est.noisy_count,

@@ -1,12 +1,13 @@
 """CPU policy of the harness, each part with the measured threshold that
 decides it: the betas of a sweep side by side on forked processes
-(:func:`_run_configs`), the noise drawn a step ahead on a helper thread
-where :func:`_draws_ahead` holds (:class:`_NoiseAhead`), and OpenBLAS held
-off the helper's CPU, its thread count lowered and its idle worker threads
-parked (:func:`_openblas_threads`). Every thread and process
-of snsm is started here; the OpenBLAS it holds is looked up in
-:mod:`snsm.openblas`. Nothing here imports :mod:`snsm.harness`, whose
-``run_rows`` is handed to :func:`_run_configs`.
+(:func:`_run_configs`), the noise drawn a step ahead on a helper thread,
+the one worker of a ``ThreadPoolExecutor``, where :func:`_draws_ahead`
+holds (:class:`_NoiseAhead`), and OpenBLAS held off the helper's CPU, its
+thread count lowered and its idle worker threads parked
+(:func:`_openblas_threads`). Every thread and process of snsm is started
+here; the OpenBLAS it holds is looked up in :mod:`snsm.openblas`. Nothing
+here imports :mod:`snsm.harness`, whose ``run_rows`` is handed to
+:func:`_run_configs`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import os
 import pickle
 import sys
-import threading
 
 import numpy as np
 
@@ -150,53 +150,41 @@ _openblas_threads = openblas.thread_calls
 
 
 class _NoiseAhead:
-    """A helper thread that draws one step's noise while the loop runs the
-    step before it, into a buffer of one row per distinct seed of the run
-    that the calling thread allocates.
+    """A helper thread, the one worker of a ``ThreadPoolExecutor``, that
+    draws one step's noise while the loop runs the step before it, into a
+    buffer of one row per distinct seed of the run that the calling thread
+    allocates.
 
     :meth:`start` hands the helper the draw of ``(seeds, t)``; :meth:`take`
     waits for it and returns it when it is for the seeds and step asked
-    for, else None, and the buffer is free again. The thread starts with
-    the first draw: just before, from the calling thread, OpenBLAS is set
-    to run on at most the usable CPUs less one and its worker threads are
-    parked (:meth:`_hold_openblas`). :meth:`close` waits for a draw under
-    way, joins the thread and restores OpenBLAS's thread count; the next
-    multi-threaded OpenBLAS call starts its workers again.
+    for, else None, and the buffer is free again; a draw that failed raises
+    its error there, through its future. The pool is made with the first
+    draw: just before, from the calling thread, OpenBLAS is set to run on
+    at most the usable CPUs less one and its worker threads are parked
+    (:meth:`_hold_openblas`). :meth:`close` waits for a draw under way,
+    shuts the pool down, which joins its thread, and restores OpenBLAS's
+    thread count; the next multi-threaded OpenBLAS call starts its workers
+    again.
     """
 
     def __init__(self, config):
         self._noise, self._d = config.noise, config.objective.d
         self._buf = np.empty((len(set(config.seeds)), self._d))
-        self._job = None  # (seeds, t) handed to the helper and not yet taken
-        self._error = None  # what stopped the helper's last draw
-        self._go = threading.Lock()  # released: a job, or None to stop
-        self._go.acquire()
-        self._done = threading.Lock()  # released: the job is drawn
-        self._done.acquire()
-        self._thread = None
+        self._pool = None
+        self._job = None  # ((seeds, t), future) of the draw handed out and not yet taken
         self._restore = None  # (set, OpenBLAS's thread count before the hold), if held
 
-    def _serve(self) -> None:
-        while True:
-            self._go.acquire()
-            if self._job is None:
-                return
-            seeds, t = self._job
-            try:
-                draw(self._noise, self._d, seeds, t, out=self._buf[:len(seeds)])
-            except BaseException as exc:  # raised again by take, in the loop
-                self._error = exc
-            finally:
-                self._done.release()
-
     def start(self, seeds: list, t: int) -> None:
-        if self._thread is None:
+        if self._pool is None:
             self._hold_openblas()
-            thread = threading.Thread(target=self._serve, daemon=True)
-            thread.start()
-            self._thread = thread
-        self._job = (seeds, t)
-        self._go.release()
+            # imported here, not with the module: 4-9 ms and 0.25-0.4 MB of
+            # peak RSS on a 2-vCPU VM, which only a run drawing ahead needs
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(max_workers=1)
+        future = self._pool.submit(draw, self._noise, self._d, seeds, t,
+                                   out=self._buf[:len(seeds)])
+        self._job = (seeds, t), future
 
     def _hold_openblas(self) -> None:
         """Cap OpenBLAS at the usable CPUs less one, which leaves the helper
@@ -220,22 +208,16 @@ class _NoiseAhead:
     def take(self, seeds: list, t: int):
         if self._job is None:
             return None
-        self._done.acquire()
-        job, self._job = self._job, None
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
+        (job, future), self._job = self._job, None
+        future.result()  # raises what stopped the draw
         # a seed that left the batch since the draw leaves it stale
         return self._buf[:len(seeds)] if job == (seeds, t) else None
 
     def close(self) -> None:
-        if self._thread is not None:
-            if self._job is not None:
-                self._done.acquire()
-                self._job = None
-            self._go.release()
-            self._thread.join()
-            self._thread = None
+        if self._pool is not None:
+            # waits for a draw under way; one not taken is dropped with its
+            # error, since the loop ended, or raised its own, before it
+            self._pool.shutdown()
         if self._restore is not None:  # also where the thread did not start
             set_, before = self._restore
             set_(before)

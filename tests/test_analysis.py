@@ -207,6 +207,21 @@ def test_estimate_noise_needs_two_samples():
         estimate_noise(np.ones((1, 4)))
 
 
+@pytest.mark.parametrize("threshold,error", [
+    (math.nan, "got nan"),
+    (math.inf, "got inf"),
+    (-1.0, "got -1.0"),  # would count zero-variance coordinates as noisy
+    (0.0, None),
+])
+def test_estimate_noise_threshold_must_be_finite_and_non_negative(threshold, error):
+    samples = np.array([[0.0, 1.0], [2.0, 1.0]])  # variances 2 and 0
+    if error is None:
+        assert estimate_noise(samples, threshold=threshold).noisy_count == 1
+    else:
+        with pytest.raises(ValueError, match=f"threshold must be finite and >= 0, {error}"):
+            estimate_noise(samples, threshold=threshold)
+
+
 def test_subset_sigmas():
     p = part.Partition(4, 2)
     sig = subset_sigmas(p, np.array([3.0, 4.0, 0.0, 1.0]))

@@ -443,6 +443,33 @@ def test_a_helper_draw_error_is_raised_by_the_run(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_the_loops_error_is_raised_over_the_helpers(monkeypatch):
+    config, spec = _ahead_config("Adam")
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    threads = _Threads(2)
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: threads.calls)
+    real, drawn = parallel.draw, []
+
+    def failing(noise, d, seeds, t, out=None):
+        drawn.append(t)
+        if t == 4:
+            raise RuntimeError(f"no draw at t={t}")
+        return real(noise, d, seeds, t, out=out)
+
+    monkeypatch.setattr(parallel, "draw", failing)
+    seen = []
+    # the step of t = 3 raises after the helper was handed the draw of t = 4,
+    # which fails too and is never taken
+    _fail_in_step(monkeypatch, seen)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected at step 3"):
+        run(config, spec)
+    assert seen == [before + 1]  # the helper was running
+    assert drawn == [2, 3, 4]
+    assert threading.active_count() == before
+    assert (threads.count, threads.sets) == (2, [1, 2])  # held, restored
+
+
 @pytest.mark.parametrize("change,ahead", [
     ({}, True),
     (dict(cpus=1), False),
@@ -1557,21 +1584,42 @@ def test_cli_train_mlp2_steps_the_manifest_that_mem_sizes(tmp_path, preset):
         mem_report(manifest, make_preset(preset))["total"]}
 
 
-def test_cli_noise(tmp_path, capsys):
+@pytest.mark.parametrize("d", [20, 1])
+def test_cli_noise(tmp_path, capsys, d):
     rng = np.random.default_rng(0)
-    samples = rng.standard_normal((50, 20))
+    samples = rng.standard_normal((50, d))
     path = tmp_path / "g.npy"
     np.save(path, samples)
     assert main(["noise", "--samples", str(path), "--threshold", "0.5",
                  "--format", "json"]) == 0
     out = capsys.readouterr().out
-    assert json.loads(out)[0]["d"] == 20
-    # a whitespace text file of the same samples gives the same row
+    assert json.loads(out)[0]["d"] == d
+    # a whitespace text file of the same samples gives the same row; one
+    # column is d = 1
     text = tmp_path / "g.txt"
     np.savetxt(text, samples)
     assert main(["noise", "--samples", str(text), "--threshold", "0.5",
                  "--format", "json"]) == 0
     assert capsys.readouterr().out == out
+
+
+def test_cli_noise_empty_samples_prints_one_error_line(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "no data" warning would raise
+        assert main(["noise", "--samples", os.devnull]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("snsm: error: need an (n, d) array with n >= 2 "
+                            "samples\n")
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+def test_cli_noise_bad_threshold_exit_1(tmp_path, capsys, threshold):
+    path = tmp_path / "g.npy"
+    np.save(path, np.random.default_rng(0).standard_normal((5, 3)))
+    assert main(["noise", "--samples", str(path), f"--threshold={threshold}"]) == 1
+    assert capsys.readouterr().err == (
+        f"snsm: error: threshold must be finite and >= 0, got {float(threshold)}\n")
 
 
 def test_cli_sweep(capsys):

@@ -58,6 +58,10 @@ about sqrt(d)/2. The ``sweep-subset-size`` commands give the sweep a subset
 size that does not divide d and one below 1; the sweep reports train's
 messages for both, so against a tree whose sweep checked its subset sizes
 with its own wording they differ on stderr by design.
+``noise-empty`` reads gradient samples from an empty file (exit 1);
+against a tree that let numpy's ``loadtxt: input contained no data``
+warning through to stderr before the error line, it differs on stderr by
+design.
 
 Every sweep that runs prints one verdict line per beta and comparison on
 stderr after its table, e.g. ``# beta=1 AdaGradSN(8) vs AdaGrad:
@@ -213,6 +217,7 @@ COMMANDS = [
           ("norm-4", ["--subset-rule", "norm", "--subset-size", "4"]))),
     ("adamsn-2x3x4", ["train", "--d", "24", "--param-shape", "2x3x4", "--preset",
                       "AdamSN", "--T", "5", "--sigma", "0.1"]),
+    ("noise-empty", ["noise", "--samples", os.devnull]),
 ]
 
 
