@@ -36,7 +36,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    return format(value, ".17g") if isinstance(value, float) else str(value)
+    """One CSV field: a float to 17 significant digits; text that holds a
+    comma, a quote or a line break is quoted, as RFC 4180 says."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def rows_to_csv(rows, fields) -> str:
@@ -161,18 +168,6 @@ def _bound_flags(b):
     b.set_defaults(usage_error=b.error)
 
 
-# each command's help line and the function that registers its flags, in
-# the order of the usage line
-_SUBPARSERS = {
-    "train": ("run one optimizer config over seeds", _train_flags),
-    "sweep": ("beta-sweep over step-size families", _sweep_flags),
-    "rates": ("dimension-dependence exponents at beta", _rates_flags),
-    "noise": ("noise-variance report from gradient samples", _noise_flags),
-    "mem": ("optimizer state size over a shape manifest", _mem_flags),
-    "bound": ("evaluate a convergence bound", _bound_flags),
-}
-
-
 @functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``snsm`` parser, built on the first call for each ``command``
@@ -185,7 +180,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """
     p = _Parser(prog="snsm", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
-    for name, (help_, add_flags) in _SUBPARSERS.items():
+    for name, (help_, add_flags, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         if command is None or command == name:
             sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -216,7 +211,7 @@ def _seeds(args, fewest: int = 1, why: str = "seeds must be non-empty") -> tuple
     return tuple(range(args.seed_base, args.seed_base + args.n_seeds))
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> tuple:
     seeds = _seeds(args)
     if args.objective == "quadratic":
         shape = parse_shape(args.param_shape) if args.param_shape else None
@@ -241,23 +236,21 @@ def _cmd_train(args) -> int:
         subset_size=args.subset_size, clip_norm=args.clip_norm,
         weight_decay=args.weight_decay)
     result = harness.run(config, spec)
-    _emit(result.records, harness.RECORD_FIELDS, args.format, args.out)
-    for s in result.summaries:
-        print(f"# seed={s.seed} mean_grad_norm_sq={s.mean_grad_norm_sq:.17g} "
-              f"final_loss={s.final_loss:.17g} diverged={s.diverged}",
-              file=sys.stderr)
-    return EXIT_NUMERIC if result.any_diverged else EXIT_OK
+    notes = [f"seed={s.seed} mean_grad_norm_sq={s.mean_grad_norm_sq:.17g} "
+             f"final_loss={s.final_loss:.17g} diverged={s.diverged}"
+             for s in result.summaries]
+    return (result.records, harness.RECORD_FIELDS, notes,
+            EXIT_NUMERIC if result.any_diverged else EXIT_OK)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     rows = harness.sweep_beta(
         args.betas, d=args.d, T=args.T,
         seeds=_seeds(args, 2, "a sweep needs at least two seeds to report a stderr"),
         subset_sizes=args.subset_sizes, alpha=args.alpha, lr=args.lr)
-    _emit(rows, ("beta", "optimizer", "subset_size", "mean_metric", "stderr",
-                 "n_diverged"), args.format, args.out)
     # the paper's comparison: each row of a beta against coordinate-wise
     # AdaGrad at that beta, whose rows come in one group per beta
+    notes = []
     per_beta = len(rows) // len(args.betas)
     for i in range(0, len(rows), per_beta):
         group = rows[i:i + per_beta]
@@ -266,25 +259,32 @@ def _cmd_sweep(args) -> int:
             if r is not coord:
                 name = (f"{r.optimizer}({r.subset_size})" if r.optimizer == "AdaGradSN"
                         else r.optimizer)
-                print(f"# beta={r.beta:.17g} {name} vs AdaGrad: "
-                      f"{harness.sweep_verdict(r, coord)}", file=sys.stderr)
-    return EXIT_NUMERIC if any(r.n_diverged for r in rows) else EXIT_OK
+                notes.append(f"beta={r.beta:.17g} {name} vs AdaGrad: "
+                             f"{harness.sweep_verdict(r, coord)}")
+    fields = ("beta", "optimizer", "subset_size", "mean_metric", "stderr", "n_diverged")
+    code = EXIT_NUMERIC if any(r.n_diverged for r in rows) else EXIT_OK
+    return rows, fields, notes, code
 
 
-def _cmd_rates(args) -> int:
+def _cmd_rates(args) -> tuple:
     r = analysis.rate_exponents(args.beta)
     row = dict(beta=args.beta,
                coord_slow=r.coord[0], coord_fast=r.coord[1],
                norm_slow=r.norm[0], norm_fast=r.norm[1],
                subset_slow=r.subset_slow, subset_fast=r.subset_fast,
                optimal_k_exponent=r.optimal_k_exponent)
-    _emit([row], tuple(row), args.format, args.out)
-    return EXIT_OK
+    return [row], tuple(row), [], EXIT_OK
 
 
-def _cmd_noise(args) -> int:
+def _cmd_noise(args) -> tuple:
     if args.samples.endswith(".npy"):
-        samples = np.load(args.samples)
+        try:
+            samples = np.load(args.samples)
+        except EOFError:  # np.load's error for an empty file
+            raise ValueError(f"{args.samples} is empty, not a .npy array") from None
+        if not isinstance(samples, np.ndarray):  # an NpzFile, open until closed
+            samples.close()
+            raise ValueError(f"{args.samples} is an .npz archive, not a .npy array")
     else:
         with warnings.catch_warnings():  # an empty file: estimate_noise says why
             warnings.simplefilter("ignore", UserWarning)
@@ -294,20 +294,17 @@ def _cmd_noise(args) -> int:
     row = dict(d=d, n=samples.shape[0], noisy_count=est.noisy_count,
                noisy_fraction=est.noisy_count / d,
                mean_noisy_var=est.mean_noisy_var)
-    _emit([row], tuple(row), args.format, args.out)
-    return EXIT_OK
+    return [row], tuple(row), [], EXIT_OK
 
 
-def _cmd_mem(args) -> int:
+def _cmd_mem(args) -> tuple:
     manifest = harness.load_manifest(args.manifest)
     spec = make_preset(args.preset, rank=args.rank, subset_rule=args.subset_rule,
                        subset_size=args.subset_size)
     report = harness.mem_report(manifest, spec)
-    fields = ("name", "tag", "shape", "state_elems", "frame_elems")
-    _emit(report["entries"], fields, args.format, args.out)
-    print(f"# preset={args.preset} total={report['total']} "
-          f"frame_elements={report['frame_elements']}", file=sys.stderr)
-    return EXIT_OK
+    return (report["entries"], ("name", "tag", "shape", "state_elems", "frame_elems"),
+            [f"preset={args.preset} total={report['total']} "
+             f"frame_elements={report['frame_elements']}"], EXIT_OK)
 
 
 # the flags that one mode of `bound` alone reads, with their defaults; the
@@ -319,7 +316,7 @@ _BOUND_MODE_FLAGS = {
 }
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> tuple:
     if args.thm == "3" and args.verify:
         args.usage_error("--verify checks --thm 2 only; --thm 3 has no "
                          "Monte-Carlo check")
@@ -339,26 +336,18 @@ def _cmd_bound(args) -> int:
                              f"objective; got --L {args.L}")
         mb = analysis.momentum_bound(args.delta1, args.L, args.sigma, args.T,
                                      args.beta1, args.delta)
-        row = dict(alpha=mb.alpha, eta_star=mb.eta_star,
-                   deterministic_term=mb.deterministic_term,
-                   noise_term=mb.noise_term,
-                   concentration_term=mb.concentration_term, total=mb.total)
-        check = None
-        if args.verify:  # before the row: a verification that cannot run leaves none
-            _seeds(args)  # checked here, so that the error names --n-seeds
-            check = harness.verify_thm2(
-                d=args.d, sigma=args.sigma, delta1=args.delta1, T=args.T,
-                fail_prob=args.delta, n_seeds=args.n_seeds, rank=args.rank,
-                frame_kind=args.frame, beta1=args.beta1,
-                seed_base=args.seed_base)
-        _emit([row], tuple(row), args.format, args.out)
-        if check is not None:
-            print(f"# verify: fraction={check.fraction:.4f} "
-                  f"threshold={check.threshold:.4f} passed={check.passed}",
-                  file=sys.stderr)
-            if not check.passed:
-                return EXIT_CHECK_FAILED
-        return EXIT_OK
+        row = dict(asdict(mb), total=mb.total)
+        if not args.verify:
+            return [row], tuple(row), [], EXIT_OK
+        _seeds(args)  # checked here, so that the error names --n-seeds
+        check = harness.verify_thm2(
+            d=args.d, sigma=args.sigma, delta1=args.delta1, T=args.T,
+            fail_prob=args.delta, n_seeds=args.n_seeds, rank=args.rank,
+            frame_kind=args.frame, beta1=args.beta1, seed_base=args.seed_base)
+        return ([row], tuple(row),
+                [f"verify: fraction={check.fraction:.4f} "
+                 f"threshold={check.threshold:.4f} passed={check.passed}"],
+                EXIT_OK if check.passed else EXIT_CHECK_FAILED)
     thm3_inputs = (("--sigma-subsets", args.sigma_subsets), ("--b0", args.b0))
     missing = [flag for flag, value in thm3_inputs if value is None]
     if missing:
@@ -369,14 +358,20 @@ def _cmd_bound(args) -> int:
     sb = analysis.subsetnorm_bound(args.delta1, args.L, args.eta, args.T,
                                    np.array(args.sigma_subsets), np.array(b0),
                                    args.delta)
-    row = dict(G=sb.G, I=sb.I, H=sb.H, rhs=sb.rhs)
-    _emit([row], tuple(row), args.format, args.out)
-    return EXIT_OK
+    return [sb], tuple(asdict(sb)), [], EXIT_OK
 
 
+# each command's help line, the function that registers its flags and the one
+# that runs it, in the order of the usage line; a command returns its rows, their
+# fields, its notes and its exit status, and main alone writes them
 _COMMANDS = {
-    "train": _cmd_train, "sweep": _cmd_sweep, "rates": _cmd_rates,
-    "noise": _cmd_noise, "mem": _cmd_mem, "bound": _cmd_bound,
+    "train": ("run one optimizer config over seeds", _train_flags, _cmd_train),
+    "sweep": ("beta-sweep over step-size families", _sweep_flags, _cmd_sweep),
+    "rates": ("dimension-dependence exponents at beta", _rates_flags, _cmd_rates),
+    "noise": ("noise-variance report from gradient samples", _noise_flags,
+              _cmd_noise),
+    "mem": ("optimizer state size over a shape manifest", _mem_flags, _cmd_mem),
+    "bound": ("evaluate a convergence bound", _bound_flags, _cmd_bound),
 }
 
 
@@ -387,7 +382,11 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return _COMMANDS[args.cmd](args)
+        rows, fields, notes, code = _COMMANDS[args.cmd][2](args)
+        _emit(rows, fields, args.format, args.out)
+        for note in notes:
+            print(f"# {note}", file=sys.stderr)
+        return code
     except (ValueError, OSError) as exc:
         print(f"snsm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -150,8 +150,6 @@ class Quadratic:
         if math.prod(shape) != self.d:
             raise ValueError("param_shape must have objective.d elements")
         self.manifest = ShapeManifest((ManifestEntry("x", "linear", shape),))
-        self.smoothness = float(self.lam.max(initial=0.0))
-        self.f_star = 0.0
 
     @classmethod
     def isotropic(cls, d: int, shape: tuple | None = None) -> Quadratic:
@@ -198,8 +196,6 @@ class MLP2:
             ManifestEntry("W1", "linear", (self.hidden, self.d_in)),
             ManifestEntry("W2", "head", (1, self.hidden))))
         self.d = sum(map(math.prod, self.manifest.shapes))
-        self.f_star = None
-        self.smoothness = None  # not globally smooth in closed form
 
     def value_and_grad(self, x: np.ndarray) -> tuple:
         """(f(x), grad f(x)) from one forward pass; the gradient is a new array."""

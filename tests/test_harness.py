@@ -1,8 +1,10 @@
 """Runner, sweep, bound verification, manifests, CSV output, and the CLI."""
 
 import argparse
+import csv
 import ctypes
 import dataclasses
+import io
 import json
 import math
 import os
@@ -1169,6 +1171,21 @@ def test_csv_byte_identical_reruns():
     assert a == b
 
 
+def test_csv_quotes_text_as_rfc4180_says():
+    # text holding a comma, a quote or a line break is quoted, with its
+    # quotes doubled; other text and every number are written as they are
+    fields = ("name", "tag", "n", "x")
+    rows = [dict(name="a,b", tag='say "hi"', n=3, x=0.1),
+            dict(name="two\nlines", tag="cr\r", n=-1, x=1e300),
+            dict(name="plain", tag="linear", n=0, x=-0.0)]
+    text = rows_to_csv(rows, fields)
+    assert text.endswith("\nplain,linear,0,-0\n")
+    parsed = list(csv.reader(io.StringIO(text, newline="")))
+    assert parsed[0] == list(fields)
+    assert parsed[1:] == [[r["name"], r["tag"], str(r["n"]), format(r["x"], ".17g")]
+                          for r in rows]
+
+
 # ---------------------------------------------------------------------------
 # CLI (in-process via main(), plus one subprocess sanity check)
 
@@ -1483,6 +1500,15 @@ def test_cli_mem_counts_one_element_tensors(tmp_path, capsys):
     assert "total=2 frame_elements=0" in captured.err
 
 
+def test_cli_mem_quotes_names_that_hold_a_comma_or_a_quote(tmp_path, capsys):
+    mf = tmp_path / "m.manifest"
+    mf.write_text('a,b\tlinear\t4x4\nsay "hi"\tnorm\t4\n')
+    assert main(["mem", "--manifest", str(mf), "--preset", "Adam"]) == 0
+    table = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+    assert [len(r) for r in table] == [5, 5, 5]
+    assert [r[0] for r in table] == ["name", "a,b", 'say "hi"']
+
+
 @pytest.mark.parametrize("argv", [
     ["rates", "--beta", "0.5"],
     ["noise", "--samples", "g.npy"],
@@ -1611,6 +1637,24 @@ def test_cli_noise_empty_samples_prints_one_error_line(capsys):
     assert captured.out == ""
     assert captured.err == ("snsm: error: need an (n, d) array with n >= 2 "
                             "samples\n")
+
+
+def _save_npz(path):
+    with open(path, "wb") as fh:  # np.savez would add .npz to the name
+        np.savez(fh, a=np.zeros((5, 3)))
+
+
+@pytest.mark.parametrize("write,message", [
+    (lambda path: path.write_bytes(b""), "is empty, not a .npy array"),
+    (_save_npz, "is an .npz archive, not a .npy array"),
+], ids=["empty", "npz"])
+def test_cli_noise_npy_without_an_array_exit_1(tmp_path, capsys, write, message):
+    path = tmp_path / "g.npy"
+    write(path)
+    assert main(["noise", "--samples", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"snsm: error: {path} {message}\n"
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
@@ -1857,6 +1901,34 @@ def test_cli_command_parser_agrees_with_the_full_parser(cmd):
     assert _subparser(own, cmd).format_help() == _subparser(full, cmd).format_help()
     assert own.format_usage() == full.format_usage()
     assert own.format_help() == full.format_help()
+
+
+def _without_output_flags(argv):
+    drop = {i + k for i, a in enumerate(argv) if a in ("--format", "--out")
+            for k in (0, 1)}
+    return [a for i, a in enumerate(argv) if i not in drop]
+
+
+@pytest.mark.parametrize("cmd", sorted(_CLI_ARGVS))
+def test_cli_writes_every_command_on_one_path(tmp_path, monkeypatch, capsys, cmd):
+    # each command's rows reach --out as the bytes stdout gets without it,
+    # its stderr holds only its "# " lines, and an --out that cannot be
+    # written exits 1 before any of them
+    monkeypatch.chdir(tmp_path)
+    np.save("g.npy", np.random.default_rng(0).standard_normal((20, 4)))
+    (tmp_path / "m").write_text(MANIFEST)
+    argv = _without_output_flags(_CLI_ARGVS[cmd][0])
+    for fmt in ("csv", "json"):
+        code = main([*argv, "--format", fmt])
+        stdout, stderr = capsys.readouterr()
+        assert main([*argv, "--format", fmt, "--out", "o"]) == code
+        assert capsys.readouterr() == ("", stderr)
+        assert (tmp_path / "o").read_bytes() == stdout.encode()
+        assert all(line.startswith("# ") for line in stderr.splitlines())
+    assert main([*argv, "--out", str(tmp_path / "no" / "o")]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("snsm: error: ")
+    assert stderr.count("\n") == 1
 
 
 def test_cli_mem_registers_no_flag_of_another_command(tmp_path):

@@ -33,8 +33,7 @@ def _finite_diff(obj, x, h=1e-6):
 def test_quadratic_gradient_and_constants():
     obj = Quadratic(np.array([2.0, 2.0]))
     np.testing.assert_array_equal(obj.grad(np.ones(2)), [2.0, 2.0])
-    assert obj.smoothness == 2.0
-    assert obj.f_star == 0.0
+    assert obj.lam.max() == 2.0
     assert obj.value(np.zeros(2)) == 0.0
 
 
@@ -45,7 +44,7 @@ def test_quadratic_smoothness_exact():
     for _ in range(20):
         x, y = rng.standard_normal(10), rng.standard_normal(10)
         lhs = np.linalg.norm(obj.grad(x) - obj.grad(y))
-        assert lhs <= obj.smoothness * np.linalg.norm(x - y) + 1e-12
+        assert lhs <= obj.lam.max() * np.linalg.norm(x - y) + 1e-12
 
 
 def test_objectives_act_row_by_row():
@@ -116,7 +115,7 @@ def test_isotropic_quadratic_holds_one_curvature(lead):
     low, high = np.lib.array_utils.byte_bounds(iso.lam)
     assert high - low == iso.lam.itemsize
     assert not iso.lam.flags.writeable
-    assert (iso.d, iso.smoothness) == (ones.d, ones.smoothness) == (d, 1.0)
+    assert (iso.d, iso.lam.max()) == (ones.d, ones.lam.max()) == (d, 1.0)
     assert iso.lam.sum() == ones.lam.sum() == d
     rng = np.random.default_rng(11)
     tiny = np.finfo(np.float64).smallest_subnormal

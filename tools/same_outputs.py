@@ -62,6 +62,13 @@ with its own wording they differ on stderr by design.
 against a tree that let numpy's ``loadtxt: input contained no data``
 warning through to stderr before the error line, it differs on stderr by
 design.
+``noise-empty-npy`` reads gradient samples from an empty ``.npy`` file
+(exit 1, one error line that names the file), and ``mem-csv-quoting``
+counts a manifest whose parameter names hold a comma and a quote (its CSV
+quotes them). Both read their file from a temporary directory that the
+script makes for each run, shared by both trees. Against a tree that ended
+the first in a traceback and wrote the names unquoted, they differ by
+design: on stderr, and on stdout.
 
 Every sweep that runs prints one verdict line per beta and comparison on
 stderr after its table, e.g. ``# beta=1 AdaGradSN(8) vs AdaGrad:
@@ -75,6 +82,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -218,6 +226,10 @@ COMMANDS = [
     ("adamsn-2x3x4", ["train", "--d", "24", "--param-shape", "2x3x4", "--preset",
                       "AdamSN", "--T", "5", "--sigma", "0.1"]),
     ("noise-empty", ["noise", "--samples", os.devnull]),
+    # files of the run's temporary directory, {tmp}
+    ("noise-empty-npy", ["noise", "--samples", "{tmp}/empty.npy"]),
+    ("mem-csv-quoting", ["mem", "--manifest", "{tmp}/quoting.manifest",
+                         "--preset", "Adam"]),
 ]
 
 
@@ -237,13 +249,18 @@ def main(argv=None) -> int:
         return 2
     old, new = (Path(a).resolve() for a in args)
     differ = 0
-    for label, cmd in COMMANDS:
-        before, after = run(old, cmd), run(new, cmd)
-        diff = [part for part, a, b in zip(("stdout", "stderr", "exit code"),
-                                           before, after) if a != b]
-        differ += bool(diff)
-        print(f"{'DIFFERS' if diff else 'same':7} exit {after[2]} {label}: "
-              f"snsm {' '.join(cmd)}" + (f"  [{', '.join(diff)}]" if diff else ""))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "empty.npy").touch()
+        (Path(tmp) / "quoting.manifest").write_text(
+            'a,b\tlinear\t4x4\nsay "hi"\tnorm\t4\n', encoding="utf-8")
+        for label, cmd in COMMANDS:
+            cmd = [a.replace("{tmp}", tmp) for a in cmd]
+            before, after = run(old, cmd), run(new, cmd)
+            diff = [part for part, a, b in zip(("stdout", "stderr", "exit code"),
+                                               before, after) if a != b]
+            differ += bool(diff)
+            print(f"{'DIFFERS' if diff else 'same':7} exit {after[2]} {label}: "
+                  f"snsm {' '.join(cmd)}" + (f"  [{', '.join(diff)}]" if diff else ""))
     print(f"{differ} of {len(COMMANDS)} commands differ")
     return 1 if differ else 0
 
