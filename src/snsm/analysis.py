@@ -118,6 +118,8 @@ def subsetnorm_bound(delta1: float, L: float, eta: float, T: int,
                   b0=b0, fail_prob=fail_prob)
     if sigma_subsets.shape != b0.shape or sigma_subsets.ndim != 1:
         raise ValueError("sigma_subsets and b0 must be matching 1D arrays")
+    if not sigma_subsets.size:
+        raise ValueError("sigma_subsets and b0 need at least one subset")
     if np.any(b0 <= 0):
         raise ValueError("b0 entries must be positive")
     if np.any(sigma_subsets < 0):  # a noise level is a norm

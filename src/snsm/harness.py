@@ -42,13 +42,15 @@ from .optim import NonFiniteGradientError, Optimizer, OptimizerSpec, make_preset
 # configuration and records
 
 def check_seeds(seeds) -> None:
-    """Reject an empty seed list and any seed that is not an integer >= 0."""
+    """Reject an empty seed list and any seed that is not an integer in
+    [0, 2**63), the range of the int64 that a run holds each seed in."""
     if not seeds:
         raise ValueError("seeds must be non-empty")
-    bad = [s for s in seeds if not isinstance(s, (int, np.integer)) or s < 0]
-    if bad:
-        # each seed keys its own noise stream, SeedSequence([seed, t])
-        raise ValueError(f"seeds must be non-negative integers, got {bad[0]}")
+    for s in seeds:  # each keys its own noise stream, SeedSequence([seed, t])
+        if not isinstance(s, (int, np.integer)) or s < 0:
+            raise ValueError(f"seeds must be non-negative integers, got {s}")
+        if s >= 2 ** 63:
+            raise ValueError(f"seeds must be below 2**63, got {s}")
 
 
 @dataclass(frozen=True)
@@ -143,11 +145,9 @@ class _Row:
         self.seeds = np.array(config.seeds, dtype=np.int64)
         n_seeds = self.seeds.size
         self.opt = Optimizer(spec, manifest.shapes, tags=manifest.tags)
-        # one one-axis tensor is the flat iterate itself: stepped without a
-        # split or a join
+        # one one-axis tensor is the flat iterate itself: no split, no join
         self.whole = manifest.shapes == [(config.objective.d,)]
-        # closed form, constant over steps
-        self.state_elems = self.opt.state_size().total
+        self.state_elems = self.opt.state_size().total  # closed form, constant
         self.x = x1  # every step replaces it; x1 itself is never written
         self.live = np.arange(n_seeds)  # positions in config.seeds of the running seeds
         # the running seeds' sums of ||grad f||^2 and last losses, in the
@@ -250,7 +250,7 @@ def _cat(arrays: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def run_rows(config: ExperimentConfig, specs) -> list:
+def run_rows(config: ExperimentConfig, specs, plan=None) -> list:
     """Run every spec (a row) on the config, all rows and all their seeds
     stepping together; one RunResult per spec.
 
@@ -259,10 +259,10 @@ def run_rows(config: ExperimentConfig, specs) -> list:
     calls the objective's ``value_and_grad`` once, on the running iterates
     of every row stacked, and makes one oracle call, which draws each
     seed's noise once and adds it to every row that carries the seed in
-    one operation; where :func:`snsm.parallel._draws_ahead` holds, that
-    draw was made on a helper thread during the step before, which is
-    joined before the call returns or raises. At t = T the rows are
-    observed and recorded but not stepped: nothing reads x_{T+1}.
+    one operation; where the plan, ``parallel.plan([config], specs)`` unless
+    given, draws ahead, that draw was made on a helper thread during the
+    step before, joined before the call returns or raises. At t = T the
+    rows are observed and recorded but not stepped: nothing reads x_{T+1}.
 
     A seed diverges when its loss or ||grad f||^2 is not finite (it stops
     before that step's record) or when the optimizer rejects its stochastic
@@ -276,8 +276,8 @@ def run_rows(config: ExperimentConfig, specs) -> list:
     rows = [_Row(config, spec, x1) for spec in specs]
     del x1  # held by the rows until their first step replaces it
     obj = config.objective
-    ahead = (parallel._NoiseAhead(config) if parallel._draws_ahead(config, specs)
-             else None)
+    plan = plan or parallel.plan([config], specs)
+    ahead = parallel._NoiseAhead(config, plan) if plan.draws_ahead else None
     try:
         seeds = []  # the running seeds of the running rows, in stacking order
         for t in range(1, config.T + 1):
@@ -354,8 +354,8 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
 
     The rows of one beta share the objective, the noise and the seeds, so
     they run as one lockstep loop and read each (seed, t) draw once. The
-    betas run side by side (:func:`snsm.parallel._run_configs`); every
-    input is checked before the first of them starts.
+    betas run side by side on the processes of one :func:`snsm.parallel.plan`;
+    every input is checked before the first of them starts.
     """
     betas = tuple(betas)
     if not betas:
@@ -370,13 +370,13 @@ def sweep_beta(betas, d: int, T: int, seeds, subset_sizes=(),
     specs = [make_preset(name, lr=lr, **extra) for name, _, extra in jobs]
     for spec in specs:  # checks each row's partition of d; allocates nothing
         Optimizer(spec, obj.manifest.shapes)
-    noises = [NoiseModel(density_beta=float(beta), density_alpha=alpha)
-              for beta in betas]
-    configs = [ExperimentConfig(objective=obj, noise=noise, T=T, seeds=seeds,
-                                record_every=T)
-               for noise in noises]
+    configs = [ExperimentConfig(objective=obj, T=T, seeds=seeds, record_every=T,
+                                noise=NoiseModel(density_beta=float(beta),
+                                                 density_alpha=alpha))
+               for beta in betas]
     rows: list[SweepRow] = []
-    for beta, results in zip(betas, parallel._run_configs(run_rows, configs, specs)):
+    plan = parallel.plan(configs, specs)
+    for beta, results in zip(betas, parallel._run_configs(run_rows, configs, specs, plan)):
         for (name, k, _), result in zip(jobs, results):
             metrics = np.array([s.mean_grad_norm_sq for s in result.summaries])
             root_n = math.sqrt(metrics.size)

@@ -1,13 +1,12 @@
-"""CPU policy of the harness, each part with the measured threshold that
-decides it: the betas of a sweep side by side on forked processes
-(:func:`_run_configs`), the noise drawn a step ahead on a helper thread,
-the one worker of a ``ThreadPoolExecutor``, where :func:`_draws_ahead`
-holds (:class:`_NoiseAhead`), and OpenBLAS held off the helper's CPU, its
-thread count lowered and its idle worker threads parked
-(:func:`_openblas_threads`). Every thread and process of snsm is started
-here; the OpenBLAS it holds is looked up in :mod:`snsm.openblas`. Nothing
-here imports :mod:`snsm.harness`, whose ``run_rows`` is handed to
-:func:`_run_configs`.
+"""CPU policy of the harness, decided once per run by :func:`plan` from
+measured thresholds and returned as a frozen :class:`CpuPlan`: the betas of
+a sweep side by side on forked processes (:func:`_run_configs`), the noise
+drawn a step ahead on a helper thread, the one worker of a
+``ThreadPoolExecutor`` (:class:`_NoiseAhead`), and OpenBLAS held off the
+helper's CPU, its thread count lowered and its idle worker threads parked.
+Every thread and process of snsm is started here; the OpenBLAS it holds is
+looked up in :mod:`snsm.openblas`. Nothing here imports
+:mod:`snsm.harness`, whose ``run_rows`` is handed to :func:`_run_configs`.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from __future__ import annotations
 import os
 import pickle
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,9 +31,75 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_configs(run_rows, configs: list, specs: list) -> list:
-    """``run_rows(config, specs)`` for every config, in order, on
-    P = min(len(configs), usable CPUs) processes.
+# Normals per step below which a draw handed to the helper thread costs
+# more than it saves. Draw-ahead over inline, Adam on a quadratic, in one
+# interpreter on a 2-vCPU VM: 4096 normals 1.15-1.34x, 8192 0.84x on one
+# seed but 1.11x on four, 16384 0.79x on one seed and 0.91x on four,
+# 32768 and more 0.59-0.75x in every shape tried.
+_DRAW_AHEAD_MIN = 32768
+
+# (get, set, park) of the loaded OpenBLAS, or None (openblas.thread_calls)
+_openblas_threads = openblas.thread_calls
+
+
+@dataclass(frozen=True)
+class CpuPlan:
+    """How a run uses the CPUs (:func:`plan`): the processes its configs run
+    on, whether each step's noise is drawn on a helper thread while the step
+    before it runs, and, where it is, the thread count of the OpenBLAS held
+    off the helper's CPU, as found and as held, and whether its idle worker
+    threads are parked. The default runs in one process and draws inline."""
+
+    processes: int = 1
+    draws_ahead: bool = False
+    threads_found: int | None = None
+    threads_held: int | None = None
+    parks: bool = False
+    openblas: tuple | None = field(default=None, repr=False, compare=False)  # its calls
+
+
+def plan(configs: list, specs: list, cpus: int | None = None, lookup=None) -> CpuPlan:
+    """The plan of ``run_rows(config, specs)`` over every config: on
+    min(len(configs), usable CPUs) processes, drawing ahead only when all
+    of these hold:
+
+    - two or more usable CPUs: the helper needs one that the loop and
+      OpenBLAS leave it;
+    - every objective is a quadratic: the matmuls of an ``MLP2`` ran slower
+      beside the helper;
+    - every step draws at least ``_DRAW_AHEAD_MIN`` normals;
+    - a row that keeps a subspace frame (``SubspaceMomentum``,
+      ``GaloreMomentum``) calls OpenBLAS every step, whose worker threads
+      spin on every CPU after each call: such rows draw ahead only where
+      OpenBLAS's thread count can be held. Parking the worker threads is
+      not required: without it the hold only lowers the count.
+
+    OpenBLAS is looked up only for a run that passes the first three, and
+    held at the usable CPUs less one, which leaves the helper a CPU; a
+    count already that low stays as it is. ``cpus``, and ``lookup``, which
+    returns OpenBLAS's ``(get, set, park)`` or None, stand in for the usable
+    CPUs and the loaded library.
+    """
+    cpus = _usable_cpus() if cpus is None else cpus
+    processes = min(len(configs), cpus)
+    if cpus < 2 or not all(
+            isinstance(c.objective, Quadratic)
+            and len(set(c.seeds)) * c.noise.prefix(c.objective.d)[0] >= _DRAW_AHEAD_MIN
+            for c in configs):
+        return CpuPlan(processes)
+    calls = (lookup or _openblas_threads)()
+    if calls is None:
+        return CpuPlan(processes, draws_ahead=not any(
+            isinstance(spec.momentum, (SubspaceMomentum, GaloreMomentum))
+            for spec in specs))
+    found = calls[0]()
+    return CpuPlan(processes, True, found, min(found, cpus - 1),
+                   calls[2] is not None, calls)
+
+
+def _run_configs(run_rows, configs: list, specs: list, plan: CpuPlan) -> list:
+    """``run_rows(config, specs)`` for every config, in order, on the
+    plan's P processes.
 
     The calling process runs ``configs[0::P]``; P - 1 forked children run
     ``configs[j::P]`` and send their results, or the exception that stopped
@@ -42,7 +108,7 @@ def _run_configs(run_rows, configs: list, specs: list) -> list:
     as its own. A child that ends without a result raises
     ``ChildProcessError``. No child outlives the call.
     """
-    n_proc = min(len(configs), _usable_cpus())  # 1: nothing is forked
+    n_proc = plan.processes  # 1: nothing is forked
     results = [None] * len(configs)
     children = []  # (pid, read end of its pipe, its share) of each unreaped child
     try:
@@ -108,47 +174,6 @@ def _child(write_fd: int, run_rows, configs: list, specs: list) -> None:
         os._exit(code)
 
 
-# Normals per step below which a draw handed to the helper thread costs
-# more than it saves. Draw-ahead over inline, Adam on a quadratic, in one
-# interpreter on a 2-vCPU VM: 4096 normals 1.15-1.34x, 8192 0.84x on one
-# seed but 1.11x on four, 16384 0.79x on one seed and 0.91x on four,
-# 32768 and more 0.59-0.75x in every shape tried.
-_DRAW_AHEAD_MIN = 32768
-
-
-def _draws_ahead(config, specs: list) -> bool:
-    """Whether :func:`snsm.harness.run_rows` draws each step's noise on a
-    helper thread while the step before it runs. Only when all of these hold:
-
-    - two or more usable CPUs: the helper needs one that the loop and
-      OpenBLAS leave it;
-    - the objective is a quadratic: the matmuls of an ``MLP2`` ran slower
-      beside the helper;
-    - a step draws at least ``_DRAW_AHEAD_MIN`` normals;
-    - a row that keeps a subspace frame (``SubspaceMomentum``,
-      ``GaloreMomentum``) calls OpenBLAS every step, whose worker threads
-      spin on every CPU after each call: such rows draw ahead only where
-      :func:`_openblas_threads` can hold OpenBLAS off the helper's CPU.
-      Parking the worker threads is not required: without it the hold
-      only lowers the count.
-    """
-    d = config.objective.d
-    normals = len(set(config.seeds)) * config.noise.prefix(d)[0]
-    if not (normals >= _DRAW_AHEAD_MIN and isinstance(config.objective, Quadratic)
-            and _usable_cpus() >= 2):
-        return False
-    return _openblas_threads() is not None or not any(
-        isinstance(spec.momentum, (SubspaceMomentum, GaloreMomentum)) for spec in specs)
-
-
-# ``(get, set, park)``, the thread-count calls and the worker-pool shutdown
-# of the OpenBLAS this process has loaded (``park`` None where it is not
-# exported), or None (:func:`snsm.openblas.thread_calls`): looked up once per
-# process, on the first run that may draw ahead. Named here so that tests
-# can stand in for it.
-_openblas_threads = openblas.thread_calls
-
-
 class _NoiseAhead:
     """A helper thread, the one worker of a ``ThreadPoolExecutor``, that
     draws one step's noise while the loop runs the step before it, into a
@@ -159,16 +184,15 @@ class _NoiseAhead:
     waits for it and returns it when it is for the seeds and step asked
     for, else None, and the buffer is free again; a draw that failed raises
     its error there, through its future. The pool is made with the first
-    draw: just before, from the calling thread, OpenBLAS is set to run on
-    at most the usable CPUs less one and its worker threads are parked
-    (:meth:`_hold_openblas`). :meth:`close` waits for a draw under way,
-    shuts the pool down, which joins its thread, and restores OpenBLAS's
-    thread count; the next multi-threaded OpenBLAS call starts its workers
-    again.
+    draw: just before, from the calling thread, OpenBLAS is held and parked
+    as the run's :class:`CpuPlan` says (:meth:`_hold_openblas`).
+    :meth:`close` waits for a draw under way, shuts the pool down, which
+    joins its thread, and restores OpenBLAS's thread count; the next
+    multi-threaded OpenBLAS call starts its workers again.
     """
 
-    def __init__(self, config):
-        self._noise, self._d = config.noise, config.objective.d
+    def __init__(self, config, plan: CpuPlan):
+        self._noise, self._d, self._plan = config.noise, config.objective.d, plan
         self._buf = np.empty((len(set(config.seeds)), self._d))
         self._pool = None
         self._job = None  # ((seeds, t), future) of the draw handed out and not yet taken
@@ -187,23 +211,18 @@ class _NoiseAhead:
         self._job = (seeds, t), future
 
     def _hold_openblas(self) -> None:
-        """Cap OpenBLAS at the usable CPUs less one, which leaves the helper
-        a CPU; a count already that low stays as it is. Then park its
-        worker threads: after a multi-threaded call they spin on their CPUs
-        whatever the count, about 130 ms of CPU time on a 2-vCPU VM. The
-        park took about 0.1 ms, and the next two-thread call about 1 ms
-        longer than a warm one to start them again."""
-        calls = _openblas_threads()
-        if calls is None:
-            return
-        get, set_, park = calls
-        before = get()
-        held = min(before, _usable_cpus() - 1)
-        if held != before:
-            set_(held)
-            self._restore = set_, before
-        if park is not None:
-            park()
+        """Set OpenBLAS to the plan's held count, then park its worker
+        threads: after a multi-threaded call they spin on their CPUs whatever
+        the count, about 130 ms of CPU time on a 2-vCPU VM. The park took
+        about 0.1 ms, and the next two-thread call about 1 ms longer than a
+        warm one to start them again."""
+        plan = self._plan
+        if plan.threads_held != plan.threads_found:  # both None where none is held
+            set_ = plan.openblas[1]
+            set_(plan.threads_held)
+            self._restore = set_, plan.threads_found
+        if plan.parks:
+            plan.openblas[2]()
 
     def take(self, seeds: list, t: int):
         if self._job is None:

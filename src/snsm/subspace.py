@@ -42,7 +42,12 @@ def check_eps(eps: float) -> None:
 def _check_rule(rule: SubspaceMomentum | GaloreMomentum) -> None:
     """Make ``frame_kind`` a :class:`FrameKind` and check the values every
     subspace rule shares."""
-    object.__setattr__(rule, "frame_kind", FrameKind(rule.frame_kind))
+    try:
+        kind = FrameKind(rule.frame_kind)
+    except ValueError:
+        raise ValueError(f"{rule.frame_kind!r} is not a valid FrameKind; "
+                         f"choose from {', '.join(FrameKind)}") from None
+    object.__setattr__(rule, "frame_kind", kind)
     # 0 already means a fixed subspace; a negative gap is not a second spelling
     if rule.refresh_gap < 0:
         raise ValueError(f"refresh_gap must be >= 0, got {rule.refresh_gap}")

@@ -116,6 +116,11 @@ def test_subsetnorm_bound_validation():
         subsetnorm_bound(1.0, 1.0, 0.01, 100, np.zeros(2), np.ones(3), 0.1)
 
 
+def test_subsetnorm_bound_rejects_zero_subsets():
+    with pytest.raises(ValueError, match="^sigma_subsets and b0 need at least one subset$"):
+        subsetnorm_bound(1.0, 1.0, 0.01, 100, np.array([]), np.array([]), 0.1)
+
+
 @pytest.mark.parametrize("sig", [
     [-0.001, -0.001],  # small enough that every term stays finite
     [-1.0, -1.0],  # a log of a negative number

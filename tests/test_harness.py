@@ -312,6 +312,17 @@ def _ahead_config(preset, **spec_kw):
 _FRAME_KW = dict(rank=8, refresh_gap=3)
 
 
+def _planned(config, spec, cpus=2, threads=None):
+    """The plan of a run of ``spec`` on ``cpus`` CPUs, beside ``threads``,
+    a stand-in for OpenBLAS (``_Threads``), or else beside the loaded one."""
+    return parallel.plan([config], [spec], cpus=cpus,
+                         lookup=None if threads is None else lambda: threads.calls)
+
+
+def _run(config, spec, plan):
+    return run_rows(config, [spec], plan)[0]
+
+
 def _helper_draws(monkeypatch) -> list:
     """(seeds, t) of each draw made on a thread other than the caller's."""
     caller, real, draws = threading.get_ident(), parallel.draw, []
@@ -338,9 +349,8 @@ def _ahead_and_inline(monkeypatch, config, spec) -> tuple:
             return g
 
         with monkeypatch.context() as m:
-            m.setattr(parallel, "_usable_cpus", lambda: cpus)
             m.setattr(harness, "stoch_grad", oracle)
-            out.append((run(config, spec), grads))
+            out.append((_run(config, spec, _planned(config, spec, cpus)), grads))
     return tuple(out)
 
 
@@ -358,7 +368,7 @@ def test_draw_ahead_matches_the_inline_oracle(monkeypatch, preset, spec_kw):
     # each oracle call after the first reads a draw made ahead on the helper;
     # on one CPU none is. A frame row draws ahead only where OpenBLAS's
     # thread count can be held.
-    if not spec_kw or parallel._openblas_threads() is not None:
+    if not spec_kw or openblas.thread_calls() is not None:
         assert draws == [([3, 8], t) for t in range(2, config.T)]
     else:
         assert draws == []
@@ -415,16 +425,14 @@ def _fail_in_step(monkeypatch, seen):
                          ids=["oracle", "step"])
 def test_no_helper_thread_outlives_the_run(monkeypatch, inject, last_draw):
     config, spec = _ahead_config("Adam")
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     threads = _Threads(2)
-    monkeypatch.setattr(parallel, "_openblas_threads", lambda: threads.calls)
     before = threading.active_count()
-    run(config, spec)
+    _run(config, spec, _planned(config, spec, threads=threads))
     assert threading.active_count() == before
     draws, seen = _helper_draws(monkeypatch), []
     inject(monkeypatch, seen)
     with pytest.raises(RuntimeError, match="injected at step 3"):
-        run(config, spec)
+        _run(config, spec, _planned(config, spec, threads=threads))
     assert seen == [before + 1]  # the helper was running
     assert draws[-1] == ([3, 8], last_draw)
     assert threading.active_count() == before
@@ -433,7 +441,6 @@ def test_no_helper_thread_outlives_the_run(monkeypatch, inject, last_draw):
 
 def test_a_helper_draw_error_is_raised_by_the_run(monkeypatch):
     config, spec = _ahead_config("Adam")
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
 
     def failing(noise, d, seeds, t, out=None):
         raise RuntimeError(f"no draw at t={t}")
@@ -441,15 +448,13 @@ def test_a_helper_draw_error_is_raised_by_the_run(monkeypatch):
     monkeypatch.setattr(parallel, "draw", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="no draw at t=2"):
-        run(config, spec)
+        _run(config, spec, _planned(config, spec))
     assert threading.active_count() == before
 
 
 def test_the_loops_error_is_raised_over_the_helpers(monkeypatch):
     config, spec = _ahead_config("Adam")
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     threads = _Threads(2)
-    monkeypatch.setattr(parallel, "_openblas_threads", lambda: threads.calls)
     real, drawn = parallel.draw, []
 
     def failing(noise, d, seeds, t, out=None):
@@ -465,7 +470,7 @@ def test_the_loops_error_is_raised_over_the_helpers(monkeypatch):
     _fail_in_step(monkeypatch, seen)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="injected at step 3"):
-        run(config, spec)
+        _run(config, spec, _planned(config, spec, threads=threads))
     assert seen == [before + 1]  # the helper was running
     assert drawn == [2, 3, 4]
     assert threading.active_count() == before
@@ -488,7 +493,7 @@ def test_the_loops_error_is_raised_over_the_helpers(monkeypatch):
     (dict(preset="GaLore"), True),
     (dict(openblas=None), True),  # no frame, no OpenBLAS call to hold
 ])
-def test_draws_ahead_only_where_it_pays(monkeypatch, change, ahead):
+def test_draws_ahead_only_where_it_pays(change, ahead):
     d = parallel._DRAW_AHEAD_MIN // 2
     if change.get("mlp2"):
         obj = MLP2(np.zeros((4, d - 1)), np.zeros(4), hidden=1)
@@ -499,11 +504,24 @@ def test_draws_ahead_only_where_it_pays(monkeypatch, change, ahead):
              else NoiseModel(density_beta=change["beta"]))
     config = ExperimentConfig(objective=obj, noise=noise, T=4,
                               seeds=change.get("seeds", (3, 8)))
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: change.get("cpus", 2))
     calls = change.get("openblas", _Threads(2).calls)
-    monkeypatch.setattr(parallel, "_openblas_threads", lambda: calls)
     specs = [make_preset("Adam"), make_preset(change.get("preset", "AdamSN"))]
-    assert parallel._draws_ahead(config, specs) == ahead
+    plan = parallel.plan([config], specs, cpus=change.get("cpus", 2),
+                         lookup=lambda: calls)
+    assert plan.processes == 1 and plan.draws_ahead == ahead
+
+
+def test_the_default_plan_reads_the_cpus_and_the_library():
+    config, spec = _ahead_config("AdamSNSM", **_FRAME_KW)
+    default = parallel.plan([config] * 3, [spec])
+    cpus, calls = len(os.sched_getaffinity(0)), openblas.thread_calls()
+    if cpus >= 2 and calls is not None:
+        found = calls[0]()
+        assert default == parallel.CpuPlan(min(3, cpus), True, found,
+                                           min(found, cpus - 1), calls[2] is not None)
+        assert default.openblas is calls
+    else:  # a frame row draws ahead only beside an OpenBLAS it can hold
+        assert default == parallel.CpuPlan(min(3, cpus))
 
 
 class _Threads:
@@ -539,12 +557,12 @@ def _counting_oracle(monkeypatch, threads, fail_at=None) -> list:
 
 
 def _held_run(monkeypatch, threads, cpus, fail_at) -> tuple:
-    """(OpenBLAS's count at each oracle call, its parks at each helper draw)
-    of a frame run that draws ahead on ``cpus`` CPUs, with ``threads``
-    standing in for OpenBLAS; the oracle call at step ``fail_at`` raises."""
-    monkeypatch.setattr(parallel, "_openblas_threads", lambda: threads.calls)
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+    """(the plan, OpenBLAS's count at each oracle call, its parks at each
+    helper draw) of a frame run that draws ahead on ``cpus`` CPUs, with
+    ``threads`` standing in for OpenBLAS; the oracle call at step
+    ``fail_at`` raises."""
     config, spec = _ahead_config("AdamSNSM", **_FRAME_KW)
+    plan = _planned(config, spec, cpus, threads)
     seen = _counting_oracle(monkeypatch, threads.calls[0], fail_at)
     real, parks_at_draw = parallel.draw, []
 
@@ -554,13 +572,13 @@ def _held_run(monkeypatch, threads, cpus, fail_at) -> tuple:
 
     monkeypatch.setattr(parallel, "draw", drawing)
     if fail_at is None:
-        run(config, spec)
+        _run(config, spec, plan)
     else:
         with pytest.raises(RuntimeError, match="injected at step 3"):
-            run(config, spec)
+            _run(config, spec, plan)
     assert len(seen) == (fail_at or config.T - 1)
     assert parks_at_draw
-    return seen, parks_at_draw
+    return plan, seen, parks_at_draw
 
 
 # the hold never raises the count: OpenBLAS set to fewer threads stays there;
@@ -570,7 +588,9 @@ def _held_run(monkeypatch, threads, cpus, fail_at) -> tuple:
 def test_openblas_is_held_while_the_helper_draws(monkeypatch, cpus, before, held,
                                                  fail_at):
     threads = _Threads(before)
-    seen, parks_at_draw = _held_run(monkeypatch, threads, cpus, fail_at)
+    plan, seen, parks_at_draw = _held_run(monkeypatch, threads, cpus, fail_at)
+    assert (plan.draws_ahead, plan.threads_found, plan.threads_held, plan.parks) == \
+        (True, before, held, True)
     # the hold starts with the helper, after the first oracle call, and ends
     # when it is joined, on return or raise
     assert seen == [before] + [held] * (len(seen) - 1)
@@ -583,22 +603,23 @@ def test_openblas_is_held_while_the_helper_draws(monkeypatch, cpus, before, held
 @pytest.mark.parametrize("fail_at", [None, 3])
 def test_openblas_without_the_park_call_is_only_held(monkeypatch, fail_at):
     threads = _Threads(2, park=False)
-    seen, _ = _held_run(monkeypatch, threads, 2, fail_at)
+    plan, seen, _ = _held_run(monkeypatch, threads, 2, fail_at)
+    assert (plan.draws_ahead, plan.threads_held, plan.parks) == (True, 1, False)
     assert seen == [2] + [1] * (len(seen) - 1)
     assert (threads.count, threads.sets, threads.parks) == (2, [1, 2], 0)
 
 
 def test_a_helper_that_cannot_start_leaves_openblas_as_found(monkeypatch):
     threads = _Threads(2)
-    monkeypatch.setattr(parallel, "_openblas_threads", lambda: threads.calls)
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    config, spec = _ahead_config("Adam")
+    plan = _planned(config, spec, threads=threads)
 
     def no_thread(self):
         raise RuntimeError("can't start new thread")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     with pytest.raises(RuntimeError, match="can't start new thread"):
-        run(*_ahead_config("Adam"))
+        _run(config, spec, plan)
     # held and parked before the start, and the count restored after it failed
     assert (threads.count, threads.sets, threads.parks) == (2, [1, 2], 1)
 
@@ -611,15 +632,15 @@ def test_openblas_thread_count_is_restored(monkeypatch, fail_at):
     get, set_, _ = calls
     start = get()
     set_(2)  # a count the hold lowers, whatever count earlier runs left
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     config, spec = _ahead_config("GaLore", **_FRAME_KW)
     seen = _counting_oracle(monkeypatch, get, fail_at)
     try:
+        plan = _planned(config, spec)  # found after the count was set
         if fail_at is None:
-            run(config, spec)
+            _run(config, spec, plan)
         else:
             with pytest.raises(RuntimeError, match="injected at step 3"):
-                run(config, spec)
+                _run(config, spec, plan)
     finally:
         after = get()
         set_(start)  # a failure here leaves the next test its count
@@ -650,12 +671,13 @@ def _no_lookup():
 
 
 def test_runs_that_draw_inline_leave_openblas_alone(monkeypatch, capsys, tmp_path):
+    # every plan from here on, the default ones of the entry points too
     monkeypatch.setattr(parallel, "_openblas_threads", _no_lookup)
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
-    assert not parallel._draws_ahead(*_ahead_config("AdamSNSM", **_FRAME_KW))
-    run(*_ahead_config("AdamSNSM", **_FRAME_KW))
+    config, spec = _ahead_config("AdamSNSM", **_FRAME_KW)
+    plan = _planned(config, spec, cpus=1)
+    assert plan == parallel.CpuPlan() and plan.openblas is None
+    _run(config, spec, plan)
     # the benchmark's sweep draws 5 x 1024 normals a step; mem runs nothing
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     sweep_beta([0.0, 1.0], d=1024, T=20, seeds=range(5), subset_sizes=[256])
     _assert_no_child_left()
     (tmp_path / "m.manifest").write_text(MANIFEST)
@@ -753,9 +775,10 @@ def test_sweep_draws_noise_once_per_step_and_beta(monkeypatch):
         return real(obj, noise, x, seed, t, true_grad=true_grad, drawn=drawn)
 
     monkeypatch.setattr(harness, "stoch_grad", oracle)
-    # one process: a child's calls would not reach this list
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
-    sweep_beta([0.0, 1.0], d=32, T=50, seeds=range(3), subset_sizes=[8, 16])
+    # one beta per sweep runs in this process: a child's calls would not
+    # reach this list
+    for beta in (0.0, 1.0):
+        sweep_beta([beta], d=32, T=50, seeds=range(3), subset_sizes=[8, 16])
     # every row of one beta (norm, coord, SN(8), SN(16)) in one call per step,
     # through t = T - 1
     assert calls == [(beta, t, 4 * 3) for beta in (0.0, 1.0) for t in range(1, 50)]
@@ -830,7 +853,8 @@ def test_sweep_stderr_falls_back_only_when_it_overflows(monkeypatch):
     metrics = {"AdaGradNorm": [1e306, 1.2e306, 0.9e306, 1.1e306],
                "AdaGrad": [1.0, 1.5, 0.5, 2.25]}
 
-    def fake_run_configs(run_rows, configs, specs):  # one result per row, in job order
+    # one result per row, in job order
+    def fake_run_configs(run_rows, configs, specs, plan):
         return [[harness.RunResult(records=[], summaries=[
             harness.SeedSummary(seed=i, mean_grad_norm_sq=v, final_loss=0.0,
                                 diverged=False)
@@ -882,6 +906,24 @@ def _counting_fork(monkeypatch) -> list:
     return pids
 
 
+def _sweep_configs(betas, d=16, T=10, n_seeds=2, subset_sizes=()) -> tuple:
+    """(configs, specs) of the sweep of ``betas``, as sweep_beta builds them."""
+    specs = [make_preset("AdaGradNorm", lr=0.1), make_preset("AdaGrad", lr=0.1)]
+    specs += [make_preset("AdaGradSN", lr=0.1, subset_rule="equip", subset_size=k)
+              for k in subset_sizes]
+    configs = [ExperimentConfig(objective=Quadratic.isotropic(d),
+                                noise=NoiseModel(density_beta=beta), T=T,
+                                seeds=tuple(range(n_seeds)), record_every=T)
+               for beta in betas]
+    return configs, specs
+
+
+def _side_by_side(configs, specs, processes=2, run_rows=None) -> list:
+    """The sweep's runs of ``configs``, on ``processes`` processes."""
+    return parallel._run_configs(run_rows or harness.run_rows, configs, specs,
+                                 parallel.CpuPlan(processes))
+
+
 def _fail_at_beta(monkeypatch, beta, action):
     """Make run_rows call ``action()`` for the config of ``beta``."""
     real = harness.run_rows
@@ -904,15 +946,18 @@ def _raise(exc):
     ([1.0, 0.25, 0.0], 3),
 ])
 def test_sweep_betas_side_by_side_match_one_process(monkeypatch, betas, cpus):
-    kw = dict(d=32, T=40, seeds=range(3), subset_sizes=[8])
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
-    alone = sweep_beta(betas, **kw)
+    configs, specs = _sweep_configs(betas, d=32, T=40, n_seeds=3, subset_sizes=[8])
+    alone = [run_rows(config, specs) for config in configs]
+    assert parallel._run_configs(run_rows, configs, specs,
+                                 parallel.plan(configs, specs, cpus=1)) == alone
     forks = _counting_fork(monkeypatch)
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
-    assert sweep_beta(betas, **kw) == alone
+    plan = parallel.plan(configs, specs, cpus=cpus)
+    assert plan.processes == cpus
+    assert parallel._run_configs(run_rows, configs, specs, plan) == alone
     assert len(forks) == cpus - 1
-    assert [r.beta for r in alone[::3]] == betas
     _assert_no_child_left()
+    rows = sweep_beta(betas, d=32, T=40, seeds=range(3), subset_sizes=[8])
+    assert [r.beta for r in rows[::3]] == betas
 
 
 def _alarm(signum, frame):
@@ -922,34 +967,37 @@ def _alarm(signum, frame):
 def test_forked_sweep_after_a_run_that_drew_ahead(monkeypatch):
     # a thread does not survive os.fork: a helper kept past its run would be
     # missing in the forked child
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     draws = _helper_draws(monkeypatch)
-    run(*_ahead_config("Adam"))
+    config, spec = _ahead_config("Adam")
+    _run(config, spec, _planned(config, spec))
     assert draws  # this process drew ahead
     d = parallel._DRAW_AHEAD_MIN
-    kw = dict(d=d, T=6, seeds=range(2), subset_sizes=[d // 8])
-    beta1 = ExperimentConfig(objective=Quadratic.isotropic(d),
-                             noise=NoiseModel(density_beta=1.0), T=6, seeds=(0, 1))
-    assert parallel._draws_ahead(beta1, [make_preset("AdaGrad")])  # in the child
+    configs, specs = _sweep_configs([0.0, 1.0], d=d, T=6, subset_sizes=[d // 8])
+
+    def on_two_cpus(config, specs):  # each run's own plan, as on two CPUs
+        return run_rows(config, specs, parallel.plan([config], specs, cpus=2))
+
+    assert parallel.plan(configs[1:], specs, cpus=2).draws_ahead  # in the child
     forks = _counting_fork(monkeypatch)
     old = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(120)
     try:
-        side_by_side = sweep_beta([0.0, 1.0], **kw)
+        side_by_side = _side_by_side(configs, specs, run_rows=on_two_cpus)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
     assert len(forks) == 1
     _assert_no_child_left()
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
-    assert side_by_side == sweep_beta([0.0, 1.0], **kw)
+    assert side_by_side == _side_by_side(configs, specs, processes=1)
 
 
 def test_sweep_on_one_cpu_forks_nothing(monkeypatch):
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+    configs, specs = _sweep_configs([0.0, 0.5, 1.0], subset_sizes=[4])
+    plan = parallel.plan(configs, specs, cpus=1)
+    assert plan == parallel.CpuPlan()
     monkeypatch.setattr(os, "fork", lambda: _raise(AssertionError("forked")))
-    rows = sweep_beta([0.0, 0.5, 1.0], d=16, T=10, seeds=range(2), subset_sizes=[4])
-    assert [r.beta for r in rows[::3]] == [0.0, 0.5, 1.0]
+    assert parallel._run_configs(run_rows, configs, specs, plan) == \
+        [run_rows(config, specs) for config in configs]
 
 
 def test_usable_cpus_is_one_without_fork_or_affinity(monkeypatch):
@@ -962,9 +1010,8 @@ def test_usable_cpus_is_one_without_fork_or_affinity(monkeypatch):
 
 def test_sweep_reraises_a_child_error(monkeypatch):
     _fail_at_beta(monkeypatch, 1.0, lambda: _raise(ValueError("boom")))
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     with pytest.raises(ValueError) as info:
-        sweep_beta([0.0, 1.0], d=16, T=10, seeds=range(2))
+        _side_by_side(*_sweep_configs([0.0, 1.0]))
     assert info.type is ValueError and str(info.value) == "boom"
     _assert_no_child_left()
 
@@ -991,29 +1038,35 @@ def _local_error():
 ])
 def test_sweep_child_error_that_does_not_pickle(monkeypatch, make, text):
     _fail_at_beta(monkeypatch, 1.0, lambda: _raise(make()))
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     with pytest.raises(RuntimeError, match=text):
-        sweep_beta([0.0, 1.0], d=16, T=10, seeds=range(2))
+        _side_by_side(*_sweep_configs([0.0, 1.0]))
     _assert_no_child_left()
 
 
 def test_sweep_child_share_counts_diverged_seeds(monkeypatch):
     _inject(monkeypatch, bad_seed=1, bad_t=5, value=np.nan)
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
-    rows = sweep_beta([0.0, 1.0], d=16, T=20, seeds=range(3), subset_sizes=[4])
-    assert [r.n_diverged for r in rows] == [1] * 6  # rows[3:] came from the child
+    configs, specs = _sweep_configs([0.0, 1.0], T=20, n_seeds=3, subset_sizes=[4])
+    per_beta = _side_by_side(configs, specs)  # beta 1 came from the child
+    assert [[s.diverged for s in result.summaries] for results in per_beta
+            for result in results] == [[False, True, False]] * 6
     _assert_no_child_left()
 
 
 def test_sweep_kills_its_children_when_the_caller_fails(monkeypatch):
     _fail_at_beta(monkeypatch, 1.0, lambda: time.sleep(60))  # the child's share
     _fail_at_beta(monkeypatch, 0.0, lambda: _raise(ValueError("caller")))
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="caller"):
-        sweep_beta([0.0, 1.0], d=16, T=10, seeds=range(2))
+        _side_by_side(*_sweep_configs([0.0, 1.0]))
     assert time.perf_counter() - t0 < 30
     _assert_no_child_left()
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Every plan sees two usable CPUs, so that a sweep that ``main`` runs
+    forks a child for its second beta on any host: the CLI takes no plan."""
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
 
 
 @pytest.mark.parametrize("exc,code,message", [
@@ -1021,9 +1074,9 @@ def test_sweep_kills_its_children_when_the_caller_fails(monkeypatch):
     (NumericError("SVD did not converge"), 2,
      "snsm: numeric failure: SVD did not converge"),
 ])
-def test_cli_sweep_child_error_exit_code(monkeypatch, capsys, exc, code, message):
+def test_cli_sweep_child_error_exit_code(monkeypatch, capsys, two_cpus, exc, code,
+                                         message):
     _fail_at_beta(monkeypatch, 1.0, lambda: _raise(exc))
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     assert main(["sweep", "--betas", "0,1", "--d", "16", "--T", "10",
                  "--n-seeds", "2"]) == code
     captured = capsys.readouterr()
@@ -1031,9 +1084,8 @@ def test_cli_sweep_child_error_exit_code(monkeypatch, capsys, exc, code, message
     _assert_no_child_left()
 
 
-def test_cli_sweep_lost_child_exit_1(monkeypatch, capsys):
+def test_cli_sweep_lost_child_exit_1(monkeypatch, capsys, two_cpus):
     _fail_at_beta(monkeypatch, 1.0, lambda: os._exit(3))
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     assert main(["sweep", "--betas", "0,1", "--d", "16", "--T", "10",
                  "--n-seeds", "2"]) == 1
     captured = capsys.readouterr()
@@ -1406,6 +1458,32 @@ def test_cli_negative_seed_base_exit_1(capsys, argv):
         capsys.readouterr().err
 
 
+# a run holds its seeds as int64: 2**63 - 1 is the largest seed
+@pytest.mark.parametrize("argv", [
+    ["train", "--d", "16", "--T", "3", "--seed-base", str(2 ** 63)],
+    ["train", "--objective", "mlp2", "--d", "4", "--T", "3", "--seed-base", str(2 ** 63)],
+    ["sweep", "--d", "16", "--T", "3", "--n-seeds", "2", "--seed-base", str(2 ** 63 - 1)],
+    ["bound", "--thm", "2", "--verify", "--d", "16", "--T", "5", "--rank", "2",
+     "--seed-base", str(2 ** 63)],
+])
+def test_cli_seed_of_2_to_the_63_exit_1(capsys, argv):
+    assert main(argv + ["--out", "/dev/null"]) == 1
+    assert capsys.readouterr().err == \
+        "snsm: error: seeds must be below 2**63, got 9223372036854775808\n"
+
+
+def test_cli_largest_seed_runs(capsys):
+    assert main(["train", "--d", "16", "--T", "3", "--seed-base", str(2 ** 63 - 1),
+                 "--n-seeds", "1"]) == 0
+    assert "# seed=9223372036854775807 " in capsys.readouterr().err
+
+
+def test_cli_bound_thm3_without_subsets_exit_1(capsys):
+    assert main(["bound", "--thm", "3", "--sigma-subsets=", "--b0", "1"]) == 1
+    assert capsys.readouterr().err == \
+        "snsm: error: sigma_subsets and b0 need at least one subset\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--objective", "mlp2", "--hidden", "0"], "mlp2 needs hidden >= 1, got hidden=0"),
     (["--objective", "mlp2", "--d", "0"], "mlp2 needs d >= 1, got d=0"),
@@ -1772,8 +1850,9 @@ def test_cli_train_gaussian_raw_frame_exit_1(capsys):
     # subspace momentum needs a projector; the raw Gaussian kind is gone
     assert main(["train", "--preset", "SGD-SM", "--frame", "gaussian_raw",
                  "--T", "3", "--out", "/dev/null"]) == 1
-    assert "snsm: error: 'gaussian_raw' is not a valid FrameKind" in \
-        capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "snsm: error: 'gaussian_raw' is not a valid FrameKind; choose from svd, "
+        "approx_svd, gaussian_ortho, srht, row_subset, top_k_rows, identity, zero\n")
 
 
 def test_cli_usage_error_exit_1():

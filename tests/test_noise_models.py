@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from snsm import harness, noise_models, parallel
+from snsm import harness, noise_models
 from snsm.noise_models import (
     MLP2,
     ManifestEntry,
@@ -370,10 +370,11 @@ def test_each_key_block_is_derived_once(monkeypatch):
 
     monkeypatch.setattr(noise_models, "seed_words", counting)
     noise_models._key_block.cache_clear()
-    # one process: a child would derive its blocks where this list cannot see
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
-    # the rows and both betas of a sweep share the blocks of its seeds
-    harness.sweep_beta([0.0, 1.0], d=16, T=BLOCK + 10, seeds=range(3), subset_sizes=[4])
+    # the rows of a sweep, and the runs of two betas in one process, share
+    # the blocks of their seeds; a sweep of one beta forks no child, which
+    # would derive its blocks where this list cannot see
+    for beta in (0.0, 1.0):
+        harness.sweep_beta([beta], d=16, T=BLOCK + 10, seeds=range(3), subset_sizes=[4])
     assert blocks == [((0, 1, 2), 0), ((0, 1, 2), BLOCK)]
     # a random start reads the step-0 stream from the block its run reads
     # next, once for all the rows of the run

@@ -17,6 +17,16 @@ from snsm.subspace import (
 )
 
 
+@pytest.mark.parametrize("rule", [SubspaceMomentum, GaloreMomentum])
+def test_an_unknown_frame_kind_lists_the_kinds(rule):
+    with pytest.raises(ValueError) as info:
+        rule("bogus")
+    assert str(info.value) == (
+        "'bogus' is not a valid FrameKind; choose from svd, approx_svd, "
+        "gaussian_ortho, srht, row_subset, top_k_rows, identity, zero")
+    assert rule(FrameKind.SRHT).frame_kind is rule("srht").frame_kind is FrameKind.SRHT
+
+
 def _random_stream(m, n, T, seed=0):
     rng = np.random.default_rng(seed)
     return [rng.standard_normal((m, n)) for _ in range(T)]

@@ -122,14 +122,25 @@ def timed_svd_frame(linalg, G):
 
 @contextlib.contextmanager
 def held_openblas(parallel):
-    """OpenBLAS at the thread count a draw-ahead run holds it at, if any."""
-    calls = parallel._openblas_threads()
+    """OpenBLAS at the thread count that a matrix_train run drawing ahead
+    holds it at, if any: the count of the tree's ``parallel.plan`` for such
+    a run, or, in a tree from before the plan, the same hold rule."""
+    if hasattr(parallel, "plan"):
+        harness = importlib.import_module(f"{parallel.__package__}.harness")
+        obj = harness.Quadratic.isotropic(SVD_M * SVD_M, shape=(SVD_M, SVD_M))
+        config = harness.ExperimentConfig(objective=obj, seeds=(0,), T=2,
+                                          noise=harness.NoiseModel(sigma=1e-3))
+        plan = parallel.plan([config], [harness.make_preset("AdamSNSM", rank=SVD_K)])
+        calls, held = plan.openblas, plan.threads_held
+    else:
+        calls = parallel._openblas_threads()
+        held = calls and max(1, min(calls[0](), parallel._usable_cpus() - 1))
     if calls is None:
         yield
         return
     get, set_ = calls[:2]  # a tree from before the park returns (get, set)
     before = get()
-    set_(max(1, min(before, parallel._usable_cpus() - 1)))
+    set_(held)
     try:
         yield
     finally:

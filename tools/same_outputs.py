@@ -69,6 +69,13 @@ quotes them). Both read their file from a temporary directory that the
 script makes for each run, shared by both trees. Against a tree that ended
 the first in a traceback and wrote the names unquoted, they differ by
 design: on stderr, and on stdout.
+``seed-base-2**63`` asks for a seed past the int64 that a run holds each
+seed in, ``bound3-no-subsets`` for the Thm-3 bound over no subsets, and
+``train-frame-bogus`` for an unknown frame kind; each exits 1 with one
+error line. Against a tree that ended the first in an ``OverflowError``
+traceback, gave numpy's zero-size reduction error for the second and did
+not list the frame kinds in the third, they differ on stderr by design.
+``seed-base-2**63-1`` runs the largest seed.
 
 Every sweep that runs prints one verdict line per beta and comparison on
 stderr after its table, e.g. ``# beta=1 AdaGradSN(8) vs AdaGrad:
@@ -230,6 +237,11 @@ COMMANDS = [
     ("noise-empty-npy", ["noise", "--samples", "{tmp}/empty.npy"]),
     ("mem-csv-quoting", ["mem", "--manifest", "{tmp}/quoting.manifest",
                          "--preset", "Adam"]),
+    *((f"seed-base-2**63{label}", ["train", "--d", "16", "--T", "3",
+                                   "--seed-base", str(2 ** 63 + offset)])
+      for label, offset in (("", 0), ("-1", -1))),
+    ("bound3-no-subsets", ["bound", "--thm", "3", "--sigma-subsets=", "--b0", "1"]),
+    ("train-frame-bogus", ["train", "--d", "16", "--T", "3", "--frame", "bogus"]),
 ]
 
 
