@@ -206,13 +206,17 @@ def estimate_noise(grad_samples: np.ndarray, threshold: float = 1e-12
     """Per-coordinate gradient-noise variance from n >= 2 stochastic grads.
 
     grad_samples has shape (n, d): n independent stochastic gradients at a
-    fixed point.
+    fixed point, each entry real and finite.
     """
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
+    if np.iscomplexobj(grad_samples):  # float64 would drop the imaginary parts
+        raise ValueError("gradient samples must be real, got complex values")
     grad_samples = np.asarray(grad_samples, dtype=np.float64)
     if grad_samples.ndim != 2 or grad_samples.shape[0] < 2:
         raise ValueError("need an (n, d) array with n >= 2 samples")
+    if not np.isfinite(grad_samples).all():  # a nan variance is never noisy
+        raise ValueError("gradient samples must be finite, got nan or inf")
     var = grad_samples.var(axis=0, ddof=1)
     noisy = var > threshold
     count = int(noisy.sum())

@@ -92,7 +92,7 @@ def _train_flags(t):
     t.add_argument("--seed-base", type=int, default=0)
     t.add_argument("--objective", choices=("quadratic", "mlp2"), default="quadratic")
     t.add_argument("--d", type=int, default=100)
-    t.add_argument("--hidden", type=int, default=16, help="mlp2 hidden width")
+    t.add_argument("--hidden", type=int, default=None, help="mlp2 hidden width")
     t.add_argument("--T", type=int, default=1000)
     t.add_argument("--preset", default="Adam")
     t.add_argument("--lr", type=float, default=1e-3)
@@ -103,7 +103,7 @@ def _train_flags(t):
                    help="density exponent: ceil(d^beta) noisy coordinates")
     t.add_argument("--noise-alpha", type=float, default=None,
                    help="noise level of --noise-beta noise (default 1)")
-    t.add_argument("--delta1", type=float, default=1.0)
+    t.add_argument("--delta1", type=float, default=None)
     t.add_argument("--record-every", type=int, default=1)
     t.add_argument("--rank", type=int, default=4)
     t.add_argument("--refresh-gap", type=int, default=200)
@@ -214,22 +214,29 @@ def _seeds(args, fewest: int = 1, why: str = "seeds must be non-empty") -> tuple
 def _cmd_train(args) -> tuple:
     seeds = _seeds(args)
     if args.objective == "quadratic":
+        if args.hidden is not None:
+            raise ValueError("--hidden sets mlp2's hidden width; the quadratic "
+                             "has no hidden layer")
         shape = parse_shape(args.param_shape) if args.param_shape else None
         obj = Quadratic.isotropic(args.d, shape=shape)
     else:
         if args.param_shape is not None:
             raise ValueError("--param-shape sets the quadratic's parameter; "
                              "mlp2 has its own layout, W1 and W2")
+        if args.delta1 is not None:
+            raise ValueError("--delta1 sets the quadratic's f(x_1); mlp2 draws "
+                             "its x_1 from each seed")
         # before the data is drawn from the first seed, with d columns
         harness.check_seeds(seeds)
         check_size("mlp2", "d", args.d)
         rng = np.random.default_rng(args.seed_base)
         X = rng.standard_normal((64, args.d))
         y = rng.standard_normal(64)
-        obj = MLP2(X, y, hidden=args.hidden)
+        obj = MLP2(X, y, hidden=16 if args.hidden is None else args.hidden)
     config = harness.ExperimentConfig(
         objective=obj, noise=_train_noise(args), T=args.T, seeds=seeds,
-        delta1=args.delta1, record_every=args.record_every)
+        delta1=1.0 if args.delta1 is None else args.delta1,
+        record_every=args.record_every)
     spec = make_preset(
         args.preset, lr=args.lr, rank=args.rank, refresh_gap=args.refresh_gap,
         frame_kind=args.frame, subset_rule=args.subset_rule,

@@ -106,21 +106,20 @@ class RunResult:
 
 
 def _init_x1(config: ExperimentConfig) -> np.ndarray:
-    """x_1 of every seed, ``(S, d)``, read-only: on a quadratic the
-    multiple of ones with f(x_1) = delta1, on an MLP2 a draw from the
-    seed's step-0 stream."""
+    """x_1 of every seed, ``(S, d)``, read-only: on a quadratic one
+    multiple of ones with f(x_1) = delta1, a view of that one number; on an
+    MLP2 a draw from each seed's step-0 stream."""
     obj = config.objective
     if isinstance(obj, Quadratic):
         lam_sum = float(obj.lam.sum())
         if lam_sum <= 0:
             raise ValueError("quadratic needs a positive curvature sum")
         # f(s * ones) = 0.5 s^2 sum(lam) = delta1
-        x1 = np.full((len(config.seeds), obj.d),
-                     math.sqrt(2.0 * config.delta1 / lam_sum))
-    else:
-        scale = 1.0 / math.sqrt(obj.d_in)
-        x1 = np.stack([rng.uniform(-scale, scale, obj.d)
-                       for rng in streams(config.seeds, 0)])
+        return np.broadcast_to(math.sqrt(2.0 * config.delta1 / lam_sum),
+                               (len(config.seeds), obj.d))
+    scale = 1.0 / math.sqrt(obj.d_in)
+    x1 = np.stack([rng.uniform(-scale, scale, obj.d)
+                   for rng in streams(config.seeds, 0)])
     x1.flags.writeable = False  # shared by the rows of a run
     return x1
 
@@ -250,19 +249,20 @@ def _cat(arrays: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def run_rows(config: ExperimentConfig, specs, plan=None) -> list:
+def run_rows(config: ExperimentConfig, specs, plan: parallel.CpuPlan) -> list:
     """Run every spec (a row) on the config, all rows and all their seeds
-    stepping together; one RunResult per spec.
+    stepping together, as the command's ``plan`` says; one RunResult per
+    spec.
 
     Each row keeps its own iterates, optimizer, running seeds and records,
     exactly as if run alone; all start from the same x_1. Per step the loop
     calls the objective's ``value_and_grad`` once, on the running iterates
     of every row stacked, and makes one oracle call, which draws each
     seed's noise once and adds it to every row that carries the seed in
-    one operation; where the plan, ``parallel.plan([config], specs)`` unless
-    given, draws ahead, that draw was made on a helper thread during the
-    step before, joined before the call returns or raises. At t = T the
-    rows are observed and recorded but not stepped: nothing reads x_{T+1}.
+    one operation; where the plan draws ahead, that draw was made on a
+    helper thread during the step before, joined before the call returns
+    or raises. At t = T the rows are observed and recorded but not
+    stepped: nothing reads x_{T+1}.
 
     A seed diverges when its loss or ||grad f||^2 is not finite (it stops
     before that step's record) or when the optimizer rejects its stochastic
@@ -276,7 +276,6 @@ def run_rows(config: ExperimentConfig, specs, plan=None) -> list:
     rows = [_Row(config, spec, x1) for spec in specs]
     del x1  # held by the rows until their first step replaces it
     obj = config.objective
-    plan = plan or parallel.plan([config], specs)
     ahead = parallel._NoiseAhead(config, plan) if plan.draws_ahead else None
     try:
         seeds = []  # the running seeds of the running rows, in stacking order
@@ -331,7 +330,7 @@ def run_rows(config: ExperimentConfig, specs, plan=None) -> list:
 
 def run(config: ExperimentConfig, spec: OptimizerSpec) -> RunResult:
     """Run every seed of the config under one spec, all seeds stepping together."""
-    return run_rows(config, [spec])[0]
+    return run_rows(config, [spec], parallel.plan([config], [spec]))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""CPU policy of the harness, decided once per run by :func:`plan` from
+"""CPU policy of the harness, decided once per command by :func:`plan` from
 measured thresholds and returned as a frozen :class:`CpuPlan`: the betas of
 a sweep side by side on forked processes (:func:`_run_configs`), the noise
 drawn a step ahead on a helper thread, the one worker of a
@@ -44,11 +44,11 @@ _openblas_threads = openblas.thread_calls
 
 @dataclass(frozen=True)
 class CpuPlan:
-    """How a run uses the CPUs (:func:`plan`): the processes its configs run
-    on, whether each step's noise is drawn on a helper thread while the step
-    before it runs, and, where it is, the thread count of the OpenBLAS held
-    off the helper's CPU, as found and as held, and whether its idle worker
-    threads are parked. The default runs in one process and draws inline."""
+    """How a command's runs use the CPUs (:func:`plan`): the processes its
+    configs run on, whether each step's noise is drawn on a helper thread
+    while the step before it runs, and, where it is, OpenBLAS's thread
+    count as found and as held off the helper's CPU, and whether its idle
+    worker threads are parked. The default runs in one process and draws inline."""
 
     processes: int = 1
     draws_ahead: bool = False
@@ -59,12 +59,12 @@ class CpuPlan:
 
 
 def plan(configs: list, specs: list, cpus: int | None = None, lookup=None) -> CpuPlan:
-    """The plan of ``run_rows(config, specs)`` over every config: on
-    min(len(configs), usable CPUs) processes, drawing ahead only when all
-    of these hold:
+    """The plan of ``run_rows(config, specs, plan)`` over every config: on
+    P = min(len(configs), usable CPUs) processes, each with a share of
+    usable CPUs // P of its own, drawing ahead only when all of these hold:
 
-    - two or more usable CPUs: the helper needs one that the loop and
-      OpenBLAS leave it;
+    - a share of two or more CPUs: the helper needs one that its process's
+      loop and OpenBLAS leave it;
     - every objective is a quadratic: the matmuls of an ``MLP2`` ran slower
       beside the helper;
     - every step draws at least ``_DRAW_AHEAD_MIN`` normals;
@@ -75,14 +75,15 @@ def plan(configs: list, specs: list, cpus: int | None = None, lookup=None) -> Cp
       not required: without it the hold only lowers the count.
 
     OpenBLAS is looked up only for a run that passes the first three, and
-    held at the usable CPUs less one, which leaves the helper a CPU; a
-    count already that low stays as it is. ``cpus``, and ``lookup``, which
+    held at the share less one, which leaves the helper a CPU; a count
+    already that low stays as it is. ``cpus``, and ``lookup``, which
     returns OpenBLAS's ``(get, set, park)`` or None, stand in for the usable
     CPUs and the loaded library.
     """
     cpus = _usable_cpus() if cpus is None else cpus
     processes = min(len(configs), cpus)
-    if cpus < 2 or not all(
+    share = cpus // processes  # the CPUs of each process
+    if share < 2 or not all(
             isinstance(c.objective, Quadratic)
             and len(set(c.seeds)) * c.noise.prefix(c.objective.d)[0] >= _DRAW_AHEAD_MIN
             for c in configs):
@@ -93,13 +94,13 @@ def plan(configs: list, specs: list, cpus: int | None = None, lookup=None) -> Cp
             isinstance(spec.momentum, (SubspaceMomentum, GaloreMomentum))
             for spec in specs))
     found = calls[0]()
-    return CpuPlan(processes, True, found, min(found, cpus - 1),
+    return CpuPlan(processes, True, found, min(found, share - 1),
                    calls[2] is not None, calls)
 
 
 def _run_configs(run_rows, configs: list, specs: list, plan: CpuPlan) -> list:
-    """``run_rows(config, specs)`` for every config, in order, on the
-    plan's P processes.
+    """``run_rows(config, specs, plan)`` for every config, in order, on
+    the plan's P processes.
 
     The calling process runs ``configs[0::P]``; P - 1 forked children run
     ``configs[j::P]`` and send their results, or the exception that stopped
@@ -118,10 +119,10 @@ def _run_configs(run_rows, configs: list, specs: list, plan: CpuPlan) -> list:
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if not pid:
-                _child(write_fd, run_rows, configs[j::n_proc], specs)  # never returns
+                _child(write_fd, run_rows, configs[j::n_proc], specs, plan)  # never returns
             os.close(write_fd)
             children.append((pid, os.fdopen(read_fd, "rb"), j))
-        results[0::n_proc] = [run_rows(config, specs) for config in configs[0::n_proc]]
+        results[0::n_proc] = [run_rows(c, specs, plan) for c in configs[0::n_proc]]
         while children:
             pid, reader, j = children[0]
             with reader:
@@ -152,7 +153,7 @@ def _run_configs(run_rows, configs: list, specs: list, plan: CpuPlan) -> list:
     return results
 
 
-def _child(write_fd: int, run_rows, configs: list, specs: list) -> None:
+def _child(write_fd: int, run_rows, configs: list, specs: list, plan: CpuPlan) -> None:
     """The body of a forked child of :func:`_run_configs`: run ``configs``,
     write ``("ok", results)`` or ``("err", exception)`` to ``write_fd`` and
     exit without returning into the caller's frames, flushing its stdio or
@@ -160,7 +161,7 @@ def _child(write_fd: int, run_rows, configs: list, specs: list) -> None:
     code = 1
     try:
         try:
-            payload = ("ok", [run_rows(config, specs) for config in configs])
+            payload = ("ok", [run_rows(config, specs, plan) for config in configs])
         except BaseException as exc:  # the caller re-raises it
             payload = ("err", exc)
             try:

@@ -1,6 +1,7 @@
 """Bound evaluators, rate exponents, and the noise estimator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,7 +228,28 @@ def test_estimate_noise_threshold_must_be_finite_and_non_negative(threshold, err
             estimate_noise(samples, threshold=threshold)
 
 
+@pytest.mark.parametrize("bad,error", [
+    (math.nan, "must be finite, got nan or inf"),
+    (math.inf, "must be finite, got nan or inf"),
+    (-math.inf, "must be finite, got nan or inf"),
+    (1j, "must be real, got complex values"),
+])
+def test_estimate_noise_rejects_samples_not_finite_or_not_real(bad, error):
+    samples = np.array([[0.0, 1.0], [2.0, 1.0]], dtype=type(bad))
+    samples[1, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a cast or a nan variance would warn
+        with pytest.raises(ValueError, match=f"gradient samples {error}$"):
+            estimate_noise(samples)
+
+
 def test_subset_sigmas():
     p = part.Partition(4, 2)
     sig = subset_sigmas(p, np.array([3.0, 4.0, 0.0, 1.0]))
     np.testing.assert_allclose(sig, [5.0, 1.0])
+
+
+@pytest.mark.parametrize("sigma", [np.ones(3), np.ones(5), np.ones((2, 2))])
+def test_subset_sigmas_needs_one_level_per_coordinate(sigma):
+    with pytest.raises(ValueError, match="one entry per coordinate$"):
+        subset_sigmas(part.Partition(4, 2), sigma)

@@ -249,7 +249,7 @@ def test_rows_in_lockstep_match_one_config_runs(monkeypatch):
     config, _ = _lockstep_config("SGD", (12, 8), (3, 7, 1, 5))
     specs = [make_preset(preset, **dict(dict(lr=0.05), **kw))
              for preset, kw in MIXED_ROWS]
-    together = run_rows(config, specs)
+    together = run_rows(config, specs, parallel.CpuPlan())
     # one oracle call per step for all rows; none at t = T, which makes no update
     assert calls == list(range(1, 20))
     alone = [run(config, spec) for spec in specs]
@@ -270,7 +270,8 @@ def test_rows_share_one_objective_evaluation_per_step(monkeypatch):
             return real(self, x)
         monkeypatch.setattr(Quadratic, name, counting)
     config, sgd = _lockstep_config("SGD", (12, 8), (0, 1, 2))
-    run_rows(config, [sgd, make_preset("Adam", lr=0.05), make_preset("AdaGradNorm")])
+    run_rows(config, [sgd, make_preset("Adam", lr=0.05), make_preset("AdaGradNorm")],
+             parallel.CpuPlan())
     # one pass per step, whose gradient the oracle reuses; value_and_grad
     # reads the gradient through grad, the call the benchmark's span counts
     assert calls == {"value_and_grad": config.T, "value": 0, "grad": config.T}
@@ -286,10 +287,11 @@ def test_rows_share_one_read_only_start(monkeypatch):
 
     monkeypatch.setattr(harness, "_init_x1", counting)
     config, sgd = _lockstep_config("SGD", (12, 8), (0, 1))
-    run_rows(config, [sgd, make_preset("Adam", lr=0.05), make_preset("AdaGradNorm")])
+    run_rows(config, [sgd, make_preset("Adam", lr=0.05), make_preset("AdaGradNorm")],
+             parallel.CpuPlan())
     assert len(starts) == 1 and not starts[0].flags.writeable
     with pytest.raises(ValueError, match="at least one spec"):
-        run_rows(config, [])
+        run_rows(config, [], parallel.CpuPlan())
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +515,48 @@ def test_draws_ahead_only_where_it_pays(change, ahead):
 
 def test_the_default_plan_reads_the_cpus_and_the_library():
     config, spec = _ahead_config("AdamSNSM", **_FRAME_KW)
-    default = parallel.plan([config] * 3, [spec])
     cpus, calls = len(os.sched_getaffinity(0)), openblas.thread_calls()
-    if cpus >= 2 and calls is not None:
-        found = calls[0]()
-        assert default == parallel.CpuPlan(min(3, cpus), True, found,
-                                           min(found, cpus - 1), calls[2] is not None)
-        assert default.openblas is calls
-    else:  # a frame row draws ahead only beside an OpenBLAS it can hold
-        assert default == parallel.CpuPlan(min(3, cpus))
+    for n_configs in (1, 3):  # a run, and a sweep of three betas
+        default = parallel.plan([config] * n_configs, [spec])
+        processes = min(n_configs, cpus)
+        share = cpus // processes  # the CPUs of each process
+        if share >= 2 and calls is not None:
+            found = calls[0]()
+            assert default == parallel.CpuPlan(processes, True, found, min(found, share - 1),
+                                               calls[2] is not None)
+            assert default.openblas is calls
+        else:  # a frame row draws ahead only beside an OpenBLAS it can hold
+            assert default == parallel.CpuPlan(processes)
+
+
+# the configs of a sweep on ``cpus`` CPUs, beside an OpenBLAS of 8 threads:
+# each of its processes draws ahead only with two CPUs of its own, and
+# holds OpenBLAS at that share less one
+@pytest.mark.parametrize("cpus,n_configs,processes,held", [
+    (2, 2, 2, None), (3, 2, 2, None), (4, 2, 2, 1), (8, 2, 2, 3),
+    (8, 3, 3, 1), (5, 6, 5, None), (4, 1, 1, 3),
+])
+def test_each_process_draws_ahead_on_its_share_of_the_cpus(cpus, n_configs,
+                                                           processes, held):
+    d = parallel._DRAW_AHEAD_MIN
+    configs, specs = _sweep_configs([1.0] * n_configs, d=d)
+    threads = _Threads(8)
+    plan = parallel.plan(configs, specs, cpus=cpus, lookup=lambda: threads.calls)
+    assert (plan.processes, plan.draws_ahead, plan.threads_held) == \
+        (processes, held is not None, held)
+
+
+def test_a_sweep_on_two_cpus_draws_nothing_ahead(monkeypatch, two_cpus):
+    # each beta draws over _DRAW_AHEAD_MIN normals a step, but its process
+    # has one of the two CPUs, and none to leave a helper
+    d, betas = parallel._DRAW_AHEAD_MIN, [0.99, 1.0]
+    configs, _ = _sweep_configs(betas, d=d)
+    assert all(2 * c.noise.prefix(d)[0] >= parallel._DRAW_AHEAD_MIN for c in configs)
+    draws, forks = _helper_draws(monkeypatch), _counting_fork(monkeypatch)
+    rows = sweep_beta(betas, d=d, T=4, seeds=range(2))
+    assert len(forks) == 1 and draws == []
+    _assert_no_child_left()
+    assert [r.beta for r in rows] == [0.99, 0.99, 1.0, 1.0]
 
 
 class _Threads:
@@ -671,7 +706,7 @@ def _no_lookup():
 
 
 def test_runs_that_draw_inline_leave_openblas_alone(monkeypatch, capsys, tmp_path):
-    # every plan from here on, the default ones of the entry points too
+    # every plan from here on, those the entry points make too
     monkeypatch.setattr(parallel, "_openblas_threads", _no_lookup)
     config, spec = _ahead_config("AdamSNSM", **_FRAME_KW)
     plan = _planned(config, spec, cpus=1)
@@ -787,7 +822,7 @@ def test_sweep_draws_noise_once_per_step_and_beta(monkeypatch):
 def test_sweep_divisibility_error(monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "run_rows",
-                        lambda config, specs: calls.append(config) or [])
+                        lambda config, specs, plan: calls.append(config) or [])
     with pytest.raises(ValueError, match="subset size k=3 does not divide d=10$"):
         sweep_beta([0.5], d=10, T=10, seeds=(0, 1), subset_sizes=[3])
     assert calls == []  # found before any beta runs
@@ -806,7 +841,7 @@ def test_sweep_rejects_fewer_than_two_seeds():
 def test_sweep_rejects_an_empty_beta_list(monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "run_rows",
-                        lambda config, specs: calls.append(config) or [])
+                        lambda config, specs, plan: calls.append(config) or [])
     with pytest.raises(ValueError, match="a sweep needs at least one beta"):
         sweep_beta([], d=16, T=5, seeds=range(2))
     assert calls == []
@@ -879,7 +914,7 @@ def test_sweep_counts_diverged_seeds(monkeypatch):
 def test_sweep_checks_every_beta_before_the_first_run(monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "run_rows",
-                        lambda config, specs: calls.append(config) or [])
+                        lambda config, specs, plan: calls.append(config) or [])
     with pytest.raises(ValueError, match=r"density_beta must lie in \[0, 1\], got 1.5"):
         sweep_beta([0.0, 1.5], d=16, T=5, seeds=range(2))
     assert calls == []  # beta = 0 did not run first
@@ -918,9 +953,9 @@ def _sweep_configs(betas, d=16, T=10, n_seeds=2, subset_sizes=()) -> tuple:
     return configs, specs
 
 
-def _side_by_side(configs, specs, processes=2, run_rows=None) -> list:
+def _side_by_side(configs, specs, processes=2) -> list:
     """The sweep's runs of ``configs``, on ``processes`` processes."""
-    return parallel._run_configs(run_rows or harness.run_rows, configs, specs,
+    return parallel._run_configs(harness.run_rows, configs, specs,
                                  parallel.CpuPlan(processes))
 
 
@@ -928,10 +963,10 @@ def _fail_at_beta(monkeypatch, beta, action):
     """Make run_rows call ``action()`` for the config of ``beta``."""
     real = harness.run_rows
 
-    def run_rows(config, specs):
+    def run_rows(config, specs, plan):
         if config.noise.density_beta == beta:
             action()
-        return real(config, specs)
+        return real(config, specs, plan)
 
     monkeypatch.setattr(harness, "run_rows", run_rows)
 
@@ -947,7 +982,7 @@ def _raise(exc):
 ])
 def test_sweep_betas_side_by_side_match_one_process(monkeypatch, betas, cpus):
     configs, specs = _sweep_configs(betas, d=32, T=40, n_seeds=3, subset_sizes=[8])
-    alone = [run_rows(config, specs) for config in configs]
+    alone = [run_rows(config, specs, parallel.CpuPlan()) for config in configs]
     assert parallel._run_configs(run_rows, configs, specs,
                                  parallel.plan(configs, specs, cpus=1)) == alone
     forks = _counting_fork(monkeypatch)
@@ -972,17 +1007,16 @@ def test_forked_sweep_after_a_run_that_drew_ahead(monkeypatch):
     _run(config, spec, _planned(config, spec))
     assert draws  # this process drew ahead
     d = parallel._DRAW_AHEAD_MIN
-    configs, specs = _sweep_configs([0.0, 1.0], d=d, T=6, subset_sizes=[d // 8])
-
-    def on_two_cpus(config, specs):  # each run's own plan, as on two CPUs
-        return run_rows(config, specs, parallel.plan([config], specs, cpus=2))
-
-    assert parallel.plan(configs[1:], specs, cpus=2).draws_ahead  # in the child
+    # every beta draws over _DRAW_AHEAD_MIN normals a step: on four CPUs
+    # each of the two processes has two, and the child draws ahead too
+    configs, specs = _sweep_configs([0.99, 1.0], d=d, T=6, subset_sizes=[d // 8])
+    plan = parallel.plan(configs, specs, cpus=4)
+    assert (plan.processes, plan.draws_ahead) == (2, True)
     forks = _counting_fork(monkeypatch)
     old = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(120)
     try:
-        side_by_side = _side_by_side(configs, specs, run_rows=on_two_cpus)
+        side_by_side = parallel._run_configs(run_rows, configs, specs, plan)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
@@ -997,7 +1031,7 @@ def test_sweep_on_one_cpu_forks_nothing(monkeypatch):
     assert plan == parallel.CpuPlan()
     monkeypatch.setattr(os, "fork", lambda: _raise(AssertionError("forked")))
     assert parallel._run_configs(run_rows, configs, specs, plan) == \
-        [run_rows(config, specs) for config in configs]
+        [run_rows(config, specs, plan) for config in configs]
 
 
 def test_usable_cpus_is_one_without_fork_or_affinity(monkeypatch):
@@ -1532,7 +1566,6 @@ def test_cli_too_few_seeds_names_the_flag(capsys, argv, n, message):
     ["--delta1", "-1"],  # was a math domain error
     ["--delta1", "nan"],  # was a run of all T steps reported as divergence
     ["--delta1", "inf"],
-    ["--objective", "mlp2", "--d", "4", "--delta1", "-1"],  # read by no start
 ])
 def test_cli_train_bad_delta1_exit_1(capsys, argv):
     assert main(["train", *argv, "--T", "3", "--out", "/dev/null"]) == 1
@@ -1648,6 +1681,36 @@ def test_cli_train_param_shape_on_mlp2_exit_1(capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
+    (["--objective", "mlp2", "--delta1", "5"],
+     "--delta1 sets the quadratic's f(x_1); mlp2 draws its x_1 from each seed"),
+    # read by no start: rejected as the flag of the other objective
+    (["--objective", "mlp2", "--delta1", "-1"],
+     "--delta1 sets the quadratic's f(x_1); mlp2 draws its x_1 from each seed"),
+    (["--hidden", "0"],
+     "--hidden sets mlp2's hidden width; the quadratic has no hidden layer"),
+], ids=["delta1-on-mlp2", "negative-delta1-on-mlp2", "hidden-on-quadratic"])
+def test_cli_train_flag_of_the_other_objective_exit_1(capsys, argv, message):
+    assert main(["train", "--d", "8", "--T", "2", *argv, "--out", "/dev/null"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"snsm: error: {message}\n")
+
+
+def test_cli_train_objective_flag_defaults(monkeypatch):
+    configs = []
+    real = harness.run
+
+    def capturing_run(config, spec):
+        configs.append(config)
+        return real(config, spec)
+
+    monkeypatch.setattr(harness, "run", capturing_run)
+    for argv in (["--objective", "quadratic"], ["--objective", "mlp2"]):
+        assert main(["train", "--d", "8", "--T", "2", *argv, "--out", "/dev/null"]) == 0
+    quadratic, mlp2 = configs
+    assert quadratic.delta1 == 1.0 and mlp2.objective.hidden == 16
+
+
+@pytest.mark.parametrize("argv,message", [
     (["--noise-beta", "0.5", "--sigma", "3"],
      "--sigma sets dense noise and --noise-beta sparse noise"),
     (["--noise-alpha", "2"], "--noise-alpha sets the level of --noise-beta noise"),
@@ -1733,6 +1796,24 @@ def test_cli_noise_npy_without_an_array_exit_1(tmp_path, capsys, write, message)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"snsm: error: {path} {message}\n"
+
+
+@pytest.mark.parametrize("name,bad,message", [
+    ("g.txt", math.nan, "must be finite, got nan or inf"),
+    ("g.npy", math.inf, "must be finite, got nan or inf"),
+    ("g.npy", 1j, "must be real, got complex values"),
+], ids=["text-nan", "npy-inf", "npy-complex"])
+def test_cli_noise_samples_not_finite_or_not_real_exit_1(tmp_path, capsys, name, bad,
+                                                          message):
+    samples = np.array([[0.0, 1.0], [2.0, 1.0], [1.0, 3.0]], dtype=type(bad))
+    samples[1, 1] = bad
+    path = tmp_path / name
+    (np.save if name.endswith(".npy") else np.savetxt)(path, samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a cast or a nan variance would warn
+        assert main(["noise", "--samples", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"snsm: error: gradient samples {message}\n")
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])

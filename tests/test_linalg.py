@@ -12,6 +12,7 @@ from snsm.linalg import (
     GRADIENT_KINDS,
     Frame,
     FrameKind,
+    NumericError,
     frame_storage_elements,
     lift,
     make_frame,
@@ -282,6 +283,38 @@ def test_randomized_range_near_exact_residual():
         ratios.append(approx / exact)
         assert approx >= exact - 1e-10  # SVD is optimal
     assert np.mean(ratios) <= 2.0
+
+
+def test_randomized_range_sketch_svd_that_does_not_converge(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NumericError,
+                       match="^SVD of sketch did not converge: SVD did not converge$"):
+        _range_frame(np.random.default_rng(2).standard_normal((16, 8)), 4, seed=1)
+
+
+@pytest.fixture
+def no_openblas(monkeypatch):
+    """openblas as on a numpy linked to another BLAS: no library mapped,
+    and every cached lookup made again, then once more after the test."""
+    lookups = (openblas.thread_calls, openblas.svd_steps)
+    monkeypatch.setattr(openblas, "_libraries", lambda: ())
+    for lookup in lookups:
+        lookup.cache_clear()
+    yield
+    for lookup in lookups:
+        lookup.cache_clear()
+
+
+def test_lookups_without_an_openblas(no_openblas):
+    assert openblas._exporting(openblas._THREAD_SYMBOLS[1]) is None
+    assert openblas.thread_calls() is None
+    assert openblas.svd_steps() is None
+    # a path-5 shape: np.linalg.svd factors it
+    G = np.random.default_rng(15).standard_normal((40, 40))
+    assert np.array_equal(_svd_frame(G, 5).rows, _numpy_rows(G, 5))
 
 
 # ---------------------------------------------------------------------------

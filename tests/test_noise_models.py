@@ -337,6 +337,16 @@ def test_streams_equal_seed_sequence_streams(t):
         np.testing.assert_array_equal(rng.standard_normal(5), ref.standard_normal(5))
 
 
+@pytest.mark.parametrize("request_", [(4,), (4, np.uint32), (2, np.uint64), (8, np.uint64)],
+                         ids=["default-dtype", "uint32", "2-words", "8-words"])
+def test_a_precomputed_key_gives_only_its_four_words(request_):
+    key = noise_models._key_class()(seed_words(np.array([3]), np.array([5]))[0, 0])
+    with pytest.raises(ValueError, match="a precomputed key holds 4 uint64 words$"):
+        key.generate_state(*request_)
+    np.testing.assert_array_equal(key.generate_state(4, np.uint64),
+                                  np.random.SeedSequence([3, 5]).generate_state(4, np.uint64))
+
+
 @pytest.mark.parametrize("seeds,t", [
     ([2 ** 32], 5), ([2 ** 40], 5), ([3, 2 ** 32], BLOCK + 1), ([3], 2 ** 32), ([7], 2 ** 40),
 ])
@@ -382,7 +392,8 @@ def test_each_key_block_is_derived_once(monkeypatch):
     obj = MLP2(np.ones((4, 2)), np.zeros(4), hidden=3)
     config = harness.ExperimentConfig(objective=obj, noise=NoiseModel(sigma=0.1),
                                       T=20, seeds=(5, 6))
-    harness.run_rows(config, [make_preset(p) for p in ("Adam", "AdamSN", "SGDm")])
+    harness.run_rows(config, [make_preset(p) for p in ("Adam", "AdamSN", "SGDm")],
+                     harness.parallel.CpuPlan())
     assert blocks == [((5, 6), 0)]
     scale = 1 / math.sqrt(obj.d_in)
     np.testing.assert_array_equal(

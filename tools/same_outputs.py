@@ -76,6 +76,19 @@ error line. Against a tree that ended the first in an ``OverflowError``
 traceback, gave numpy's zero-size reduction error for the second and did
 not list the frame kinds in the third, they differ on stderr by design.
 ``seed-base-2**63-1`` runs the largest seed.
+``sweep-draw-ahead`` is a two-beta sweep whose every step draws over 32768
+normals (``parallel._DRAW_AHEAD_MIN``): against a tree that planned each
+beta's run on its own, its forked child drew ahead on a helper thread,
+which a sweep on two CPUs no longer does; its output does not change.
+``noise-nan-text``, ``noise-inf-npy`` and ``noise-complex-npy`` read
+gradient samples with a ``nan``, an ``inf`` and complex entries from the
+run's temporary directory, and ``train-delta1-on-mlp2`` and
+``train-hidden-on-quadratic`` give train a flag that its objective does not
+read; each exits 1 with one error line. A tree that ran them exited 0:
+it counted a ``nan`` or ``inf`` coordinate as not noisy, printed numpy's
+warning for the ``inf`` and the complex samples, dropped the imaginary
+parts and ignored the flag; against it they differ by design, on stdout,
+stderr and the exit code.
 
 Every sweep that runs prints one verdict line per beta and comparison on
 stderr after its table, e.g. ``# beta=1 AdaGradSN(8) vs AdaGrad:
@@ -91,6 +104,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -242,6 +257,15 @@ COMMANDS = [
       for label, offset in (("", 0), ("-1", -1))),
     ("bound3-no-subsets", ["bound", "--thm", "3", "--sigma-subsets=", "--b0", "1"]),
     ("train-frame-bogus", ["train", "--d", "16", "--T", "3", "--frame", "bogus"]),
+    # each beta draws 2 x ~29500 and 2 x 32768 normals a step
+    ("sweep-draw-ahead", ["sweep", "--betas", "0.99,1", "--d", "32768", "--T", "6",
+                          "--n-seeds", "2", "--subset-sizes", "4096"]),
+    *((f"noise-{label}", ["noise", "--samples", f"{{tmp}}/{name}"])
+      for label, name in (("nan-text", "nan.txt"), ("inf-npy", "inf.npy"),
+                          ("complex-npy", "complex.npy"))),
+    ("train-delta1-on-mlp2", ["train", "--objective", "mlp2", "--delta1", "5",
+                              "--T", "3"]),
+    ("train-hidden-on-quadratic", ["train", "--hidden", "0", "--T", "3"]),
 ]
 
 
@@ -265,6 +289,10 @@ def main(argv=None) -> int:
         (Path(tmp) / "empty.npy").touch()
         (Path(tmp) / "quoting.manifest").write_text(
             'a,b\tlinear\t4x4\nsay "hi"\tnorm\t4\n', encoding="utf-8")
+        (Path(tmp) / "nan.txt").write_text("0 1\n2 nan\n1 3\n", encoding="utf-8")
+        samples = np.array([[0.0, 1.0], [2.0, 1.0], [1.0, 3.0]])
+        np.save(Path(tmp) / "inf.npy", np.where(samples == 2.0, np.inf, samples))
+        np.save(Path(tmp) / "complex.npy", samples + 1j)
         for label, cmd in COMMANDS:
             cmd = [a.replace("{tmp}", tmp) for a in cmd]
             before, after = run(old, cmd), run(new, cmd)
